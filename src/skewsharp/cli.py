@@ -10,38 +10,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .fuzz import FuzzConfig, run_fuzz
+from .fuzz import RELATION_GROUPS, FuzzConfig, context_margins, run_fuzz, violated
 from .gaussian import (
-    fock_truncate_thermal,
-    moment_det_gap,
     nongaussianity,
-    exact_moments,
-    quadrature_observables,
+    saturation_check,
     single_mode_generator,
-    to_quadrature,
     two_mode_generator,
 )
-from .gcov import (
-    PreconditionViolation,
-    big_F,
-    build_Lg,
-    check_g_triple,
-    check_metric_adjusted,
-    eps_kernel,
-    f_gram_kernels,
-    lambda_f,
-    mean_kernel,
-    resolve_monotone,
-    wy_strongest_check,
-)
-from .linalg import SkewsharpError, mat_scale
+from .gcov import big_F, lambda_f, resolve_monotone
+from .linalg import SkewsharpError
 from .serialize import (
     FormatError,
     dumps,
@@ -54,7 +37,7 @@ from .serialize import (
     state_to_dict,
     write_text,
 )
-from .skew import check_refined_rs, det_symmetric_psd, two_obs_relations
+from .skew import SpectralContext
 
 SAT_TOL = 1e-7
 
@@ -67,7 +50,7 @@ def _violation_tol(override: float | None) -> float:
 
 
 def _verdict(margin: float, scale: float, tol: float) -> str:
-    if math.isfinite(margin) and margin < -tol * scale:
+    if violated(margin, scale, tol):
         return "violated"
     if margin <= SAT_TOL * scale:
         return "saturated"
@@ -81,40 +64,23 @@ def cmd_check(args) -> int:
     if rho.dim != X.dim:
         raise FormatError(f"dim mismatch: state dim {rho.dim} != observables dim {X.dim}")
 
-    rep = check_refined_rs(rho, X)
-    margins = dict(rep.margins)
-    scales = dict(rep.scales)
-    notes = []
-
+    groups = ["rs", "refined", "weak-chain"]
     if args.two_obs:
         if X.n != 2:
             raise FormatError(f"--two-obs needs exactly 2 observables, got {X.n}")
-        two = two_obs_relations(rho, X.observables[0], X.observables[1])
-        margins["eq9a"] = two.margins["eq9a"]
-        margins["eq9b"] = min(two.margins["eq9b_1"], two.margins["eq9b_2"])
-        margins["eq10"] = two.margins["eq10"]
-        margins["furuichi"] = two.margins["furuichi"]
-        for key in ("eq9a", "eq9b", "eq10", "furuichi"):
-            scales[key] = two.scales["eq9a"]
-
+        groups.append("two-obs")
+    fs = []
     if args.f is not None:
-        f = resolve_monotone(args.f)
-        g1, g2 = f_gram_kernels(f)
-        Lg = build_Lg(rho, X, g1, g2)
-        margins["eq16"] = float(np.linalg.eigvalsh(Lg)[0])
-        scales["eq16"] = mat_scale(Lg)
-        margins["eq17"] = check_g_triple(rho, X, mean_kernel(), mean_kernel(), eps_kernel())
-        scales["eq17"] = max(1.0, det_symmetric_psd(rep.sigma) ** 2)
-        mar = check_metric_adjusted(rho, X, f)
-        margins["eq18"], scales["eq18"] = mar.margin18, mar.scale18
-        margins["eq19"], scales["eq19"] = mar.margin19, mar.scale19
-        try:
-            margins["wy-strongest"] = wy_strongest_check(rho, X, f)
-            scales["wy-strongest"] = max(
-                1.0, rep.dets["sigma_plus_c"] * rep.dets["sigma_minus_c"]
-            )
-        except PreconditionViolation as exc:
-            notes.append(str(exc))
+        fs.append(resolve_monotone(args.f))
+        groups += ["g-psd", "eq18", "eq19", "wy-strongest"]
+
+    ctx = SpectralContext(rho, X)
+    rows = context_margins(ctx, groups, fs)
+    rep = ctx.refined
+    margins = {rid: margin for rid, _, margin, _ in rows}
+    scales = {rid: scale for rid, _, _, scale in rows}
+    notes = [f"{rid}: not evaluated, its precondition fails for f '{args.f}'"
+             for g in groups for rid in RELATION_GROUPS[g] if rid not in margins]
 
     verdicts = {k: _verdict(margins[k], scales[k], tol) for k in margins}
     report = {
@@ -184,15 +150,11 @@ def _build_generator(args):
 
 def cmd_gaussian(args) -> int:
     H = _build_generator(args)
-    moments = to_quadrature(exact_moments(H))
-    dg_exact = moment_det_gap(moments)
-    trunc = fock_truncate_thermal(H, args.cutoff)
-    X = quadrature_observables(H.n_modes, args.cutoff)
-    rep = check_refined_rs(trunc.rho, X)
-    dg_numeric = rep.delta_G
+    sat = saturation_check(H, args.cutoff)
+    dg_exact, dg_numeric = sat.delta_G_exact, sat.delta_G_numeric
 
     tol_exact = 1e-8
-    tol_numeric = max(1e-6, 1e3 * trunc.tail_mass)
+    tol_numeric = max(1e-6, 1e3 * sat.tail_mass)
     ok = abs(dg_exact) <= tol_exact and abs(dg_numeric) <= tol_numeric
     report = {
         "version": __version__,
@@ -202,16 +164,16 @@ def cmd_gaussian(args) -> int:
             "S_im": real_matrix_to_lists(H.S.imag),
         },
         "exact": {
-            "sigma": real_matrix_to_lists(moments.sigma),
-            "classical": real_matrix_to_lists(moments.c),
+            "sigma": real_matrix_to_lists(sat.moments.sigma),
+            "classical": real_matrix_to_lists(sat.moments.c),
             "delta_G": dg_exact,
-            "perturbed": moments.perturbed,
+            "perturbed": sat.moments.perturbed,
         },
         "numeric": {
             "cutoff": args.cutoff,
-            "tail_mass": trunc.tail_mass,
-            "sigma": real_matrix_to_lists(rep.sigma),
-            "classical": real_matrix_to_lists(rep.classical),
+            "tail_mass": sat.tail_mass,
+            "sigma": real_matrix_to_lists(sat.refined.sigma),
+            "classical": real_matrix_to_lists(sat.refined.classical),
             "delta_G": dg_numeric,
         },
         "tolerances": {"exact": tol_exact, "numeric": tol_numeric},
@@ -221,7 +183,7 @@ def cmd_gaussian(args) -> int:
         write_text(args.json_out, dumps(report))
     print(f"delta_G_exact={dg_exact:#.12g}")
     print(f"delta_G_numeric={dg_numeric:#.12g}")
-    print(f"tail_mass={trunc.tail_mass:.6e}")
+    print(f"tail_mass={sat.tail_mass:.6e}")
     print(f"saturated={'true' if ok else 'false'}")
     return 0 if ok else 1
 

@@ -8,21 +8,23 @@ Relation groups select what gets checked per trial:
     refined     ->  eq3, eq7-psd, eq8-schur
     weak-chain  ->  eq4a, eq4b
     two-obs     ->  eq9a, eq9b, eq10, furuichi      (only when n = 2 is drawn)
-    g-psd       ->  eq16, eq17
+    g-psd       ->  eq16 (one sample per f label), eq17
     eq18 / eq19 ->  metric-adjusted relations, one sample per f label
-    wy-strongest -> wy-strongest (f labels restricted to the admissible class)
+    wy-strongest -> wy-strongest, for sld only: it needs f <= f(0)(1+sqrt x)^2
+                    (in the catalog: sld and wy), and wy against itself is 0
 
-A margin below -tol * scale counts as a violation and dumps a reproducer file
-in the CLI state/observables JSON format (plus the relation and f label) so the
-instance replays through the command line.  Observable counts are drawn with
-n <= dim^2 - 1: beyond that every determinant is exactly zero and the
-fractional-power margins carry no information.
+``RELATIONS`` is the one table of relations, for this harness and ``skewsharp
+check`` alike.  A margin that fails ``violated`` dumps a reproducer file in the
+CLI state/observables JSON format (plus the relation and f label) so the
+instance replays through the command line.  Observable counts are drawn with n <= dim^2 - 1: beyond that every
+determinant is exactly zero and the fractional-power margins carry no information.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,18 +32,16 @@ import numpy as np
 from . import __version__
 from .gcov import (
     build_Lg,
-    cached_lambda,
     check_g_triple,
     check_metric_adjusted,
     eps_kernel,
-    f_gram_kernels,
     mean_kernel,
     resolve_monotone,
     wy_strongest_check,
 )
 from .linalg import DensityMatrix, SkewsharpError, mat_scale
 from .serialize import dumps, observables_to_dict, state_to_dict, write_text
-from .skew import ObservableSet, check_refined_rs, det_symmetric_psd, two_obs_relations
+from .skew import ObservableSet, SpectralContext
 
 RELATION_GROUPS = {
     "rs": ("rs",),
@@ -55,6 +55,63 @@ RELATION_GROUPS = {
 }
 
 DEFAULT_GROUPS = tuple(RELATION_GROUPS)
+
+
+def violated(margin: float, scale: float, tol: float) -> bool:
+    """The one violation predicate: NaN and -inf fail, +inf (VACUOUS) passes."""
+    return not margin >= -tol * scale
+
+
+def _refined(rid):
+    return lambda ctx, f: (ctx.refined.margins[rid], ctx.refined.scales[rid])
+
+
+def _two_obs(*keys):
+    def relation(ctx, f):
+        if ctx.X.n != 2:
+            return None
+        return min(ctx.two_obs.margins[k] for k in keys), ctx.two_obs.scales["eq9a"]
+    return relation
+
+
+def _eq16(ctx, f):
+    L = build_Lg.ctx(ctx, *f.gram_kernels)
+    return float(np.linalg.eigvalsh(L)[0]), mat_scale(L)
+
+
+def _eq17(ctx, f):
+    margin = check_g_triple.ctx(ctx, mean_kernel(), mean_kernel(), eps_kernel())
+    return margin, max(1.0, ctx.dets["sigma"] ** 2)
+
+
+def _metric_adjusted(eq):
+    def relation(ctx, f):
+        mar = check_metric_adjusted.ctx(ctx, f)
+        return getattr(mar, f"margin{eq}"), getattr(mar, f"scale{eq}")
+    return relation
+
+
+def _wy_strongest(ctx, f):
+    if not f.wy_dominated:
+        return None
+    dets = ctx.dets
+    return wy_strongest_check.ctx(ctx, f), max(1.0, dets["sigma_plus_c"] * dets["sigma_minus_c"])
+
+
+# id -> relation(ctx, f) -> (margin, scale), or None where it does not apply
+RELATIONS = {
+    **{rid: _refined(rid) for rid in ("rs", "eq3", "eq4a", "eq4b", "eq7-psd", "eq8-schur")},
+    "eq9a": _two_obs("eq9a"),
+    "eq9b": _two_obs("eq9b_1", "eq9b_2"),
+    "eq10": _two_obs("eq10"),
+    "furuichi": _two_obs("furuichi"),
+    "eq16": _eq16,
+    "eq17": _eq17,
+    "eq18": _metric_adjusted(18),
+    "eq19": _metric_adjusted(19),
+    "wy-strongest": _wy_strongest,
+}
+PER_F = frozenset({"eq16", "eq18", "eq19", "wy-strongest"})  # sampled once per f label
 
 HIST_EDGES = (-math.inf, -1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8,
               1e-6, 1e-4, 1e-2, 1.0, math.inf)
@@ -130,17 +187,17 @@ class RelationStats:
     min_rel_margin: float = math.inf
     histogram: list[int] = field(default_factory=lambda: [0] * (len(HIST_EDGES) - 1))
 
-    def record(self, margin: float, scale: float) -> None:
+    def record(self, margin: float, scale: float, tol: float) -> bool:
+        """File one sample (a NaN in the lowest bin); returns and counts a violation."""
         self.trials += 1
         rel = margin / scale if math.isfinite(margin) else margin
-        self.min_margin = min(self.min_margin, margin)
-        self.min_rel_margin = min(self.min_rel_margin, rel)
-        idx = len(HIST_EDGES) - 2
-        for i in range(len(HIST_EDGES) - 1):
-            if HIST_EDGES[i] <= rel < HIST_EDGES[i + 1]:
-                idx = i
-                break
-        self.histogram[idx] += 1
+        self.min_margin = float(np.minimum(self.min_margin, margin))  # keeps a NaN
+        self.min_rel_margin = float(np.minimum(self.min_rel_margin, rel))
+        top = len(HIST_EDGES) - 2  # [1, inf], so +inf lands here
+        self.histogram[0 if math.isnan(rel) else min(bisect_right(HIST_EDGES, rel) - 1, top)] += 1
+        bad = violated(margin, scale, tol)
+        self.violations += bad
+        return bad
 
     def to_dict(self) -> dict:
         return {
@@ -174,54 +231,27 @@ class FuzzStats:
         }
 
 
+def context_margins(ctx: SpectralContext, groups, fs) -> list[tuple[str, str | None, float, float]]:
+    """All (relation, f_label, margin, scale) samples of the groups for one context."""
+    wanted = {rid for g in groups for rid in RELATION_GROUPS[g]}
+    out = []
+    for rid, relation in RELATIONS.items():
+        if rid not in wanted:
+            continue
+        for f in fs if rid in PER_F else (None,):
+            sample = relation(ctx, f)
+            if sample is not None:
+                out.append((rid, f and f.label, *sample))
+    return out
+
+
 def trial_margins(rho: DensityMatrix, X: ObservableSet, groups, fs) -> list[tuple[str, str | None, float, float]]:
     """All (relation, f_label, margin, scale) samples for one instance."""
-    wanted = set()
-    for g in groups:
-        wanted.update(RELATION_GROUPS[g])
-    out = []
-    rep = check_refined_rs(rho, X)
-    for rid in ("rs", "eq3", "eq4a", "eq4b", "eq7-psd", "eq8-schur"):
-        if rid in wanted:
-            out.append((rid, None, rep.margins[rid], rep.scales[rid]))
-    if X.n == 2 and {"eq9a", "eq9b", "eq10", "furuichi"} & wanted:
-        two = two_obs_relations(rho, X.observables[0], X.observables[1])
-        pick = {
-            "eq9a": two.margins["eq9a"],
-            "eq9b": min(two.margins["eq9b_1"], two.margins["eq9b_2"]),
-            "eq10": two.margins["eq10"],
-            "furuichi": two.margins["furuichi"],
-        }
-        for rid, margin in pick.items():
-            if rid in wanted:
-                out.append((rid, None, margin, two.scales["eq9a"]))
-    if "eq17" in wanted:
-        margin = check_g_triple(rho, X, mean_kernel(), mean_kernel(), eps_kernel())
-        d_sigma = det_symmetric_psd(rep.sigma)
-        out.append(("eq17", None, margin, max(1.0, d_sigma**2)))
-    for f in fs:
-        if "eq16" in wanted:
-            g1, g2 = f_gram_kernels(f)
-            L = build_Lg(rho, X, g1, g2)
-            lo = float(np.linalg.eigvalsh(L)[0])
-            out.append(("eq16", f.label, lo, mat_scale(L)))
-        if {"eq18", "eq19"} & wanted:
-            mar = check_metric_adjusted(rho, X, f)
-            if "eq18" in wanted:
-                out.append(("eq18", f.label, mar.margin18, mar.scale18))
-            if "eq19" in wanted:
-                out.append(("eq19", f.label, mar.margin19, mar.scale19))
-        if "wy-strongest" in wanted and f.label == "sld":
-            margin = wy_strongest_check(rho, X, f)
-            scale = max(1.0, rep.dets["sigma_plus_c"] * rep.dets["sigma_minus_c"])
-            out.append(("wy-strongest", f.label, margin, scale))
-    return out
+    return context_margins(SpectralContext(rho, X), groups, fs)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzStats:
     fs = [resolve_monotone(lbl) for lbl in config.f_labels]
-    for f in fs:
-        cached_lambda(f)
     combos = [(d, n) for d in config.dims for n in config.n_obs if n <= d * d - 1]
     stats = FuzzStats(seed=config.seed, config=config.to_dict(), per_relation={})
     for trial in range(config.trials):
@@ -232,10 +262,10 @@ def run_fuzz(config: FuzzConfig) -> FuzzStats:
         X = random_observables(dim, n, rng)
         stats.total_trials += 1
         for rid, f_label, margin, scale in trial_margins(rho, X, config.relations, fs):
+            if rid == "wy-strongest" and f_label == "wy":
+                continue  # wy against itself: identically 0
             rel = stats.per_relation.setdefault(rid, RelationStats())
-            rel.record(margin, scale)
-            if math.isfinite(margin) and margin < -config.tol * scale:
-                rel.violations += 1
+            if rel.record(margin, scale, config.tol):
                 stats.total_violations += 1
                 if config.reproducer_dir is not None:
                     path = os.path.join(
@@ -274,8 +304,6 @@ def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
     if any(n != 2 for n in config.n_obs):
         raise ConfigError("strength_study requires n_obs = (2,)")
     fs = [resolve_monotone(lbl) for lbl in config.f_labels]
-    for f in fs:
-        cached_lambda(f)
     rows = []
     ordering_violations = {"eq9a_vs_eq3": 0, "wy_strongest": 0}
     instances = list(fixed_instances or [])
@@ -288,7 +316,8 @@ def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
 
     instances += [make_instance(t) for t in range(config.trials)]
     for idx, (rho, X) in enumerate(instances):
-        two = two_obs_relations(rho, X.observables[0], X.observables[1])
+        ctx = SpectralContext(rho, X)
+        two = ctx.two_obs
         d2 = two.delta_scalar**2
         bound_eq3 = d2**2
         bound_eq9a = d2 * (2 * two.A - d2)
@@ -306,11 +335,11 @@ def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
             "margin_furuichi": two.margins["furuichi"],
         }
         for f in fs:
-            mar = check_metric_adjusted(rho, X, f)
+            mar = check_metric_adjusted.ctx(ctx, f)
             row[f"eq19_lhs[{f.label}]"] = mar.margin19 + (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
             row[f"eq19_rhs[{f.label}]"] = (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
             if f.label == "sld":
-                wm = wy_strongest_check(rho, X, f)
+                wm = wy_strongest_check.ctx(ctx, f)
                 row["wy_strongest_margin"] = wm
                 if wm < -tol:
                     ordering_violations["wy_strongest"] += 1

@@ -36,7 +36,7 @@ from .linalg import (
     SkewsharpError,
     mat_scale,
 )
-from .skew import ObservableSet, check_refined_rs
+from .skew import ObservableSet, UncertaintyReport, check_refined_rs
 
 MOMENT_TOL = 1e-8
 SINGULAR_TOL = 1e-10  # absolute: M - I singular means an eigenvalue of M sits at 1
@@ -369,7 +369,10 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
         for j in range(2 * H.n_modes):
             s = H.S[i, j]
             if s != 0:
-                Hmat += 0.5 * s * (ladder[i] @ ladder[j])
+                # normal order, creators first: the truncated a_k a_k^dag is 0 on
+                # the top Fock level, a_k^dag a_k is not; the dropped constant
+                # [a_k, a_k^dag] = 1 leaves the state unchanged
+                Hmat += 0.5 * s * (ladder[min(i, j)] @ ladder[max(i, j)])
     Hmat = (Hmat + Hmat.conj().T) / 2
     w, V = np.linalg.eigh(Hmat)
     weights = np.exp(-H.beta * (w - w.min()))
@@ -394,21 +397,29 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
 
 @dataclass(eq=False)
 class SaturationReport:
+    """Both saturation gaps, with the quadrature moments, truncation and report behind them."""
+
     delta_G_exact: float
     delta_G_numeric: float
     tail_mass: float
+    moments: GaussianMoments          # exact, quadrature basis
+    truncation: ThermalTruncation
+    refined: UncertaintyReport        # of the truncated state and quadratures
 
 
 def saturation_check(H: QuadraticHamiltonian, cutoff: int) -> SaturationReport:
     """Exact (symplectic) and truncated-Fock values of the saturation gap."""
-    exact_gap = moment_det_gap(exact_moments(H))
+    moments = to_quadrature(exact_moments(H))
     trunc = fock_truncate_thermal(H, cutoff)
     X = quadrature_observables(H.n_modes, cutoff)
     rep = check_refined_rs(trunc.rho, X)
     return SaturationReport(
-        delta_G_exact=exact_gap,
+        delta_G_exact=moment_det_gap(moments),
         delta_G_numeric=rep.delta_G,
         tail_mass=trunc.tail_mass,
+        moments=moments,
+        truncation=trunc,
+        refined=rep,
     )
 
 

@@ -12,7 +12,10 @@ square-root mean.  Kernels are only ever evaluated on eigenvalue pairs of the
 given state; 0/0 points of quotient kernels are defined as 0.
 
 Observables are centered before the trace pairing so the canonical reductions
-hold exactly (the uncentered variant differs by mean terms).
+hold exactly (the uncentered variant differs by mean terms).  Every matrix here
+is a pairing of one :class:`~skewsharp.skew.SpectralContext` with its own
+weight matrix; the public (rho, X, ...) functions build a fresh context, and
+their ``.ctx`` forms take a shared one.
 
 Monotone-function catalog labels: "wy" (= "wyd:0.5"), "wyd:<alpha>" with
 alpha in (0, 1/2], "sld".  Kernel labels: "mean", "eps".
@@ -21,7 +24,8 @@ alpha in (0, 1/2], "sld".  Kernel labels: "mean", "eps".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,19 +37,14 @@ from .linalg import (
     require_hermitian,
 )
 from .skew import (
-    ObservableSet,
-    commutator_matrix,
-    covariance_matrix,
+    KernelDomainError,
+    SpectralContext,
     det_delta,
     det_symmetric_psd,
-    wy_skew_matrix,
+    on_context,
 )
 
 VALIDATION_GRID = np.concatenate(([0.0], np.logspace(-6, 6, 121)))
-
-
-class KernelDomainError(SkewsharpError):
-    pass
 
 
 class KernelContractViolation(SkewsharpError):
@@ -64,21 +63,14 @@ class UnknownLabel(SkewsharpError):
 
 @dataclass(eq=False)
 class BivariateKernel:
-    """Vectorized kernel g(x, y) on [0, inf)^2 with declared structure flags.
-
-    ``validate=False`` skips the construction-grid checks; for kernels derived
-    from already-validated parts on hot paths.
-    """
+    """Vectorized kernel g(x, y) on [0, inf)^2 with declared structure flags."""
 
     label: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     nonnegative: bool = False
     symmetric: bool = False
-    validate: bool = True
 
     def __post_init__(self):
-        if not self.validate:
-            return
         xs, ys = np.meshgrid(VALIDATION_GRID, VALIDATION_GRID)
         vals = np.asarray(self.fn(xs, ys), dtype=complex)
         if not np.all(np.isfinite(vals)):
@@ -93,26 +85,17 @@ class BivariateKernel:
         return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=complex)
 
 
-_MEAN: BivariateKernel | None = None
-_EPS: BivariateKernel | None = None
-
-
+@cache
 def mean_kernel() -> BivariateKernel:
-    global _MEAN
-    if _MEAN is None:
-        _MEAN = BivariateKernel("mean", lambda x, y: (x + y) / 2, nonnegative=True, symmetric=True)
-    return _MEAN
+    return BivariateKernel("mean", lambda x, y: (x + y) / 2, nonnegative=True, symmetric=True)
 
 
+@cache
 def eps_kernel() -> BivariateKernel:
-    global _EPS
-    if _EPS is None:
-        _EPS = BivariateKernel("eps", lambda x, y: 0.5j * (y - x))
-    return _EPS
+    return BivariateKernel("eps", lambda x, y: 0.5j * (y - x))
 
 
-def quotient_kernel(num: BivariateKernel, den: BivariateKernel, label: str | None = None,
-                    validate: bool = True) -> BivariateKernel:
+def quotient_kernel(num: BivariateKernel, den: BivariateKernel, label: str | None = None) -> BivariateKernel:
     """num/den with the 0/0 := 0 convention; other zero denominators are domain errors."""
     label = label or f"{num.label}/{den.label}"
 
@@ -127,7 +110,7 @@ def quotient_kernel(num: BivariateKernel, den: BivariateKernel, label: str | Non
         safe = np.where(np.abs(d) == 0, 1.0, d)
         return np.where(np.abs(d) == 0, 0.0, n / safe)
 
-    return BivariateKernel(label, fn, validate=validate)
+    return BivariateKernel(label, fn)
 
 
 def product_kernels(a: Callable[[np.ndarray], np.ndarray],
@@ -156,17 +139,14 @@ class MonotoneFunction:
     two-sided bound f(0)(1+x) <= f(x) <= (1+x)/2.  Operator monotonicity itself
     is not checkable from samples and is trusted for catalog members.
 
-    The lazy caches (lam, derived kernels) are idempotent: concurrent fills
-    recompute identical values, so sharing instances across threads is safe.
+    ``lam`` and the derived kernels are computed once per instance.  A
+    concurrent first use recomputes identical values, so sharing instances
+    across threads is safe.
     """
 
     label: str
     f0: float
     fn: Callable[[np.ndarray], np.ndarray]
-    lam: float | None = field(default=None, repr=False)   # cache for lambda_f
-    _mk: "BivariateKernel | None" = field(default=None, repr=False)
-    _msk: "BivariateKernel | None" = field(default=None, repr=False)
-    _gram: "tuple | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.f0 > 0:
@@ -193,6 +173,41 @@ class MonotoneFunction:
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+
+    @cached_property
+    def lam(self) -> float:
+        """lambda_f = min F (see lambda_f)."""
+        return lambda_f(self).lam
+
+    @cached_property
+    def mean_kernel(self) -> BivariateKernel:
+        """Matrix-mean kernel m_f(x, y) = y f(x/y), evaluated scale-symmetrically."""
+        return BivariateKernel(f"m[{self.label}]", _mean_like(self), nonnegative=True, symmetric=True)
+
+    @cached_property
+    def skew_kernel(self) -> BivariateKernel:
+        """Kernel of the f-skew information: m_{f*}(x, y) = y f_*(x/y); vanishes on the diagonal."""
+        return BivariateKernel(
+            f"m*[{self.label}]", _mean_like(f_star(self)), nonnegative=True, symmetric=True
+        )
+
+    @cached_property
+    def gram_kernels(self) -> tuple[BivariateKernel, BivariateKernel]:
+        """The pair (sqrt(m_f), eps/sqrt(m_f)) whose Gram matrix hosts the f-relations."""
+        mk = self.mean_kernel
+        g1 = BivariateKernel(
+            f"sqrt_m[{self.label}]",
+            lambda x, y: np.sqrt(np.maximum(np.asarray(mk.fn(x, y)).real, 0.0)),
+            nonnegative=True, symmetric=True,
+        )
+        return g1, quotient_kernel(eps_kernel(), g1)
+
+    @cached_property
+    def wy_dominated(self) -> bool:
+        """f(x) <= f(0)(1+sqrt x)^2 on the grid: the class where WY gives the strongest eq19."""
+        x = MONOTONE_GRID
+        gap = self.f0 * (1 + np.sqrt(x)) ** 2 - self(x)
+        return bool(gap.min() >= -1e-10 * max(1.0, float(self(x).max())))
 
 
 def wyd_function(alpha: float) -> MonotoneFunction:
@@ -222,7 +237,9 @@ def sld_function() -> MonotoneFunction:
     return MonotoneFunction(label="sld", f0=0.5, fn=lambda x: (1 + np.asarray(x, dtype=float)) / 2)
 
 
+@cache
 def resolve_monotone(label: str) -> MonotoneFunction:
+    """The catalog function for a label; one shared instance per label."""
     if label == "wy":
         return wyd_function(0.5)
     if label == "sld":
@@ -269,33 +286,11 @@ def _mean_like(scalar: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
 
 def m_kernel(f: MonotoneFunction) -> BivariateKernel:
-    """Matrix-mean kernel m_f(x, y) = y f(x/y), evaluated scale-symmetrically."""
-    if f._mk is None:
-        f._mk = BivariateKernel(f"m[{f.label}]", _mean_like(f), nonnegative=True, symmetric=True)
-    return f._mk
+    return f.mean_kernel
 
 
 def m_star_kernel(f: MonotoneFunction) -> BivariateKernel:
-    """Kernel of the f-skew information: m_{f*}(x, y) = y f_*(x/y); vanishes on the diagonal."""
-    if f._msk is None:
-        f._msk = BivariateKernel(
-            f"m*[{f.label}]", _mean_like(f_star(f)), nonnegative=True, symmetric=True
-        )
-    return f._msk
-
-
-def f_gram_kernels(f: MonotoneFunction) -> tuple[BivariateKernel, BivariateKernel]:
-    """The pair (sqrt(m_f), eps/sqrt(m_f)) whose Gram matrix hosts the f-relations."""
-    if f._gram is None:
-        mk = m_kernel(f)
-        g1 = BivariateKernel(
-            f"sqrt_m[{f.label}]",
-            lambda x, y: np.sqrt(np.maximum(np.asarray(mk.fn(x, y)).real, 0.0)),
-            nonnegative=True, symmetric=True,
-        )
-        g2 = quotient_kernel(eps_kernel(), g1, validate=False)
-        f._gram = (g1, g2)
-    return f._gram
+    return f.skew_kernel
 
 
 # ----------------------------------------------------------- superoperator
@@ -314,48 +309,25 @@ def apply_superop(rho: DensityMatrix, g: BivariateKernel, Z: np.ndarray) -> np.n
     return V @ (G * W) @ V.conj().T
 
 
-def _eigenbasis_observables(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
-    V = rho.eigenvectors
-    stack = np.stack(X.observables)
-    means = np.einsum("ba,kab->k", rho.matrix, stack).real
-    centered = stack - means[:, None, None] * np.eye(rho.dim)
-    return V.conj().T @ centered @ V
-
-
-def _spectrum_weights(rho: DensityMatrix, g: BivariateKernel) -> np.ndarray:
-    lam = rho.eigenvalues
-    G = g(lam[:, None], lam[None, :])
-    if not np.all(np.isfinite(G)):
-        raise KernelDomainError(f"kernel '{g.label}' non-finite on the state's spectrum")
-    return G
-
-
-def g_covariance(rho: DensityMatrix, X: ObservableSet, g: BivariateKernel) -> np.ndarray:
+@on_context
+def g_covariance(ctx: SpectralContext, g: BivariateKernel) -> np.ndarray:
     """cov_g[k, j] = Tr X'_k J_g(X'_j) over the centered observables; complex n x n."""
-    if rho.dim != X.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
-    A = _eigenbasis_observables(rho, X)
-    GT = _spectrum_weights(rho, g).T
-    return np.einsum("kab,ab,jba->kj", A, GT, A)
+    return ctx.pair(ctx.weights(g).T)
 
 
-def f_skew_matrix(rho: DensityMatrix, X: ObservableSet, f: MonotoneFunction) -> np.ndarray:
+@on_context
+def f_skew_matrix(ctx: SpectralContext, f: MonotoneFunction) -> np.ndarray:
     """Metric-adjusted skew-information matrix via its spectral coefficients.
 
     Coefficient f(0)(l_a - l_b)^2 / (2 m_f(l_a, l_b)) with coincident (and
     doubly-zero) eigenvalue pairs contributing 0; agrees with the g-covariance
     of the m_{f*} kernel.
     """
-    if rho.dim != X.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
-    lam = rho.eigenvalues
-    mf = m_kernel(f)(lam[:, None], lam[None, :]).real
+    lam = ctx.lam
+    mf = ctx.weights(f.mean_kernel).real
     diff2 = (lam[:, None] - lam[None, :]) ** 2
     safe = np.where(mf == 0, 1.0, mf)
-    coeff = np.where(mf == 0, 0.0, f.f0 * diff2 / (2 * safe))
-    A = _eigenbasis_observables(rho, X)
-    out = np.einsum("kab,ab,jba->kj", A, coeff, A)
-    return np.real(out + out.T) / 2
+    return ctx.symmetric_pair(np.where(mf == 0, 0.0, f.f0 * diff2 / (2 * safe)))
 
 
 # --------------------------------------------------------------- lambda_f
@@ -413,7 +385,6 @@ def lambda_f(f: MonotoneFunction, grid_points: int = 4097,
 
     lower = 1.0 - f.f0
     upper = min(1.0, endpoint)
-    f.lam = lam
     return LambdaResult(
         lam=lam, argmin_x=argmin_x, lower_bound=lower, upper_bound=upper,
         conjecture_match=abs(lam - upper) <= 1e-6,
@@ -421,47 +392,35 @@ def lambda_f(f: MonotoneFunction, grid_points: int = 4097,
 
 
 def cached_lambda(f: MonotoneFunction) -> float:
-    if f.lam is None:
-        lambda_f(f)
     return f.lam
 
 
 # ------------------------------------------------------------- inequalities
 
-def build_Lg(rho: DensityMatrix, X: ObservableSet,
-             g1: BivariateKernel, g2: BivariateKernel) -> np.ndarray:
+@on_context
+def build_Lg(ctx: SpectralContext, g1: BivariateKernel, g2: BivariateKernel) -> np.ndarray:
     """Gram matrix of (J_{g1}(X'_k), J_{g2}(X'_k)): blocks cov(|g1|^2), cov(g1* g2), ..."""
-
-    def combo(label, fa, fb):
-        return BivariateKernel(label, lambda x, y: np.conj(fa(x, y)) * np.asarray(fb(x, y)),
-                               validate=False)
-
-    S11 = g_covariance(rho, X, combo("|g1|^2", g1.fn, g1.fn))
-    S12 = g_covariance(rho, X, combo("g1*g2", g1.fn, g2.fn))
-    S21 = g_covariance(rho, X, combo("g2*g1", g2.fn, g1.fn))
-    S22 = g_covariance(rho, X, combo("|g2|^2", g2.fn, g2.fn))
-    L = np.block([[S11, S12], [S21, S22]])
+    G = (ctx.weights(g1), ctx.weights(g2))
+    L = np.block([[ctx.pair((np.conj(Ga) * Gb).T) for Gb in G] for Ga in G])
     return require_hermitian(L, tol=1e-8, what="L^g")
 
 
-def check_g_triple(rho: DensityMatrix, X: ObservableSet,
-                   g_plus: BivariateKernel, g_minus: BivariateKernel,
+@on_context
+def check_g_triple(ctx: SpectralContext, g_plus: BivariateKernel, g_minus: BivariateKernel,
                    g0: BivariateKernel) -> float:
     """Margin |cov(g+)| |cov(g-)| - |cov(g0)|^2 for a dominated kernel triple."""
     if not (g_plus.nonnegative and g_minus.nonnegative):
         raise PreconditionViolation("g+ and g- must be flagged nonnegative")
-    lam = rho.eigenvalues
-    gp = g_plus(lam[:, None], lam[None, :]).real
-    gm = g_minus(lam[:, None], lam[None, :]).real
-    g0v = g0(lam[:, None], lam[None, :])
-    dominance = gp * gm - np.abs(g0v) ** 2
-    if dominance.min() < -1e-10 * max(1.0, float(np.abs(gp * gm).max())):
+    Gp, Gm, G0 = ctx.weights(g_plus), ctx.weights(g_minus), ctx.weights(g0)
+    gpm = Gp.real * Gm.real
+    dominance = gpm - np.abs(G0) ** 2
+    if dominance.min() < -1e-10 * max(1.0, float(np.abs(gpm).max())):
         raise KernelContractViolation(
             f"g+ g- >= |g0|^2 fails on the state's spectrum (min slack {dominance.min():.3e})"
         )
-    dp = det_symmetric_psd(g_covariance(rho, X, g_plus).real)
-    dm = det_symmetric_psd(g_covariance(rho, X, g_minus).real)
-    d0 = np.linalg.det(g_covariance(rho, X, g0))
+    dp = det_symmetric_psd(ctx.pair(Gp.T).real)
+    dm = det_symmetric_psd(ctx.pair(Gm.T).real)
+    d0 = np.linalg.det(ctx.pair(G0.T))
     return dp * dm - abs(d0) ** 2
 
 
@@ -475,51 +434,46 @@ class MetricAdjustedReport:
     dets: dict[str, float]
 
 
-def check_metric_adjusted(rho: DensityMatrix, X: ObservableSet,
-                          f: MonotoneFunction) -> MetricAdjustedReport:
+@on_context
+def check_metric_adjusted(ctx: SpectralContext, f: MonotoneFunction) -> MetricAdjustedReport:
     """Margins of the two metric-adjusted determinant relations.
 
     margin18: |cov(m_f)| |I^f| - [2 f(0)]^n |delta|^2
     margin19: |sigma - c^f| |sigma + c^f| - [4 lambda_f f(0)]^n |delta|^2
-    with c^f = sigma - I^f.
+    with c^f = sigma - I^f.  Computed once per (context, f).
     """
-    n = X.n
-    lam = cached_lambda(f)
-    sigma = covariance_matrix(rho, X)
-    If = f_skew_matrix(rho, X, f)
-    d_delta = det_delta(commutator_matrix(rho, X))
-    d_mf = det_symmetric_psd(g_covariance(rho, X, m_kernel(f)).real)
-    d_If = det_symmetric_psd(If)
+    key = ("metric-adjusted", f)
+    if key in ctx.memo:
+        return ctx.memo[key]
+    n = ctx.X.n
+    If = f_skew_matrix.ctx(ctx, f)
+    d_delta = det_delta(ctx.i_delta)
+    d_mf = det_symmetric_psd(g_covariance.ctx(ctx, f.mean_kernel).real)
     d_lo = det_symmetric_psd(If)                   # sigma - c^f = I^f
-    d_hi = det_symmetric_psd(2 * sigma - If)       # sigma + c^f
+    d_hi = det_symmetric_psd(2 * ctx.sigma - If)   # sigma + c^f
     rhs18 = (2 * f.f0) ** n * d_delta**2
-    rhs19 = (4 * lam * f.f0) ** n * d_delta**2
-    return MetricAdjustedReport(
-        margin18=d_mf * d_If - rhs18,
+    rhs19 = (4 * f.lam * f.f0) ** n * d_delta**2
+    ctx.memo[key] = MetricAdjustedReport(
+        margin18=d_mf * d_lo - rhs18,
         margin19=d_hi * d_lo - rhs19,
-        scale18=max(1.0, abs(d_mf * d_If), rhs18),
+        scale18=max(1.0, abs(d_mf * d_lo), rhs18),
         scale19=max(1.0, abs(d_hi * d_lo), rhs19),
-        lam=lam,
-        dets={"cov_mf": d_mf, "skew_f": d_If, "sigma_plus_cf": d_hi,
+        lam=f.lam,
+        dets={"cov_mf": d_mf, "skew_f": d_lo, "sigma_plus_cf": d_hi,
               "sigma_minus_cf": d_lo, "delta": d_delta},
     )
+    return ctx.memo[key]
 
 
-def wy_strongest_check(rho: DensityMatrix, X: ObservableSet,
-                       f: MonotoneFunction) -> float:
+@on_context
+def wy_strongest_check(ctx: SpectralContext, f: MonotoneFunction) -> float:
     """Margin |sigma-c^f||sigma+c^f| - |sigma-c||sigma+c| for f with f <= f(0)(1+sqrt x)^2."""
-    x = MONOTONE_GRID
-    gap = f.f0 * (1 + np.sqrt(x)) ** 2 - f(x)
-    if gap.min() < -1e-10 * max(1.0, float(f(x).max())):
+    if not f.wy_dominated:
         raise PreconditionViolation(
             f"f '{f.label}' violates f(x) <= f(0)(1+sqrt x)^2; not in the strongest-comparison class"
         )
-    sigma = covariance_matrix(rho, X)
-    I_wy = wy_skew_matrix(rho, X)
-    If = f_skew_matrix(rho, X, f)
-    lhs = det_symmetric_psd(2 * sigma - If) * det_symmetric_psd(If)
-    rhs = det_symmetric_psd(2 * sigma - I_wy) * det_symmetric_psd(I_wy)
-    return lhs - rhs
+    dets_f, dets = check_metric_adjusted.ctx(ctx, f).dets, ctx.dets
+    return dets_f["sigma_plus_cf"] * dets_f["sigma_minus_cf"] - dets["sigma_plus_c"] * dets["sigma_minus_c"]
 
 
 def alpha_inequality_check(alpha: float, grid: np.ndarray, tol: float = 1e-12) -> bool:

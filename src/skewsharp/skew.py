@@ -13,13 +13,14 @@ For observables X_1..X_n (centered internally, X'_k = X_k - <X_k>):
 0 for odd n (antisymmetry).  The 2n x 2n matrix L is the Gram matrix of the
 operators (sqrt(rho) X'_k +/- X'_k sqrt(rho))/sqrt(2) under <A, B> = Tr A^dag B;
 its off-diagonal blocks both equal i*delta, which is Hermitian, so L is built
-as [[sigma+c, i*delta], [i*delta, sigma-c]].
+as [[sigma+c, i*delta], [i*delta, sigma-c]], and checked against the Gram route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -69,51 +70,15 @@ class ObservableSet:
         return self.observables[0].shape[0]
 
 
-def _check_dims(rho: DensityMatrix, X: ObservableSet) -> None:
-    if rho.dim != X.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
+class KernelDomainError(SkewsharpError):
+    """A kernel is non-finite where it must be evaluated."""
 
 
 def _centered(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
-    """Stack of X_k - <X_k>, shape (n, d, d)."""
+    """Stack of X_k - <X_k>, shape (n, d, d); feeds the Gram route only."""
     stack = np.stack(X.observables)
     means = np.einsum("ba,kab->k", rho.matrix, stack).real
     return stack - means[:, None, None] * np.eye(rho.dim)
-
-
-def _pair_traces(rho: DensityMatrix, Xc: np.ndarray) -> np.ndarray:
-    """P[k, j] = Tr(rho X'_k X'_j)."""
-    return np.einsum("kab,jba->kj", rho.matrix @ Xc, Xc)
-
-
-def covariance_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
-    """Symmetrized second moments of the centered observables."""
-    _check_dims(rho, X)
-    P = _pair_traces(rho, _centered(rho, X))
-    return np.real(P + P.T) / 2
-
-
-def commutator_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
-    """Hermitian matrix i*delta with delta[k, j] = (i/2) <[X_k, X_j]>."""
-    _check_dims(rho, X)
-    P = _pair_traces(rho, _centered(rho, X))
-    return -1j * np.imag(P)  # i*delta[k,j] = -(P[k,j] - P[j,k])/2 = -i Im P[k,j]
-
-
-def delta_antisymmetric(i_delta: np.ndarray) -> np.ndarray:
-    """Real antisymmetric delta extracted from the Hermitian i*delta."""
-    return np.imag(i_delta)
-
-
-def wy_skew_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
-    """Skew-information matrix via the spectral form over eigenvalue pairs."""
-    _check_dims(rho, X)
-    s = np.sqrt(rho.eigenvalues)
-    coeff = (s[:, None] - s[None, :]) ** 2 / 2
-    V = rho.eigenvectors
-    A = V.conj().T @ np.stack(X.observables) @ V
-    out = np.einsum("kab,ab,jba->kj", A, coeff, A)
-    return np.real(out + out.T) / 2
 
 
 def classical_matrix(sigma: np.ndarray, skew: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
@@ -134,24 +99,104 @@ def _gram_L(rho: DensityMatrix, Xc: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bij->ab", ops.conj(), ops)
 
 
-def _core_matrices(rho: DensityMatrix, X: ObservableSet):
-    _check_dims(rho, X)
-    sigma = covariance_matrix(rho, X)
-    skew = wy_skew_matrix(rho, X)
-    c = classical_matrix(sigma, skew)
-    i_delta = commutator_matrix(rho, X)
-    return sigma, skew, c, i_delta
+class SpectralContext:
+    """One (rho, X) instance: clipped spectrum ``lam``, centered eigenbasis stack ``A``.
+
+    Every matrix is ``pair(W)`` for its own weight matrix W on the spectrum.  A
+    is built once; matrices and reports are cached, and ``memo`` holds further
+    per-instance results keyed by their producer (e.g. one per monotone function).
+    """
+
+    def __init__(self, rho: DensityMatrix, X: ObservableSet):
+        if rho.dim != X.dim:
+            raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
+        self.rho = rho
+        self.X = X
+        self.lam = rho.eigenvalues
+        self.memo: dict = {}
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        V = self.rho.eigenvectors
+        A = V.conj().T @ np.stack(self.X.observables) @ V
+        diag = np.arange(self.rho.dim)
+        A[:, diag, diag] -= np.einsum("kaa,a->k", A, self.lam).real[:, None]
+        return A
+
+    def weights(self, g) -> np.ndarray:
+        """Kernel g(l_a, l_b) on the spectrum; non-finite values are a KernelDomainError."""
+        G = g(self.lam[:, None], self.lam[None, :])
+        if not np.all(np.isfinite(G)):
+            raise KernelDomainError(f"kernel '{g.label}' non-finite on the state's spectrum")
+        return G
+
+    def pair(self, W: np.ndarray) -> np.ndarray:
+        """M[k, j] = sum_ab W[a, b] A_k[a, b] A_j[b, a], complex n x n."""
+        return np.einsum("kab,ab,jba->kj", self.A, W, self.A)
+
+    def symmetric_pair(self, W: np.ndarray) -> np.ndarray:
+        M = self.pair(W)
+        return np.real(M + M.T) / 2
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """P[k, j] = Tr(rho X'_k X'_j): the pairing with W[a, b] = l_a."""
+        return self.pair(np.broadcast_to(self.lam[:, None], self.A.shape[1:]))
+
+    sigma = cached_property(lambda self: np.real(self.P + self.P.T) / 2)
+    # i*delta[k,j] = -(P[k,j] - P[j,k])/2 = -i Im P[k,j]
+    i_delta = cached_property(lambda self: -1j * np.imag(self.P))
+    classical = cached_property(lambda self: classical_matrix(self.sigma, self.skew))
+    refined = cached_property(lambda self: _refined_report(self))
+    two_obs = cached_property(lambda self: _two_obs_report(self, TOL_INEQ))
+
+    @cached_property
+    def skew(self) -> np.ndarray:
+        s = np.sqrt(self.lam)
+        return self.symmetric_pair((s[:, None] - s[None, :]) ** 2 / 2)
+
+    @cached_property
+    def dets(self) -> dict[str, float]:
+        sigma, c = self.sigma, self.classical
+        return {
+            "sigma": det_symmetric_psd(sigma),
+            "delta": det_delta(self.i_delta),
+            "skew": det_symmetric_psd(self.skew),
+            "classical": det_symmetric_psd(c),
+            "sigma_plus_c": det_symmetric_psd(sigma + c),
+            "sigma_minus_c": det_symmetric_psd(sigma - c),
+        }
 
 
-def _assemble_L(rho: DensityMatrix, X: ObservableSet, sigma, c, i_delta) -> np.ndarray:
-    blocks = np.block([[sigma + c, i_delta], [i_delta, sigma - c]])
-    gram = _gram_L(rho, _centered(rho, X))
-    dev = float(np.abs(blocks - gram).max())
-    if dev > CONSTRUCTION_TOL * mat_scale(blocks):
-        raise ConstructionMismatch(
-            f"Gram and block constructions of L differ by {dev:.3e}"
-        )
-    return blocks
+def on_context(fn):
+    """Public form fn(rho, X, ...) of fn(ctx, ...); the context form stays reachable as ``.ctx``."""
+
+    @wraps(fn)
+    def public(rho: DensityMatrix, X: ObservableSet, *args, **kwargs):
+        return fn(SpectralContext(rho, X), *args, **kwargs)
+
+    public.ctx = fn
+    return public
+
+
+def covariance_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+    """Symmetrized second moments of the centered observables."""
+    return SpectralContext(rho, X).sigma
+
+
+def commutator_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+    """Hermitian matrix i*delta with delta[k, j] = (i/2) <[X_k, X_j]>."""
+    return SpectralContext(rho, X).i_delta
+
+
+def delta_antisymmetric(i_delta: np.ndarray) -> np.ndarray:
+    """Real antisymmetric delta extracted from the Hermitian i*delta."""
+    return np.imag(i_delta)
+
+
+def wy_skew_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+    """Skew-information matrix: the pairing with weight (sqrt(l_a) - sqrt(l_b))^2 / 2."""
+    return SpectralContext(rho, X).skew
 
 
 def build_L(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
@@ -161,8 +206,7 @@ def build_L(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
     sigma, classical and i*delta; disagreement beyond CONSTRUCTION_TOL is a
     permanent self-check failure (ConstructionMismatch).
     """
-    sigma, _, c, i_delta = _core_matrices(rho, X)
-    return _assemble_L(rho, X, sigma, c, i_delta)
+    return SpectralContext(rho, X).refined.L
 
 
 def det_symmetric_psd(A: np.ndarray) -> float:
@@ -223,33 +267,20 @@ def _schur_margin(sigma_plus: np.ndarray, sigma_minus: np.ndarray,
     return lo, residual
 
 
-def check_refined_rs(rho: DensityMatrix, X: ObservableSet) -> UncertaintyReport:
-    """Assemble every matrix and the margins of the determinant relations.
-
-    Margin keys: ``rs`` (|sigma| - |delta|), ``eq3`` (|sigma+c||sigma-c| - |delta|^2,
-    identical to delta_G), ``eq4a``/``eq4b`` (the Minkowski chain), ``eq7-psd``
-    (min eigenvalue of L), ``eq8-schur`` (min eigenvalue of the Schur complement).
-    """
-    n = X.n
-    sigma, skew, c, i_delta = _core_matrices(rho, X)
+def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
+    # the Gram route first: on a fresh context its temporaries are freed before A exists
+    gram = _gram_L(ctx.rho, _centered(ctx.rho, ctx.X))
+    n = ctx.X.n
+    sigma, skew, c, i_delta = ctx.sigma, ctx.skew, ctx.classical, ctx.i_delta
     delta = delta_antisymmetric(i_delta)
-    L = _assemble_L(rho, X, sigma, c, i_delta)
+    L = np.block([[sigma + c, i_delta], [i_delta, sigma - c]])
+    dev = float(np.abs(L - gram).max())
+    if dev > CONSTRUCTION_TOL * mat_scale(L):
+        raise ConstructionMismatch(f"Gram and block constructions of L differ by {dev:.3e}")
 
-    d_sigma = det_symmetric_psd(sigma)
-    d_skew = det_symmetric_psd(skew)
-    d_class = det_symmetric_psd(c)
-    d_delta = det_delta(i_delta)
-    d_plus = det_symmetric_psd(sigma + c)
-    d_minus = det_symmetric_psd(sigma - c)
-    dets = {
-        "sigma": d_sigma,
-        "delta": d_delta,
-        "skew": d_skew,
-        "classical": d_class,
-        "sigma_plus_c": d_plus,
-        "sigma_minus_c": d_minus,
-    }
-
+    dets = ctx.dets
+    d_sigma, d_skew, d_class, d_delta = dets["sigma"], dets["skew"], dets["classical"], dets["delta"]
+    d_plus, d_minus = dets["sigma_plus_c"], dets["sigma_minus_c"]
     delta_G = d_plus * d_minus - d_delta**2
 
     p = 1.0 / n
@@ -284,6 +315,16 @@ def check_refined_rs(rho: DensityMatrix, X: ObservableSet) -> UncertaintyReport:
         dets=dets, margins=margins, scales=scales, delta_G=delta_G,
         schur_range_residual=residual, rank_L=rank_L,
     )
+
+
+def check_refined_rs(rho: DensityMatrix, X: ObservableSet) -> UncertaintyReport:
+    """Assemble every matrix and the margins of the determinant relations.
+
+    Margin keys: ``rs`` (|sigma| - |delta|), ``eq3`` (|sigma+c||sigma-c| - |delta|^2,
+    identical to delta_G), ``eq4a``/``eq4b`` (the Minkowski chain), ``eq7-psd``
+    (min eigenvalue of L), ``eq8-schur`` (min eigenvalue of the Schur complement).
+    """
+    return SpectralContext(rho, X).refined
 
 
 @dataclass(eq=False)
@@ -325,22 +366,16 @@ def _clipped_sqrt(val: float, scale: float, tol: float, what: str) -> float:
     return math.sqrt(val)
 
 
-def two_obs_relations(rho: DensityMatrix, X1: np.ndarray, X2: np.ndarray,
-                      tol_ineq: float = TOL_INEQ) -> TwoObsReport:
-    """Margins of the scalar relations equivalent to L >= 0 for two observables."""
-    X = ObservableSet.from_matrices([X1, X2])
-    sigma, _, c, i_delta = _core_matrices(rho, X)
+def _two_obs_report(ctx: SpectralContext, tol_ineq: float) -> TwoObsReport:
+    sigma, c, i_delta = ctx.sigma, ctx.classical, ctx.i_delta
     # <[X1,X2]>/(2i) = -delta[0,1] in the (i/2)<[.,.]> convention
     delta = -float(np.imag(i_delta[0, 1]))
 
     Lp = sigma + c
     Lm = sigma - c
-    d_sigma = det_symmetric_psd(sigma)
-    d_class = det_symmetric_psd(c)
-    d_p = det_symmetric_psd(Lp)
-    d_m = det_symmetric_psd(Lm)
-    A = d_sigma - d_class
-    B = d_p * d_m
+    d_m = ctx.dets["sigma_minus_c"]
+    A = ctx.dets["sigma"] - ctx.dets["classical"]
+    B = ctx.dets["sigma_plus_c"] * d_m
     scale = max(1.0, abs(A) ** 2, abs(B), delta**2)
 
     L1p, L2p = float(Lp[0, 0]), float(Lp[1, 1])
@@ -383,3 +418,9 @@ def two_obs_relations(rho: DensityMatrix, X1: np.ndarray, X2: np.ndarray,
         delta_scalar=delta, Lp=Lp, Lm=Lm, A=A, B=B, U1=U1, U2=U2,
         margins=margins, scales=scales,
     )
+
+
+def two_obs_relations(rho: DensityMatrix, X1: np.ndarray, X2: np.ndarray,
+                      tol_ineq: float = TOL_INEQ) -> TwoObsReport:
+    """Margins of the scalar relations equivalent to L >= 0 for two observables."""
+    return _two_obs_report(SpectralContext(rho, ObservableSet.from_matrices([X1, X2])), tol_ineq)

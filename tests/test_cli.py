@@ -111,16 +111,49 @@ def test_check_wyd03_skips_strongest_with_note(tmp_path):
 def test_check_exit1_on_forced_violation(tmp_path, monkeypatch):
     import skewsharp.cli as cli_mod
 
-    real = cli_mod.check_refined_rs
-
-    def broken(rho, X):
-        rep = real(rho, X)
-        rep.margins["rs"] = -1.0
-        return rep
-
-    monkeypatch.setattr(cli_mod, "check_refined_rs", broken)
+    real = cli_mod.context_margins
     sp, op = write_q1(tmp_path)
-    assert main(["check", sp, op]) == 1
+    out = str(tmp_path / "r.json")
+    # a negative margin, and the non-finite ones that must never pass
+    for bad in (-1.0, math.nan, -math.inf):
+        def broken(ctx, groups, fs):
+            return [(rid, fl, bad if rid == "rs" else m, sc)
+                    for rid, fl, m, sc in real(ctx, groups, fs)]
+
+        monkeypatch.setattr(cli_mod, "context_margins", broken)
+        assert main(["check", sp, op, "--json-out", out]) == 1, bad
+        assert json.loads((tmp_path / "r.json").read_text())["verdicts"]["rs"] == "violated"
+
+
+def test_check_report_matches_trial_margins(tmp_path):
+    # the CLI and the fuzz harness read one registry: same rows, bit for bit
+    from skewsharp.fuzz import trial_margins
+    from skewsharp.gcov import resolve_monotone
+    from skewsharp.linalg import DensityMatrix
+    from skewsharp.skew import ObservableSet
+
+    groups = ("rs", "refined", "weak-chain", "two-obs", "g-psd", "eq18", "eq19", "wy-strongest")
+    rng = np.random.default_rng(2024)
+    for k, (dim, rank) in enumerate([(2, 2), (3, 1), (4, 4)]):
+        G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        M = G @ G.conj().T
+        M /= np.trace(M).real
+        mats = [(H + H.conj().T) / 2 for H in
+                (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                 for _ in range(2))]
+        sp, op = tmp_path / f"s{k}.json", tmp_path / f"o{k}.json"
+        sp.write_text(dumps({"dim": dim, "matrix": matrix_to_pairs(M)}))
+        op.write_text(dumps({"dim": dim, "observables": [matrix_to_pairs(m) for m in mats]}))
+        rho, X = DensityMatrix.from_matrix(M), ObservableSet.from_matrices(mats)
+        for label in ("wy", "sld", "wyd:0.3"):
+            out = tmp_path / "r.json"
+            assert main(["check", str(sp), str(op), "--two-obs", "--f", label,
+                         "--json-out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            rows = trial_margins(rho, X, groups, [resolve_monotone(label)])
+            assert report["margins"] == {rid: m for rid, _, m, _ in rows}
+            assert report["scales"] == {rid: s for rid, _, _, s in rows}
+            assert ("wy-strongest" in report["margins"]) == (label != "wyd:0.3")
 
 
 # ------------------------------------------------------------------ lambda

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -96,27 +97,33 @@ def test_pure_rank_one_draws_saturate_chain():
 
 
 def test_reproducer_written_on_forced_violation(tmp_path, monkeypatch):
-    # force a fake violation by inverting one margin's sign inside trial_margins
+    # force a fake violation by replacing one margin inside trial_margins:
+    # a negative margin, and the non-finite ones that must never pass
     import skewsharp.fuzz as fz
 
     real = fz.trial_margins
+    for bad in (-1.0, math.nan, -math.inf):
+        def broken(rho, X, groups, fs):
+            rows = real(rho, X, groups, fs)
+            return [(rid, fl, bad, sc) if rid == "rs" else (rid, fl, m, sc)
+                    for rid, fl, m, sc in rows]
 
-    def broken(rho, X, groups, fs):
-        rows = real(rho, X, groups, fs)
-        return [(rid, fl, -1.0, sc) if rid == "rs" else (rid, fl, m, sc)
-                for rid, fl, m, sc in rows]
-
-    monkeypatch.setattr(fz, "trial_margins", broken)
-    cfg = FuzzConfig(dims=(2,), n_obs=(2,), trials=3, seed=1,
-                     relations=("rs",), reproducer_dir=str(tmp_path))
-    stats = fz.run_fuzz(cfg)
-    assert stats.total_violations == 3
-    files = sorted(tmp_path.iterdir())
-    assert len(files) == 3
-    payload = json.loads(files[0].read_text())
-    assert payload["relation"] == "rs"
-    assert payload["state"]["dim"] == 2
-    assert len(payload["observables"]["observables"]) == 2
+        monkeypatch.setattr(fz, "trial_margins", broken)
+        out = tmp_path / repr(bad)
+        out.mkdir()
+        cfg = FuzzConfig(dims=(2,), n_obs=(2,), trials=3, seed=1,
+                         relations=("rs",), reproducer_dir=str(out))
+        stats = fz.run_fuzz(cfg)
+        assert stats.total_violations == 3, bad
+        rs = stats.per_relation["rs"]
+        assert rs.violations == 3 and rs.histogram[0] == 3, bad
+        assert repr(rs.min_margin) == repr(bad)  # a NaN is kept, not dropped
+        files = sorted(out.iterdir())
+        assert len(files) == 3
+        payload = json.loads(files[0].read_text())
+        assert payload["relation"] == "rs"
+        assert payload["state"]["dim"] == 2
+        assert len(payload["observables"]["observables"]) == 2
 
 
 def test_strength_study_orderings(q1_state, q1_obs):

@@ -221,6 +221,15 @@ def test_saturation_squeezed_thermal():
     assert abs(rep.delta_G_numeric) <= 1e-6
 
 
+def test_saturation_top_fock_level_energy():
+    # beta = 1, cutoff 30: the top level carries weight ~1e-13 only if its
+    # energy is the full omega * cutoff (a a^dag summed as a^dag a + 1)
+    rep = saturation_check(single_mode_generator(omega=1.0, beta=1.0), cutoff=30)
+    assert abs(rep.delta_G_numeric) <= 1e-10
+    assert np.abs(rep.refined.sigma - rep.moments.sigma).max() <= 1e-9
+    assert np.abs(rep.refined.classical - rep.moments.c).max() <= 1e-9
+
+
 def test_truncation_convergence_monotone():
     gaps = [abs(saturation_check(thermal_fixture(), cutoff=c).delta_G_numeric)
             for c in (16, 24, 32, 48, 60)]
