@@ -23,6 +23,7 @@ antisymmetric matrix [[0, -I/2], [I/2, 0]].
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -356,31 +357,41 @@ class ThermalTruncation:
     tail_mass: float
 
 
+def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
+    """(1/2) sum_ij S_ij Lambda_i Lambda_j on the truncated product space, in normal order.
+
+    Each term Lambda_i Lambda_j (i <= j, so creators first) is a Kronecker product
+    of cutoff-size factors; a mode hit by both ladder operators gets their product.
+    Normal order matters: the truncated a_k a_k^dag is 0 on the top Fock level,
+    a_k^dag a_k is not; the dropped constant [a_k, a_k^dag] = 1 leaves the state unchanged.
+    """
+    n = H.n_modes
+    a = destroy(cutoff)
+    local = [a.conj().T] * n + [a] * n      # Lambda_i on its own mode
+    eye = np.eye(cutoff, dtype=complex)
+    Hmat = np.zeros((cutoff**n, cutoff**n), dtype=complex)
+    for i in range(2 * n):
+        for j in range(i, 2 * n):
+            s = 0.5 * (H.S[i, j] + H.S[j, i]) if i < j else 0.5 * H.S[i, i]
+            if s == 0:
+                continue
+            factors = [eye] * n
+            for k in (i, j):
+                factors[k % n] = factors[k % n] @ local[k]
+            Hmat += s * functools.reduce(np.kron, factors)
+    return (Hmat + Hmat.conj().T) / 2
+
+
 def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTruncation:
     """Normalized exp(-beta H) on the truncated Fock space, with the reported tail mass."""
     if H.n_modes not in (1, 2):
         raise UnsupportedModeCount(f"Fock truncation supports 1 or 2 modes, got {H.n_modes}")
     if cutoff < 8:
         raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
-    ladder = _ladder_list(H.n_modes, cutoff)
-    dim = cutoff**H.n_modes
-    Hmat = np.zeros((dim, dim), dtype=complex)
-    for i in range(2 * H.n_modes):
-        for j in range(2 * H.n_modes):
-            s = H.S[i, j]
-            if s != 0:
-                # normal order, creators first: the truncated a_k a_k^dag is 0 on
-                # the top Fock level, a_k^dag a_k is not; the dropped constant
-                # [a_k, a_k^dag] = 1 leaves the state unchanged
-                Hmat += 0.5 * s * (ladder[min(i, j)] @ ladder[max(i, j)])
-    Hmat = (Hmat + Hmat.conj().T) / 2
-    w, V = np.linalg.eigh(Hmat)
+    w, V = np.linalg.eigh(_fock_hamiltonian(H, cutoff))
     weights = np.exp(-H.beta * (w - w.min()))
-    rho = (V * weights) @ V.conj().T
-    rho = rho / np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2
     return ThermalTruncation(
-        rho=DensityMatrix.from_matrix(rho),
+        rho=DensityMatrix.from_eigensystem(V, weights / weights.sum()),
         tail_mass=thermal_tail_mass(H, cutoff),
     )
 

@@ -13,7 +13,6 @@ negative values are errors, never silently repaired.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -158,18 +157,43 @@ class DensityMatrix:
         if abs(tr - 1.0) > tol_trace:
             raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {tol_trace:.1e}")
         es = spectral_decompose(rho)
+        return cls._clipped(rho, es.eigenvalues, es.eigenvectors, tol_psd)
+
+    @classmethod
+    def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray, tol_trace: float = TOL_TRACE,
+                         tol_psd: float = TOL_PSD) -> "DensityMatrix":
+        """State V diag(weights) V^dag from a known eigensystem, with no second eigh.
+
+        V must have orthonormal columns (max|V^dag V - I| within TOL_EIG) and the
+        weights must sum to 1; they get the same PSD clip and zeroing as ``from_matrix``.
+        """
+        V = require_square(V, "eigenvector matrix")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != V.shape[:1]:
+            raise DimensionMismatch(f"{w.shape} weights for {V.shape[0]} eigenvectors")
+        if not np.all(np.isfinite(w)):
+            raise InvalidState("state weights have non-finite entries")
+        dev = float(np.abs(V.conj().T @ V - np.eye(V.shape[0])).max())
+        if dev > TOL_EIG:
+            raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
+        tr = float(w.sum())
+        if abs(tr - 1.0) > tol_trace:
+            raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {tol_trace:.1e}")
+        order = np.argsort(-w, kind="stable")
+        w, V = w[order], V[:, order]
+        rho = (V * w) @ V.conj().T
+        return cls._clipped((rho + rho.conj().T) / 2, w, V, tol_psd)
+
+    @classmethod
+    def _clipped(cls, rho: np.ndarray, w: np.ndarray, V: np.ndarray,
+                 tol_psd: float) -> "DensityMatrix":
+        """The state with descending spectrum w clipped to >= 0 and zeroed below TOL_STATE_CLIP."""
         try:
-            w = clip_psd_eigenvalues(es.eigenvalues, mat_scale(rho), tol_psd)
+            w = clip_psd_eigenvalues(w, mat_scale(rho), tol_psd)
         except NotPSD as exc:
             raise InvalidState(f"state not positive semidefinite: {exc}") from exc
         w[w < TOL_STATE_CLIP * mat_scale(rho)] = 0.0
-        return cls(matrix=rho, eigenvalues=w, eigenvectors=es.eigenvectors)
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        V = self.eigenvectors
-        R = (V * np.sqrt(self.eigenvalues)) @ V.conj().T
-        return (R + R.conj().T) / 2
+        return cls(matrix=rho, eigenvalues=w, eigenvectors=V)
 
     def expectation(self, X: np.ndarray) -> float:
         return float(np.trace(self.matrix @ X).real)

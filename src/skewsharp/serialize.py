@@ -9,8 +9,9 @@ doubles exactly.  Infinities follow Python's json convention (Infinity), which
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import math
+import numbers
 
 import numpy as np
 
@@ -22,45 +23,58 @@ class FormatError(SkewsharpError):
     pass
 
 
+def _named_non_finite(text: str) -> str:
+    # .17g writes no letter but "e" for a finite double: nan and inf are whole tokens
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    return _named_non_finite(format(float(x), ".17g"))
+
+
+def _fmt_number(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return fmt_float(v)
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float, np.integer, np.floating))
 
 
 def dumps(obj, indent: int = 2) -> str:
     """Deterministic JSON text with fixed float formatting."""
 
     def render(node, depth):
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
-        if node is None:
-            return "null"
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if isinstance(node, (int, np.integer)):
-            return str(int(node))
-        if isinstance(node, (float, np.floating)):
-            return fmt_float(float(node))
-        if isinstance(node, str):
-            return json.dumps(node)
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            items = ",\n".join(
-                f"{inner}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in node.items()
-            )
-            return "{\n" + items + "\n" + pad + "}"
         if isinstance(node, (list, tuple)):
             if len(node) == 0:
                 return "[]"
-            flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in node)
-            if flat:
-                return "[" + ", ".join(render(v, depth + 1) for v in node) + "]"
-            items = ",\n".join(f"{inner}{render(v, depth + 1)}" for v in node)
-            return "[\n" + items + "\n" + pad + "]"
+            types = set(map(type, node))
+            if types == {float}:
+                return "[" + _named_non_finite(", ".join(["%.17g"] * len(node)) % tuple(node)) + "]"
+            if all(map(_is_number_type, types)):
+                return "[" + ", ".join(map(_fmt_number, node)) + "]"
+            inner = " " * (indent * (depth + 1))
+            items = ",\n".join(inner + render(v, depth + 1) for v in node)
+            return "[\n" + items + "\n" + " " * (indent * depth) + "]"
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            inner = " " * (indent * (depth + 1))
+            items = ",\n".join(
+                f"{inner}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in node.items()
+            )
+            return "{\n" + items + "\n" + " " * (indent * depth) + "}"
+        if node is None:
+            return "null"
+        if isinstance(node, (bool, int, float, np.integer, np.floating)):
+            return _fmt_number(node)
+        if isinstance(node, str):
+            return json.dumps(node)
         raise FormatError(f"cannot serialize {type(node).__name__}")
 
     return render(obj, 0) + "\n"
@@ -71,16 +85,25 @@ def matrix_to_pairs(A: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in A]
 
 
+def _is_real_number_type(t: type) -> bool:
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
 def pairs_to_matrix(data, what: str = "matrix") -> np.ndarray:
+    """Square complex matrix from d x d cells [re, im] of real, non-boolean numbers."""
+    error = FormatError(f"{what}: expected a square matrix of [re, im] number pairs")
+    cells = itertools.chain.from_iterable
     try:
-        A = np.asarray(
-            [[complex(cell[0], cell[1]) for cell in row] for row in data], dtype=complex
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise FormatError(f"{what}: entries must be [re, im] pairs") from exc
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise FormatError(f"{what}: expected a square matrix, got shape {A.shape}")
-    return A
+        d = len(data)
+        if d == 0 or set(map(len, data)) != {d} or set(map(len, cells(data))) != {2}:
+            raise error
+        flat = list(cells(cells(data)))
+        if not all(map(_is_real_number_type, set(map(type, flat)))):
+            raise error
+        parts = np.array(flat, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error from exc
+    return parts.reshape(d, d, 2).view(complex)[..., 0]
 
 
 def real_matrix_to_lists(A: np.ndarray) -> list:

@@ -13,7 +13,16 @@ For observables X_1..X_n (centered internally, X'_k = X_k - <X_k>):
 0 for odd n (antisymmetry).  The 2n x 2n matrix L is the Gram matrix of the
 operators (sqrt(rho) X'_k +/- X'_k sqrt(rho))/sqrt(2) under <A, B> = Tr A^dag B;
 its off-diagonal blocks both equal i*delta, which is Hermitian, so L is built
-as [[sigma+c, i*delta], [i*delta, sigma-c]], and checked against the Gram route.
+as [[sigma+c, i*delta], [i*delta, sigma-c]].
+
+Two self-checks guard that assembly (ConstructionMismatch on failure).  The
+Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
+those operators are elementwise, (s_a +/- s_b) A_k[a, b] / sqrt(2) with
+s = sqrt(lam): each block is one product of A with a weighted copy of A, apart
+from the pairing that builds sigma, c and delta.  The stack check ties A to the
+input basis in O(n^2 d^2): the means Tr(rho X_k) from ``rho.matrix`` against
+the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
+of the input observables against the same pairing of A.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ VACUOUS = math.inf  # sentinel margin for relations whose denominator vanishes
 
 
 class ConstructionMismatch(SkewsharpError):
-    """Gram-matrix and block assembly of L disagree: implementation bug."""
+    """A self-check of the matrix construction failed: implementation bug."""
 
 
 @dataclass(eq=False)
@@ -74,13 +83,6 @@ class KernelDomainError(SkewsharpError):
     """A kernel is non-finite where it must be evaluated."""
 
 
-def _centered(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
-    """Stack of X_k - <X_k>, shape (n, d, d); feeds the Gram route only."""
-    stack = np.stack(X.observables)
-    means = np.einsum("ba,kab->k", rho.matrix, stack).real
-    return stack - means[:, None, None] * np.eye(rho.dim)
-
-
 def classical_matrix(sigma: np.ndarray, skew: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
     """sigma - skew; raises NotPSD if the difference dips below -tol (upstream failure)."""
     if sigma.shape != skew.shape:
@@ -92,11 +94,43 @@ def classical_matrix(sigma: np.ndarray, skew: np.ndarray, tol_psd: float = TOL_P
     return c
 
 
-def _gram_L(rho: DensityMatrix, Xc: np.ndarray) -> np.ndarray:
-    R = rho.sqrt
-    left, right = R @ Xc, Xc @ R
-    ops = np.concatenate([left + right, left - right]) / math.sqrt(2)
-    return np.einsum("aij,bij->ab", ops.conj(), ops)
+def _eigenbasis_gram(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Gram matrix of the operators (s_a +/- s_b) A_k[a, b] / sqrt(2), s = sqrt(lam).
+
+    Block (u, v) is G[p, q] = sum_ab w_uv[a, b] conj(A_p[a, b]) A_q[a, b] with
+    w_uv = t_u t_v for t_+/- = (s_a +/- s_b) / sqrt(2): one zgemm on one weighted
+    copy of A at a time.
+    """
+    n = A.shape[0]
+    s = np.sqrt(lam / 2)
+    t_plus, t_minus = s[:, None] + s[None, :], s[:, None] - s[None, :]
+    flat = A.reshape(n, -1)
+    G = np.empty((2 * n, 2 * n), dtype=complex)
+    wA = np.empty_like(A)
+    for u, v, t_u, t_v in ((0, 0, t_plus, t_plus), (0, n, t_plus, t_minus), (n, n, t_minus, t_minus)):
+        np.multiply(t_u * t_v, A, out=wA)
+        np.conjugate(wA, out=wA)
+        G[u:u + n, v:v + n] = wA.reshape(n, -1) @ flat.T
+    G[n:, :n] = G[:n, n:].conj().T
+    return G
+
+
+def _check_stack(ctx: "SpectralContext") -> None:
+    """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
+    n, d = ctx.X.n, ctx.rho.dim
+    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views
+    rows = np.stack([*ctx.X.observables, np.eye(d), ctx.rho.matrix]).reshape(n + 2, -1).view(float)
+    G = rows @ rows.T
+    scale = mat_scale(G[:n, :n])                # max_k Tr(X_k^2) >= |Tr(rho X_k)|^2
+    means = G[:n, n + 1]                        # Tr(rho X_k)
+    dev = float(np.abs(means - ctx.means).max())
+    if dev > CONSTRUCTION_TOL * math.sqrt(scale):
+        raise ConstructionMismatch(f"eigenbasis means differ from Tr(rho X_k) by {dev:.3e}")
+    C = np.hstack([np.eye(n), -means[:, None]])   # X'_k = X_k - m_k 1
+    flat_A = ctx.A.reshape(n, -1).view(float)
+    dev = float(np.abs(C @ G[:n + 1, :n + 1] @ C.T - flat_A @ flat_A.T).max())
+    if dev > CONSTRUCTION_TOL * scale:
+        raise ConstructionMismatch(f"eigenbasis stack changes Tr(X'_k X'_j) by {dev:.3e}")
 
 
 class SpectralContext:
@@ -116,12 +150,17 @@ class SpectralContext:
         self.memo: dict = {}
 
     @cached_property
-    def A(self) -> np.ndarray:
+    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
         V = self.rho.eigenvectors
         A = V.conj().T @ np.stack(self.X.observables) @ V
+        means = np.einsum("kaa,a->k", A, self.lam).real
         diag = np.arange(self.rho.dim)
-        A[:, diag, diag] -= np.einsum("kaa,a->k", A, self.lam).real[:, None]
-        return A
+        A[:, diag, diag] -= means[:, None]
+        return A, means
+
+    # the centered stack A_k = V^dag X'_k V, and the means <X_k> it was centered with
+    A = property(lambda self: self._stack[0])
+    means = property(lambda self: self._stack[1])
 
     def weights(self, g) -> np.ndarray:
         """Kernel g(l_a, l_b) on the spectrum; non-finite values are a KernelDomainError."""
@@ -268,13 +307,14 @@ def _schur_margin(sigma_plus: np.ndarray, sigma_minus: np.ndarray,
 
 
 def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
-    # the Gram route first: on a fresh context its temporaries are freed before A exists
-    gram = _gram_L(ctx.rho, _centered(ctx.rho, ctx.X))
     n = ctx.X.n
     sigma, skew, c, i_delta = ctx.sigma, ctx.skew, ctx.classical, ctx.i_delta
     delta = delta_antisymmetric(i_delta)
-    L = np.block([[sigma + c, i_delta], [i_delta, sigma - c]])
-    dev = float(np.abs(L - gram).max())
+    L = np.empty((2 * n, 2 * n), dtype=complex)    # [[sigma+c, i delta], [i delta, sigma-c]]
+    L[:n, :n], L[n:, n:] = sigma + c, sigma - c
+    L[:n, n:] = L[n:, :n] = i_delta
+    _check_stack(ctx)
+    dev = float(np.abs(L - _eigenbasis_gram(ctx.A, ctx.lam)).max())
     if dev > CONSTRUCTION_TOL * mat_scale(L):
         raise ConstructionMismatch(f"Gram and block constructions of L differ by {dev:.3e}")
 

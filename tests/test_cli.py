@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from skewsharp.cli import main
+from skewsharp.cli import build_parser, main
 from skewsharp.serialize import dumps, matrix_to_pairs
 
 from conftest import SX, SY
@@ -266,6 +266,27 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["fuzz", "--not-a-flag"])
     assert err.value.code == 2
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    sp, op = write_q1(tmp_path)
+    first = build_parser().parse_args(["check", sp, op, "--two-obs", "--f", "wy"])
+    second = build_parser().parse_args(["check", sp, op])
+    assert first.two_obs and first.f == "wy"
+    assert not second.two_obs and second.f is None
+    assert main(["check", sp, op, "--two-obs"]) == 0 and main(["check", sp, op]) == 0
+    out = capsys.readouterr().out
+    assert out.count("eq9a:") == 1
+
+
+def test_command_rebound_after_parser_is_built(monkeypatch, tmp_path):
+    from skewsharp import cli
+
+    sp, op = write_q1(tmp_path)
+    assert main(["check", sp, op]) == 0
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert main(["check", sp, op]) == 7
 
 
 def test_env_var_overrides_tolerance(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from skewsharp.gaussian import (
     two_mode_generator,
     validate_quadratic,
 )
+from skewsharp.skew import check_refined_rs
 from skewsharp.linalg import DensityMatrix
 
 Q = 0.25                      # e^(-beta omega) for the thermal fixture
@@ -302,3 +304,47 @@ def test_converse_near_vacuum_is_reported():
     C = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises((NonSymplectic, LogBranchFailure)):
         generator_from_covariance(C, 1)
+
+
+def _dense_thermal(H, cutoff):
+    """Thermal rho with H summed from dense products of product-space ladder matrices."""
+    n = H.n_modes
+    a, eye = destroy(cutoff), np.eye(cutoff)
+    ops = []
+    for k in range(n):
+        factors = [eye] * n
+        factors[k] = a
+        op = factors[0]
+        for f in factors[1:]:
+            op = np.kron(op, f)
+        ops.append(op)
+    ladder = [op.conj().T for op in ops] + ops
+    Hmat = sum(0.5 * H.S[i, j] * (ladder[min(i, j)] @ ladder[max(i, j)])
+               for i in range(2 * n) for j in range(2 * n))
+    w, V = np.linalg.eigh((Hmat + Hmat.conj().T) / 2)
+    rho = (V * np.exp(-H.beta * (w - w.min()))) @ V.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("H, cutoff", [
+    (single_mode_generator(0.9, xi=0.3, beta=1.2), 20),
+    (two_mode_generator(1.0, 1.4, coupling=0.3, xi=0.2 + 0.1j, beta=0.9), 10),
+    (two_mode_generator(1.0, 1.0, coupling=0.0, beta=1.0), 9),
+])
+def test_kronecker_hamiltonian_matches_dense_build(H, cutoff):
+    rho = fock_truncate_thermal(H, cutoff).rho.matrix
+    assert np.abs(rho - _dense_thermal(H, cutoff)).max() <= 1e-12
+
+
+def test_refined_check_extra_memory_at_d900():
+    # 2 modes, cutoff 30: the eigenbasis stack (n, d, d) holds 4 * 900^2 complex entries
+    rho = fock_truncate_thermal(two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1), 30).rho
+    X = quadrature_observables(2, 30)
+    stack_bytes = X.n * rho.dim**2 * 16
+    tracemalloc.start()
+    try:
+        check_refined_rs(rho, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack_bytes, f"extra peak {peak / 2**20:.0f} MiB"

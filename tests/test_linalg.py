@@ -7,13 +7,14 @@ from skewsharp.linalg import (
     InvalidState,
     NonHermitianInput,
     NotPSD,
+    SkewsharpError,
     det_hermitian,
     is_psd,
     matrix_sqrt_psd,
     spectral_decompose,
 )
 
-from conftest import SX, random_hermitian
+from conftest import SX, random_hermitian, random_unitary
 
 
 def test_spectral_identity():
@@ -103,7 +104,8 @@ def test_det_matches_lu(dim, seed):
 def test_density_matrix_validation():
     rho = DensityMatrix.from_matrix(np.diag([0.75, 0.25]).astype(complex))
     assert rho.dim == 2 and np.allclose(rho.eigenvalues, [0.75, 0.25])
-    assert np.allclose(rho.sqrt, np.diag([np.sqrt(3) / 2, 0.5]))
+    V = rho.eigenvectors
+    assert np.allclose((V * np.sqrt(rho.eigenvalues)) @ V.conj().T, np.diag([np.sqrt(3) / 2, 0.5]))
     with pytest.raises(InvalidState, match="trace"):
         DensityMatrix.from_matrix(np.diag([0.7, 0.2]).astype(complex))
     with pytest.raises(InvalidState):
@@ -123,3 +125,54 @@ def test_basis_freedom_in_degenerate_subspace():
     A = np.diag([2.0, 2.0, 1.0]).astype(complex)
     es = spectral_decompose(A)
     assert np.abs(es.reconstruct() - A).max() <= 1e-12
+
+
+def _eigensystem(seed, dim=6):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, dim)
+    w[-2:] = [1e-15, 0.0]        # zeroed by TOL_STATE_CLIP in both constructors
+    return random_unitary(rng, dim), w / w.sum()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_eigensystem_agrees_with_from_matrix(seed):
+    V, w = _eigensystem(seed)
+    order = np.random.default_rng(seed).permutation(len(w))   # unsorted input
+    a = DensityMatrix.from_eigensystem(V[:, order], w[order])
+    b = DensityMatrix.from_matrix((V * w) @ V.conj().T)
+    assert np.abs(a.matrix - b.matrix).max() <= 1e-13
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-13
+    assert np.all(np.diff(a.eigenvalues) <= 0) and a.rank() == b.rank() == len(w) - 2
+    for rho in (a, b):
+        P = (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T
+        assert np.abs(P - b.matrix).max() <= 1e-13
+
+
+def test_from_eigensystem_clips_tiny_negative_weight():
+    V, w = _eigensystem(0)
+    w[-1] = -5e-10
+    rho = DensityMatrix.from_eigensystem(V, w / w.sum())
+    assert rho.eigenvalues.min() == 0.0
+
+
+def test_from_eigensystem_rejects_bad_input():
+    V, w = _eigensystem(1)
+    skewed = V.copy()
+    skewed[:, 0] *= 1 + 1e-6
+    with pytest.raises(InvalidState, match="orthonormal"):
+        DensityMatrix.from_eigensystem(skewed, w)
+    with pytest.raises(InvalidState, match="trace"):
+        DensityMatrix.from_eigensystem(V, 1.01 * w)
+    negative = w.copy()
+    negative[0] += 1e-6
+    negative[-1] = -1e-6
+    with pytest.raises(InvalidState, match="positive"):
+        DensityMatrix.from_eigensystem(V, negative)
+    bad = w.copy()
+    bad[0] = np.nan
+    with pytest.raises(InvalidState, match="non-finite"):
+        DensityMatrix.from_eigensystem(V, bad)
+    bad = V.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(SkewsharpError, match="non-finite"):
+        DensityMatrix.from_eigensystem(bad, w)

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skewsharp.linalg import DensityMatrix, DimensionMismatch
 from skewsharp.skew import (
+    ConstructionMismatch,
     ObservableSet,
+    SpectralContext,
     build_L,
     check_refined_rs,
     classical_matrix,
@@ -299,3 +301,50 @@ def test_basis_invariance(dim, n, seed):
         if degenerate and key in ("eq4a", "eq4b"):
             continue
         assert abs(val - rep_u.margins[key]) <= 1e-8 * rep.scales[key], key
+
+
+# ------------------------------------------------------------ self-checks
+
+def _instance(seed=3, dim=4, n=3):
+    rng = np.random.default_rng(seed)
+    return rng, random_density(rng, dim), random_observables(rng, dim, n)
+
+
+def test_corrupted_skew_fails_gram_check():
+    _, rho, X = _instance()
+    ctx = SpectralContext(rho, X)
+    ctx.skew = 0.99 * ctx.skew
+    with pytest.raises(ConstructionMismatch, match="Gram"):
+        ctx.refined
+
+
+def test_stack_in_wrong_basis_fails_mean_check():
+    rng, rho, X = _instance()
+    U = random_unitary(rng, rho.dim)
+    wrong = DensityMatrix(matrix=rho.matrix, eigenvalues=rho.eigenvalues,
+                          eigenvectors=rho.eigenvectors @ U)
+    with pytest.raises(ConstructionMismatch, match="means"):
+        check_refined_rs(wrong, X)
+
+
+def test_corrupted_stack_fails_hilbert_schmidt_check():
+    _, rho, X = _instance()
+    ctx = SpectralContext(rho, X)
+    A, means = ctx._stack
+    E = np.zeros_like(A[0])
+    E[0, 1], E[1, 0] = 1e-3j, -1e-3j     # Hermitian, zero diagonal: the means stay
+    ctx._stack = (A + E, means)
+    with pytest.raises(ConstructionMismatch, match="Tr"):
+        ctx.refined
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenbasis_gram_matches_input_basis_gram(seed):
+    _, rho, X = _instance(seed, dim=5, n=2)
+    V, lam = rho.eigenvectors, rho.eigenvalues
+    R = (V * np.sqrt(lam)) @ V.conj().T
+    means = [np.trace(rho.matrix @ M).real for M in X.observables]
+    Xc = [M - m * np.eye(rho.dim) for M, m in zip(X.observables, means)]
+    ops = [(R @ M + s * M @ R) / math.sqrt(2) for s in (1, -1) for M in Xc]
+    gram = np.array([[np.trace(a.conj().T @ b) for b in ops] for a in ops])
+    assert np.abs(check_refined_rs(rho, X).L - gram).max() <= 1e-12
