@@ -38,7 +38,7 @@ from .serialize import (
     state_to_dict,
     write_text,
 )
-from .skew import SpectralContext
+from .skew import SpectralContext, instance
 
 SAT_TOL = 1e-7
 
@@ -77,7 +77,7 @@ def cmd_check(args) -> int:
 
     ctx = SpectralContext(rho, X)
     rows = context_margins(ctx, groups, fs)
-    rep = ctx.refined
+    rep = instance(ctx.refined)
     margins = {rid: margin for rid, _, margin, _ in rows}
     scales = {rid: scale for rid, _, _, scale in rows}
     notes = [f"{rid}: not evaluated, its precondition fails for f '{args.f}'"

@@ -1,8 +1,8 @@
 """Reproducible randomized verification of every determinant relation.
 
 Each trial derives its own generator from (master seed, trial index), so runs
-are deterministic at any parallelism and any subset of trials can be replayed.
-Relation groups select what gets checked per trial:
+are deterministic at any parallelism and any subset of trials can be replayed
+(``replay_trial``).  Relation groups select what gets checked per trial:
 
     rs          ->  rs
     refined     ->  eq3, eq7-psd, eq8-schur
@@ -13,19 +13,33 @@ Relation groups select what gets checked per trial:
     wy-strongest -> wy-strongest, for sld only: it needs f <= f(0)(1+sqrt x)^2
                     (in the catalog: sld and wy), and wy against itself is 0
 
+Evaluation is grouped.  ``run_fuzz`` draws a chunk of trials, each from its own
+generator exactly as a lone trial would, and groups them by (dim, n); the rank
+only changes the draw.  Each group is validated and evaluated as one batched
+:class:`~skewsharp.skew.SpectralContext`, so every relation gives one margin
+and one scale per trial from a few array operations (the two-observable
+relations finish their few scalars per trial).  Every tolerance (state
+and observable validation, PSD clips, construction self-checks, relation
+scales) is taken per trial, never across a group, and every check runs on
+every trial.  A failed check is replayed trial by trial, and the error names
+the first failing trial with its (dim, n, rank).  ``trial_margins`` and
+``context_margins`` are the one-trial case of the same code.
+
 ``RELATIONS`` is the one table of relations, for this harness and ``skewsharp
 check`` alike.  A margin that fails ``violated`` dumps a reproducer file in the
 CLI state/observables JSON format (plus the relation and f label) so the
-instance replays through the command line.  Observable counts are drawn with n <= dim^2 - 1: beyond that every
-determinant is exactly zero and the fractional-power margins carry no information.
+instance replays through the command line; each relation's stats also name the
+trial of its smallest relative margin.  Observable counts are drawn with
+n <= dim^2 - 1: beyond that every determinant is exactly zero and the
+fractional-power margins carry no information.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -39,9 +53,9 @@ from .gcov import (
     resolve_monotone,
     wy_strongest_check,
 )
-from .linalg import DensityMatrix, SkewsharpError, mat_scale
+from .linalg import DensityMatrix, SkewsharpError, hermitian_parts, mat_scale, validate_states
 from .serialize import dumps, observables_to_dict, state_to_dict, write_text
-from .skew import ObservableSet, SpectralContext
+from .skew import ObservableSet, SpectralContext, instance, relation_scale
 
 RELATION_GROUPS = {
     "rs": ("rs",),
@@ -55,11 +69,12 @@ RELATION_GROUPS = {
 }
 
 DEFAULT_GROUPS = tuple(RELATION_GROUPS)
+CHUNK_TRIALS = 500   # trials drawn, grouped and evaluated together
 
 
-def violated(margin: float, scale: float, tol: float) -> bool:
-    """The one violation predicate: NaN and -inf fail, +inf (VACUOUS) passes."""
-    return not margin >= -tol * scale
+def violated(margin, scale, tol: float):
+    """The one violation predicate, elementwise: NaN and -inf fail, +inf (VACUOUS) passes."""
+    return np.logical_not(margin >= -tol * scale)
 
 
 def _refined(rid):
@@ -68,20 +83,20 @@ def _refined(rid):
 
 def _two_obs(*keys):
     def relation(ctx, f):
-        if ctx.X.n != 2:
+        if ctx.n != 2:
             return None
-        return min(ctx.two_obs.margins[k] for k in keys), ctx.two_obs.scales["eq9a"]
+        return reduce(np.minimum, (ctx.two_obs.margins[k] for k in keys)), ctx.two_obs.scales["eq9a"]
     return relation
 
 
 def _eq16(ctx, f):
     L = build_Lg.ctx(ctx, *f.gram_kernels)
-    return float(np.linalg.eigvalsh(L)[0]), mat_scale(L)
+    return np.linalg.eigvalsh(L)[:, 0], mat_scale(L)
 
 
 def _eq17(ctx, f):
     margin = check_g_triple.ctx(ctx, mean_kernel(), mean_kernel(), eps_kernel())
-    return margin, max(1.0, ctx.dets["sigma"] ** 2)
+    return margin, relation_scale(ctx.dets["sigma"] ** 2)
 
 
 def _metric_adjusted(eq):
@@ -95,10 +110,10 @@ def _wy_strongest(ctx, f):
     if not f.wy_dominated:
         return None
     dets = ctx.dets
-    return wy_strongest_check.ctx(ctx, f), max(1.0, dets["sigma_plus_c"] * dets["sigma_minus_c"])
+    return wy_strongest_check.ctx(ctx, f), relation_scale(dets["sigma_plus_c"] * dets["sigma_minus_c"])
 
 
-# id -> relation(ctx, f) -> (margin, scale), or None where it does not apply
+# id -> relation(ctx, f) -> (margins, scales), one entry per instance, or None where it does not apply
 RELATIONS = {
     **{rid: _refined(rid) for rid in ("rs", "eq3", "eq4a", "eq4b", "eq7-psd", "eq8-schur")},
     "eq9a": _two_obs("eq9a"),
@@ -112,9 +127,11 @@ RELATIONS = {
     "wy-strongest": _wy_strongest,
 }
 PER_F = frozenset({"eq16", "eq18", "eq19", "wy-strongest"})  # sampled once per f label
+ROW_ORDER = {rid: k for k, rid in enumerate(RELATIONS)}
 
 HIST_EDGES = (-math.inf, -1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8,
               1e-6, 1e-4, 1e-2, 1.0, math.inf)
+_EDGES = np.array(HIST_EDGES)
 
 
 class ConfigError(SkewsharpError):
@@ -146,8 +163,13 @@ class FuzzConfig:
         unknown = [g for g in self.relations if g not in RELATION_GROUPS]
         if unknown:
             raise ConfigError(f"unknown relation groups {unknown}; valid: {sorted(RELATION_GROUPS)}")
-        if not any(n <= d * d - 1 for d in self.dims for n in self.n_obs):
+        if not self.combos:
             raise ConfigError("no admissible (dim, n) combination (need n <= dim^2 - 1)")
+
+    @cached_property
+    def combos(self) -> list[tuple[int, int]]:
+        """The (dim, n) pairs a trial draws from."""
+        return [(d, n) for d in self.dims for n in self.n_obs if n <= d * d - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -158,25 +180,80 @@ class FuzzConfig:
         }
 
 
-def random_density(dim: int, rank, rng: np.random.Generator) -> DensityMatrix:
-    """Ginibre-induced state: G G^dag / Tr with G complex standard normal dim x rank."""
+def _ginibre(dim: int, rank, rng: np.random.Generator) -> np.ndarray:
+    """G G^dag / Tr with G complex standard normal dim x rank."""
     k = dim if rank == "full" else min(int(rank), dim)
     G = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     M = G @ G.conj().T
-    return DensityMatrix.from_matrix(M / np.trace(M).real)
+    return M / np.trace(M).real
+
+
+def _gue(z: np.ndarray) -> np.ndarray:
+    """(G + G^dag)/2 for normal draws z (..., 2, d, d), the real and imaginary parts of G."""
+    G = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return (G + np.conj(G).swapaxes(-2, -1)) / 2
+
+
+def random_density(dim: int, rank, rng: np.random.Generator) -> DensityMatrix:
+    """Ginibre-induced state: G G^dag / Tr with G complex standard normal dim x rank."""
+    return DensityMatrix.from_matrix(_ginibre(dim, rank, rng))
 
 
 def random_observables(dim: int, n: int, rng: np.random.Generator) -> ObservableSet:
     """GUE observables (G + G^dag)/2."""
-    mats = []
-    for _ in range(n):
-        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        mats.append((G + G.conj().T) / 2)
-    return ObservableSet.from_matrices(mats)
+    return ObservableSet.from_matrices(_gue(rng.standard_normal((n, 2, dim, dim))))
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+def _trial_draw(config: FuzzConfig, trial: int) -> tuple[int, int, object, np.random.Generator]:
+    """A trial's (dim, n, rank), and its generator positioned at the state draw."""
+    rng = np.random.default_rng([config.seed, trial])
+    combos = config.combos
+    dim, n = combos[int(rng.integers(len(combos)))]
+    rank = config.ranks[int(rng.integers(len(config.ranks)))]
+    return dim, n, rank, rng
+
+
+def replay_trial(config: FuzzConfig, trial: int) -> tuple[DensityMatrix, ObservableSet]:
+    """The instance of one trial, drawn exactly as ``run_fuzz`` draws it."""
+    dim, n, rank, rng = _trial_draw(config, trial)
+    rho = random_density(dim, rank, rng)
+    return rho, random_observables(dim, n, rng)
+
+
+@dataclass(eq=False)
+class TrialGroup:
+    """Trials of one (dim, n), in trial order, evaluated as one batched context."""
+
+    dim: int
+    n: int
+    trials: np.ndarray       # (B,) trial indices
+    ranks: list
+    ctx: SpectralContext
+
+    def describe(self, i: int) -> dict:
+        return {"trial": int(self.trials[i]), "dim": self.dim, "n": self.n, "rank": self.ranks[i]}
+
+    def instance(self, i: int) -> tuple[DensityMatrix, ObservableSet]:
+        ctx = self.ctx
+        rho = DensityMatrix(matrix=ctx.matrix[i], eigenvalues=ctx.lam[i], eigenvectors=ctx.V[i])
+        return rho, ObservableSet(observables=tuple(X[i] for X in ctx.observables))
+
+
+def draw_groups(config: FuzzConfig, trials) -> list[TrialGroup]:
+    """Draw the trials, group them by (dim, n), and validate each group as one stack."""
+    drawn: dict[tuple[int, int], list] = {}
+    for trial in trials:
+        dim, n, rank, rng = _trial_draw(config, trial)
+        state = _ginibre(dim, rank, rng)
+        drawn.setdefault((dim, n), []).append((trial, rank, state, rng.standard_normal((n, 2, dim, dim))))
+    groups = []
+    for (dim, n), items in drawn.items():
+        ts, ranks, states, z = zip(*items)
+        rho, lam, V = validate_states(np.stack(states))
+        obs = hermitian_parts(_gue(np.stack(z)), what="observable")
+        groups.append(TrialGroup(dim, n, np.array(ts), list(ranks),
+                                 SpectralContext.from_arrays(rho, lam, V, obs)))
+    return groups
 
 
 @dataclass(eq=False)
@@ -185,18 +262,33 @@ class RelationStats:
     violations: int = 0
     min_margin: float = math.inf
     min_rel_margin: float = math.inf
+    argmin: dict | None = None    # the sample of min_rel_margin: trial, dim, n, rank, f
     histogram: list[int] = field(default_factory=lambda: [0] * (len(HIST_EDGES) - 1))
 
-    def record(self, margin: float, scale: float, tol: float) -> bool:
-        """File one sample (a NaN in the lowest bin); returns and counts a violation."""
-        self.trials += 1
-        rel = margin / scale if math.isfinite(margin) else margin
-        self.min_margin = float(np.minimum(self.min_margin, margin))  # keeps a NaN
-        self.min_rel_margin = float(np.minimum(self.min_rel_margin, rel))
+    def record(self, margins, scales, tol: float, case=None) -> np.ndarray:
+        """File samples given in trial order; returns and counts their violations.
+
+        A NaN lands in the lowest bin and is kept as the minimum.  ``case(i)``
+        describes sample i; it is kept for a new smallest relative margin (the
+        first NaN, else the first smallest), so ties go to the earliest trial.
+        """
+        margins = np.atleast_1d(np.asarray(margins, dtype=float))
+        scales = np.asarray(scales, dtype=float)
+        rel = np.divide(margins, scales, out=margins.copy(), where=np.isfinite(margins))
+        self.trials += margins.size
+        self.min_margin = float(np.minimum(self.min_margin, margins.min()))  # keeps a NaN
+        nan = np.isnan(rel)
+        i = int(nan.argmax()) if nan.any() else int(rel.argmin())
+        new_min = rel[i] < self.min_rel_margin or (nan[i] and not math.isnan(self.min_rel_margin))
+        self.min_rel_margin = float(np.minimum(self.min_rel_margin, rel[i]))
+        if case is not None and (new_min or self.argmin is None):
+            self.argmin = case(i)
         top = len(HIST_EDGES) - 2  # [1, inf], so +inf lands here
-        self.histogram[0 if math.isnan(rel) else min(bisect_right(HIST_EDGES, rel) - 1, top)] += 1
-        bad = violated(margin, scale, tol)
-        self.violations += bad
+        bins = np.minimum(np.searchsorted(_EDGES, rel, side="right") - 1, top)
+        bins[nan] = 0
+        self.histogram = [h + int(c) for h, c in zip(self.histogram, np.bincount(bins, minlength=top + 1))]
+        bad = violated(margins, scales, tol)
+        self.violations += int(bad.sum())
         return bad
 
     def to_dict(self) -> dict:
@@ -205,6 +297,7 @@ class RelationStats:
             "violations": self.violations,
             "min_margin": self.min_margin,
             "min_rel_margin": self.min_rel_margin,
+            "argmin": self.argmin,
             "histogram_edges": list(HIST_EDGES),
             "histogram": list(self.histogram),
         }
@@ -231,8 +324,8 @@ class FuzzStats:
         }
 
 
-def context_margins(ctx: SpectralContext, groups, fs) -> list[tuple[str, str | None, float, float]]:
-    """All (relation, f_label, margin, scale) samples of the groups for one context."""
+def group_margins(ctx: SpectralContext, groups, fs) -> list[tuple[str, str | None, np.ndarray, np.ndarray]]:
+    """All (relation, f_label, margins, scales) rows of the groups, one entry per instance of ctx."""
     wanted = {rid for g in groups for rid in RELATION_GROUPS[g]}
     out = []
     for rid, relation in RELATIONS.items():
@@ -245,43 +338,88 @@ def context_margins(ctx: SpectralContext, groups, fs) -> list[tuple[str, str | N
     return out
 
 
+def context_margins(ctx: SpectralContext, groups, fs) -> list[tuple[str, str | None, float, float]]:
+    """All (relation, f_label, margin, scale) samples of the groups for a one-instance context."""
+    return [(rid, f_label, instance(m), instance(s)) for rid, f_label, m, s in group_margins(ctx, groups, fs)]
+
+
 def trial_margins(rho: DensityMatrix, X: ObservableSet, groups, fs) -> list[tuple[str, str | None, float, float]]:
     """All (relation, f_label, margin, scale) samples for one instance."""
     return context_margins(SpectralContext(rho, X), groups, fs)
 
 
-def run_fuzz(config: FuzzConfig) -> FuzzStats:
-    fs = [resolve_monotone(lbl) for lbl in config.f_labels]
-    combos = [(d, n) for d in config.dims for n in config.n_obs if n <= d * d - 1]
-    stats = FuzzStats(seed=config.seed, config=config.to_dict(), per_relation={})
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, trial)
-        dim, n = combos[int(rng.integers(len(combos)))]
-        rank = config.ranks[int(rng.integers(len(config.ranks)))]
-        rho = random_density(dim, rank, rng)
-        X = random_observables(dim, n, rng)
-        stats.total_trials += 1
-        for rid, f_label, margin, scale in trial_margins(rho, X, config.relations, fs):
+def write_reproducer(config: FuzzConfig, rid: str, f_label: str | None, trial: int,
+                     margin: float, scale: float, rho: DensityMatrix, X: ObservableSet) -> str:
+    """The trial as a reproducer file in ``config.reproducer_dir``, in the CLI input format."""
+    path = os.path.join(config.reproducer_dir, f"violation_{rid}_{trial}.json")
+    write_text(path, dumps({
+        "relation": rid,
+        "f": f_label,
+        "trial": trial,
+        "seed": config.seed,
+        "margin": margin,
+        "scale": scale,
+        "state": state_to_dict(rho),
+        "observables": observables_to_dict(X),
+    }))
+    return path
+
+
+def _located(config: FuzzConfig, fs, trials, exc: SkewsharpError) -> SkewsharpError:
+    """The error of the first trial of a failed chunk that fails alone, naming it and its (dim, n, rank)."""
+    for trial in trials:
+        dim, n, rank, _ = _trial_draw(config, trial)
+        try:
+            trial_margins(*replay_trial(config, trial), config.relations, fs)
+        except SkewsharpError as alone:
+            return type(alone)(f"trial {trial} (dim {dim}, n {n}, rank {rank}): {alone}")
+    return type(exc)(f"trials {trials[0]}-{trials[-1]}: {exc}; no trial fails alone")
+
+
+def _record_chunk(stats: FuzzStats, config: FuzzConfig, fs, groups, rows) -> None:
+    """File a chunk's samples, one array per relation in (trial, f) order, and its violations."""
+    f_order = {None: -1, **{f.label: k for k, f in enumerate(fs)}}
+    samples: dict[str, list] = {}
+    for group, group_rows in zip(groups, rows):
+        for rid, f_label, margins, scales in group_rows:
             if rid == "wy-strongest" and f_label == "wy":
                 continue  # wy against itself: identically 0
-            rel = stats.per_relation.setdefault(rid, RelationStats())
-            if rel.record(margin, scale, config.tol):
-                stats.total_violations += 1
-                if config.reproducer_dir is not None:
-                    path = os.path.join(
-                        config.reproducer_dir, f"violation_{rid}_{trial}.json"
-                    )
-                    write_text(path, dumps({
-                        "relation": rid,
-                        "f": f_label,
-                        "trial": trial,
-                        "seed": config.seed,
-                        "margin": margin,
-                        "scale": scale,
-                        "state": state_to_dict(rho),
-                        "observables": observables_to_dict(X),
-                    }))
-                    stats.reproducers.append(path)
+            samples.setdefault(rid, []).append((group, f_label, margins, scales))
+    violations = []
+    for rid, parts in samples.items():
+        # one key per sample: (trial, f position, group, index in the group, f label)
+        keys = [(int(t), f_order[f_label], group, i, f_label)
+                for group, f_label, _, _ in parts for i, t in enumerate(group.trials)]
+        order = sorted(range(len(keys)), key=lambda k: keys[k][:2])
+        keys = [keys[k] for k in order]
+        margins, scales = (np.concatenate([part[c] for part in parts])[order] for c in (2, 3))
+
+        def case(j):
+            _, _, group, i, f_label = keys[j]
+            return {**group.describe(i), "f": f_label}
+
+        bad = stats.per_relation.setdefault(rid, RelationStats()).record(margins, scales, config.tol, case)
+        violations += [(keys[j][0], ROW_ORDER[rid], keys[j][1], rid, keys[j], margins[j], scales[j])
+                       for j in np.flatnonzero(bad)]
+    stats.total_violations += len(violations)
+    if config.reproducer_dir is not None:
+        for trial, _, _, rid, (_, _, group, i, f_label), margin, scale in sorted(violations, key=lambda v: v[:3]):
+            stats.reproducers.append(write_reproducer(config, rid, f_label, trial, float(margin), float(scale),
+                                                      *group.instance(i)))
+
+
+def run_fuzz(config: FuzzConfig) -> FuzzStats:
+    fs = [resolve_monotone(lbl) for lbl in config.f_labels]
+    stats = FuzzStats(seed=config.seed, config=config.to_dict(), per_relation={})
+    for start in range(0, config.trials, CHUNK_TRIALS):
+        trials = range(start, min(start + CHUNK_TRIALS, config.trials))
+        try:
+            groups = draw_groups(config, trials)
+            rows = [group_margins(group.ctx, config.relations, fs) for group in groups]
+        except SkewsharpError as exc:
+            raise _located(config, fs, trials, exc) from exc
+        stats.total_trials += len(trials)
+        _record_chunk(stats, config, fs, groups, rows)
     return stats
 
 
@@ -308,16 +446,10 @@ def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
     ordering_violations = {"eq9a_vs_eq3": 0, "wy_strongest": 0}
     instances = list(fixed_instances or [])
 
-    def make_instance(trial):
-        rng = _trial_rng(config.seed, trial)
-        dim = config.dims[int(rng.integers(len(config.dims)))]
-        rank = config.ranks[int(rng.integers(len(config.ranks)))]
-        return random_density(dim, rank, rng), random_observables(dim, 2, rng)
-
-    instances += [make_instance(t) for t in range(config.trials)]
+    instances += [replay_trial(config, t) for t in range(config.trials)]
     for idx, (rho, X) in enumerate(instances):
         ctx = SpectralContext(rho, X)
-        two = ctx.two_obs
+        two = instance(ctx.two_obs)
         d2 = two.delta_scalar**2
         bound_eq3 = d2**2
         bound_eq9a = d2 * (2 * two.A - d2)
@@ -335,11 +467,11 @@ def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
             "margin_furuichi": two.margins["furuichi"],
         }
         for f in fs:
-            mar = check_metric_adjusted.ctx(ctx, f)
+            mar = instance(check_metric_adjusted.ctx(ctx, f))
             row[f"eq19_lhs[{f.label}]"] = mar.margin19 + (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
             row[f"eq19_rhs[{f.label}]"] = (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
             if f.label == "sld":
-                wm = wy_strongest_check.ctx(ctx, f)
+                wm = instance(wy_strongest_check.ctx(ctx, f))
                 row["wy_strongest_margin"] = wm
                 if wm < -tol:
                     ordering_violations["wy_strongest"] += 1

@@ -14,8 +14,9 @@ given state; 0/0 points of quotient kernels are defined as 0.
 Observables are centered before the trace pairing so the canonical reductions
 hold exactly (the uncentered variant differs by mean terms).  Every matrix here
 is a pairing of one :class:`~skewsharp.skew.SpectralContext` with its own
-weight matrix; the public (rho, X, ...) functions build a fresh context, and
-their ``.ctx`` forms take a shared one.
+weight matrix; the public (rho, X, ...) functions build a fresh one-instance
+context, and their ``.ctx`` forms take a shared, possibly batched one and
+return one result per instance.
 
 Monotone-function catalog labels: "wy" (= "wyd:0.5"), "wyd:<alpha>" with
 alpha in (0, 1/2], "sld".  Kernel labels: "mean", "eps".
@@ -34,14 +35,16 @@ from .linalg import (
     DensityMatrix,
     DimensionMismatch,
     SkewsharpError,
-    require_hermitian,
+    hermitian_parts,
+    mat_scale,
+    raise_first,
 )
 from .skew import (
     KernelDomainError,
     SpectralContext,
-    det_delta,
     det_symmetric_psd,
     on_context,
+    relation_scale,
 )
 
 VALIDATION_GRID = np.concatenate(([0.0], np.logspace(-6, 6, 121)))
@@ -69,6 +72,8 @@ class BivariateKernel:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     nonnegative: bool = False
     symmetric: bool = False
+    bases: tuple = ()                  # a combination of other kernels (see combined_kernel)
+    combine: Callable | None = None
 
     def __post_init__(self):
         xs, ys = np.meshgrid(VALIDATION_GRID, VALIDATION_GRID)
@@ -85,6 +90,14 @@ class BivariateKernel:
         return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=complex)
 
 
+def combined_kernel(label: str, combine: Callable, *bases: BivariateKernel, **flags) -> BivariateKernel:
+    """The kernel combine(b_1(x, y), b_2(x, y), ...).  A context combines the values
+    of the bases it has already evaluated (``SpectralContext.weights``) instead of
+    evaluating each base again inside ``fn``."""
+    return BivariateKernel(label, lambda x, y: combine(*(b(x, y) for b in bases)),
+                           bases=bases, combine=combine, **flags)
+
+
 @cache
 def mean_kernel() -> BivariateKernel:
     return BivariateKernel("mean", lambda x, y: (x + y) / 2, nonnegative=True, symmetric=True)
@@ -99,18 +112,15 @@ def quotient_kernel(num: BivariateKernel, den: BivariateKernel, label: str | Non
     """num/den with the 0/0 := 0 convention; other zero denominators are domain errors."""
     label = label or f"{num.label}/{den.label}"
 
-    def fn(x, y):
-        n = np.asarray(num.fn(x, y), dtype=complex)
-        d = np.asarray(den.fn(x, y), dtype=complex)
-        bad = (np.abs(d) == 0) & (np.abs(n) != 0)
-        if np.any(bad):
+    def combine(n, d):
+        zero = np.abs(d) == 0
+        if np.any(zero & (np.abs(n) != 0)):
             raise KernelDomainError(
                 f"kernel '{label}': denominator vanishes where numerator does not"
             )
-        safe = np.where(np.abs(d) == 0, 1.0, d)
-        return np.where(np.abs(d) == 0, 0.0, n / safe)
+        return np.where(zero, 0.0, n / np.where(zero, 1.0, d))
 
-    return BivariateKernel(label, fn)
+    return combined_kernel(label, combine, num, den)
 
 
 def product_kernels(a: Callable[[np.ndarray], np.ndarray],
@@ -194,12 +204,8 @@ class MonotoneFunction:
     @cached_property
     def gram_kernels(self) -> tuple[BivariateKernel, BivariateKernel]:
         """The pair (sqrt(m_f), eps/sqrt(m_f)) whose Gram matrix hosts the f-relations."""
-        mk = self.mean_kernel
-        g1 = BivariateKernel(
-            f"sqrt_m[{self.label}]",
-            lambda x, y: np.sqrt(np.maximum(np.asarray(mk.fn(x, y)).real, 0.0)),
-            nonnegative=True, symmetric=True,
-        )
+        g1 = combined_kernel(f"sqrt_m[{self.label}]", lambda m: np.sqrt(np.maximum(m.real, 0.0)),
+                             self.mean_kernel, nonnegative=True, symmetric=True)
         return g1, quotient_kernel(eps_kernel(), g1)
 
     @cached_property
@@ -312,7 +318,7 @@ def apply_superop(rho: DensityMatrix, g: BivariateKernel, Z: np.ndarray) -> np.n
 @on_context
 def g_covariance(ctx: SpectralContext, g: BivariateKernel) -> np.ndarray:
     """cov_g[k, j] = Tr X'_k J_g(X'_j) over the centered observables; complex n x n."""
-    return ctx.pair(ctx.weights(g).T)
+    return ctx.pair(ctx.weights(g).swapaxes(1, 2))
 
 
 @on_context
@@ -325,7 +331,7 @@ def f_skew_matrix(ctx: SpectralContext, f: MonotoneFunction) -> np.ndarray:
     """
     lam = ctx.lam
     mf = ctx.weights(f.mean_kernel).real
-    diff2 = (lam[:, None] - lam[None, :]) ** 2
+    diff2 = (lam[:, :, None] - lam[:, None, :]) ** 2
     safe = np.where(mf == 0, 1.0, mf)
     return ctx.symmetric_pair(np.where(mf == 0, 0.0, f.f0 * diff2 / (2 * safe)))
 
@@ -400,28 +406,30 @@ def cached_lambda(f: MonotoneFunction) -> float:
 @on_context
 def build_Lg(ctx: SpectralContext, g1: BivariateKernel, g2: BivariateKernel) -> np.ndarray:
     """Gram matrix of (J_{g1}(X'_k), J_{g2}(X'_k)): blocks cov(|g1|^2), cov(g1* g2), ..."""
+    n = ctx.n
     G = (ctx.weights(g1), ctx.weights(g2))
-    L = np.block([[ctx.pair((np.conj(Ga) * Gb).T) for Gb in G] for Ga in G])
-    return require_hermitian(L, tol=1e-8, what="L^g")
+    L = np.empty((ctx.size, 2 * n, 2 * n), dtype=complex)
+    for a, Ga in enumerate(G):
+        for b, Gb in enumerate(G):
+            L[:, a * n:(a + 1) * n, b * n:(b + 1) * n] = ctx.pair((np.conj(Ga) * Gb).swapaxes(1, 2))
+    return hermitian_parts(L, tol=1e-8, what="L^g")
 
 
 @on_context
 def check_g_triple(ctx: SpectralContext, g_plus: BivariateKernel, g_minus: BivariateKernel,
-                   g0: BivariateKernel) -> float:
+                   g0: BivariateKernel) -> np.ndarray:
     """Margin |cov(g+)| |cov(g-)| - |cov(g0)|^2 for a dominated kernel triple."""
     if not (g_plus.nonnegative and g_minus.nonnegative):
         raise PreconditionViolation("g+ and g- must be flagged nonnegative")
     Gp, Gm, G0 = ctx.weights(g_plus), ctx.weights(g_minus), ctx.weights(g0)
     gpm = Gp.real * Gm.real
-    dominance = gpm - np.abs(G0) ** 2
-    if dominance.min() < -1e-10 * max(1.0, float(np.abs(gpm).max())):
-        raise KernelContractViolation(
-            f"g+ g- >= |g0|^2 fails on the state's spectrum (min slack {dominance.min():.3e})"
-        )
-    dp = det_symmetric_psd(ctx.pair(Gp.T).real)
-    dm = det_symmetric_psd(ctx.pair(Gm.T).real)
-    d0 = np.linalg.det(ctx.pair(G0.T))
-    return dp * dm - abs(d0) ** 2
+    slack = (gpm - np.abs(G0) ** 2).min(axis=(1, 2))
+    raise_first(slack < -1e-10 * mat_scale(gpm), lambda m: KernelContractViolation(
+        f"g+ g- >= |g0|^2 fails on the state's spectrum (min slack {m:.3e})"), slack)
+    dp = det_symmetric_psd(ctx.pair(Gp.swapaxes(1, 2)).real)
+    dm = dp if g_minus is g_plus else det_symmetric_psd(ctx.pair(Gm.swapaxes(1, 2)).real)
+    d0 = np.linalg.det(ctx.pair(G0.swapaxes(1, 2)))
+    return dp * dm - np.abs(d0) ** 2
 
 
 @dataclass(eq=False)
@@ -440,24 +448,25 @@ def check_metric_adjusted(ctx: SpectralContext, f: MonotoneFunction) -> MetricAd
 
     margin18: |cov(m_f)| |I^f| - [2 f(0)]^n |delta|^2
     margin19: |sigma - c^f| |sigma + c^f| - [4 lambda_f f(0)]^n |delta|^2
-    with c^f = sigma - I^f.  Computed once per (context, f).
+    with c^f = sigma - I^f.  Computed once per (context, f); the three
+    determinants come from one eigvalsh.
     """
     key = ("metric-adjusted", f)
     if key in ctx.memo:
         return ctx.memo[key]
-    n = ctx.X.n
+    n = ctx.n
     If = f_skew_matrix.ctx(ctx, f)
-    d_delta = det_delta(ctx.i_delta)
-    d_mf = det_symmetric_psd(g_covariance.ctx(ctx, f.mean_kernel).real)
-    d_lo = det_symmetric_psd(If)                   # sigma - c^f = I^f
-    d_hi = det_symmetric_psd(2 * ctx.sigma - If)   # sigma + c^f
+    cov_mf = g_covariance.ctx(ctx, f.mean_kernel).real
+    # |cov(m_f)|, |I^f| = |sigma - c^f|, |sigma + c^f|
+    d_mf, d_lo, d_hi = det_symmetric_psd(np.stack([cov_mf, If, 2 * ctx.sigma - If]))
+    d_delta = ctx.delta_det
     rhs18 = (2 * f.f0) ** n * d_delta**2
     rhs19 = (4 * f.lam * f.f0) ** n * d_delta**2
     ctx.memo[key] = MetricAdjustedReport(
         margin18=d_mf * d_lo - rhs18,
         margin19=d_hi * d_lo - rhs19,
-        scale18=max(1.0, abs(d_mf * d_lo), rhs18),
-        scale19=max(1.0, abs(d_hi * d_lo), rhs19),
+        scale18=relation_scale(np.abs(d_mf * d_lo), rhs18),
+        scale19=relation_scale(np.abs(d_hi * d_lo), rhs19),
         lam=f.lam,
         dets={"cov_mf": d_mf, "skew_f": d_lo, "sigma_plus_cf": d_hi,
               "sigma_minus_cf": d_lo, "delta": d_delta},
@@ -466,7 +475,7 @@ def check_metric_adjusted(ctx: SpectralContext, f: MonotoneFunction) -> MetricAd
 
 
 @on_context
-def wy_strongest_check(ctx: SpectralContext, f: MonotoneFunction) -> float:
+def wy_strongest_check(ctx: SpectralContext, f: MonotoneFunction) -> np.ndarray:
     """Margin |sigma-c^f||sigma+c^f| - |sigma-c||sigma+c| for f with f <= f(0)(1+sqrt x)^2."""
     if not f.wy_dominated:
         raise PreconditionViolation(

@@ -45,21 +45,38 @@ class InvalidState(SkewsharpError):
     """Density-matrix validation failure (trace, positivity)."""
 
 
-def mat_scale(A: np.ndarray) -> float:
-    """Relative-tolerance scale: max(1, max|entry|)."""
+def mat_scale(A: np.ndarray):
+    """Relative-tolerance scale max(1, max|entry|); for a stack (..., m, m), one per matrix.
+
+    A NaN entry is skipped, as in Python's ``max(1.0, nan)``.
+    """
+    A = np.asarray(A)
     if A.size == 0:
         return 1.0
-    return max(1.0, float(np.abs(A).max()))
+    scale = np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
+    return float(scale) if scale.ndim == 0 else scale
 
 
-def hermiticity_deviation(A: np.ndarray) -> float:
-    return float(np.abs(A - A.conj().T).max())
+def raise_first(bad, error, *values) -> None:
+    """Raise ``error(*v)``, each value v taken at the first instance flagged in ``bad``.
+
+    A check on a stack runs on every instance at once with each instance's own
+    scale; the error reports the first failing instance's values.
+    """
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        raise error(*(np.ravel(v)[i] for v in values))
 
 
-def require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _square(A: np.ndarray, what: str) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {A.shape}")
+    return A
+
+
+def require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    A = _square(A, what)
     if not np.all(np.isfinite(A)):
         raise SkewsharpError(f"{what} has non-finite entries")
     return A
@@ -67,13 +84,20 @@ def require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def require_hermitian(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
     """Validate A = A^dagger within tol * max(1, max|A|) and return the Hermitian part."""
-    A = require_square(A, what)
-    dev = hermiticity_deviation(A)
-    if dev > tol * mat_scale(A):
-        raise NonHermitianInput(
-            f"{what} is non-Hermitian: max|A - A^dag| = {dev:.3e} exceeds tol {tol:.1e} (relative)"
-        )
-    return (A + A.conj().T) / 2
+    return hermitian_parts(_square(A, what), tol, what)
+
+
+def hermitian_parts(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
+    """(A + A^dag)/2 for a matrix or a stack (..., m, m), checked matrix by matrix:
+    finite entries and max|A - A^dag| within tol * mat_scale of that matrix."""
+    if not np.isfinite(A).all():
+        raise_first(~np.isfinite(A).all(axis=(-2, -1)), lambda: SkewsharpError(f"{what} has non-finite entries"))
+    # A^dag is formed twice so that no matrix-sized temporary outlives its line (peak memory at d = 900)
+    dev = np.abs(A - np.conj(A).swapaxes(-2, -1)).max(axis=(-2, -1))
+    raise_first(dev > tol * mat_scale(A), lambda d: NonHermitianInput(
+        f"{what} is non-Hermitian: max|A - A^dag| = {d:.3e} exceeds tol {tol:.1e} (relative)"
+    ), dev)
+    return (A + np.conj(A).swapaxes(-2, -1)) / 2
 
 
 @dataclass(eq=False)
@@ -95,11 +119,14 @@ def spectral_decompose(A: np.ndarray, tol: float = TOL_HERM) -> EigenSystem:
     return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
 
 
-def clip_psd_eigenvalues(w: np.ndarray, scale: float, tol: float = TOL_PSD) -> np.ndarray:
-    """Clip eigenvalues in [-tol*scale, 0) to 0; raise NotPSD below that."""
-    lo = float(w.min()) if w.size else 0.0
-    if lo < -tol * scale:
-        raise NotPSD(f"min eigenvalue {lo:.3e} below -{tol:.1e} * {scale:.3e}")
+def clip_psd_eigenvalues(w: np.ndarray, scale, tol: float = TOL_PSD) -> np.ndarray:
+    """Clip eigenvalues in [-tol*scale, 0) to 0; raise NotPSD below that.
+
+    A stack of spectra (..., m) takes one scale per spectrum.
+    """
+    lo = w.min(axis=-1, initial=np.inf)
+    raise_first(lo < -tol * scale, lambda m, s: NotPSD(f"min eigenvalue {m:.3e} below -{tol:.1e} * {s:.3e}"),
+                lo, scale)
     return np.maximum(w, 0.0)
 
 
@@ -152,12 +179,8 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, rho: np.ndarray, tol_trace: float = TOL_TRACE,
                     tol_psd: float = TOL_PSD) -> "DensityMatrix":
-        rho = require_hermitian(rho, what="state")
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > tol_trace:
-            raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {tol_trace:.1e}")
-        es = spectral_decompose(rho)
-        return cls._clipped(rho, es.eigenvalues, es.eigenvectors, tol_psd)
+        rho, w, V = validate_states(_square(rho, "state")[None], tol_trace, tol_psd)
+        return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
     @classmethod
     def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray, tol_trace: float = TOL_TRACE,
@@ -182,21 +205,37 @@ class DensityMatrix:
         order = np.argsort(-w, kind="stable")
         w, V = w[order], V[:, order]
         rho = (V * w) @ V.conj().T
-        return cls._clipped((rho + rho.conj().T) / 2, w, V, tol_psd)
-
-    @classmethod
-    def _clipped(cls, rho: np.ndarray, w: np.ndarray, V: np.ndarray,
-                 tol_psd: float) -> "DensityMatrix":
-        """The state with descending spectrum w clipped to >= 0 and zeroed below TOL_STATE_CLIP."""
-        try:
-            w = clip_psd_eigenvalues(w, mat_scale(rho), tol_psd)
-        except NotPSD as exc:
-            raise InvalidState(f"state not positive semidefinite: {exc}") from exc
-        w[w < TOL_STATE_CLIP * mat_scale(rho)] = 0.0
-        return cls(matrix=rho, eigenvalues=w, eigenvectors=V)
+        rho = (rho + rho.conj().T) / 2
+        return cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w, tol_psd), eigenvectors=V)
 
     def expectation(self, X: np.ndarray) -> float:
         return float(np.trace(self.matrix @ X).real)
 
     def rank(self, tol: float = TOL_PSD) -> int:
         return int(np.count_nonzero(self.eigenvalues > tol * mat_scale(self.matrix)))
+
+
+def validate_states(M: np.ndarray, tol_trace: float = TOL_TRACE,
+                    tol_psd: float = TOL_PSD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitian part, clipped descending spectrum and eigenvectors of each state in a stack (B, d, d).
+
+    Every check (finite entries, Hermiticity, unit trace, PSD) runs on every
+    state with that state's own scale; an error reports the first failing one.
+    """
+    rho = hermitian_parts(M, what="state")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    raise_first(np.abs(tr - 1.0) > tol_trace, lambda t: InvalidState(
+        f"state trace = {t:.12g}, expected 1 within {tol_trace:.1e}"), tr)
+    w, V = np.linalg.eigh(rho)
+    return rho, _clip_spectrum(rho, w[..., ::-1].copy(), tol_psd), V[..., ::-1].copy()
+
+
+def _clip_spectrum(rho: np.ndarray, w: np.ndarray, tol_psd: float) -> np.ndarray:
+    """Descending spectra w of the states rho clipped to >= 0, zeroed below TOL_STATE_CLIP."""
+    scale = mat_scale(rho)
+    try:
+        w = clip_psd_eigenvalues(w, scale, tol_psd)
+    except NotPSD as exc:
+        raise InvalidState(f"state not positive semidefinite: {exc}") from exc
+    w[w < TOL_STATE_CLIP * np.expand_dims(scale, -1)] = 0.0
+    return w

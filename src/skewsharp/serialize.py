@@ -46,6 +46,19 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float, np.integer, np.floating))
 
 
+def _float_rows(node: list, inner: str, pad: str) -> str | None:
+    """Lists of equal length holding only floats (matrices of [re, im] cells), one
+    line each, rendered with one format per call; None for any other list of lists."""
+    widths = set(map(len, node))
+    if len(widths) != 1 or not node[0] or type(node[0][0]) is not float:
+        return None
+    flat = tuple(itertools.chain.from_iterable(node))
+    if set(map(type, flat)) != {float}:
+        return None
+    cell = inner + "[" + ", ".join(["%.17g"] * widths.pop()) + "]"
+    return "[\n" + _named_non_finite(",\n".join([cell] * len(node)) % flat) + "\n" + pad + "]"
+
+
 def dumps(obj, indent: int = 2) -> str:
     """Deterministic JSON text with fixed float formatting."""
 
@@ -59,6 +72,10 @@ def dumps(obj, indent: int = 2) -> str:
             if all(map(_is_number_type, types)):
                 return "[" + ", ".join(map(_fmt_number, node)) + "]"
             inner = " " * (indent * (depth + 1))
+            if types == {list}:
+                rows = _float_rows(node, inner, " " * (indent * depth))
+                if rows is not None:
+                    return rows
             items = ",\n".join(inner + render(v, depth + 1) for v in node)
             return "[\n" + items + "\n" + " " * (indent * depth) + "]"
         if isinstance(node, dict):

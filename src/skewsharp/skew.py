@@ -15,21 +15,27 @@ operators (sqrt(rho) X'_k +/- X'_k sqrt(rho))/sqrt(2) under <A, B> = Tr A^dag B;
 its off-diagonal blocks both equal i*delta, which is Hermitian, so L is built
 as [[sigma+c, i*delta], [i*delta, sigma-c]].
 
+A :class:`SpectralContext` holds B instances of one shape (dimension d, n
+observables) along a leading batch axis; every matrix, determinant and margin
+is an array over that axis, and every tolerance scale is taken per instance.
+The public (rho, X) functions are its B = 1 case, unwrapped by ``instance``.
+
 Two self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
 those operators are elementwise, (s_a +/- s_b) A_k[a, b] / sqrt(2) with
 s = sqrt(lam): each block is one product of A with a weighted copy of A, apart
 from the pairing that builds sigma, c and delta.  The stack check ties A to the
-input basis in O(n^2 d^2): the means Tr(rho X_k) from ``rho.matrix`` against
+input basis in O(n^2 d^2): the means Tr(rho X_k) from the state matrix against
 the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
 of the input observables against the same pairing of A.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import reduce, wraps
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from .linalg import (
     NotPSD,
     SkewsharpError,
     mat_scale,
+    raise_first,
     require_hermitian,
 )
 
@@ -83,149 +90,227 @@ class KernelDomainError(SkewsharpError):
     """A kernel is non-finite where it must be evaluated."""
 
 
+class cached:
+    """A computed attribute stored on first use: functools.cached_property without its lock."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return (M + M.swapaxes(-2, -1)) / 2
+
+
+def relation_scale(*terms):
+    """max(1, terms...) per instance; a NaN term is skipped, as in Python's ``max(1.0, nan)``."""
+    return reduce(np.fmax, terms, 1.0)
+
+
+def _require_classical_psd(lo, c: np.ndarray, tol_psd: float = TOL_PSD) -> None:
+    raise_first(lo < -tol_psd * mat_scale(c), lambda m: NotPSD(
+        f"classical matrix has eigenvalue {m:.3e}; upstream numerical failure"), lo)
+
+
 def classical_matrix(sigma: np.ndarray, skew: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
     """sigma - skew; raises NotPSD if the difference dips below -tol (upstream failure)."""
     if sigma.shape != skew.shape:
         raise DimensionMismatch(f"shape mismatch {sigma.shape} vs {skew.shape}")
     c = sigma - skew
-    lo = float(np.linalg.eigvalsh((c + c.T) / 2)[0]) if c.size else 0.0
-    if lo < -tol_psd * mat_scale(c):
-        raise NotPSD(f"classical matrix has eigenvalue {lo:.3e}; upstream numerical failure")
+    if c.size:
+        _require_classical_psd(np.linalg.eigvalsh(_sym(c))[..., 0], c, tol_psd)
     return c
 
 
 def _eigenbasis_gram(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Gram matrix of the operators (s_a +/- s_b) A_k[a, b] / sqrt(2), s = sqrt(lam).
+    """Gram matrices of the operators (s_a +/- s_b) A_k[a, b] / sqrt(2), s = sqrt(lam).
 
     Block (u, v) is G[p, q] = sum_ab w_uv[a, b] conj(A_p[a, b]) A_q[a, b] with
-    w_uv = t_u t_v for t_+/- = (s_a +/- s_b) / sqrt(2): one zgemm on one weighted
-    copy of A at a time.
+    w_uv = t_u t_v for t_+/- = (s_a +/- s_b) / sqrt(2): one product per
+    instance on one weighted copy of A at a time.
     """
-    n = A.shape[0]
+    B, n = A.shape[:2]
     s = np.sqrt(lam / 2)
-    t_plus, t_minus = s[:, None] + s[None, :], s[:, None] - s[None, :]
-    flat = A.reshape(n, -1)
-    G = np.empty((2 * n, 2 * n), dtype=complex)
+    t_plus, t_minus = s[:, :, None] + s[:, None, :], s[:, :, None] - s[:, None, :]
+    flat = A.reshape(B, n, -1)
+    G = np.empty((B, 2 * n, 2 * n), dtype=complex)
     wA = np.empty_like(A)
     for u, v, t_u, t_v in ((0, 0, t_plus, t_plus), (0, n, t_plus, t_minus), (n, n, t_minus, t_minus)):
-        np.multiply(t_u * t_v, A, out=wA)
+        np.multiply((t_u * t_v)[:, None], A, out=wA)
         np.conjugate(wA, out=wA)
-        G[u:u + n, v:v + n] = wA.reshape(n, -1) @ flat.T
-    G[n:, :n] = G[:n, n:].conj().T
+        G[:, u:u + n, v:v + n] = wA.reshape(B, n, -1) @ flat.swapaxes(1, 2)
+    G[:, n:, :n] = np.conj(G[:, :n, n:]).swapaxes(1, 2)
     return G
 
 
 def _check_stack(ctx: "SpectralContext") -> None:
     """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
-    n, d = ctx.X.n, ctx.rho.dim
+    B, n, d = ctx.size, ctx.n, ctx.dim
     # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views
-    rows = np.stack([*ctx.X.observables, np.eye(d), ctx.rho.matrix]).reshape(n + 2, -1).view(float)
-    G = rows @ rows.T
-    scale = mat_scale(G[:n, :n])                # max_k Tr(X_k^2) >= |Tr(rho X_k)|^2
-    means = G[:n, n + 1]                        # Tr(rho X_k)
-    dev = float(np.abs(means - ctx.means).max())
-    if dev > CONSTRUCTION_TOL * math.sqrt(scale):
-        raise ConstructionMismatch(f"eigenbasis means differ from Tr(rho X_k) by {dev:.3e}")
-    C = np.hstack([np.eye(n), -means[:, None]])   # X'_k = X_k - m_k 1
-    flat_A = ctx.A.reshape(n, -1).view(float)
-    dev = float(np.abs(C @ G[:n + 1, :n + 1] @ C.T - flat_A @ flat_A.T).max())
-    if dev > CONSTRUCTION_TOL * scale:
-        raise ConstructionMismatch(f"eigenbasis stack changes Tr(X'_k X'_j) by {dev:.3e}")
+    rows = np.empty((B, n + 2, d, d), dtype=complex)
+    for k, X in enumerate(ctx.observables):
+        rows[:, k] = X
+    rows[:, n], rows[:, n + 1] = np.eye(d), ctx.matrix
+    rows = rows.reshape(B, n + 2, -1).view(float)
+    G = rows @ rows.swapaxes(1, 2)
+    scale = mat_scale(G[:, :n, :n])             # max_k Tr(X_k^2) >= |Tr(rho X_k)|^2
+    means = G[:, :n, n + 1]                     # Tr(rho X_k)
+    dev = np.abs(means - ctx.means).max(axis=-1)
+    raise_first(dev > CONSTRUCTION_TOL * np.sqrt(scale), lambda e: ConstructionMismatch(
+        f"eigenbasis means differ from Tr(rho X_k) by {e:.3e}"), dev)
+    C = np.zeros((B, n, n + 1))                 # X'_k = X_k - m_k 1
+    C[:, :, :n], C[:, :, n] = np.eye(n), -means
+    flat_A = ctx.A.reshape(B, n, -1).view(float)
+    dev = np.abs(C @ G[:, :n + 1, :n + 1] @ C.swapaxes(1, 2) - flat_A @ flat_A.swapaxes(1, 2)).max(axis=(1, 2))
+    raise_first(dev > CONSTRUCTION_TOL * scale, lambda e: ConstructionMismatch(
+        f"eigenbasis stack changes Tr(X'_k X'_j) by {e:.3e}"), dev)
 
 
 class SpectralContext:
-    """One (rho, X) instance: clipped spectrum ``lam``, centered eigenbasis stack ``A``.
+    """B instances (rho, X) of one shape: clipped spectra ``lam`` (B, d), centered
+    eigenbasis stacks ``A`` (B, n, d, d).
 
-    Every matrix is ``pair(W)`` for its own weight matrix W on the spectrum.  A
-    is built once; matrices and reports are cached, and ``memo`` holds further
-    per-instance results keyed by their producer (e.g. one per monotone function).
+    Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  A
+    is built once; matrices, kernel weights and reports are cached, and ``memo``
+    holds further results keyed by their producer (e.g. one per monotone function).
+    ``SpectralContext(rho, X)`` is one instance (B = 1); ``from_arrays`` takes a batch.
     """
 
     def __init__(self, rho: DensityMatrix, X: ObservableSet):
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
-        self.rho = rho
-        self.X = X
-        self.lam = rho.eigenvalues
-        self.memo: dict = {}
+        self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None],
+                    [M[None] for M in X.observables])
 
-    @cached_property
+    @classmethod
+    def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
+                    obs: np.ndarray) -> "SpectralContext":
+        """A batch of validated instances: states (B, d, d) with their clipped
+        descending spectra and eigenvectors, and Hermitian observables (B, n, d, d)."""
+        ctx = cls.__new__(cls)
+        ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
+        return ctx
+
+    def _setup(self, matrix, lam, V, observables) -> None:
+        self.matrix, self.lam, self.V = matrix, lam, V
+        self.observables = observables      # n arrays (B, d, d)
+        self.size, self.dim = lam.shape
+        self.n = len(observables)
+        self.memo: dict = {}
+        self._weights: dict = {}
+
+    @cached
     def _stack(self) -> tuple[np.ndarray, np.ndarray]:
-        V = self.rho.eigenvectors
-        A = V.conj().T @ np.stack(self.X.observables) @ V
-        means = np.einsum("kaa,a->k", A, self.lam).real
-        diag = np.arange(self.rho.dim)
-        A[:, diag, diag] -= means[:, None]
+        V = self.V[:, None]
+        A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
+        diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
+        means = np.einsum("zka,za->zk", diag, self.lam).real
+        diag -= means[:, :, None]
         return A, means
 
-    # the centered stack A_k = V^dag X'_k V, and the means <X_k> it was centered with
+    # the centered stacks A_k = V^dag X'_k V, and the means <X_k> they were centered with
     A = property(lambda self: self._stack[0])
     means = property(lambda self: self._stack[1])
 
     def weights(self, g) -> np.ndarray:
-        """Kernel g(l_a, l_b) on the spectrum; non-finite values are a KernelDomainError."""
-        G = g(self.lam[:, None], self.lam[None, :])
-        if not np.all(np.isfinite(G)):
-            raise KernelDomainError(f"kernel '{g.label}' non-finite on the state's spectrum")
-        return G
+        """Kernel g(l_a, l_b) on each spectrum, once per kernel; non-finite values are a KernelDomainError.
+
+        A kernel combined from others (``gcov.combined_kernel``) combines its bases' values.
+        """
+        if g not in self._weights:
+            if g.bases:
+                G = np.asarray(g.combine(*map(self.weights, g.bases)), dtype=complex)
+            else:
+                G = g(self.lam[:, :, None], self.lam[:, None, :])
+            raise_first(~np.isfinite(G).all(axis=(1, 2)), lambda: KernelDomainError(
+                f"kernel '{g.label}' non-finite on the state's spectrum"))
+            self._weights[g] = G
+        return self._weights[g]
 
     def pair(self, W: np.ndarray) -> np.ndarray:
-        """M[k, j] = sum_ab W[a, b] A_k[a, b] A_j[b, a], complex n x n."""
-        return np.einsum("kab,ab,jba->kj", self.A, W, self.A)
+        """M[z, k, j] = sum_ab W[z, a, b] A_k[a, b] A_j[b, a] for each instance z, complex (B, n, n)."""
+        return np.einsum("zkab,zab,zjba->zkj", self.A, W, self.A)
 
     def symmetric_pair(self, W: np.ndarray) -> np.ndarray:
-        M = self.pair(W)
-        return np.real(M + M.T) / 2
+        return np.real(_sym(self.pair(W)))
 
-    @cached_property
+    @cached
     def P(self) -> np.ndarray:
         """P[k, j] = Tr(rho X'_k X'_j): the pairing with W[a, b] = l_a."""
-        return self.pair(np.broadcast_to(self.lam[:, None], self.A.shape[1:]))
+        return self.pair(self.lam[:, :, None] * np.ones(self.dim))
 
-    sigma = cached_property(lambda self: np.real(self.P + self.P.T) / 2)
+    sigma = cached(lambda self: np.real(_sym(self.P)))
     # i*delta[k,j] = -(P[k,j] - P[j,k])/2 = -i Im P[k,j]
-    i_delta = cached_property(lambda self: -1j * np.imag(self.P))
-    classical = cached_property(lambda self: classical_matrix(self.sigma, self.skew))
-    refined = cached_property(lambda self: _refined_report(self))
-    two_obs = cached_property(lambda self: _two_obs_report(self, TOL_INEQ))
+    i_delta = cached(lambda self: -1j * np.imag(self.P))
+    delta_det = cached(lambda self: det_delta(self.i_delta))   # |det(i delta)|
+    classical = cached(lambda self: self.sigma - self.skew)
+    # the diagonal blocks sigma + c and sigma - c of L
+    blocks = cached(lambda self: (self.sigma + self.classical, self.sigma - self.classical))
+    refined = cached(lambda self: _refined_report(self))
+    two_obs = cached(lambda self: _two_obs_report(self, TOL_INEQ))
 
-    @cached_property
+    @cached
     def skew(self) -> np.ndarray:
         s = np.sqrt(self.lam)
-        return self.symmetric_pair((s[:, None] - s[None, :]) ** 2 / 2)
+        return self.symmetric_pair((s[:, :, None] - s[:, None, :]) ** 2 / 2)
 
-    @cached_property
-    def dets(self) -> dict[str, float]:
-        sigma, c = self.sigma, self.classical
-        return {
-            "sigma": det_symmetric_psd(sigma),
-            "delta": det_delta(self.i_delta),
-            "skew": det_symmetric_psd(self.skew),
-            "classical": det_symmetric_psd(c),
-            "sigma_plus_c": det_symmetric_psd(sigma + c),
-            "sigma_minus_c": det_symmetric_psd(sigma - c),
-        }
+    @cached
+    def dets(self) -> dict[str, np.ndarray]:
+        """The determinants, from one eigvalsh of the sigma family; checks c >= 0 on the way.
+
+        sigma and skew are symmetrized pairings, so all five matrices are exactly symmetric.
+        """
+        c = self.classical
+        w = np.linalg.eigvalsh(np.stack([self.sigma, self.skew, c, *self.blocks]))
+        _require_classical_psd(w[2, :, 0], c)
+        d = np.prod(w, axis=-1)
+        return {"sigma": d[0], "delta": self.delta_det, "skew": d[1], "classical": d[2],
+                "sigma_plus_c": d[3], "sigma_minus_c": d[4]}
+
+
+def instance(value, i: int = 0):
+    """Instance i of a batched result: arrays lose the batch axis (1-d ones give
+    Python numbers); dicts and report dataclasses are taken field by field."""
+    kind = type(value)
+    if kind is np.ndarray:
+        return value.item(i) if value.ndim == 1 else value[i]
+    if kind is dict:
+        return {k: instance(v, i) for k, v in value.items()}
+    if dataclasses.is_dataclass(kind):
+        return type(value)(**{k: instance(v, i) for k, v in vars(value).items()})
+    return value
 
 
 def on_context(fn):
-    """Public form fn(rho, X, ...) of fn(ctx, ...); the context form stays reachable as ``.ctx``."""
+    """Public form fn(rho, X, ...) of fn(ctx, ...) on one instance; the batched
+    context form stays reachable as ``.ctx``."""
 
     @wraps(fn)
     def public(rho: DensityMatrix, X: ObservableSet, *args, **kwargs):
-        return fn(SpectralContext(rho, X), *args, **kwargs)
+        return instance(fn(SpectralContext(rho, X), *args, **kwargs))
 
     public.ctx = fn
     return public
 
 
-def covariance_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+@on_context
+def covariance_matrix(ctx: SpectralContext) -> np.ndarray:
     """Symmetrized second moments of the centered observables."""
-    return SpectralContext(rho, X).sigma
+    return ctx.sigma
 
 
-def commutator_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+@on_context
+def commutator_matrix(ctx: SpectralContext) -> np.ndarray:
     """Hermitian matrix i*delta with delta[k, j] = (i/2) <[X_k, X_j]>."""
-    return SpectralContext(rho, X).i_delta
+    return ctx.i_delta
 
 
 def delta_antisymmetric(i_delta: np.ndarray) -> np.ndarray:
@@ -233,40 +318,40 @@ def delta_antisymmetric(i_delta: np.ndarray) -> np.ndarray:
     return np.imag(i_delta)
 
 
-def wy_skew_matrix(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+@on_context
+def wy_skew_matrix(ctx: SpectralContext) -> np.ndarray:
     """Skew-information matrix: the pairing with weight (sqrt(l_a) - sqrt(l_b))^2 / 2."""
-    return SpectralContext(rho, X).skew
+    return ctx.skew
 
 
-def build_L(rho: DensityMatrix, X: ObservableSet) -> np.ndarray:
+@on_context
+def build_L(ctx: SpectralContext) -> np.ndarray:
     """2n x 2n Gram matrix of the (anti)commutators of sqrt(rho) with centered X.
 
     Built both as an explicit Gram matrix and by block assembly from
     sigma, classical and i*delta; disagreement beyond CONSTRUCTION_TOL is a
     permanent self-check failure (ConstructionMismatch).
     """
-    return SpectralContext(rho, X).refined.L
+    return ctx.refined.L
 
 
-def det_symmetric_psd(A: np.ndarray) -> float:
-    """Determinant of a real symmetric (nominally PSD) matrix via eigenvalues."""
-    if A.size == 0:
+def det_symmetric_psd(A: np.ndarray):
+    """Determinant of a real symmetric (nominally PSD) matrix via eigenvalues; one per matrix of a stack."""
+    if A.shape[-1] == 0:
         return 1.0
-    w = np.linalg.eigvalsh((A + A.T) / 2)
-    return float(np.prod(w))
+    d = np.prod(np.linalg.eigvalsh(_sym(A)), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
-def det_delta(i_delta: np.ndarray) -> float:
-    """|det(i*delta)|: equals det(delta) >= 0 for even n, exactly 0 for odd n."""
-    n = i_delta.shape[0]
-    if n % 2 == 1:
-        return 0.0
-    w = np.linalg.eigvalsh(i_delta)
-    return abs(float(np.prod(w)))
+def det_delta(i_delta: np.ndarray):
+    """|det(i*delta)|: equals det(delta) >= 0 for even n, exactly 0 for odd n; one per matrix of a stack."""
+    n = i_delta.shape[-1]
+    d = np.zeros(i_delta.shape[:-2]) if n % 2 == 1 else np.abs(np.prod(np.linalg.eigvalsh(i_delta), axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
-def _pow_det(d: float, p: float) -> float:
-    return max(d, 0.0) ** p
+def _pow_det(d, p: float):
+    return np.maximum(d, 0.0) ** p
 
 
 @dataclass(eq=False)
@@ -288,67 +373,68 @@ class UncertaintyReport:
 
 
 def _schur_margin(sigma_plus: np.ndarray, sigma_minus: np.ndarray,
-                  delta: np.ndarray) -> tuple[float, float]:
+                  delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min eigenvalue of (sigma+c) - delta^T (sigma-c)^+ delta, pseudo-inverted on the range.
 
-    Returns (margin, range_residual) where the residual measures how far delta
-    falls outside the range of sigma-c.
+    Returns (margin, range_residual) per instance, where the residual measures
+    how far delta falls outside the range of sigma-c.  Eigenvectors outside
+    each instance's own range are zeroed, not dropped, so instances keep one shape.
     """
-    w, V = np.linalg.eigh((sigma_minus + sigma_minus.T) / 2)
-    cut = TOL_PSD * mat_scale(sigma_minus)
-    keep = w > cut
-    Pi = V[:, keep]
-    inv_w = 1.0 / w[keep]
-    residual = float(np.abs(delta - Pi @ (Pi.T @ delta)).max()) if delta.size else 0.0
-    pinv = (Pi * inv_w) @ Pi.T
-    schur = sigma_plus - delta.T @ pinv @ delta
-    lo = float(np.linalg.eigvalsh((schur + schur.T) / 2)[0])
-    return lo, residual
+    w, V = np.linalg.eigh(sigma_minus)             # exactly symmetric (see dets)
+    keep = w > TOL_PSD * mat_scale(sigma_minus)[:, None]
+    Pi = V * keep[:, None, :]
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    residual = np.abs(delta - Pi @ (Pi.swapaxes(1, 2) @ delta)).max(axis=(1, 2))
+    pinv = (Pi * inv_w[:, None, :]) @ Pi.swapaxes(1, 2)
+    schur = sigma_plus - delta.swapaxes(1, 2) @ pinv @ delta
+    return np.linalg.eigvalsh(_sym(schur))[:, 0], residual
 
 
 def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
-    n = ctx.X.n
+    n = ctx.n
     sigma, skew, c, i_delta = ctx.sigma, ctx.skew, ctx.classical, ctx.i_delta
-    delta = delta_antisymmetric(i_delta)
-    L = np.empty((2 * n, 2 * n), dtype=complex)    # [[sigma+c, i delta], [i delta, sigma-c]]
-    L[:n, :n], L[n:, n:] = sigma + c, sigma - c
-    L[:n, n:] = L[n:, :n] = i_delta
-    _check_stack(ctx)
-    dev = float(np.abs(L - _eigenbasis_gram(ctx.A, ctx.lam)).max())
-    if dev > CONSTRUCTION_TOL * mat_scale(L):
-        raise ConstructionMismatch(f"Gram and block constructions of L differ by {dev:.3e}")
-
     dets = ctx.dets
+    Lp, Lm = ctx.blocks
+    delta = delta_antisymmetric(i_delta)
+    L = np.empty((ctx.size, 2 * n, 2 * n), dtype=complex)    # [[sigma+c, i delta], [i delta, sigma-c]]
+    L[:, :n, :n], L[:, n:, n:] = Lp, Lm
+    L[:, :n, n:] = L[:, n:, :n] = i_delta
+    scale_L = mat_scale(L)
+    _check_stack(ctx)
+    dev = np.abs(L - _eigenbasis_gram(ctx.A, ctx.lam)).max(axis=(1, 2))
+    raise_first(dev > CONSTRUCTION_TOL * scale_L, lambda e: ConstructionMismatch(
+        f"Gram and block constructions of L differ by {e:.3e}"), dev)
+
     d_sigma, d_skew, d_class, d_delta = dets["sigma"], dets["skew"], dets["classical"], dets["delta"]
     d_plus, d_minus = dets["sigma_plus_c"], dets["sigma_minus_c"]
     delta_G = d_plus * d_minus - d_delta**2
 
     p = 1.0 / n
     root_gap = (_pow_det(d_sigma, p) - _pow_det(d_skew, p)) ** 2
-    m4a = (_pow_det(d_sigma, 2 * p) - _pow_det(d_delta, 2 * p)) - root_gap
+    chain_top = _pow_det(d_sigma, 2 * p)
+    m4a = (chain_top - _pow_det(d_delta, 2 * p)) - root_gap
     m4b = root_gap - _pow_det(d_class, 2 * p)
 
     w_L = np.linalg.eigvalsh(L)
-    m7 = float(w_L[0])
-    rank_L = int(np.count_nonzero(w_L > TOL_PSD * mat_scale(L)))
+    rank_L = (w_L > TOL_PSD * scale_L[:, None]).sum(axis=1)
 
-    m8, residual = _schur_margin(sigma + c, sigma - c, delta)
+    m8, residual = _schur_margin(Lp, Lm, delta)
 
     margins = {
         "rs": d_sigma - d_delta,
         "eq3": delta_G,
         "eq4a": m4a,
         "eq4b": m4b,
-        "eq7-psd": m7,
+        "eq7-psd": w_L[:, 0],
         "eq8-schur": m8,
     }
     scales = {
-        "rs": max(1.0, abs(d_sigma), abs(d_delta)),
-        "eq3": max(1.0, abs(d_plus * d_minus), d_delta**2),
-        "eq4a": max(1.0, _pow_det(d_sigma, 2 * p)),
-        "eq4b": max(1.0, _pow_det(d_sigma, 2 * p)),
-        "eq7-psd": mat_scale(L),
-        "eq8-schur": mat_scale(sigma + c),
+        "rs": relation_scale(np.abs(d_sigma), np.abs(d_delta)),
+        "eq3": relation_scale(np.abs(d_plus * d_minus), d_delta**2),
+        "eq4a": relation_scale(chain_top),
+        "eq4b": relation_scale(chain_top),
+        "eq7-psd": scale_L,
+        "eq8-schur": mat_scale(Lp),
     }
     return UncertaintyReport(
         sigma=sigma, delta=delta, i_delta=i_delta, skew=skew, classical=c, L=L,
@@ -357,14 +443,15 @@ def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
     )
 
 
-def check_refined_rs(rho: DensityMatrix, X: ObservableSet) -> UncertaintyReport:
+@on_context
+def check_refined_rs(ctx: SpectralContext) -> UncertaintyReport:
     """Assemble every matrix and the margins of the determinant relations.
 
     Margin keys: ``rs`` (|sigma| - |delta|), ``eq3`` (|sigma+c||sigma-c| - |delta|^2,
     identical to delta_G), ``eq4a``/``eq4b`` (the Minkowski chain), ``eq7-psd``
     (min eigenvalue of L), ``eq8-schur`` (min eigenvalue of the Schur complement).
     """
-    return SpectralContext(rho, X).refined
+    return ctx.refined
 
 
 @dataclass(eq=False)
@@ -406,61 +493,71 @@ def _clipped_sqrt(val: float, scale: float, tol: float, what: str) -> float:
     return math.sqrt(val)
 
 
-def _two_obs_report(ctx: SpectralContext, tol_ineq: float) -> TwoObsReport:
-    sigma, c, i_delta = ctx.sigma, ctx.classical, ctx.i_delta
-    # <[X1,X2]>/(2i) = -delta[0,1] in the (i/2)<[.,.]> convention
-    delta = -float(np.imag(i_delta[0, 1]))
+def _two_obs_scalars(d_sigma: float, d_class: float, d_plus: float, d_minus: float, delta: float,
+                     Lp: list, Lm: list, vac: float, tol_ineq: float) -> tuple:
+    """One instance's (delta, A, B, U1, U2, scale, margins...) from its determinants,
+    its delta and its 2x2 blocks L+ and L- (flattened), in Python floats."""
+    A = d_sigma - d_class
+    B = d_plus * d_minus
+    d2 = delta * delta
+    scale = max(1.0, A * A, abs(B), d2)
 
-    Lp = sigma + c
-    Lm = sigma - c
-    d_m = ctx.dets["sigma_minus_c"]
-    A = ctx.dets["sigma"] - ctx.dets["classical"]
-    B = ctx.dets["sigma_plus_c"] * d_m
-    scale = max(1.0, abs(A) ** 2, abs(B), delta**2)
-
-    L1p, L2p = float(Lp[0, 0]), float(Lp[1, 1])
-    L1m, L2m = float(Lm[0, 0]), float(Lm[1, 1])
-    L12p, L12m = float(Lp[0, 1]), float(Lm[0, 1])
-
+    L1p, L12p, _, L2p = Lp
+    L1m, L12m, _, L2m = Lm
     U1 = _guarded_sqrt(L1p * L1m, scale, tol_ineq, "L1+ L1-")
     U2 = _guarded_sqrt(L2p * L2m, scale, tol_ineq, "L2+ L2-")
+    U12 = U1 * U2
+    disc = _clipped_sqrt(A * A - B, scale, tol_ineq, "A^2 - B")
 
-    disc = _clipped_sqrt(A**2 - B, scale, tol_ineq, "A^2 - B")
-    m9a = A - disc - delta**2
-
-    vac = TOL_PSD * mat_scale(sigma)
-    m9b = []
-    for La_p, La_m in ((L1p, L1m), (L2p, L2m)):
-        if La_m <= vac:
-            m9b.append(VACUOUS)
-        else:
-            m9b.append((La_p / La_m) * d_m - delta**2)
-
-    m10 = U1 * U2 - _guarded_sqrt(B, scale, tol_ineq, "B") - abs(L12p * L12m)
-
+    # a vanishing L_a- makes the relations through it VACUOUS
+    m9b = [VACUOUS if La_m <= vac else (La_p / La_m) * d_minus - d2
+           for La_p, La_m in ((L1p, L1m), (L2p, L2m))]
+    m10 = U12 - _guarded_sqrt(B, scale, tol_ineq, "B") - abs(L12p * L12m)
     if L1m <= vac or L2m <= vac:
         m_fur = VACUOUS
     else:
-        m_fur = U1 * U2 - delta**2 - math.sqrt((L1p * L2p) / (L1m * L2m)) * L12m**2
+        ratio = (L1p * L2p) / (L1m * L2m)
+        m_fur = U12 - d2 - (math.sqrt(ratio) if ratio >= 0 else math.nan) * (L12m * L12m)
+    # impossibility branch guard: A >= delta^2, hence A + sqrt(A^2-B) >= delta^2
+    return (delta, A, B, U1, U2, scale,
+            A - disc - d2, m9b[0], m9b[1], m10, m_fur, A - d2, A + disc - d2)
 
-    margins = {
-        "eq9a": m9a,
-        "eq9b_1": m9b[0],
-        "eq9b_2": m9b[1],
-        "eq10": m10,
-        "furuichi": m_fur,
-        # impossibility branch guard: A >= delta^2, hence A + sqrt(A^2-B) >= delta^2
-        "impossibility": A - delta**2,
-        "second_root": A + disc - delta**2,
-    }
-    scales = {k: scale for k in margins}
+
+TWO_OBS_MARGINS = ("eq9a", "eq9b_1", "eq9b_2", "eq10", "furuichi", "impossibility", "second_root")
+
+
+def _two_obs_rows(ctx: SpectralContext, tol_ineq: float) -> list[tuple]:
+    """``_two_obs_scalars`` of each instance.  The matrices and determinants come
+    batched from the context; the few scalars per instance are evaluated in Python
+    floats, which at B = 1 cost a fraction of the same arithmetic on (1,)-arrays."""
+    dets = ctx.dets
+    Lp, Lm = ctx.blocks
+    # <[X1,X2]>/(2i) = -delta[0,1] = Im P[0,1] in the (i/2)<[.,.]> convention
+    delta = ctx.P.imag[:, 0, 1]
+    vac = TOL_PSD * mat_scale(ctx.sigma)
+    per_instance = zip(dets["sigma"].tolist(), dets["classical"].tolist(), dets["sigma_plus_c"].tolist(),
+                       dets["sigma_minus_c"].tolist(), delta.tolist(), Lp.reshape(-1, 4).tolist(),
+                       Lm.reshape(-1, 4).tolist(), vac.tolist())
+    return [_two_obs_scalars(*args, tol_ineq) for args in per_instance]
+
+
+def _pack_two_obs(Lp, Lm, values) -> TwoObsReport:
+    delta, A, B, U1, U2, scale, *margins = values
     return TwoObsReport(
         delta_scalar=delta, Lp=Lp, Lm=Lm, A=A, B=B, U1=U1, U2=U2,
-        margins=margins, scales=scales,
+        margins=dict(zip(TWO_OBS_MARGINS, margins)), scales=dict.fromkeys(TWO_OBS_MARGINS, scale),
     )
+
+
+def _two_obs_report(ctx: SpectralContext, tol_ineq: float) -> TwoObsReport:
+    columns = zip(*_two_obs_rows(ctx, tol_ineq))
+    return _pack_two_obs(*ctx.blocks, [np.array(col) for col in columns])
 
 
 def two_obs_relations(rho: DensityMatrix, X1: np.ndarray, X2: np.ndarray,
                       tol_ineq: float = TOL_INEQ) -> TwoObsReport:
     """Margins of the scalar relations equivalent to L >= 0 for two observables."""
-    return _two_obs_report(SpectralContext(rho, ObservableSet.from_matrices([X1, X2])), tol_ineq)
+    ctx = SpectralContext(rho, ObservableSet.from_matrices([X1, X2]))
+    (row,) = _two_obs_rows(ctx, tol_ineq)
+    Lp, Lm = ctx.blocks
+    return _pack_two_obs(Lp[0], Lm[0], row)     # the one row as it is, not through batch arrays

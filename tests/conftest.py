@@ -25,14 +25,6 @@ def q1_obs():
     return ObservableSet.from_matrices([SX, SY])
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    """Ginibre-induced random state of the requested rank."""
-    rank = dim if rank is None else rank
-    G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    M = G @ G.conj().T
-    return DensityMatrix.from_matrix(M / np.trace(M).real)
-
-
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (G + G.conj().T) / 2

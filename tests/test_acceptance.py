@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from skewsharp.fuzz import FuzzConfig, run_fuzz
+from skewsharp.fuzz import FuzzConfig, random_density, run_fuzz
 from skewsharp.gaussian import (
     exact_moments,
     fock_truncate_thermal,
@@ -45,7 +45,7 @@ from skewsharp.skew import (
     wy_skew_matrix,
 )
 
-from conftest import SX, SY, random_density, random_observables
+from conftest import SX, SY, random_observables
 
 Q = 0.25
 BETA = math.log(1 / Q)
@@ -169,7 +169,7 @@ def test_criterion_6_pure_states():
         rng = np.random.default_rng([606, trial])
         dim = int(rng.integers(2, 7))
         n = int(rng.integers(1, 5))
-        rho = random_density(rng, dim, rank=1)
+        rho = random_density(dim, 1, rng)
         X = random_observables(rng, dim, n)
         rep = check_refined_rs(rho, X)
         worst_c = max(worst_c, float(np.abs(rep.classical).max()))
@@ -186,8 +186,8 @@ def test_criterion_7_concavity():
         dim = int(rng.integers(2, 7))
         n = int(rng.integers(1, min(5, dim * dim)))
         t = float(rng.choice([0.25, 0.5, 0.75]))
-        r1 = random_density(rng, dim)
-        r2 = random_density(rng, dim)
+        r1 = random_density(dim, "full", rng)
+        r2 = random_density(dim, "full", rng)
         X = random_observables(rng, dim, n)
         mix = DensityMatrix.from_matrix(t * r1.matrix + (1 - t) * r2.matrix)
 
@@ -224,7 +224,7 @@ def test_criterion_9_reduction_identities():
         rng = np.random.default_rng([909, trial])
         dim = int(rng.integers(2, 7))
         n = int(rng.integers(1, 5))
-        rho = random_density(rng, dim)
+        rho = random_density(dim, "full", rng)
         X = random_observables(rng, dim, n)
         dev_cov = np.abs(g_covariance(rho, X, mean_kernel()) - covariance_matrix(rho, X)).max()
         dev_del = np.abs(g_covariance(rho, X, eps_kernel())
@@ -236,7 +236,7 @@ def test_criterion_9_reduction_identities():
         rng = np.random.default_rng([910, trial])
         dim = int(rng.integers(2, 7))
         n = int(rng.integers(1, 5))
-        rho = random_density(rng, dim)
+        rho = random_density(dim, "full", rng)
         X = random_observables(rng, dim, n)
         rep = check_refined_rs(rho, X)
         mar = check_metric_adjusted(rho, X, wyd_function(0.5))

@@ -97,18 +97,18 @@ def test_pure_rank_one_draws_saturate_chain():
 
 
 def test_reproducer_written_on_forced_violation(tmp_path, monkeypatch):
-    # force a fake violation by replacing one margin inside trial_margins:
+    # force a fake violation by replacing one margin inside the group evaluator:
     # a negative margin, and the non-finite ones that must never pass
     import skewsharp.fuzz as fz
 
-    real = fz.trial_margins
+    real = fz.group_margins
     for bad in (-1.0, math.nan, -math.inf):
-        def broken(rho, X, groups, fs):
-            rows = real(rho, X, groups, fs)
-            return [(rid, fl, bad, sc) if rid == "rs" else (rid, fl, m, sc)
+        def broken(ctx, groups, fs):
+            rows = real(ctx, groups, fs)
+            return [(rid, fl, np.full_like(m, bad), sc) if rid == "rs" else (rid, fl, m, sc)
                     for rid, fl, m, sc in rows]
 
-        monkeypatch.setattr(fz, "trial_margins", broken)
+        monkeypatch.setattr(fz, "group_margins", broken)
         out = tmp_path / repr(bad)
         out.mkdir()
         cfg = FuzzConfig(dims=(2,), n_obs=(2,), trials=3, seed=1,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewsharp.fuzz import random_density
 from skewsharp.gcov import (
     BivariateKernel,
     KernelContractViolation,
@@ -41,7 +42,7 @@ from skewsharp.skew import (
     wy_skew_matrix,
 )
 
-from conftest import SX, random_density, random_observables
+from conftest import SX, random_observables
 
 
 # ---------------------------------------------------------------- superop
@@ -92,7 +93,7 @@ def test_gcov_reduces_to_wy_skew(q1_state, q1_obs):
 @given(dim=st.integers(2, 6), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_reductions_random(dim, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     assert np.abs(g_covariance(rho, X, mean_kernel()) - covariance_matrix(rho, X)).max() <= 1e-10
     assert np.abs(g_covariance(rho, X, eps_kernel())
@@ -105,7 +106,7 @@ def test_reductions_random(dim, n, seed):
 @given(dim=st.integers(2, 5), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_gcov_linear_and_psd(dim, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     g1, g2 = mean_kernel(), BivariateKernel("xy", lambda x, y: x * y, nonnegative=True, symmetric=True)
     s1 = g_covariance(rho, X, g1)
@@ -208,7 +209,7 @@ def test_f_skew_commuting_observable_vanishes():
        label=st.sampled_from(("wy", "sld", "wyd:0.3")))
 def test_f_skew_equals_gcov_of_mstar(dim, n, seed, label):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim, rank=max(1, dim - 1))
+    rho = random_density(dim, max(1, dim - 1), rng)
     X = random_observables(rng, dim, n)
     f = resolve_monotone(label)
     direct = f_skew_matrix(rho, X, f)
@@ -282,7 +283,7 @@ def test_build_Lg_wy_pair_saturates(q1_state, q1_obs):
 @given(dim=st.integers(2, 5), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_build_Lg_psd_random(dim, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     L = build_Lg(rho, X, mean_kernel(), eps_kernel())
     assert np.linalg.eigvalsh(L)[0] >= -1e-9 * max(1.0, np.abs(L).max())
@@ -312,7 +313,7 @@ def test_g_triple_zero_kernel(q1_state, q1_obs):
 @given(dim=st.integers(2, 5), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_g_triple_modified_commutator(dim, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     # a = sqrt(x), b = x: g+ g- = (x+y)(sqrt x + sqrt y)^2 (sqrt x - sqrt y)^2 >= 8 xy >= g0^2 at mu=2
     gp, gm, g0 = product_kernels(np.sqrt, lambda x: x, mu=2.0)
@@ -347,7 +348,7 @@ def test_metric_adjusted_wy_reduces_to_refined(q1_state, q1_obs):
        label=st.sampled_from(("wy", "sld", "wyd:0.3")))
 def test_metric_adjusted_margins_hold(dim, n, seed, label):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     rep = check_metric_adjusted(rho, X, resolve_monotone(label))
     assert rep.margin18 >= -1e-8 * rep.scale18
@@ -360,7 +361,7 @@ def test_metric_adjusted_margins_hold(dim, n, seed, label):
 def test_observation1_monotonicity(dim, n, seed, label):
     # 2 sigma - I^f - 2 lambda_f cov(m_f) is PSD: kernel dominance made matrix-level
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     f = resolve_monotone(label)
     lam = cached_lambda(f)
@@ -385,7 +386,7 @@ def test_wy_strongest_rejects_wyd03(q1_state, q1_obs):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_wy_strongest_random(seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, 4)
+    rho = random_density(4, "full", rng)
     X = random_observables(rng, 4, 2)
     assert wy_strongest_check(rho, X, sld_function()) >= -1e-8
 

@@ -71,6 +71,26 @@ def _payload():
 
 
 @pytest.mark.parametrize("indent", [0, 2, 4])
+def test_dumps_float_rows_match_recursive_rendering(indent):
+    # rows of equal-length float lists take the one-format-per-row path; anything
+    # else (ints, numpy floats, ragged or empty rows, deeper nesting) must not
+    rows = {
+        "pairs": [[x, y] for x, y in zip(SPECIAL, SPECIAL[3:] + SPECIAL[:3])],
+        "width1": [[x] for x in SPECIAL],
+        "width3": [SPECIAL[:3], SPECIAL[3:6], SPECIAL[6:9]],
+        "with_int": [[1.0, 2.0], [3, 4.0]],
+        "with_numpy": [[1.0, np.float64(2.0)], [3.0, 4.0]],
+        "with_bool": [[1.0, True], [3.0, 4.0]],
+        "ragged": [[1.0, 2.0], [3.0]],
+        "empty_rows": [[], []],
+        "deeper": [[[1.0, 2.0]], [[3.0, 4.0]]],
+        "matrix_of_pairs": [[[math.nan, -0.0], [5e-324, math.inf]], [[-math.inf, 1.0], [0.1, -1.5]]],
+    }
+    for node in (rows, *rows.values()):
+        assert dumps(node, indent) == recursive_dumps(node, indent)
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4])
 def test_dumps_matches_recursive_rendering(indent):
     obj = _payload()
     assert dumps(obj, indent) == recursive_dumps(obj, indent)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+from skewsharp.fuzz import random_density
 from skewsharp.linalg import DensityMatrix, DimensionMismatch
 from skewsharp.skew import (
     ConstructionMismatch,
@@ -22,7 +23,7 @@ from skewsharp.skew import (
     wy_skew_matrix,
 )
 
-from conftest import SX, SY, SZ, random_density, random_observables, random_unitary
+from conftest import SX, SY, SZ, random_observables, random_unitary
 
 
 # ---------------------------------------------------------------- oracles
@@ -211,7 +212,7 @@ seeds = st.integers(0, 2**32 - 1)
 @given(dim=dims, n=counts, seed=seeds, full_rank=st.booleans())
 def test_decomposition_and_psd(dim, n, seed, full_rank):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim, dim if full_rank else max(1, dim // 2))
+    rho = random_density(dim, dim if full_rank else max(1, dim // 2), rng)
     X = random_observables(rng, dim, n)
     rep = check_refined_rs(rho, X)
     scale = max(1.0, np.abs(rep.sigma).max())
@@ -230,7 +231,7 @@ def test_margin_chain(dim, n, seed):
     # determinant exactly 0 and the fractional-power margins pure noise
     assume(n <= dim * dim - 1)
     rng = np.random.default_rng(seed)
-    rep = check_refined_rs(random_density(rng, dim), random_observables(rng, dim, n))
+    rep = check_refined_rs(random_density(dim, "full", rng), random_observables(rng, dim, n))
     for key in ("rs", "eq3", "eq4a", "eq4b", "eq8-schur"):
         assert rep.margins[key] >= -1e-8 * rep.scales[key], key
     assert rep.schur_range_residual <= 1e-7
@@ -240,7 +241,7 @@ def test_margin_chain(dim, n, seed):
 @given(dim=dims, n=counts, seed=seeds)
 def test_pure_states_have_no_classical_part(dim, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim, rank=1)
+    rho = random_density(dim, 1, rng)
     X = random_observables(rng, dim, n)
     rep = check_refined_rs(rho, X)
     assert np.abs(rep.classical).max() <= 1e-8
@@ -253,8 +254,8 @@ def test_pure_states_have_no_classical_part(dim, n, seed):
 def test_classical_root_concavity(dim, n, seed, t):
     assume(n <= dim * dim - 1)
     rng = np.random.default_rng(seed)
-    r1 = random_density(rng, dim)
-    r2 = random_density(rng, dim)
+    r1 = random_density(dim, "full", rng)
+    r2 = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     mix = DensityMatrix.from_matrix(t * r1.matrix + (1 - t) * r2.matrix)
 
@@ -269,7 +270,7 @@ def test_classical_root_concavity(dim, n, seed, t):
 @given(dim=dims, seed=seeds)
 def test_two_obs_stronger_than_refined(dim, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, 2)
     rep2 = two_obs_relations(rho, X.observables[0], X.observables[1])
     rep = check_refined_rs(rho, X)
@@ -286,7 +287,7 @@ def test_two_obs_stronger_than_refined(dim, seed):
 @given(dim=dims, n=counts, seed=seeds)
 def test_basis_invariance(dim, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, dim)
+    rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     U = random_unitary(rng, dim)
     rho_u = DensityMatrix.from_matrix(U @ rho.matrix @ U.conj().T)
@@ -307,7 +308,7 @@ def test_basis_invariance(dim, n, seed):
 
 def _instance(seed=3, dim=4, n=3):
     rng = np.random.default_rng(seed)
-    return rng, random_density(rng, dim), random_observables(rng, dim, n)
+    return rng, random_density(dim, "full", rng), random_observables(rng, dim, n)
 
 
 def test_corrupted_skew_fails_gram_check():
