@@ -19,6 +19,17 @@ Quadrature observables are ordered X = (x_1..x_n, p_1..p_n) with
 x = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2); in that basis the
 commutator convention of :mod:`skewsharp.skew` gives the constant real
 antisymmetric matrix [[0, -I/2], [I/2, 0]].
+
+The truncated Fock space (cutoff levels per mode, Kronecker order) carries two
+exact structures that the d = cutoff^n numerics use.  A quadratic generator
+changes the total photon number by 0 or +-2, so the truncated H has exactly
+zero entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal``
+checks that, diagonalizes each parity block on its own and builds the state
+with ``DensityMatrix.from_blocks``, which records the blocks.  The quadratures
+are linear in the ladder operators: ``quadrature_observables`` records their
+ladder origin (n_modes, cutoff) on the ``ObservableSet``, and
+``skew.SpectralContext`` then forms the eigenbasis stack from V^dag a_k V per
+mode, using only its off-diagonal parity blocks when the state carries them.
 """
 
 from __future__ import annotations
@@ -37,7 +48,14 @@ from .linalg import (
     SkewsharpError,
     mat_scale,
 )
-from .skew import ObservableSet, UncertaintyReport, check_refined_rs
+from .skew import (
+    ConstructionMismatch,
+    ObservableSet,
+    UncertaintyReport,
+    check_refined_rs,
+    destroy,
+    fock_parity,
+)
 
 MOMENT_TOL = 1e-8
 SINGULAR_TOL = 1e-10  # absolute: M - I singular means an eigenvalue of M sits at 1
@@ -319,25 +337,6 @@ def moment_det_gap(m: GaussianMoments) -> float:
 
 # ------------------------------------------------------------- Fock space
 
-def destroy(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
-
-
-def _ladder_list(n_modes: int, cutoff: int) -> list[np.ndarray]:
-    """Truncated Lambda = (a1^dag..an^dag, a1..an) as matrices on the product space."""
-    a = destroy(cutoff)
-    eye = np.eye(cutoff, dtype=complex)
-    ops = []
-    for k in range(n_modes):
-        factors = [eye] * n_modes
-        factors[k] = a
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
-        ops.append(full)
-    return [op.conj().T for op in ops] + ops
-
-
 def thermal_tail_mass(H: QuadraticHamiltonian, cutoff: int) -> float:
     """Per-normal-mode geometric tail sum_k q_k^cutoff / (1 - q_k), q_k = e^(-beta w_k)."""
     eigs = np.linalg.eigvals(H.N)
@@ -383,27 +382,52 @@ def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
 
 
 def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTruncation:
-    """Normalized exp(-beta H) on the truncated Fock space, with the reported tail mass."""
+    """Normalized exp(-beta H) on the truncated Fock space, with the reported tail mass.
+
+    A quadratic H changes the total photon number by 0 or +-2, so its truncation
+    is block-diagonal by photon-number parity: that is checked entry by entry
+    (ConstructionMismatch otherwise), and each parity block gets its own eigh.
+    """
     if H.n_modes not in (1, 2):
         raise UnsupportedModeCount(f"Fock truncation supports 1 or 2 modes, got {H.n_modes}")
     if cutoff < 8:
         raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
-    w, V = np.linalg.eigh(_fock_hamiltonian(H, cutoff))
-    weights = np.exp(-H.beta * (w - w.min()))
+    Hmat = _fock_hamiltonian(H, cutoff)
+    parity = fock_parity(H.n_modes, cutoff)
+    rows = [np.flatnonzero(parity == p) for p in (0, 1)]
+    cross = sum(np.count_nonzero(Hmat[np.ix_(r, s)]) for r, s in (rows, rows[::-1]))
+    if cross:
+        raise ConstructionMismatch(f"truncated H couples even and odd photon numbers at {cross} entries")
+    blocks = [Hmat[np.ix_(r, r)] for r in rows]
+    del Hmat                                  # the two blocks hold every nonzero entry
+    eig = [np.linalg.eigh(Hb) for Hb in blocks]
+    w_min = min(w[0] for w, _ in eig)
+    weights = [np.exp(-H.beta * (w - w_min)) for w, _ in eig]
+    total = sum(w.sum() for w in weights)
     return ThermalTruncation(
-        rho=DensityMatrix.from_eigensystem(V, weights / weights.sum()),
+        rho=DensityMatrix.from_blocks([(r, V, w / total) for r, (_, V), w in zip(rows, eig, weights)]),
         tail_mass=thermal_tail_mass(H, cutoff),
     )
 
 
 def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
-    """Truncated (x_1..x_n, p_1..p_n); the commutator defect sits at the top Fock level."""
+    """Truncated (x_1..x_n, p_1..p_n); the commutator defect sits at the top Fock level.
+
+    x = (a^dag + a)/sqrt(2) and p = i(a^dag - a)/sqrt(2) of the real truncated a
+    are exactly Hermitian, so the set is not re-validated; it records its ladder
+    origin (n_modes, cutoff), from which ``SpectralContext`` builds its stack.
+    """
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
-    ladder = _ladder_list(n_modes, cutoff)
-    xs = [(ladder[k] + ladder[n_modes + k]) / math.sqrt(2) for k in range(n_modes)]
-    ps = [1j * (ladder[k] - ladder[n_modes + k]) / math.sqrt(2) for k in range(n_modes)]
-    return ObservableSet.from_matrices(xs + ps)
+    a = destroy(cutoff)
+    eye = np.eye(cutoff, dtype=complex)
+    mats = []
+    for q in ((a.conj().T + a) / math.sqrt(2), 1j * (a.conj().T - a) / math.sqrt(2)):
+        for k in range(n_modes):
+            factors = [eye] * n_modes
+            factors[k] = q
+            mats.append(functools.reduce(np.kron, factors))
+    return ObservableSet._from_ladder(mats, n_modes, cutoff)
 
 
 @dataclass(eq=False)

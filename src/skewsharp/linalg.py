@@ -171,6 +171,8 @@ class DensityMatrix:
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)   # clipped, descending
     eigenvectors: np.ndarray = field(repr=False)
+    # (rows, eigenvector columns) of each invariant block; set by ``from_blocks`` only
+    blocks: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -185,28 +187,58 @@ class DensityMatrix:
     @classmethod
     def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray, tol_trace: float = TOL_TRACE,
                          tol_psd: float = TOL_PSD) -> "DensityMatrix":
-        """State V diag(weights) V^dag from a known eigensystem, with no second eigh.
-
-        V must have orthonormal columns (max|V^dag V - I| within TOL_EIG) and the
-        weights must sum to 1; they get the same PSD clip and zeroing as ``from_matrix``.
-        """
+        """State V diag(weights) V^dag from a known eigensystem, with no second eigh: one block."""
         V = require_square(V, "eigenvector matrix")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != V.shape[:1]:
-            raise DimensionMismatch(f"{w.shape} weights for {V.shape[0]} eigenvectors")
-        if not np.all(np.isfinite(w)):
-            raise InvalidState("state weights have non-finite entries")
-        dev = float(np.abs(V.conj().T @ V - np.eye(V.shape[0])).max())
-        if dev > TOL_EIG:
-            raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
+        return cls.from_blocks([(np.arange(V.shape[0]), V, weights)], tol_trace, tol_psd)
+
+    @classmethod
+    def from_blocks(cls, blocks, tol_trace: float = TOL_TRACE, tol_psd: float = TOL_PSD) -> "DensityMatrix":
+        """Block-diagonal state from the eigensystem of each block, with no eigh.
+
+        ``blocks`` holds (rows, V_b, weights_b): the basis indices ``rows`` of the
+        block, its eigenvectors V_b (orthonormal columns, max|V_b^dag V_b - I|
+        within TOL_EIG) and their weights.  The rows partition the basis, all
+        weights together sum to 1 and get the same PSD clip and zeroing as
+        ``from_matrix``.  Each block of rho is V_b diag(weights_b) V_b^dag; the
+        eigenvectors are the V_b embedded in the full basis, in descending weight
+        order, and ``blocks`` records each block's (rows, eigenvector columns).
+        """
+        rows, vecs, ws = [], [], []
+        for r, V, w in blocks:
+            r, V, w = np.asarray(r), require_square(V, "eigenvector matrix"), np.asarray(w, dtype=float)
+            if w.shape != V.shape[:1] or w.shape != r.shape:
+                raise DimensionMismatch(f"{w.shape} weights for {V.shape[0]} eigenvectors on {r.size} rows")
+            if not np.all(np.isfinite(w)):
+                raise InvalidState("state weights have non-finite entries")
+            dev = float(np.abs(V.conj().T @ V - np.eye(V.shape[0])).max())
+            if dev > TOL_EIG:
+                raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
+            rows.append(r)
+            vecs.append(V)
+            ws.append(w)
+        d = sum(r.size for r in rows)
+        if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(d)):
+            raise DimensionMismatch("block rows must partition the basis indices")
+        w = np.concatenate(ws)
         tr = float(w.sum())
         if abs(tr - 1.0) > tol_trace:
             raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {tol_trace:.1e}")
         order = np.argsort(-w, kind="stable")
-        w, V = w[order], V[:, order]
-        rho = (V * w) @ V.conj().T
-        rho = (rho + rho.conj().T) / 2
-        return cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w, tol_psd), eigenvectors=V)
+        column = np.empty(d, dtype=int)
+        column[order] = np.arange(d)                 # eigenvector i sits in column column[i]
+        rho = np.zeros((d, d), dtype=complex)
+        eigenvectors = np.zeros((d, d), dtype=complex)
+        record, start = [], 0
+        for r, V, wb in zip(rows, vecs, ws):
+            cols = column[start:start + r.size]
+            start += r.size
+            R = (V * wb) @ V.conj().T
+            rho[np.ix_(r, r)] = (R + R.conj().T) / 2
+            eigenvectors[np.ix_(r, cols)] = V
+            record.append((r, cols))
+        state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order], tol_psd), eigenvectors=eigenvectors)
+        state.blocks = tuple(record)
+        return state
 
     def expectation(self, X: np.ndarray) -> float:
         return float(np.trace(self.matrix @ X).real)

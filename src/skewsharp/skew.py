@@ -20,6 +20,17 @@ observables) along a leading batch axis; every matrix, determinant and margin
 is an array over that axis, and every tolerance scale is taken per instance.
 The public (rho, X) functions are its B = 1 case, unwrapped by ``instance``.
 
+The eigenbasis stack A_k = V^dag X'_k V is built on one of two routes, chosen
+from the inputs.  Every observable set takes the dense products of V^dag, the
+stacked X_k and V, except the truncated quadratures of
+``gaussian.quadrature_observables``, which carry their ladder origin
+(n_modes, cutoff): their stack comes from M_k = V^dag (a_k V) per mode, with
+a_k applied on one tensor axis of V, as x_k = (M_k^dag + M_k)/sqrt(2) and
+p_k = i(M_k^dag - M_k)/sqrt(2).  When the state also carries the photon-number
+parity blocks of ``gaussian.fock_truncate_thermal``, a_k maps each block into
+the other, and M_k takes two half-size products.  Both routes are centered
+alike and pass the same two self-checks.
+
 Two self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
 those operators are elementwise, (s_a +/- s_b) A_k[a, b] / sqrt(2) with
@@ -27,14 +38,16 @@ s = sqrt(lam): each block is one product of A with a weighted copy of A, apart
 from the pairing that builds sigma, c and delta.  The stack check ties A to the
 input basis in O(n^2 d^2): the means Tr(rho X_k) from the state matrix against
 the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
-of the input observables against the same pairing of A.
+of the input observables against the same pairing of A.  It reads the dense
+X_k on either route, so a ladder-built stack is checked against the plain
+definition of the quadratures.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce, wraps
 
 import numpy as np
@@ -60,11 +73,18 @@ class ConstructionMismatch(SkewsharpError):
     """A self-check of the matrix construction failed: implementation bug."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ObservableSet:
-    """Ordered list of Hermitian observables with a common dimension."""
+    """Ordered list of Hermitian observables with a common dimension.
+
+    ``ladder`` is the origin (n_modes, cutoff) of the truncated quadratures
+    built by ``gaussian.quadrature_observables`` and None for any other set;
+    that constructor alone sets it, and ``SpectralContext`` then builds their
+    eigenbasis stack from the ladder operators.
+    """
 
     observables: tuple[np.ndarray, ...]
+    ladder: tuple[int, int] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_matrices(cls, mats) -> "ObservableSet":
@@ -76,6 +96,14 @@ class ObservableSet:
             if m.shape[0] != d:
                 raise DimensionMismatch(f"observable {k} has dim {m.shape[0]}, expected {d}")
         return cls(observables=mats)
+
+    @classmethod
+    def _from_ladder(cls, mats, n_modes: int, cutoff: int) -> "ObservableSet":
+        """(x_1..x_n, p_1..p_n) built exactly Hermitian from the truncated ladder
+        operators of n_modes modes; recorded with that origin, not re-validated."""
+        X = cls(observables=tuple(mats))
+        object.__setattr__(X, "ladder", (n_modes, cutoff))
+        return X
 
     @property
     def n(self) -> int:
@@ -151,25 +179,84 @@ def _eigenbasis_gram(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return G
 
 
+def destroy(cutoff: int) -> np.ndarray:
+    """Truncated annihilator a on one mode: <n-1|a|n> = sqrt(n) for n < cutoff."""
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+
+
+def fock_parity(n_modes: int, cutoff: int) -> np.ndarray:
+    """Photon-number parity (n_1 + ... + n_n) mod 2 of each truncated Fock basis state, in Kronecker order."""
+    return np.ravel(reduce(np.add.outer, [np.arange(cutoff)] * n_modes)) % 2
+
+
+def _parity_blocks(blocks, ladder):
+    """The state's blocks when they are the two photon-number parity classes of the
+    ladder's Fock basis (so each eigenvector has one parity), else None."""
+    if ladder is None or blocks is None or len(blocks) != 2:
+        return None
+    parity = fock_parity(*ladder)
+    kinds = sorted(tuple(np.unique(parity[rows])) for rows, _ in blocks)
+    return blocks if kinds == [(0,), (1,)] else None
+
+
+def _ladder_matrix(V: np.ndarray, mode: int, cutoff: int, parity) -> np.ndarray:
+    """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors.
+
+    a is applied as a cutoff x cutoff product on that mode's tensor axis of V.
+    With ``parity`` blocks a maps each block into the other, so M has only its
+    two off-diagonal blocks V_out^dag (a V_in), each a half-size product.
+    """
+    d = V.shape[0]
+    aV = (destroy(cutoff) @ V.reshape(cutoff**mode, cutoff, -1)).reshape(d, d)
+    if parity is None:
+        return np.conj(V.T) @ aV
+    M = np.zeros((d, d), dtype=complex)
+    for (rows_in, cols_in), (rows_out, cols_out) in (parity, parity[::-1]):
+        V_out = V[np.ix_(rows_out, cols_out)]
+        M[np.ix_(cols_out, cols_in)] = np.conj(V_out.T) @ aV[np.ix_(rows_out, cols_in)]
+    return M
+
+
+def _ladder_stack(V: np.ndarray, n_modes: int, cutoff: int, parity) -> np.ndarray:
+    """Uncentered stack (2n, d, d) of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
+    in the eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time."""
+    d = V.shape[0]
+    A = np.empty((2 * n_modes, d, d), dtype=complex)
+    for k in range(n_modes):
+        M = _ladder_matrix(V, k, cutoff, parity)
+        x, p = A[k], A[n_modes + k]
+        np.conjugate(M.T, out=x)
+        np.subtract(x, M, out=p)
+        x += M
+        x /= math.sqrt(2)
+        p *= 1j / math.sqrt(2)
+        del M                                   # before the next M_k is built (13 MB each at d = 900)
+    return A
+
+
 def _check_stack(ctx: "SpectralContext") -> None:
     """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
     B, n, d = ctx.size, ctx.n, ctx.dim
     # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views
-    rows = np.empty((B, n + 2, d, d), dtype=complex)
+    rows = np.empty((B, n + 1, d, d), dtype=complex)
     for k, X in enumerate(ctx.observables):
         rows[:, k] = X
-    rows[:, n], rows[:, n + 1] = np.eye(d), ctx.matrix
-    rows = rows.reshape(B, n + 2, -1).view(float)
-    G = rows @ rows.swapaxes(1, 2)
+    rows[:, n] = ctx.matrix
+    flat = rows.reshape(B, n + 1, -1).view(float)
+    G = flat @ flat.swapaxes(1, 2)
     scale = mat_scale(G[:, :n, :n])             # max_k Tr(X_k^2) >= |Tr(rho X_k)|^2
-    means = G[:, :n, n + 1]                     # Tr(rho X_k)
+    means = G[:, :n, n].copy()                  # Tr(rho X_k)
+    # the identity's pairings Tr(X_k 1) = Tr(X_k) and Tr(1 1) = d replace the rho column;
+    # a stored identity row would cost one more d x d copy at the peak of a d = 900 check
+    G[:, :n, n] = G[:, n, :n] = np.einsum("zkaa->zk", rows[:, :n]).real
+    G[:, n, n] = d
     dev = np.abs(means - ctx.means).max(axis=-1)
     raise_first(dev > CONSTRUCTION_TOL * np.sqrt(scale), lambda e: ConstructionMismatch(
         f"eigenbasis means differ from Tr(rho X_k) by {e:.3e}"), dev)
     C = np.zeros((B, n, n + 1))                 # X'_k = X_k - m_k 1
     C[:, :, :n], C[:, :, n] = np.eye(n), -means
     flat_A = ctx.A.reshape(B, n, -1).view(float)
-    dev = np.abs(C @ G[:, :n + 1, :n + 1] @ C.swapaxes(1, 2) - flat_A @ flat_A.swapaxes(1, 2)).max(axis=(1, 2))
+    dev = np.abs(C @ G @ C.swapaxes(1, 2) - flat_A @ flat_A.swapaxes(1, 2)).max(axis=(1, 2))
     raise_first(dev > CONSTRUCTION_TOL * scale, lambda e: ConstructionMismatch(
         f"eigenbasis stack changes Tr(X'_k X'_j) by {e:.3e}"), dev)
 
@@ -188,7 +275,7 @@ class SpectralContext:
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
         self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None],
-                    [M[None] for M in X.observables])
+                    [M[None] for M in X.observables], X.ladder, _parity_blocks(rho.blocks, X.ladder))
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -199,8 +286,9 @@ class SpectralContext:
         ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, matrix, lam, V, observables) -> None:
+    def _setup(self, matrix, lam, V, observables, ladder=None, parity=None) -> None:
         self.matrix, self.lam, self.V = matrix, lam, V
+        self.ladder, self.parity = ladder, parity     # the quadratures' origin, the state's parity blocks
         self.observables = observables      # n arrays (B, d, d)
         self.size, self.dim = lam.shape
         self.n = len(observables)
@@ -209,8 +297,11 @@ class SpectralContext:
 
     @cached
     def _stack(self) -> tuple[np.ndarray, np.ndarray]:
-        V = self.V[:, None]
-        A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
+        if self.ladder is None:
+            V = self.V[:, None]
+            A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
+        else:
+            A = _ladder_stack(self.V[0], *self.ladder, self.parity)[None]
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
         means = np.einsum("zka,za->zk", diag, self.lam).real
         diag -= means[:, :, None]

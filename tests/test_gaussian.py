@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,7 +30,9 @@ from skewsharp.gaussian import (
     two_mode_generator,
     validate_quadratic,
 )
-from skewsharp.skew import check_refined_rs
+from skewsharp import gaussian, skew
+from skewsharp.fuzz import random_density
+from skewsharp.skew import ConstructionMismatch, ObservableSet, SpectralContext, check_refined_rs
 from skewsharp.linalg import DensityMatrix
 
 Q = 0.25                      # e^(-beta omega) for the thermal fixture
@@ -348,3 +351,120 @@ def test_refined_check_extra_memory_at_d900():
     finally:
         tracemalloc.stop()
     assert peak < 4 * stack_bytes, f"extra peak {peak / 2**20:.0f} MiB"
+
+
+def test_saturation_check_extra_memory_at_d900():
+    # bound: the 204 MiB this call read with one eigh of the whole H and the dense
+    # stack, whose peak sat in the stack self-check (A and the input observables at once)
+    H = two_mode_generator(1.0, 1.0)
+    tracemalloc.start()
+    try:
+        saturation_check(H, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 204 * 2**20, f"extra peak {peak / 2**20:.0f} MiB"
+
+
+# ------------------------------------------- parity blocks and ladder stack
+
+def _full_eigh_thermal(H, cutoff):
+    """The thermal state from one eigh of the whole truncated H."""
+    w, V = np.linalg.eigh(gaussian._fock_hamiltonian(H, cutoff))
+    weights = np.exp(-H.beta * (w - w.min()))
+    return DensityMatrix.from_eigensystem(V, weights / weights.sum())
+
+
+PARITY_CASES = [pytest.param(random_admissible_generator(n, np.random.default_rng(seed)), cutoff,
+                             id=f"random-{n}m-seed{seed}-cutoff{cutoff}")
+                for n in (1, 2) for seed in range(3) for cutoff in (8, 20, 30)]
+PARITY_CASES.append(pytest.param(two_mode_generator(1.0, 1.0), 30, id="cli-default"))
+
+
+@pytest.mark.parametrize("H, cutoff", PARITY_CASES)
+def test_parity_blocks_match_full_eigh(H, cutoff):
+    out = fock_truncate_thermal(H, cutoff)
+    assert len(out.rho.blocks) == 2
+    assert np.abs(out.rho.matrix - _full_eigh_thermal(H, cutoff).matrix).max() <= 1e-13
+    assert out.tail_mass == gaussian.thermal_tail_mass(H, cutoff)
+
+
+def test_parity_guard_rejects_cross_parity_entries(monkeypatch):
+    build = gaussian._fock_hamiltonian
+
+    def coupled(H, cutoff):
+        Hmat = build(H, cutoff)
+        Hmat[0, 1] = Hmat[1, 0] = 1e-300        # |0> and |1> differ in parity
+        return Hmat
+
+    monkeypatch.setattr(gaussian, "_fock_hamiltonian", coupled)
+    with pytest.raises(ConstructionMismatch, match="odd photon numbers at 2 entries"):
+        fock_truncate_thermal(thermal_fixture(), 10)
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 2), (1, 9), (1, 60), (2, 2), (2, 7), (2, 30)])
+def test_quadratures_exactly_hermitian_with_ladder_origin(n_modes, cutoff):
+    X = quadrature_observables(n_modes, cutoff)
+    assert X.ladder == (n_modes, cutoff) and X.n == 2 * n_modes
+    for M in X.observables:
+        assert np.array_equal(M, M.conj().T)
+    # full validation returns the same matrices bit for bit, and no ladder origin
+    checked = ObservableSet.from_matrices(X.observables)
+    assert checked.ladder is None
+    assert all(np.array_equal(a, b) for a, b in zip(X.observables, checked.observables))
+
+
+def test_ladder_origin_is_not_user_settable():
+    X = quadrature_observables(1, 4)
+    with pytest.raises(TypeError):
+        ObservableSet(observables=X.observables, ladder=(1, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        X.ladder = None
+
+
+def _dense_twin(X):
+    """The same observables without the ladder origin: the dense stack route."""
+    return ObservableSet.from_matrices(X.observables)
+
+
+STACK_CASES = ([pytest.param("ginibre", n, cutoff, seed, id=f"ginibre-{n}m-cutoff{cutoff}-seed{seed}")
+                for n, cutoff in ((1, 6), (1, 11), (2, 3), (2, 5)) for seed in range(2)]
+               + [pytest.param("thermal", n, cutoff, seed, id=f"thermal-{n}m-cutoff{cutoff}-seed{seed}")
+                  for n, cutoff in ((1, 12), (2, 8)) for seed in range(2)])
+
+
+def _stack_instance(kind, n, cutoff, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        rho = random_density(cutoff**n, "full" if seed % 2 else 1, rng)
+    else:
+        rho = fock_truncate_thermal(random_admissible_generator(n, rng, spectral_radius=2.0), cutoff).rho
+    return rho, quadrature_observables(n, cutoff)
+
+
+@pytest.mark.parametrize("kind, n, cutoff, seed", STACK_CASES)
+def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
+    rho, X = _stack_instance(kind, n, cutoff, seed)
+    fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
+    assert fast.ladder == (n, cutoff) and dense.ladder is None
+    assert (fast.parity is None) == (kind == "ginibre")     # nongauss states carry no parity blocks
+    scale = np.abs(dense.A).max()
+    assert np.abs(fast.A - dense.A).max() <= 1e-13 * scale
+    assert np.abs(fast.means - dense.means).max() <= 1e-13 * scale
+    assert abs(fast.refined.delta_G - dense.refined.delta_G) <= 1e-12 * max(1.0, abs(dense.refined.delta_G))
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "thermal"])
+def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
+    rho, X = _stack_instance(kind, 1, 9, 1)
+    build = skew._ladder_matrix
+
+    def corrupted(*args):
+        M = build(*args)
+        a, b = np.unravel_index(np.argmax(np.abs(M)), M.shape)
+        M[a, b] += 1e-6 * M[a, b] / abs(M[a, b])
+        return M
+
+    monkeypatch.setattr(skew, "_ladder_matrix", corrupted)
+    with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
+        check_refined_rs(rho, X)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewsharp.linalg import (
     DensityMatrix,
+    DimensionMismatch,
     InvalidState,
     NonHermitianInput,
     NotPSD,
@@ -176,3 +177,45 @@ def test_from_eigensystem_rejects_bad_input():
     bad[0, 0] = np.nan
     with pytest.raises(SkewsharpError, match="non-finite"):
         DensityMatrix.from_eigensystem(bad, w)
+
+
+def _block_eigensystems(seed, sizes=(3, 4)):
+    """Eigensystems of the blocks of a state on a shuffled partition of the basis."""
+    rng = np.random.default_rng(seed)
+    rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    weights = [rng.uniform(0.0, 1.0, size) for size in sizes]
+    total = sum(w.sum() for w in weights)
+    return [(r, random_unitary(rng, r.size), w / total) for r, w in zip(rows, weights)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_blocks_agrees_with_from_matrix(seed):
+    blocks = _block_eigensystems(seed)
+    dense = np.zeros((7, 7), dtype=complex)
+    for r, V, w in blocks:
+        dense[np.ix_(r, r)] = (V * w) @ V.conj().T
+    a, b = DensityMatrix.from_blocks(blocks), DensityMatrix.from_matrix(dense)
+    assert np.abs(a.matrix - b.matrix).max() <= 1e-13
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-13
+    assert np.all(np.diff(a.eigenvalues) <= 0)
+    P = (a.eigenvectors * a.eigenvalues) @ a.eigenvectors.conj().T
+    assert np.abs(P - b.matrix).max() <= 1e-13
+    # each recorded block: its eigenvector columns live on its rows alone
+    for (r, V, w), (rows, cols) in zip(blocks, a.blocks):
+        assert np.array_equal(rows, r)
+        assert np.array_equal(a.eigenvectors[np.ix_(r, cols)], V)
+        assert np.abs(np.delete(a.eigenvectors[:, cols], r, axis=0)).max(initial=0.0) == 0.0
+    assert b.blocks is None
+
+
+def test_from_blocks_rejects_bad_input():
+    blocks = _block_eigensystems(7)
+    (r0, V0, w0), (r1, V1, w1) = blocks
+    with pytest.raises(DimensionMismatch, match="partition"):
+        DensityMatrix.from_blocks([(r0, V0, w0), (r0[:1].tolist() + r1[1:].tolist(), V1, w1)])
+    with pytest.raises(DimensionMismatch, match="weights"):
+        DensityMatrix.from_blocks([(r0, V0, w0), (r1[1:], V1, w1)])
+    with pytest.raises(InvalidState, match="orthonormal"):
+        DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1 * (1 + 1e-6), w1)])
+    with pytest.raises(InvalidState, match="trace"):
+        DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1, 1.01 * w1)])
