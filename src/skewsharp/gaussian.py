@@ -27,9 +27,11 @@ zero entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal``
 checks that, diagonalizes each parity block on its own and builds the state
 with ``DensityMatrix.from_blocks``, which records the blocks.  The quadratures
 are linear in the ladder operators: ``quadrature_observables`` records their
-ladder origin (n_modes, cutoff) on the ``ObservableSet``, and
-``skew.SpectralContext`` then forms the eigenbasis stack from V^dag a_k V per
-mode, using only its off-diagonal parity blocks when the state carries them.
+``LadderOrigin`` (n_modes, cutoff) on the ``ObservableSet``, and
+``skew.SpectralContext`` asks that origin for the eigenbasis stack, which it
+forms from M_k = V^dag (a_k V) per mode, using only the off-diagonal parity
+blocks of M_k when the state carries its parity blocks.  This module alone
+knows the Fock basis layout; the relation engine sees only the origin.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from .skew import (
     ObservableSet,
     UncertaintyReport,
     check_refined_rs,
-    destroy,
-    fock_parity,
 )
 
 MOMENT_TOL = 1e-8
@@ -356,6 +356,68 @@ class ThermalTruncation:
     tail_mass: float
 
 
+def destroy(cutoff: int) -> np.ndarray:
+    """Truncated annihilator a on one mode: <n-1|a|n> = sqrt(n) for n < cutoff."""
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+
+
+def fock_parity(n_modes: int, cutoff: int) -> np.ndarray:
+    """Photon-number parity (n_1 + ... + n_n) mod 2 of each truncated Fock basis state, in Kronecker order."""
+    return np.ravel(functools.reduce(np.add.outer, [np.arange(cutoff)] * n_modes)) % 2
+
+
+def _ladder_matrix(V: np.ndarray, mode: int, cutoff: int, parity) -> np.ndarray:
+    """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors.
+
+    a is applied as a cutoff x cutoff product on that mode's tensor axis of V.
+    With ``parity`` blocks a maps each block into the other, so M has only its
+    two off-diagonal blocks V_out^dag (a V_in), each a half-size product.
+    """
+    d = V.shape[0]
+    aV = (destroy(cutoff) @ V.reshape(cutoff**mode, cutoff, -1)).reshape(d, d)
+    if parity is None:
+        return np.conj(V.T) @ aV
+    M = np.zeros((d, d), dtype=complex)
+    for (rows_in, cols_in), (rows_out, cols_out) in (parity, parity[::-1]):
+        V_out = V[np.ix_(rows_out, cols_out)]
+        M[np.ix_(cols_out, cols_in)] = np.conj(V_out.T) @ aV[np.ix_(rows_out, cols_in)]
+    return M
+
+
+@dataclass(frozen=True)
+class LadderOrigin:
+    """Origin of the truncated quadratures (x_1..x_n, p_1..p_n) of ``quadrature_observables``."""
+
+    n_modes: int
+    cutoff: int
+
+    def parity_blocks(self, blocks):
+        """A state's invariant blocks when they are the two photon-number parity
+        classes of this Fock basis (so each eigenvector has one parity), else None."""
+        if blocks is None or len(blocks) != 2:
+            return None
+        parity = fock_parity(self.n_modes, self.cutoff)
+        kinds = sorted(tuple(np.unique(parity[rows])) for rows, _ in blocks)
+        return blocks if kinds == [(0,), (1,)] else None
+
+    def eigenbasis_stack(self, V: np.ndarray, blocks) -> np.ndarray:
+        """Uncentered stack (2n, d, d) of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
+        in the eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time."""
+        n, d = self.n_modes, V.shape[0]
+        parity = self.parity_blocks(blocks)
+        A = np.empty((2 * n, d, d), dtype=complex)
+        for k in range(n):
+            M = _ladder_matrix(V, k, self.cutoff, parity)
+            x, p = A[k], A[n + k]
+            np.conjugate(M.T, out=x)
+            np.subtract(x, M, out=p)
+            x += M
+            x /= math.sqrt(2)
+            p *= 1j / math.sqrt(2)
+            del M                               # before the next M_k is built (13 MB each at d = 900)
+        return A
+
+
 def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
     """(1/2) sum_ij S_ij Lambda_i Lambda_j on the truncated product space, in normal order.
 
@@ -414,8 +476,8 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
     """Truncated (x_1..x_n, p_1..p_n); the commutator defect sits at the top Fock level.
 
     x = (a^dag + a)/sqrt(2) and p = i(a^dag - a)/sqrt(2) of the real truncated a
-    are exactly Hermitian, so the set is not re-validated; it records its ladder
-    origin (n_modes, cutoff), from which ``SpectralContext`` builds its stack.
+    are exactly Hermitian, so the set is not re-validated; it records its
+    ``LadderOrigin``, from which ``SpectralContext`` builds its stack.
     """
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
@@ -427,7 +489,7 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
             factors = [eye] * n_modes
             factors[k] = q
             mats.append(functools.reduce(np.kron, factors))
-    return ObservableSet._from_ladder(mats, n_modes, cutoff)
+    return ObservableSet._with_origin(mats, LadderOrigin(n_modes, cutoff))
 
 
 @dataclass(eq=False)

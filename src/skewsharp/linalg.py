@@ -160,7 +160,7 @@ def det_hermitian(A: np.ndarray) -> float:
     return float(np.prod(w)) if w.size else 1.0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class DensityMatrix:
     """Validated quantum state with cached eigensystem.
 
@@ -185,21 +185,20 @@ class DensityMatrix:
         return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
     @classmethod
-    def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray, tol_trace: float = TOL_TRACE,
-                         tol_psd: float = TOL_PSD) -> "DensityMatrix":
+    def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray) -> "DensityMatrix":
         """State V diag(weights) V^dag from a known eigensystem, with no second eigh: one block."""
         V = require_square(V, "eigenvector matrix")
-        return cls.from_blocks([(np.arange(V.shape[0]), V, weights)], tol_trace, tol_psd)
+        return cls.from_blocks([(np.arange(V.shape[0]), V, weights)])
 
     @classmethod
-    def from_blocks(cls, blocks, tol_trace: float = TOL_TRACE, tol_psd: float = TOL_PSD) -> "DensityMatrix":
+    def from_blocks(cls, blocks) -> "DensityMatrix":
         """Block-diagonal state from the eigensystem of each block, with no eigh.
 
         ``blocks`` holds (rows, V_b, weights_b): the basis indices ``rows`` of the
         block, its eigenvectors V_b (orthonormal columns, max|V_b^dag V_b - I|
         within TOL_EIG) and their weights.  The rows partition the basis, all
-        weights together sum to 1 and get the same PSD clip and zeroing as
-        ``from_matrix``.  Each block of rho is V_b diag(weights_b) V_b^dag; the
+        weights together sum to 1 within TOL_TRACE and get the same PSD clip and
+        zeroing as ``from_matrix``.  Each block of rho is V_b diag(weights_b) V_b^dag; the
         eigenvectors are the V_b embedded in the full basis, in descending weight
         order, and ``blocks`` records each block's (rows, eigenvector columns).
         """
@@ -221,8 +220,8 @@ class DensityMatrix:
             raise DimensionMismatch("block rows must partition the basis indices")
         w = np.concatenate(ws)
         tr = float(w.sum())
-        if abs(tr - 1.0) > tol_trace:
-            raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {tol_trace:.1e}")
+        if abs(tr - 1.0) > TOL_TRACE:
+            raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
         order = np.argsort(-w, kind="stable")
         column = np.empty(d, dtype=int)
         column[order] = np.arange(d)                 # eigenvector i sits in column column[i]
@@ -236,8 +235,8 @@ class DensityMatrix:
             rho[np.ix_(r, r)] = (R + R.conj().T) / 2
             eigenvectors[np.ix_(r, cols)] = V
             record.append((r, cols))
-        state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order], tol_psd), eigenvectors=eigenvectors)
-        state.blocks = tuple(record)
+        state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order], TOL_PSD), eigenvectors=eigenvectors)
+        object.__setattr__(state, "blocks", tuple(record))
         return state
 
     def expectation(self, X: np.ndarray) -> float:

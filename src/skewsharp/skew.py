@@ -22,14 +22,13 @@ The public (rho, X) functions are its B = 1 case, unwrapped by ``instance``.
 
 The eigenbasis stack A_k = V^dag X'_k V is built on one of two routes, chosen
 from the inputs.  Every observable set takes the dense products of V^dag, the
-stacked X_k and V, except the truncated quadratures of
-``gaussian.quadrature_observables``, which carry their ladder origin
-(n_modes, cutoff): their stack comes from M_k = V^dag (a_k V) per mode, with
-a_k applied on one tensor axis of V, as x_k = (M_k^dag + M_k)/sqrt(2) and
-p_k = i(M_k^dag - M_k)/sqrt(2).  When the state also carries the photon-number
-parity blocks of ``gaussian.fock_truncate_thermal``, a_k maps each block into
-the other, and M_k takes two half-size products.  Both routes are centered
-alike and pass the same two self-checks.
+stacked X_k and V, except a set that records its ``origin``: an object whose
+``eigenbasis_stack(V, blocks)`` gives the uncentered stack V^dag X_k V from
+the state's eigenvectors and its invariant blocks (``DensityMatrix.blocks``).
+The truncated quadratures of ``gaussian.quadrature_observables`` are the one
+such set; their origin builds the stack from the ladder operators (see
+:mod:`skewsharp.gaussian`).  Both routes are centered alike and pass the same
+two self-checks.
 
 Two self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
@@ -39,8 +38,8 @@ from the pairing that builds sigma, c and delta.  The stack check ties A to the
 input basis in O(n^2 d^2): the means Tr(rho X_k) from the state matrix against
 the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
 of the input observables against the same pairing of A.  It reads the dense
-X_k on either route, so a ladder-built stack is checked against the plain
-definition of the quadratures.
+X_k on either route, so a stack built by an origin is checked against the
+plain definition of the observables.
 """
 
 from __future__ import annotations
@@ -77,14 +76,14 @@ class ConstructionMismatch(SkewsharpError):
 class ObservableSet:
     """Ordered list of Hermitian observables with a common dimension.
 
-    ``ladder`` is the origin (n_modes, cutoff) of the truncated quadratures
-    built by ``gaussian.quadrature_observables`` and None for any other set;
-    that constructor alone sets it, and ``SpectralContext`` then builds their
-    eigenbasis stack from the ladder operators.
+    ``origin`` is None, or the construction the observables came from when it
+    gives their eigenbasis stack without the dense products: an object with
+    ``eigenbasis_stack(V, blocks)``.  Only a module's own constructor sets it
+    (``gaussian.quadrature_observables``), through ``_with_origin``.
     """
 
     observables: tuple[np.ndarray, ...]
-    ladder: tuple[int, int] | None = field(default=None, init=False, repr=False)
+    origin: object | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_matrices(cls, mats) -> "ObservableSet":
@@ -98,11 +97,11 @@ class ObservableSet:
         return cls(observables=mats)
 
     @classmethod
-    def _from_ladder(cls, mats, n_modes: int, cutoff: int) -> "ObservableSet":
-        """(x_1..x_n, p_1..p_n) built exactly Hermitian from the truncated ladder
-        operators of n_modes modes; recorded with that origin, not re-validated."""
+    def _with_origin(cls, mats, origin) -> "ObservableSet":
+        """Observables built exactly Hermitian by their constructor, recorded with
+        their origin and not re-validated."""
         X = cls(observables=tuple(mats))
-        object.__setattr__(X, "ladder", (n_modes, cutoff))
+        object.__setattr__(X, "origin", origin)
         return X
 
     @property
@@ -179,61 +178,6 @@ def _eigenbasis_gram(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return G
 
 
-def destroy(cutoff: int) -> np.ndarray:
-    """Truncated annihilator a on one mode: <n-1|a|n> = sqrt(n) for n < cutoff."""
-    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
-
-
-def fock_parity(n_modes: int, cutoff: int) -> np.ndarray:
-    """Photon-number parity (n_1 + ... + n_n) mod 2 of each truncated Fock basis state, in Kronecker order."""
-    return np.ravel(reduce(np.add.outer, [np.arange(cutoff)] * n_modes)) % 2
-
-
-def _parity_blocks(blocks, ladder):
-    """The state's blocks when they are the two photon-number parity classes of the
-    ladder's Fock basis (so each eigenvector has one parity), else None."""
-    if ladder is None or blocks is None or len(blocks) != 2:
-        return None
-    parity = fock_parity(*ladder)
-    kinds = sorted(tuple(np.unique(parity[rows])) for rows, _ in blocks)
-    return blocks if kinds == [(0,), (1,)] else None
-
-
-def _ladder_matrix(V: np.ndarray, mode: int, cutoff: int, parity) -> np.ndarray:
-    """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors.
-
-    a is applied as a cutoff x cutoff product on that mode's tensor axis of V.
-    With ``parity`` blocks a maps each block into the other, so M has only its
-    two off-diagonal blocks V_out^dag (a V_in), each a half-size product.
-    """
-    d = V.shape[0]
-    aV = (destroy(cutoff) @ V.reshape(cutoff**mode, cutoff, -1)).reshape(d, d)
-    if parity is None:
-        return np.conj(V.T) @ aV
-    M = np.zeros((d, d), dtype=complex)
-    for (rows_in, cols_in), (rows_out, cols_out) in (parity, parity[::-1]):
-        V_out = V[np.ix_(rows_out, cols_out)]
-        M[np.ix_(cols_out, cols_in)] = np.conj(V_out.T) @ aV[np.ix_(rows_out, cols_in)]
-    return M
-
-
-def _ladder_stack(V: np.ndarray, n_modes: int, cutoff: int, parity) -> np.ndarray:
-    """Uncentered stack (2n, d, d) of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
-    in the eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time."""
-    d = V.shape[0]
-    A = np.empty((2 * n_modes, d, d), dtype=complex)
-    for k in range(n_modes):
-        M = _ladder_matrix(V, k, cutoff, parity)
-        x, p = A[k], A[n_modes + k]
-        np.conjugate(M.T, out=x)
-        np.subtract(x, M, out=p)
-        x += M
-        x /= math.sqrt(2)
-        p *= 1j / math.sqrt(2)
-        del M                                   # before the next M_k is built (13 MB each at d = 900)
-    return A
-
-
 def _check_stack(ctx: "SpectralContext") -> None:
     """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
     B, n, d = ctx.size, ctx.n, ctx.dim
@@ -275,7 +219,7 @@ class SpectralContext:
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
         self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None],
-                    [M[None] for M in X.observables], X.ladder, _parity_blocks(rho.blocks, X.ladder))
+                    [M[None] for M in X.observables], X.origin, rho.blocks)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -286,9 +230,9 @@ class SpectralContext:
         ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, matrix, lam, V, observables, ladder=None, parity=None) -> None:
+    def _setup(self, matrix, lam, V, observables, origin=None, state_blocks=None) -> None:
         self.matrix, self.lam, self.V = matrix, lam, V
-        self.ladder, self.parity = ladder, parity     # the quadratures' origin, the state's parity blocks
+        self.origin, self.state_blocks = origin, state_blocks    # B = 1: the set's origin, the state's blocks
         self.observables = observables      # n arrays (B, d, d)
         self.size, self.dim = lam.shape
         self.n = len(observables)
@@ -297,11 +241,11 @@ class SpectralContext:
 
     @cached
     def _stack(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.ladder is None:
+        if self.origin is None:
             V = self.V[:, None]
             A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
         else:
-            A = _ladder_stack(self.V[0], *self.ladder, self.parity)[None]
+            A = self.origin.eigenbasis_stack(self.V[0], self.state_blocks)[None]
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
         means = np.einsum("zka,za->zk", diag, self.lam).real
         diag -= means[:, :, None]

@@ -30,7 +30,7 @@ from skewsharp.gaussian import (
     two_mode_generator,
     validate_quadratic,
 )
-from skewsharp import gaussian, skew
+from skewsharp import gaussian
 from skewsharp.fuzz import random_density
 from skewsharp.skew import ConstructionMismatch, ObservableSet, SpectralContext, check_refined_rs
 from skewsharp.linalg import DensityMatrix
@@ -405,21 +405,21 @@ def test_parity_guard_rejects_cross_parity_entries(monkeypatch):
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 2), (1, 9), (1, 60), (2, 2), (2, 7), (2, 30)])
 def test_quadratures_exactly_hermitian_with_ladder_origin(n_modes, cutoff):
     X = quadrature_observables(n_modes, cutoff)
-    assert X.ladder == (n_modes, cutoff) and X.n == 2 * n_modes
+    assert X.origin == gaussian.LadderOrigin(n_modes, cutoff) and X.n == 2 * n_modes
     for M in X.observables:
         assert np.array_equal(M, M.conj().T)
     # full validation returns the same matrices bit for bit, and no ladder origin
     checked = ObservableSet.from_matrices(X.observables)
-    assert checked.ladder is None
+    assert checked.origin is None
     assert all(np.array_equal(a, b) for a, b in zip(X.observables, checked.observables))
 
 
 def test_ladder_origin_is_not_user_settable():
     X = quadrature_observables(1, 4)
     with pytest.raises(TypeError):
-        ObservableSet(observables=X.observables, ladder=(1, 4))
+        ObservableSet(observables=X.observables, origin=gaussian.LadderOrigin(1, 4))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        X.ladder = None
+        X.origin = None
 
 
 def _dense_twin(X):
@@ -446,8 +446,9 @@ def _stack_instance(kind, n, cutoff, seed):
 def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
     rho, X = _stack_instance(kind, n, cutoff, seed)
     fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
-    assert fast.ladder == (n, cutoff) and dense.ladder is None
-    assert (fast.parity is None) == (kind == "ginibre")     # nongauss states carry no parity blocks
+    assert fast.origin == gaussian.LadderOrigin(n, cutoff) and dense.origin is None
+    # nongauss states carry no parity blocks
+    assert (fast.origin.parity_blocks(rho.blocks) is None) == (kind == "ginibre")
     scale = np.abs(dense.A).max()
     assert np.abs(fast.A - dense.A).max() <= 1e-13 * scale
     assert np.abs(fast.means - dense.means).max() <= 1e-13 * scale
@@ -457,7 +458,7 @@ def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
 @pytest.mark.parametrize("kind", ["ginibre", "thermal"])
 def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
     rho, X = _stack_instance(kind, 1, 9, 1)
-    build = skew._ladder_matrix
+    build = gaussian._ladder_matrix
 
     def corrupted(*args):
         M = build(*args)
@@ -465,6 +466,6 @@ def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
         M[a, b] += 1e-6 * M[a, b] / abs(M[a, b])
         return M
 
-    monkeypatch.setattr(skew, "_ladder_matrix", corrupted)
+    monkeypatch.setattr(gaussian, "_ladder_matrix", corrupted)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, X)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,13 @@ def test_from_blocks_rejects_bad_input():
         DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1 * (1 + 1e-6), w1)])
     with pytest.raises(InvalidState, match="trace"):
         DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1, 1.01 * w1)])
+
+
+def test_recorded_blocks_are_not_assignable():
+    # the blocks select the parity route of the quadratures' stack: from_blocks alone sets them
+    rho = DensityMatrix.from_blocks(_block_eigensystems(3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.blocks = None
+    with pytest.raises(TypeError):
+        DensityMatrix(matrix=rho.matrix, eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors,
+                      blocks=rho.blocks)
