@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .fuzz import RELATION_GROUPS, FuzzConfig, context_margins, run_fuzz, violated
 from .gaussian import (
+    check_fock_dim,
     nongaussianity,
     saturation_check,
     single_mode_generator,
@@ -190,7 +191,8 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_nongauss(args) -> int:
-    rho = parse_state(load_json(args.state))
+    rho = parse_state(load_json(args.state), check_dim=functools.partial(
+        check_fock_dim, n_modes=args.modes, cutoff=args.cutoff))
     dg = nongaussianity(rho, args.modes, args.cutoff)
     print(f"delta_G={dg:#.12g}")
     return 0

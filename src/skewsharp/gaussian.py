@@ -520,12 +520,17 @@ def saturation_check(H: QuadraticHamiltonian, cutoff: int) -> SaturationReport:
     )
 
 
+def check_fock_dim(dim: int, n_modes: int, cutoff: int) -> None:
+    """Raise unless n_modes >= 1 and a dim x dim matrix lives on n_modes modes cut off at cutoff."""
+    if n_modes < 1:
+        raise UnsupportedModeCount(f"need at least 1 mode, got {n_modes}")
+    if dim != cutoff**n_modes:
+        raise DimensionMismatch(f"state dim {dim} != cutoff^n_modes = {cutoff**n_modes}")
+
+
 def nongaussianity(rho: DensityMatrix, n_modes: int, cutoff: int) -> float:
     """Saturation gap of an arbitrary truncated-Fock state: 0 exactly on Gaussian states."""
-    if rho.dim != cutoff**n_modes:
-        raise DimensionMismatch(
-            f"state dim {rho.dim} != cutoff^n_modes = {cutoff**n_modes}"
-        )
+    check_fock_dim(rho.dim, n_modes, cutoff)
     rep = check_refined_rs(rho, quadrature_observables(n_modes, cutoff))
     return rep.delta_G
 

@@ -92,6 +92,28 @@ def test_check_dim_mismatch_exit2(tmp_path, capsys):
     assert "dim mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["state", "observables"])
+@pytest.mark.parametrize("dim", [[2], 2.9, 2.0, True, False, None, "2", {"d": 2}])
+def test_check_dim_must_be_an_integer(tmp_path, capsys, which, dim):
+    sp, op = write_q1(tmp_path)
+    path = sp if which == "state" else op
+    data = json.loads(open(path).read())
+    data["dim"] = dim
+    with open(path, "w") as fh:
+        json.dump(data, fh)   # json writes 2.0 as 2.0; dumps writes it as 2
+    assert main(["check", sp, op]) == 2
+    assert f"error: {which}: 'dim' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("observables", [5, "sx", None, {"0": 1}, []])
+def test_check_observables_must_be_a_nonempty_list(tmp_path, capsys, observables):
+    sp, op = write_q1(tmp_path)
+    with open(op, "w") as fh:
+        fh.write(dumps({"dim": 2, "observables": observables}))
+    assert main(["check", sp, op]) == 2
+    assert "'observables' must be a non-empty list" in capsys.readouterr().err
+
+
 def test_check_unknown_f_exit2(tmp_path, capsys):
     sp, op = write_q1(tmp_path)
     assert main(["check", sp, op, "--f", "wyd:0.7"]) == 2
@@ -235,6 +257,41 @@ def test_nongauss_vacuum(tmp_path, capsys):
 def test_nongauss_dim_mismatch(tmp_path, capsys):
     path = fock_state_file(tmp_path, level=0, cutoff=16)
     assert main(["nongauss", path, "--modes", "1", "--cutoff", "20"]) == 2
+
+
+@pytest.mark.parametrize("modes", ["0", "-1"])
+def test_nongauss_modes_below_one_exit2(tmp_path, capsys, modes):
+    path = fock_state_file(tmp_path, level=0, cutoff=1)
+    assert main(["nongauss", path, "--modes", modes, "--cutoff", "5"]) == 2
+    assert f"need at least 1 mode, got {modes}" in capsys.readouterr().err
+
+
+def test_nongauss_size_checked_before_the_state_eigh(tmp_path, capsys, monkeypatch):
+    from skewsharp import linalg
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("state validated before the size check")
+
+    path = fock_state_file(tmp_path, level=0, cutoff=16)
+    monkeypatch.setattr(linalg, "validate_states", no_eigh)
+    assert main(["nongauss", path, "--modes", "2", "--cutoff", "5"]) == 2
+    assert "error: state dim 16 != cutoff^n_modes = 25" in capsys.readouterr().err
+
+
+def test_nongauss_large_file_matches_json_path(tmp_path, capsys, monkeypatch):
+    # d = 144 (2 modes, cutoff 12): the file is above the reader's size constant
+    rho = np.zeros((12, 12))
+    rho[1, 0], rho[0, 2], rho[3, 3] = 0.5, 0.25, 0.25
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps({"dim": 144, "matrix": matrix_to_pairs(np.diag(rho.ravel()))}))
+    from skewsharp import serialize
+    assert path.stat().st_size > serialize.MATRIX_ROUTE_MIN_CHARS
+    argv = ["nongauss", str(path), "--modes", "2", "--cutoff", "12"]
+    assert main(argv) == 0
+    routed = capsys.readouterr().out
+    monkeypatch.setattr(serialize, "MATRIX_ROUTE_MIN_CHARS", path.stat().st_size)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == routed
 
 
 # -------------------------------------------------------------------- fuzz

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from skewsharp import serialize
 from skewsharp.serialize import FormatError, dumps, matrix_to_pairs, pairs_to_matrix
 
 
@@ -144,7 +145,157 @@ def test_pairs_accept_integers():
     [[[[1.0, 0.0], 0.0]]],                            # nested cell
     [[[10**400, 0.0]]],                               # beyond float range
     [], [[]], "ab", 5, None, {"a": 1},
+    np.zeros((2, 2)),                                 # a row of the reader's (d, d, 2) array
+    np.zeros((1, 1, 3)), np.zeros((1, 2, 2)), np.zeros((0, 0, 2)), np.zeros((1, 1, 2), dtype=int),
 ])
 def test_pairs_reject_malformed(data):
     with pytest.raises(FormatError):
         pairs_to_matrix(data)
+
+
+# ------------------------------------------------------ the reader's matrix route
+
+def _matrix_text(tokens, d, inner=", ", cells=", ", rows=",\n "):
+    """d x d matrix of [re, im] cells written from 2 d^2 number tokens."""
+    cell = [f"[{tokens[2 * i]}{inner}{tokens[2 * i + 1]}]" for i in range(d * d)]
+    return "[" + rows.join("[" + cells.join(cell[r * d:(r + 1) * d]) + "]" for r in range(d)) + "]"
+
+
+def _state_text(tokens, d, **ws):
+    return f'{{"dim": {d}, "matrix": {_matrix_text(tokens, d, **ws)}, "label": "s"}}'
+
+
+def _observables_text(token_lists, d):
+    body = ",\n".join(_matrix_text(t, d) for t in token_lists)
+    return f'{{"dim": {d}, "observables": [{body}], "labels": ["a", "b", "c"]}}'
+
+
+def _outcome(text, reader):
+    """What a caller sees: the other fields and the matrices' bits, or the exception."""
+    try:
+        doc = reader(text)
+        if not isinstance(doc, dict):
+            return "top", _bits(pairs_to_matrix(doc)).tobytes()
+        mats = doc["observables"] if "observables" in doc else [doc["matrix"]]
+        rest = {k: v for k, v in doc.items() if k not in ("matrix", "observables")}
+        return "ok", rest, [_bits(pairs_to_matrix(m)).tobytes() for m in mats]
+    except Exception as exc:   # noqa: BLE001 -- the type and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """serialize.loads with every text above the route's size constant."""
+    monkeypatch.setattr(serialize, "MATRIX_ROUTE_MIN_CHARS", 0)
+    return serialize.loads
+
+
+def _tokens(rng, n):
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return [repr(float(v)) if k % 2 else "%.17g" % v for k, v in enumerate(values)]
+
+
+HARD = ["2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+        "2.4703282292062328e-324", "1.7976931348623157e308", "1.7976931348623158e308",
+        "0.1", "0.30000000000000004", "9007199254740993.0", "1e-400", "-1e-400",
+        "1.00000000000000011102230246251565404236316680908203125",
+        "123456789012345678901234567890.123456789e-20", "1e5", "1E-5", "2.5e+10",
+        "-3.25E+007", "0e0", "0.0e-0", "1e-320", "-0.0", "-0.0e0", "-0e0", "-0E-5",
+        "9007199254740993", "-9007199254740993", "18446744073709551617", "1" + "0" * 300,
+        "123456789012345678901234567890", "0", "7", "-12", "0.0", "1.5"]
+
+
+def _accepted_texts():
+    rng = np.random.default_rng(5)
+    d = 6
+    hard = (HARD * 3)[:2 * d * d]
+    texts = {
+        "compact": _state_text(_tokens(rng, 18), 3, inner=",", cells=",", rows=","),
+        "whitespace": _state_text(_tokens(rng, 18), 3, inner=" \t, \r\n", cells="\n,\t", rows=" \r\n,  "),
+        "spaced": "{ \"matrix\" :\n[ [ [ 1 , 0 ] ,[0,0 ] ] , [ [0 ,0] , [ 0, 1 ] ] ]\r\n}\n",
+        "exact_cases": _state_text(hard, d),
+        "dumps": dumps({"dim": 4, "matrix": matrix_to_pairs(
+            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))}),
+        "observables": _observables_text([_tokens(rng, 32) for _ in range(3)], 4),
+        "one_by_one": _state_text(["-0.0", "1e5"], 1),
+        "top_level": _matrix_text(_tokens(rng, 8), 2),
+        "escaped_label": _state_text(_tokens(rng, 8), 2)[:-2] + '\\u00e9 \\"q\\" \u00e9"}',
+    }
+    return texts
+
+
+@pytest.mark.parametrize("name", list(_accepted_texts()))
+def test_loads_route_matches_json_bit_for_bit(name, route):
+    text = _accepted_texts()[name]
+    want = _outcome(text, json.loads)
+    assert want[0] in ("ok", "top")
+    assert _outcome(text, route) == want
+    doc = route(text)
+    mats = [doc] if not isinstance(doc, dict) else doc.get("observables", [doc.get("matrix")])
+    assert all(isinstance(m, np.ndarray) and m.dtype == np.float64 for m in mats), "route not taken"
+
+
+def _mutations():
+    base = [f"{v}" for v in (0.5, 0.0, 0.25, -0.125, 0.0, 0.0, 0.25, 0.125, 0.25, 0.0,
+                             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0)]
+    state = _state_text(base, 3)
+    obs = [base[:8], base[4:12], base[8:16]]
+
+    def token(k, tok):
+        return _state_text(base[:k] + [tok] + base[k + 1:], 3)
+
+    def last_obs(k, tok):
+        mats = obs[:2] + [obs[2][:k] + [tok] + obs[2][k + 1:]]
+        return _observables_text(mats, 2)
+
+    out = {}
+    for tok in ("+1", ".5", "1.", "01", "-01", "-0", "NaN", "-Infinity", "Infinity", "1e400",
+                "-1e400", "1" + "0" * 400, "true", "null", '"1"', "[1, 0]", "0x1", "1_0",
+                "\u0661", "1e", "1e+", "--1", "1.5.5", "1e5e5", "-",
+                "\f1", "\v1", "\u00a01", "\u30001", "1\f"):   # whitespace json does not allow
+        out[f"state {tok[:12]!r}"] = token(5, tok)
+        out[f"obs {tok[:12]!r}"] = last_obs(3, tok)
+    out["three numbers"] = state.replace("[0.5, 0.0]", "[0.5, 0.0, 0.0]", 1)
+    out["one number"] = state.replace("[0.5, 0.0]", "[0.5]", 1)
+    cells = [f"[{a}, {b}]" for a, b in zip(base[::2] * 2, base[1::2] * 2)]
+    # ragged rows, also with the right first row or the right cell count, and non-square
+    for sizes in ((2, 3, 3), (3, 2, 4), (3, 6), (3, 3, 2, 1), (3, 3), (2, 2, 2), (3, 3, 3, 3)):
+        rows = (", ".join(cells[sum(sizes[:r]):sum(sizes[:r + 1])]) for r in range(len(sizes)))
+        out[f"rows of {sizes}"] = '{"matrix": [' + ",\n ".join(f"[{r}]" for r in rows) + "]}"
+    out["matrix in a string"] = state.replace('"s"', '"[[[1, 0]]]"')
+    out["matrix in a longer string"] = state.replace('"s"', '"a [[[1, 0], [2, 0]], [[3, 0], [4, 0]]] b"')
+    out["marker string"] = state.replace('"s"', '"\\u00000"')
+    out["marker prefix"] = state.replace('"s"', '"\\u0000x"')
+    out["matrix as a key"] = "{" + _matrix_text(base[:2], 1) + ": 1}"
+    out["matrix in place of the list"] = _observables_text([obs[0]], 2).replace(
+        '"observables": [', '"observables": ').replace("]], \"labels", "], \"labels")
+    out["nested list"] = state.replace('"matrix": ', '"matrix": [') .replace(', "label"', '], "label"')
+    out["duplicate key"] = state[:-1] + ', "matrix": ' + _matrix_text(base[:8], 2) + "}"
+    out["trailing garbage"] = state + " x"
+    out["trailing bracket"] = state + "]"
+    out["second document"] = state + state
+    out["byte order mark"] = "\ufeff" + state
+    out["unclosed"] = state[:-1]
+    out["truncated matrix"] = state[:len(state) // 2]
+    return out
+
+
+@pytest.mark.parametrize("name", list(_mutations()))
+def test_loads_route_matches_json_on_mutated_input(name, route):
+    text = _mutations()[name]
+    assert _outcome(text, route) == _outcome(text, json.loads)
+
+
+def test_loads_route_only_above_the_size_constant():
+    rng = np.random.default_rng(3)
+    small = [dumps({"dim": 8, "matrix": matrix_to_pairs(rng.standard_normal((8, 8)))}),
+             _observables_text([_tokens(rng, 128) for _ in range(2)], 8)]
+    for text in small:   # the largest `check` inputs at d <= 8 keep the json path
+        assert len(text) <= serialize.MATRIX_ROUTE_MIN_CHARS
+        doc = serialize.loads(text)
+        assert all(isinstance(m, list) for m in doc.get("observables", [doc.get("matrix")]))
+    big = _state_text(_tokens(rng, 2 * 100 * 100), 100)
+    assert len(big) > serialize.MATRIX_ROUTE_MIN_CHARS
+    doc = serialize.loads(big)
+    assert isinstance(doc["matrix"], np.ndarray)
+    assert _outcome(big, serialize.loads) == _outcome(big, json.loads)
