@@ -215,7 +215,7 @@ _ROW = rf"\[{_WS}{_CELL}(?:{_WS},{_WS}{_CELL})*+{_WS}\]"
 # possessive quantifiers (Python 3.11) keep the scan linear; without them there is no route
 _MATRIX = (re.compile(rf"\[{_WS}{_ROW}(?:{_WS},{_WS}{_ROW})*+{_WS}\]")
            if sys.version_info >= (3, 11) else None)
-_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
+_NUMBER_AND_SPACE_BYTES = b"0123456789.eE+- \t\n\r"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _MARK = "\0"
 
@@ -223,8 +223,8 @@ _MARK = "\0"
 def _matrix_array(span: bytes) -> np.ndarray | None:
     """(d, d, 2) values of a text _MATRIX matched, or None unless it is square
     with finite values (json reads an integer beyond the float range as an int)."""
-    skeleton = span.translate(None, _NUMBER_BYTES)
-    d = skeleton.find(b"]]") // 4
+    skeleton = span.translate(None, _NUMBER_AND_SPACE_BYTES)
+    d = skeleton.find(b"]]") // 4   # "[" then d cells "[,]" joined by ",": the first row ends at 4 d
     row = b"[" + b",".join([b"[,]"] * d) + b"]"
     if d < 1 or skeleton != b"[" + b",".join([row] * d) + b"]":
         return None
