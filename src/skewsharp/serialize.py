@@ -212,9 +212,9 @@ _WS = r"[ \t\n\r]*+"
 _NUMBER = r"(?:-(?:0(?=[.eE])|[1-9][0-9]*+)|0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
 _CELL = rf"\[{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS}\]"
 _ROW = rf"\[{_WS}{_CELL}(?:{_WS},{_WS}{_CELL})*+{_WS}\]"
-# possessive quantifiers (Python 3.11) keep the scan linear; without them there is no route
-_MATRIX = (re.compile(rf"\[{_WS}{_ROW}(?:{_WS},{_WS}{_ROW})*+{_WS}\]")
-           if sys.version_info >= (3, 11) else None)
+# possessive quantifiers (Python 3.11) keep the scan linear; without them there is
+# no route.  re compiles it on first use (3 ms) and caches it.
+_MATRIX = rf"\[{_WS}{_ROW}(?:{_WS},{_WS}{_ROW})*+{_WS}\]" if sys.version_info >= (3, 11) else None
 _NUMBER_AND_SPACE_BYTES = b"0123456789.eE+- \t\n\r"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _MARK = "\0"
@@ -258,7 +258,7 @@ def loads(text: str):
     if len(text) <= MATRIX_ROUTE_MIN_CHARS or _MATRIX is None:
         return json.loads(text)
     pieces, arrays, end = [], {}, 0
-    for m in _MATRIX.finditer(text):
+    for m in re.finditer(_MATRIX, text):
         values = _matrix_array(m.group().encode("ascii"))
         if values is not None:
             mark = f"{_MARK}{len(arrays)}"
