@@ -97,7 +97,8 @@ def test_check_dim_mismatch_exit2(tmp_path, capsys):
 def test_check_dim_must_be_an_integer(tmp_path, capsys, which, dim):
     sp, op = write_q1(tmp_path)
     path = sp if which == "state" else op
-    data = json.loads(open(path).read())
+    with open(path) as fh:
+        data = json.load(fh)
     data["dim"] = dim
     with open(path, "w") as fh:
         json.dump(data, fh)   # json writes 2.0 as 2.0; dumps writes it as 2

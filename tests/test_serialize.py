@@ -209,7 +209,7 @@ def _accepted_texts():
     rng = np.random.default_rng(5)
     d = 6
     hard = (HARD * 3)[:2 * d * d]
-    texts = {
+    return {
         "compact": _state_text(_tokens(rng, 18), 3, inner=",", cells=",", rows=","),
         "whitespace": _state_text(_tokens(rng, 18), 3, inner=" \t, \r\n", cells="\n,\t", rows=" \r\n,  "),
         "spaced": "{ \"matrix\" :\n[ [ [ 1 , 0 ] ,[0,0 ] ] , [ [0 ,0] , [ 0, 1 ] ] ]\r\n}\n",
@@ -221,7 +221,6 @@ def _accepted_texts():
         "top_level": _matrix_text(_tokens(rng, 8), 2),
         "escaped_label": _state_text(_tokens(rng, 8), 2)[:-2] + '\\u00e9 \\"q\\" \u00e9"}',
     }
-    return texts
 
 
 @pytest.mark.parametrize("name", list(_accepted_texts()))
@@ -269,7 +268,7 @@ def _mutations():
     out["matrix as a key"] = "{" + _matrix_text(base[:2], 1) + ": 1}"
     out["matrix in place of the list"] = _observables_text([obs[0]], 2).replace(
         '"observables": [', '"observables": ').replace("]], \"labels", "], \"labels")
-    out["nested list"] = state.replace('"matrix": ', '"matrix": [') .replace(', "label"', '], "label"')
+    out["nested list"] = state.replace('"matrix": ', '"matrix": [').replace(', "label"', '], "label"')
     out["duplicate key"] = state[:-1] + ', "matrix": ' + _matrix_text(base[:8], 2) + "}"
     out["trailing garbage"] = state + " x"
     out["trailing bracket"] = state + "]"
