@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .fuzz import RELATION_GROUPS, FuzzConfig, context_margins, run_fuzz, violated
 from .gaussian import (
-    check_fock_dim,
+    fock_density,
     nongaussianity,
     saturation_check,
     single_mode_generator,
@@ -191,8 +191,8 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_nongauss(args) -> int:
-    rho = parse_state(load_json(args.state), check_dim=functools.partial(
-        check_fock_dim, n_modes=args.modes, cutoff=args.cutoff))
+    rho = parse_state(load_json(args.state), build=functools.partial(
+        fock_density, n_modes=args.modes, cutoff=args.cutoff))
     dg = nongaussianity(rho, args.modes, args.cutoff)
     print(f"delta_G={dg:#.12g}")
     return 0

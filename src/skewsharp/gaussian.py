@@ -25,13 +25,21 @@ exact structures that the d = cutoff^n numerics use.  A quadratic generator
 changes the total photon number by 0 or +-2, so the truncated H has exactly
 zero entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal``
 checks that, diagonalizes each parity block on its own and builds the state
-with ``DensityMatrix.from_blocks``, which records the blocks.  The quadratures
-are linear in the ladder operators: ``quadrature_observables`` records their
-``LadderOrigin`` (n_modes, cutoff) on the ``ObservableSet``, and
-``skew.SpectralContext`` asks that origin for the eigenbasis stack, which it
-forms from M_k = V^dag (a_k V) per mode, using only the off-diagonal parity
-blocks of M_k when the state carries its parity blocks.  This module alone
-knows the Fock basis layout; the relation engine sees only the origin.
+with ``DensityMatrix.from_blocks``, which records the blocks.  A state read
+from a file gets the same blocks through ``fock_density`` when its matrix has
+exactly zero entries between the two parities (``DensityMatrix.from_matrix``
+with the ``parity_rows`` partition); any other state gets the dense eigh and
+no blocks.  The quadratures are linear in the ladder operators:
+``quadrature_observables`` records their ``LadderOrigin`` (n_modes, cutoff)
+on the ``ObservableSet``, and ``skew.SpectralContext`` asks that origin for
+the eigenbasis stack, which it forms from M_k = V^dag (a_k V) per mode.  When
+the state carries its parity blocks, each quadrature maps even to odd photon
+numbers and back, so its stack is zero on both diagonal parity blocks: the
+origin names the even and odd eigenvector columns (``stack_blocks``) and
+builds only the block A_k[even, odd], from the two nonzero blocks of M_k,
+each a half-size product; ``skew`` then pairs that block alone (its block
+route).  Without parity blocks the origin builds the full stack.  This module
+alone knows the Fock basis layout; the relation engine sees only the origin.
 """
 
 from __future__ import annotations
@@ -366,22 +374,33 @@ def fock_parity(n_modes: int, cutoff: int) -> np.ndarray:
     return np.ravel(functools.reduce(np.add.outer, [np.arange(cutoff)] * n_modes)) % 2
 
 
-def _ladder_matrix(V: np.ndarray, mode: int, cutoff: int, parity) -> np.ndarray:
-    """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors.
+def parity_rows(n_modes: int, cutoff: int) -> list[np.ndarray]:
+    """The basis indices of even and of odd total photon number: the partition that
+    a state keeping photon-number parity is block-diagonal on."""
+    parity = fock_parity(n_modes, cutoff)
+    return [np.flatnonzero(parity == p) for p in (0, 1)]
 
-    a is applied as a cutoff x cutoff product on that mode's tensor axis of V.
-    With ``parity`` blocks a maps each block into the other, so M has only its
-    two off-diagonal blocks V_out^dag (a V_in), each a half-size product.
+
+def _apply_destroy(V: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
+    """a V for the truncated annihilator a of one mode, as a cutoff x cutoff product on that
+    mode's tensor axis of the rows of V."""
+    return (destroy(cutoff) @ V.reshape(cutoff**mode, cutoff, -1)).reshape(V.shape)
+
+
+def _ladder_matrix(V: np.ndarray, mode: int, cutoff: int, parity) -> tuple[np.ndarray, np.ndarray]:
+    """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors,
+    as a pair (M_out, M_back) from which the quadratures take (M_back^dag +- M_out).
+
+    Without ``parity`` blocks both are M.  With blocks ((rows_E, cols_E), (rows_O,
+    cols_O)) a maps each block into the other, so M is zero but on M[cols_E, cols_O]
+    and M[cols_O, cols_E]: the pair is those two blocks, each a half-size product
+    V_out^dag (a V_in) of the blocks of V.
     """
-    d = V.shape[0]
-    aV = (destroy(cutoff) @ V.reshape(cutoff**mode, cutoff, -1)).reshape(d, d)
     if parity is None:
-        return np.conj(V.T) @ aV
-    M = np.zeros((d, d), dtype=complex)
-    for (rows_in, cols_in), (rows_out, cols_out) in (parity, parity[::-1]):
-        V_out = V[np.ix_(rows_out, cols_out)]
-        M[np.ix_(cols_out, cols_in)] = np.conj(V_out.T) @ aV[np.ix_(rows_out, cols_in)]
-    return M
+        M = np.conj(V.T) @ _apply_destroy(V, mode, cutoff)
+        return M, M
+    return tuple(np.conj(V[np.ix_(rows_out, cols_out)].T) @ _apply_destroy(V[:, cols_in], mode, cutoff)[rows_out]
+                 for (rows_out, cols_out), (_, cols_in) in (parity, parity[::-1]))
 
 
 @dataclass(frozen=True)
@@ -392,29 +411,47 @@ class LadderOrigin:
     cutoff: int
 
     def parity_blocks(self, blocks):
-        """A state's invariant blocks when they are the two photon-number parity
-        classes of this Fock basis (so each eigenvector has one parity), else None."""
+        """A state's invariant blocks, the even one first, when they are the two
+        photon-number parity classes of this Fock basis (so each eigenvector has
+        one parity), else None."""
         if blocks is None or len(blocks) != 2:
             return None
         parity = fock_parity(self.n_modes, self.cutoff)
-        kinds = sorted(tuple(np.unique(parity[rows])) for rows, _ in blocks)
-        return blocks if kinds == [(0,), (1,)] else None
+        kinds = [tuple(np.unique(parity[rows])) for rows, _ in blocks]
+        if sorted(kinds) != [(0,), (1,)]:
+            return None
+        return tuple(blocks) if kinds[0] == (0,) else tuple(blocks[::-1])
+
+    def stack_blocks(self, blocks):
+        """The eigenvector columns (even, odd) of a state's parity blocks, or None.
+
+        Every quadrature flips the parity, so its eigenbasis stack is exactly zero
+        on those two diagonal blocks, and ``eigenbasis_stack`` gives only the block
+        from even to odd columns.
+        """
+        parity = self.parity_blocks(blocks)
+        return None if parity is None else tuple(cols for _, cols in parity)
 
     def eigenbasis_stack(self, V: np.ndarray, blocks) -> np.ndarray:
-        """Uncentered stack (2n, d, d) of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
-        in the eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time."""
-        n, d = self.n_modes, V.shape[0]
+        """Uncentered stack of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
+        in the eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time.
+
+        The full stack (2n, d, d) without parity blocks; with them, only its block
+        A_k[cols_E, cols_O] (2n, d_E, d_O), built from the two nonzero blocks of M_k.
+        """
+        n = self.n_modes
         parity = self.parity_blocks(blocks)
-        A = np.empty((2 * n, d, d), dtype=complex)
+        shape = V.shape if parity is None else tuple(cols.size for _, cols in parity)
+        A = np.empty((2 * n, *shape), dtype=complex)
         for k in range(n):
-            M = _ladder_matrix(V, k, self.cutoff, parity)
+            M, M_back = _ladder_matrix(V, k, self.cutoff, parity)
             x, p = A[k], A[n + k]
-            np.conjugate(M.T, out=x)
+            np.conjugate(M_back.T, out=x)
             np.subtract(x, M, out=p)
             x += M
             x /= math.sqrt(2)
             p *= 1j / math.sqrt(2)
-            del M                               # before the next M_k is built (13 MB each at d = 900)
+            del M, M_back                       # before the next M_k is built (13 MB each at d = 900)
         return A
 
 
@@ -455,8 +492,7 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
     if cutoff < 8:
         raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
     Hmat = _fock_hamiltonian(H, cutoff)
-    parity = fock_parity(H.n_modes, cutoff)
-    rows = [np.flatnonzero(parity == p) for p in (0, 1)]
+    rows = parity_rows(H.n_modes, cutoff)
     cross = sum(np.count_nonzero(Hmat[np.ix_(r, s)]) for r, s in (rows, rows[::-1]))
     if cross:
         raise ConstructionMismatch(f"truncated H couples even and odd photon numbers at {cross} entries")
@@ -526,6 +562,18 @@ def check_fock_dim(dim: int, n_modes: int, cutoff: int) -> None:
         raise UnsupportedModeCount(f"need at least 1 mode, got {n_modes}")
     if dim != cutoff**n_modes:
         raise DimensionMismatch(f"state dim {dim} != cutoff^n_modes = {cutoff**n_modes}")
+
+
+def fock_density(matrix: np.ndarray, n_modes: int, cutoff: int) -> DensityMatrix:
+    """State on n_modes modes cut off at cutoff from its Fock-basis matrix.
+
+    The size is checked first (``check_fock_dim``), before any eigh.  A state
+    that keeps photon-number parity gets one eigh per parity block and records
+    them (``DensityMatrix.from_matrix`` on ``parity_rows``); any other gets the
+    dense eigh.
+    """
+    check_fock_dim(np.shape(matrix)[0], n_modes, cutoff)
+    return DensityMatrix.from_matrix(matrix, partition=parity_rows(n_modes, cutoff))
 
 
 def nongaussianity(rho: DensityMatrix, n_modes: int, cutoff: int) -> float:

@@ -171,7 +171,8 @@ class DensityMatrix:
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)   # clipped, descending
     eigenvectors: np.ndarray = field(repr=False)
-    # (rows, eigenvector columns) of each invariant block; set by ``from_blocks`` only
+    # (rows, eigenvector columns) of each invariant block; set by ``from_blocks``, and by
+    # ``from_matrix`` when its partition holds, only
     blocks: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -180,9 +181,28 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray, tol_trace: float = TOL_TRACE,
-                    tol_psd: float = TOL_PSD) -> "DensityMatrix":
-        rho, w, V = validate_states(_square(rho, "state")[None], tol_trace, tol_psd)
-        return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
+                    tol_psd: float = TOL_PSD, partition=None) -> "DensityMatrix":
+        """State from its matrix: finite entries, Hermitian part, unit trace, PSD spectrum.
+
+        ``partition``, if given, is a sequence of index arrays that partition the
+        basis.  When every entry of the Hermitian part between two parts is
+        exactly 0, each part gets its own eigh and ``blocks`` is recorded as by
+        ``from_blocks``; any other state gets the one dense eigh and no blocks.
+        """
+        M = _square(rho, "state")[None]
+        if partition is None:
+            rho, w, V = validate_states(M, tol_trace, tol_psd)
+            return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
+        rho = _unit_trace_hermitian(M, tol_trace)
+        parts = _partition(partition, rho.shape[-1])
+        # the Hermitian part is exactly Hermitian: the parts above the diagonal suffice
+        if any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(parts) for s in parts[i + 1:]):
+            w, V = _spectra(rho, tol_psd)
+            return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
+        rho = rho[0]
+        eig = [np.linalg.eigh(rho[np.ix_(r, r)]) for r in parts]
+        w, V, record = _embed([(r, Vb, wb) for r, (wb, Vb) in zip(parts, eig)])
+        return cls._with_blocks(rho, _clip_spectrum(rho, w, tol_psd), V, record)
 
     @classmethod
     def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray) -> "DensityMatrix":
@@ -202,7 +222,7 @@ class DensityMatrix:
         eigenvectors are the V_b embedded in the full basis, in descending weight
         order, and ``blocks`` records each block's (rows, eigenvector columns).
         """
-        rows, vecs, ws = [], [], []
+        checked = []
         for r, V, w in blocks:
             r, V, w = np.asarray(r), require_square(V, "eigenvector matrix"), np.asarray(w, dtype=float)
             if w.shape != V.shape[:1] or w.shape != r.shape:
@@ -212,31 +232,23 @@ class DensityMatrix:
             dev = float(np.abs(V.conj().T @ V - np.eye(V.shape[0])).max())
             if dev > TOL_EIG:
                 raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
-            rows.append(r)
-            vecs.append(V)
-            ws.append(w)
-        d = sum(r.size for r in rows)
-        if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(d)):
-            raise DimensionMismatch("block rows must partition the basis indices")
-        w = np.concatenate(ws)
-        tr = float(w.sum())
+            checked.append((r, V, w))
+        d = sum(r.size for r, _, _ in checked)
+        _partition([r for r, _, _ in checked], d)
+        tr = float(np.concatenate([w for _, _, w in checked]).sum())
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
-        order = np.argsort(-w, kind="stable")
-        column = np.empty(d, dtype=int)
-        column[order] = np.arange(d)                 # eigenvector i sits in column column[i]
         rho = np.zeros((d, d), dtype=complex)
-        eigenvectors = np.zeros((d, d), dtype=complex)
-        record, start = [], 0
-        for r, V, wb in zip(rows, vecs, ws):
-            cols = column[start:start + r.size]
-            start += r.size
-            R = (V * wb) @ V.conj().T
+        for r, V, w in checked:
+            R = (V * w) @ V.conj().T
             rho[np.ix_(r, r)] = (R + R.conj().T) / 2
-            eigenvectors[np.ix_(r, cols)] = V
-            record.append((r, cols))
-        state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order], TOL_PSD), eigenvectors=eigenvectors)
-        object.__setattr__(state, "blocks", tuple(record))
+        w, V, record = _embed(checked)
+        return cls._with_blocks(rho, _clip_spectrum(rho, w, TOL_PSD), V, record)
+
+    @classmethod
+    def _with_blocks(cls, rho, eigenvalues, eigenvectors, record) -> "DensityMatrix":
+        state = cls(matrix=rho, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+        object.__setattr__(state, "blocks", record)
         return state
 
     def expectation(self, X: np.ndarray) -> float:
@@ -246,6 +258,52 @@ class DensityMatrix:
         return int(np.count_nonzero(self.eigenvalues > tol * mat_scale(self.matrix)))
 
 
+def _partition(parts, d: int) -> list[np.ndarray]:
+    """The index arrays ``parts`` as integer arrays; DimensionMismatch unless they partition range(d)."""
+    parts = [np.asarray(r, dtype=int).ravel() for r in parts]
+    if not np.array_equal(np.sort(np.concatenate(parts or [np.empty(0, dtype=int)])), np.arange(d)):
+        raise DimensionMismatch("block rows must partition the basis indices")
+    return parts
+
+
+def _embed(blocks) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Descending spectrum, eigenvectors and block record of a block-diagonal state.
+
+    ``blocks`` holds (rows, V_b, weights_b) on a partition of the basis.  Each
+    V_b is embedded at its rows, in the columns its weights take in descending
+    (stable) order; the record holds each block's (rows, eigenvector columns).
+    """
+    w = np.concatenate([wb for _, _, wb in blocks])
+    d = w.size
+    order = np.argsort(-w, kind="stable")
+    column = np.empty(d, dtype=int)
+    column[order] = np.arange(d)                 # eigenvector i sits in column column[i]
+    eigenvectors = np.zeros((d, d), dtype=complex)
+    record, start = [], 0
+    for r, V, _ in blocks:
+        cols = column[start:start + r.size]
+        start += r.size
+        eigenvectors[np.ix_(r, cols)] = V
+        record.append((r, cols))
+    return w[order], eigenvectors, tuple(record)
+
+
+def _unit_trace_hermitian(M: np.ndarray, tol_trace: float) -> np.ndarray:
+    """Hermitian parts of a stack of states (B, d, d), each checked for finite entries,
+    Hermiticity and unit trace with its own scale."""
+    rho = hermitian_parts(M, what="state")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    raise_first(np.abs(tr - 1.0) > tol_trace, lambda t: InvalidState(
+        f"state trace = {t:.12g}, expected 1 within {tol_trace:.1e}"), tr)
+    return rho
+
+
+def _spectra(rho: np.ndarray, tol_psd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped descending spectra and eigenvectors of checked states (B, d, d): one eigh each."""
+    w, V = np.linalg.eigh(rho)
+    return _clip_spectrum(rho, w[..., ::-1].copy(), tol_psd), V[..., ::-1].copy()
+
+
 def validate_states(M: np.ndarray, tol_trace: float = TOL_TRACE,
                     tol_psd: float = TOL_PSD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian part, clipped descending spectrum and eigenvectors of each state in a stack (B, d, d).
@@ -253,12 +311,8 @@ def validate_states(M: np.ndarray, tol_trace: float = TOL_TRACE,
     Every check (finite entries, Hermiticity, unit trace, PSD) runs on every
     state with that state's own scale; an error reports the first failing one.
     """
-    rho = hermitian_parts(M, what="state")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    raise_first(np.abs(tr - 1.0) > tol_trace, lambda t: InvalidState(
-        f"state trace = {t:.12g}, expected 1 within {tol_trace:.1e}"), tr)
-    w, V = np.linalg.eigh(rho)
-    return rho, _clip_spectrum(rho, w[..., ::-1].copy(), tol_psd), V[..., ::-1].copy()
+    rho = _unit_trace_hermitian(M, tol_trace)
+    return (rho, *_spectra(rho, tol_psd))
 
 
 def _clip_spectrum(rho: np.ndarray, w: np.ndarray, tol_psd: float) -> np.ndarray:

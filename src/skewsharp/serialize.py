@@ -39,15 +39,23 @@ class FormatError(SkewsharpError):
     pass
 
 
-def _named_non_finite(text: str) -> str:
+# .17g writes -0.0 as "-0", a token json reads as the integer 0: no digit or "." follows
+# it, as one does every "-0" that starts a nonzero number or an exponent
+_NEGATIVE_ZERO = re.compile(r"-0(?![.0-9])")
+
+
+def _json_floats(text: str) -> str:
+    """.17g text of floats in JSON: nan, inf and -0.0 written as json reads them back."""
     # .17g writes no letter but "e" for a finite double: nan and inf are whole tokens
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    if "-0" in text:
+        text = _NEGATIVE_ZERO.sub("-0.0", text)
     return text
 
 
 def fmt_float(x: float) -> str:
-    return _named_non_finite(format(float(x), ".17g"))
+    return _json_floats(format(float(x), ".17g"))
 
 
 def _fmt_number(v) -> str:
@@ -72,7 +80,7 @@ def _float_rows(node: list, inner: str, pad: str) -> str | None:
     if set(map(type, flat)) != {float}:
         return None
     cell = inner + "[" + ", ".join(["%.17g"] * widths.pop()) + "]"
-    return "[\n" + _named_non_finite(",\n".join([cell] * len(node)) % flat) + "\n" + pad + "]"
+    return "[\n" + _json_floats(",\n".join([cell] * len(node)) % flat) + "\n" + pad + "]"
 
 
 def dumps(obj, indent: int = 2) -> str:
@@ -84,7 +92,7 @@ def dumps(obj, indent: int = 2) -> str:
                 return "[]"
             types = set(map(type, node))
             if types == {float}:
-                return "[" + _named_non_finite(", ".join(["%.17g"] * len(node)) % tuple(node)) + "]"
+                return "[" + _json_floats(", ".join(["%.17g"] * len(node)) % tuple(node)) + "]"
             if all(map(_is_number_type, types)):
                 return "[" + ", ".join(map(_fmt_number, node)) + "]"
             inner = " " * (indent * (depth + 1))
@@ -165,19 +173,18 @@ def _declared_dim(data: dict, what: str) -> int | None:
     return dim
 
 
-def parse_state(data: dict, what: str = "state", check_dim=None) -> DensityMatrix:
-    """State from its JSON object.  ``check_dim``, if given, is called with the matrix
-    size before the state is validated and diagonalized, so that a size the caller
-    cannot use fails before that work."""
+def parse_state(data: dict, what: str = "state", build=DensityMatrix.from_matrix) -> DensityMatrix:
+    """State from its JSON object: ``build`` takes the square complex matrix and
+    returns the validated state.  A caller that needs more than
+    ``DensityMatrix.from_matrix`` passes its own builder, e.g. one that checks the
+    size before any eigh and gives the eigh a partition (``gaussian.fock_density``)."""
     if not isinstance(data, dict) or "matrix" not in data:
         raise FormatError(f"{what}: expected an object with a 'matrix' field")
     A = pairs_to_matrix(data["matrix"], what)
     dim = _declared_dim(data, what)
     if dim is not None and dim != A.shape[0]:
         raise FormatError(f"{what}: declared dim {dim} != matrix dim {A.shape[0]}")
-    if check_dim is not None:
-        check_dim(A.shape[0])
-    return DensityMatrix.from_matrix(A)
+    return build(A)
 
 
 def observables_to_dict(X: ObservableSet, labels: list[str] | None = None) -> dict:

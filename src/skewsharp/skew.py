@@ -30,6 +30,20 @@ such set; their origin builds the stack from the ladder operators (see
 :mod:`skewsharp.gaussian`).  Both routes are centered alike and pass the same
 two self-checks.
 
+The block route.  An origin's ``stack_blocks(blocks)`` may name the
+eigenvector columns (P, Q) of two of the state's blocks on whose diagonal
+blocks every A_k is exactly zero: the quadratures flip photon-number parity,
+so they do so when the state carries its two parity blocks.  The context then
+stores only X_k = A_k[P, Q] (``ctx.stack``); A_k[Q, P] = X_k^dag, the rest is
+0 and so is every mean.  The pairing, the Gram check and the stack check each
+take a form of matrix products on the flattened X_k, e.g.
+sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum_{a in P, b in Q} (W[a, b] X_k conj(X_j)
++ W[b, a] conj(X_k) X_j) for any complex W.  The route is chosen from the
+inputs alone, an observable set with such an origin and a state with such
+blocks; every other instance, among them every batch of the fuzz harness,
+keeps the dense einsum bit for bit.  ``ctx.A`` stays available on the block
+route, assembled on demand; the engine itself reads ``ctx.stack``.
+
 Two self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
 those operators are elementwise, (s_a +/- s_b) A_k[a, b] / sqrt(2) with
@@ -157,23 +171,29 @@ def classical_matrix(sigma: np.ndarray, skew: np.ndarray, tol_psd: float = TOL_P
     return c
 
 
-def _eigenbasis_gram(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, block_cols=None) -> np.ndarray:
     """Gram matrices of the operators (s_a +/- s_b) A_k[a, b] / sqrt(2), s = sqrt(lam).
 
     Block (u, v) is G[p, q] = sum_ab w_uv[a, b] conj(A_p[a, b]) A_q[a, b] with
     w_uv = t_u t_v for t_+/- = (s_a +/- s_b) / sqrt(2): one product per
-    instance on one weighted copy of A at a time.
+    instance on one weighted copy of the stored stack S at a time.  On the
+    block route (S holds X_k = A_k[P, Q], ``block_cols`` = (P, Q)) the (Q, P)
+    terms are the (P, Q) ones conjugated, with the sign of w_uv[b, a] = +/- w_uv[a, b]
+    (t_+ is symmetric, t_- antisymmetric).
     """
-    B, n = A.shape[:2]
+    B, n = S.shape[:2]
     s = np.sqrt(lam / 2)
-    t_plus, t_minus = s[:, :, None] + s[:, None, :], s[:, :, None] - s[:, None, :]
-    flat = A.reshape(B, n, -1)
+    s_rows, s_cols = (s, s) if block_cols is None else (s[:, c] for c in block_cols)
+    t_plus, t_minus = s_rows[:, :, None] + s_cols[:, None, :], s_rows[:, :, None] - s_cols[:, None, :]
+    flat = S.reshape(B, n, -1)
     G = np.empty((B, 2 * n, 2 * n), dtype=complex)
-    wA = np.empty_like(A)
-    for u, v, t_u, t_v in ((0, 0, t_plus, t_plus), (0, n, t_plus, t_minus), (n, n, t_minus, t_minus)):
-        np.multiply((t_u * t_v)[:, None], A, out=wA)
-        np.conjugate(wA, out=wA)
-        G[:, u:u + n, v:v + n] = wA.reshape(B, n, -1) @ flat.swapaxes(1, 2)
+    wS = np.empty_like(S)
+    for u, v, t_u, t_v, sign in ((0, 0, t_plus, t_plus, 1), (0, n, t_plus, t_minus, -1),
+                                 (n, n, t_minus, t_minus, 1)):
+        np.multiply((t_u * t_v)[:, None], S, out=wS)
+        np.conjugate(wS, out=wS)
+        T = wS.reshape(B, n, -1) @ flat.swapaxes(1, 2)
+        G[:, u:u + n, v:v + n] = T if block_cols is None else T + sign * np.conj(T)
     G[:, n:, :n] = np.conj(G[:, :n, n:]).swapaxes(1, 2)
     return G
 
@@ -199,15 +219,18 @@ def _check_stack(ctx: "SpectralContext") -> None:
         f"eigenbasis means differ from Tr(rho X_k) by {e:.3e}"), dev)
     C = np.zeros((B, n, n + 1))                 # X'_k = X_k - m_k 1
     C[:, :, :n], C[:, :, n] = np.eye(n), -means
-    flat_A = ctx.A.reshape(B, n, -1).view(float)
-    dev = np.abs(C @ G @ C.swapaxes(1, 2) - flat_A @ flat_A.swapaxes(1, 2)).max(axis=(1, 2))
+    # on the block route Re Tr(A_k^dag A_j) is twice the pairing of the (P, Q) blocks
+    flat_S = ctx.stack.reshape(B, n, -1).view(float)
+    HS = flat_S @ flat_S.swapaxes(1, 2) * (1 if ctx.block_cols is None else 2)
+    dev = np.abs(C @ G @ C.swapaxes(1, 2) - HS).max(axis=(1, 2))
     raise_first(dev > CONSTRUCTION_TOL * scale, lambda e: ConstructionMismatch(
         f"eigenbasis stack changes Tr(X'_k X'_j) by {e:.3e}"), dev)
 
 
 class SpectralContext:
     """B instances (rho, X) of one shape: clipped spectra ``lam`` (B, d), centered
-    eigenbasis stacks ``A`` (B, n, d, d).
+    eigenbasis stacks ``A`` (B, n, d, d), stored as ``stack``: A itself, or on the
+    block route (``block_cols`` set) its blocks A_k[P, Q].
 
     Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  A
     is built once; matrices, kernel weights and reports are cached, and ``memo``
@@ -236,6 +259,9 @@ class SpectralContext:
         self.observables = observables      # n arrays (B, d, d)
         self.size, self.dim = lam.shape
         self.n = len(observables)
+        # the block route: eigenbasis columns (P, Q) of two blocks on whose diagonal
+        # blocks every A_k is exactly zero, as the origin finds them in the state's blocks
+        self.block_cols = None if origin is None else origin.stack_blocks(state_blocks)
         self.memo: dict = {}
         self._weights: dict = {}
 
@@ -246,14 +272,29 @@ class SpectralContext:
             A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
         else:
             A = self.origin.eigenbasis_stack(self.V[0], self.state_blocks)[None]
+        if self.block_cols is not None:
+            return A, np.zeros((self.size, self.n))     # a zero diagonal: every mean is 0
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
         means = np.einsum("zka,za->zk", diag, self.lam).real
         diag -= means[:, :, None]
         return A, means
 
-    # the centered stacks A_k = V^dag X'_k V, and the means <X_k> they were centered with
-    A = property(lambda self: self._stack[0])
+    # the stored stack: the centered A_k = V^dag X'_k V, or on the block route their
+    # blocks X_k = A_k[P, Q] (B, n, |P|, |Q|); and the means <X_k> A was centered with
+    stack = property(lambda self: self._stack[0])
     means = property(lambda self: self._stack[1])
+
+    @property
+    def A(self) -> np.ndarray:
+        """The centered stacks (B, n, d, d); on the block route assembled on each call
+        from X_k (A_k[Q, P] = X_k^dag, zero elsewhere).  The engine reads ``stack``."""
+        if self.block_cols is None:
+            return self.stack
+        P, Q = self.block_cols
+        A = np.zeros((self.size, self.n, self.dim, self.dim), dtype=complex)
+        A[:, :, P[:, None], Q] = self.stack
+        A[:, :, Q[:, None], P] = np.conj(self.stack).swapaxes(2, 3)
+        return A
 
     def weights(self, g) -> np.ndarray:
         """Kernel g(l_a, l_b) on each spectrum, once per kernel; non-finite values are a KernelDomainError.
@@ -271,8 +312,20 @@ class SpectralContext:
         return self._weights[g]
 
     def pair(self, W: np.ndarray) -> np.ndarray:
-        """M[z, k, j] = sum_ab W[z, a, b] A_k[a, b] A_j[b, a] for each instance z, complex (B, n, n)."""
-        return np.einsum("zkab,zab,zjba->zkj", self.A, W, self.A)
+        """M[z, k, j] = sum_ab W[z, a, b] A_k[a, b] A_j[b, a] for each instance z, complex (B, n, n).
+
+        On the block route the sum runs over a in P, b in Q only, as
+        W[a, b] X_k conj(X_j) + W[b, a] conj(X_k) X_j: two matrix products on the
+        flattened blocks, for any complex W.
+        """
+        if self.block_cols is None:
+            return np.einsum("zkab,zab,zjba->zkj", self.A, W, self.A)
+        P, Q = self.block_cols
+        X = self.stack.reshape(self.size, self.n, -1)
+        Xc = np.conj(X)
+        W_pq = W[:, P[:, None], Q].reshape(self.size, 1, -1)
+        W_qp = W.swapaxes(1, 2)[:, P[:, None], Q].reshape(self.size, 1, -1)    # W[b, a]
+        return (X * W_pq) @ Xc.swapaxes(1, 2) + (Xc * W_qp) @ X.swapaxes(1, 2)
 
     def symmetric_pair(self, W: np.ndarray) -> np.ndarray:
         return np.real(_sym(self.pair(W)))
@@ -436,7 +489,7 @@ def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
     L[:, :n, n:] = L[:, n:, :n] = i_delta
     scale_L = mat_scale(L)
     _check_stack(ctx)
-    dev = np.abs(L - _eigenbasis_gram(ctx.A, ctx.lam)).max(axis=(1, 2))
+    dev = np.abs(L - _eigenbasis_gram(ctx.stack, ctx.lam, ctx.block_cols)).max(axis=(1, 2))
     raise_first(dev > CONSTRUCTION_TOL * scale_L, lambda e: ConstructionMismatch(
         f"Gram and block constructions of L differ by {e:.3e}"), dev)
 

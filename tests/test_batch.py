@@ -121,8 +121,8 @@ def test_error_inside_group_names_trial(monkeypatch):
     lam = replay_trial(cfg, target)[0].eigenvalues
     real = skew_mod._eigenbasis_gram
 
-    def corrupted(A, spectra):
-        G = real(A, spectra)
+    def corrupted(A, spectra, *block_cols):
+        G = real(A, spectra, *block_cols)
         G[np.abs(spectra - lam).max(axis=1) <= 1e-14] *= 1.5
         return G
 

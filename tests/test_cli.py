@@ -275,6 +275,7 @@ def test_nongauss_size_checked_before_the_state_eigh(tmp_path, capsys, monkeypat
 
     path = fock_state_file(tmp_path, level=0, cutoff=16)
     monkeypatch.setattr(linalg, "validate_states", no_eigh)
+    monkeypatch.setattr(linalg, "_unit_trace_hermitian", no_eigh)     # the per-parity route
     assert main(["nongauss", path, "--modes", "2", "--cutoff", "5"]) == 2
     assert "error: state dim 16 != cutoff^n_modes = 25" in capsys.readouterr().err
 
@@ -293,6 +294,40 @@ def test_nongauss_large_file_matches_json_path(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(serialize, "MATRIX_ROUTE_MIN_CHARS", path.stat().st_size)
     assert main(argv) == 0
     assert capsys.readouterr().out == routed
+
+
+def _nongauss_states():
+    rng = np.random.default_rng(4)
+    cat = np.zeros(144, dtype=complex)               # (|0,0> + |0,1> + i|1,1>)/sqrt(3)
+    cat[[0, 1, 13]] = np.array([1, 1, 1j]) / math.sqrt(3)
+    breaking = 0.5 * np.outer(cat, cat.conj()) + 0.5 * np.diag(rng.dirichlet(np.ones(144)))
+    keeping = np.zeros((144, 144), dtype=complex)     # a random state on each parity block
+    parity = np.add.outer(np.arange(12), np.arange(12)).ravel() % 2
+    for p in (0, 1):
+        rows = np.flatnonzero(parity == p)
+        G = rng.standard_normal((rows.size, 6)) + 1j * rng.standard_normal((rows.size, 6))
+        keeping[np.ix_(rows, rows)] = G @ G.conj().T
+    return {"breaking": breaking, "keeping": keeping / np.trace(keeping).real}
+
+
+@pytest.mark.parametrize("kind", ["breaking", "keeping"])
+def test_nongauss_matches_the_dense_library_route(tmp_path, capsys, kind):
+    # d = 144 (2 modes, cutoff 12); the parity-keeping file is above the reader's size
+    # constant, so the vectorized reader and the block route run together
+    from skewsharp import gaussian, serialize
+    from skewsharp.linalg import DensityMatrix
+
+    M = _nongauss_states()[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(dumps({"dim": 144, "matrix": matrix_to_pairs(M)}))
+    read = serialize.loads(path.read_text())["matrix"]
+    assert isinstance(read, np.ndarray) == (path.stat().st_size > serialize.MATRIX_ROUTE_MIN_CHARS)
+    assert (gaussian.fock_density(serialize.pairs_to_matrix(read), 2, 12).blocks is None) == (kind == "breaking")
+    if kind == "keeping":
+        assert isinstance(read, np.ndarray)
+    assert main(["nongauss", str(path), "--modes", "2", "--cutoff", "12"]) == 0
+    dense = gaussian.nongaussianity(DensityMatrix.from_matrix(M), 2, 12)
+    assert capsys.readouterr().out == f"delta_G={dense:#.12g}\n"
 
 
 # -------------------------------------------------------------------- fuzz

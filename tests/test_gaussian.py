@@ -30,10 +30,10 @@ from skewsharp.gaussian import (
     two_mode_generator,
     validate_quadratic,
 )
-from skewsharp import gaussian
+from skewsharp import gaussian, gcov, skew
 from skewsharp.fuzz import random_density
 from skewsharp.skew import ConstructionMismatch, ObservableSet, SpectralContext, check_refined_rs
-from skewsharp.linalg import DensityMatrix
+from skewsharp.linalg import DensityMatrix, InvalidState, NonHermitianInput
 
 Q = 0.25                      # e^(-beta omega) for the thermal fixture
 BETA = math.log(1 / Q)        # omega = 1
@@ -265,6 +265,67 @@ def test_vacuum_nongaussianity_vanishes():
     assert abs(nongaussianity(DensityMatrix.from_matrix(rho), 1, cutoff)) <= 1e-10
 
 
+# ------------------------------------------------- per-parity state route
+
+def _fock_cat(n, cutoff):
+    """(|0> + |1>)/sqrt(2) on the first mode: a state that breaks photon-number parity."""
+    psi = np.zeros(cutoff**n, dtype=complex)
+    psi[0] = psi[cutoff ** (n - 1)] = 1 / math.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
+PARITY_STATES = [pytest.param(kind, n, cutoff, id=f"{kind}-{n}m-cutoff{cutoff}")
+                 for kind in ("fock-diagonal", "parity-block", "parity-breaking")
+                 for n, cutoff in ((1, 10), (2, 5))]
+
+
+def _parity_state(kind, n, cutoff):
+    rng = np.random.default_rng(cutoff)
+    if kind == "parity-breaking":
+        return _fock_cat(n, cutoff)
+    return _parity_state_matrix(n, cutoff, rng, diagonal=kind == "fock-diagonal")
+
+
+@pytest.mark.parametrize("kind, n, cutoff", PARITY_STATES)
+def test_per_parity_state_matches_dense_eigh(kind, n, cutoff):
+    M = _parity_state(kind, n, cutoff)
+    a, b = gaussian.fock_density(M, n, cutoff), DensityMatrix.from_matrix(M)
+    assert np.array_equal(a.matrix, b.matrix) and b.blocks is None
+    assert (a.blocks is None) == (kind == "parity-breaking")
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-14
+    dg_a, dg_b = nongaussianity(a, n, cutoff), nongaussianity(b, n, cutoff)
+    assert abs(dg_a - dg_b) <= 1e-12 * max(1.0, abs(dg_b))
+
+
+def test_per_parity_route_needs_exactly_zero_cross_entries():
+    M = _parity_state("parity-block", 1, 10)
+    assert gaussian.fock_density(M, 1, 10).blocks is not None
+    M[0, 1] = M[1, 0] = 1e-300                  # |0> and |1> differ in parity
+    rho = gaussian.fock_density(M, 1, 10)
+    assert rho.blocks is None
+    assert np.array_equal(rho.eigenvectors, DensityMatrix.from_matrix(M).eigenvectors)
+
+
+def _error(build, M):
+    with pytest.raises(Exception) as info:
+        build(M)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 5)])
+def test_per_parity_route_raises_the_dense_route_errors(n, cutoff):
+    M = _parity_state("parity-block", n, cutoff)
+    bad_trace, non_hermitian, not_psd = 1.01 * M, M.copy(), M.copy()
+    non_hermitian[0, 2] += 1e-3                 # both even: inside one parity block
+    not_psd[0, 0] -= 0.5
+    not_psd[2, 2] += 0.5
+    for bad, kind, text in ((bad_trace, InvalidState, "trace"), (non_hermitian, NonHermitianInput, "non-Hermitian"),
+                            (not_psd, InvalidState, "positive semidefinite")):
+        expected = _error(DensityMatrix.from_matrix, bad)
+        assert expected[0] is kind and text in expected[1]
+        assert _error(lambda m: gaussian.fock_density(m, n, cutoff), bad) == expected
+
+
 def test_nongaussianity_dim_guard():
     rho = np.eye(10, dtype=complex) / 10
     from skewsharp.linalg import DimensionMismatch
@@ -430,16 +491,39 @@ def _dense_twin(X):
 STACK_CASES = ([pytest.param("ginibre", n, cutoff, seed, id=f"ginibre-{n}m-cutoff{cutoff}-seed{seed}")
                 for n, cutoff in ((1, 6), (1, 11), (2, 3), (2, 5)) for seed in range(2)]
                + [pytest.param("thermal", n, cutoff, seed, id=f"thermal-{n}m-cutoff{cutoff}-seed{seed}")
-                  for n, cutoff in ((1, 12), (2, 8)) for seed in range(2)])
+                  for n, cutoff in ((1, 12), (2, 8)) for seed in range(2)]
+               + [pytest.param("parity", n, cutoff, seed, id=f"parity-{n}m-cutoff{cutoff}-seed{seed}")
+                  for n, cutoff in ((1, 9), (2, 4), (2, 7)) for seed in range(2)])
+
+
+def _parity_state_matrix(n, cutoff, rng, diagonal):
+    """A state matrix that keeps photon-number parity, as a nongauss file holds it: a
+    Fock-diagonal mixture with zero weights (diagonal) or a random state on each parity block."""
+    d = cutoff**n
+    if diagonal:
+        p = rng.uniform(0.2, 1.0, d) * (rng.uniform(size=d) < 0.3)
+        p[0] += 0.1
+        return np.diag(p / p.sum()).astype(complex)
+    M = np.zeros((d, d), dtype=complex)
+    for rows in gaussian.parity_rows(n, cutoff):
+        G = rng.standard_normal((rows.size, rows.size)) + 1j * rng.standard_normal((rows.size, rows.size))
+        M[np.ix_(rows, rows)] = G @ G.conj().T
+    return M / np.trace(M).real
 
 
 def _stack_instance(kind, n, cutoff, seed):
     rng = np.random.default_rng(seed)
     if kind == "ginibre":
         rho = random_density(cutoff**n, "full" if seed % 2 else 1, rng)
-    else:
+    elif kind == "thermal":
         rho = fock_truncate_thermal(random_admissible_generator(n, rng, spectral_radius=2.0), cutoff).rho
+    else:
+        rho = gaussian.fock_density(_parity_state_matrix(n, cutoff, rng, seed % 2 == 0), n, cutoff)
     return rho, quadrature_observables(n, cutoff)
+
+
+def _assert_close(a, b, rel):
+    assert np.abs(a - b).max() <= rel * max(1.0, np.abs(b).max())
 
 
 @pytest.mark.parametrize("kind, n, cutoff, seed", STACK_CASES)
@@ -447,24 +531,51 @@ def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
     rho, X = _stack_instance(kind, n, cutoff, seed)
     fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
     assert fast.origin == gaussian.LadderOrigin(n, cutoff) and dense.origin is None
-    # nongauss states carry no parity blocks
+    # ginibre states carry no parity blocks; the other kinds take the block route
     assert (fast.origin.parity_blocks(rho.blocks) is None) == (kind == "ginibre")
+    assert (fast.block_cols is None) == (kind == "ginibre") and dense.block_cols is None
     scale = np.abs(dense.A).max()
     assert np.abs(fast.A - dense.A).max() <= 1e-13 * scale
     assert np.abs(fast.means - dense.means).max() <= 1e-13 * scale
     assert abs(fast.refined.delta_G - dense.refined.delta_G) <= 1e-12 * max(1.0, abs(dense.refined.delta_G))
+    if kind != "ginibre":
+        P, Q = fast.block_cols
+        assert fast.stack.shape == (1, X.n, P.size, Q.size) and not fast.means.any()
+        for name in ("P", "skew"):
+            _assert_close(getattr(fast, name), getattr(dense, name), 1e-13)
+        _assert_close(fast.refined.L, dense.refined.L, 1e-13)
+        _assert_close(skew._eigenbasis_gram(fast.stack, fast.lam, fast.block_cols),
+                      skew._eigenbasis_gram(dense.stack, dense.lam), 1e-13)
 
 
-@pytest.mark.parametrize("kind", ["ginibre", "thermal"])
+@pytest.mark.parametrize("kind, n, cutoff, seed", [("thermal", 1, 10, 0), ("parity", 2, 4, 1)])
+def test_block_pairing_matches_dense_for_complex_weights(kind, n, cutoff, seed):
+    rho, X = _stack_instance(kind, n, cutoff, seed)
+    fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
+    assert fast.block_cols is not None
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((1, rho.dim, rho.dim)) + 1j * rng.standard_normal((1, rho.dim, rho.dim))
+    _assert_close(fast.pair(W), dense.pair(W), 1e-13)
+    _assert_close(fast.pair(W.swapaxes(1, 2)), dense.pair(W.swapaxes(1, 2)), 1e-13)
+    f = gcov.sld_function()
+    _assert_close(gcov.g_covariance.ctx(fast, gcov.eps_kernel()), gcov.g_covariance.ctx(dense, gcov.eps_kernel()), 1e-13)
+    _assert_close(gcov.build_Lg.ctx(fast, *f.gram_kernels), gcov.build_Lg.ctx(dense, *f.gram_kernels), 1e-13)
+    a, b = gcov.check_metric_adjusted.ctx(fast, f), gcov.check_metric_adjusted.ctx(dense, f)
+    for key in ("margin18", "margin19"):
+        _assert_close(getattr(a, key), getattr(b, key), 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "thermal", "parity"])
 def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
     rho, X = _stack_instance(kind, 1, 9, 1)
+    assert (SpectralContext(rho, X).block_cols is None) == (kind == "ginibre")
     build = gaussian._ladder_matrix
 
     def corrupted(*args):
-        M = build(*args)
+        M, M_back = build(*args)    # the dense M twice, or on the block route its two nonzero blocks
         a, b = np.unravel_index(np.argmax(np.abs(M)), M.shape)
         M[a, b] += 1e-6 * M[a, b] / abs(M[a, b])
-        return M
+        return M, M_back
 
     monkeypatch.setattr(gaussian, "_ladder_matrix", corrupted)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):

@@ -223,8 +223,40 @@ def test_from_blocks_rejects_bad_input():
         DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1, 1.01 * w1)])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_from_matrix_partition_matches_dense_eigh(seed):
+    blocks = _block_eigensystems(seed, sizes=(2, 3, 4))
+    d = sum(r.size for r, _, _ in blocks)
+    dense = np.zeros((d, d), dtype=complex)
+    for r, V, w in blocks:
+        dense[np.ix_(r, r)] = (V * w) @ V.conj().T
+    rows = [r for r, _, _ in blocks]
+    a, b = DensityMatrix.from_matrix(dense, partition=rows), DensityMatrix.from_matrix(dense)
+    assert np.array_equal(a.matrix, b.matrix) and b.blocks is None
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-14
+    P = (a.eigenvectors * a.eigenvalues) @ a.eigenvectors.conj().T
+    assert np.abs(P - b.matrix).max() <= 1e-14
+    for r, (rows_b, cols) in zip(rows, a.blocks):
+        assert np.array_equal(rows_b, r)
+        assert np.abs(np.delete(a.eigenvectors[:, cols], r, axis=0)).max(initial=0.0) == 0.0
+    # a coupling of two parts, however small, takes the dense eigh and records no blocks
+    coupled = dense.copy()
+    coupled[rows[0][0], rows[2][0]] = coupled[rows[2][0], rows[0][0]] = 1e-300
+    c = DensityMatrix.from_matrix(coupled, partition=rows)
+    assert c.blocks is None
+    assert np.array_equal(c.eigenvectors, DensityMatrix.from_matrix(coupled).eigenvectors)
+
+
+def test_from_matrix_rejects_a_partition_that_is_not_one():
+    rho = np.eye(4, dtype=complex) / 4
+    for parts in ([[0, 1], [2]], [[0, 1], [1, 2, 3]], [[0, 1], [2, 3, 4]]):
+        with pytest.raises(DimensionMismatch, match="partition"):
+            DensityMatrix.from_matrix(rho, partition=parts)
+
+
 def test_recorded_blocks_are_not_assignable():
-    # the blocks select the parity route of the quadratures' stack: from_blocks alone sets them
+    # the blocks select the parity route of the quadratures' stack: only from_blocks and a
+    # from_matrix partition that holds set them
     rho = DensityMatrix.from_blocks(_block_eigensystems(3))
     with pytest.raises(dataclasses.FrozenInstanceError):
         rho.blocks = None

@@ -16,6 +16,8 @@ def recursive_dumps(obj, indent=2):
             return "NaN"
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
+        if x == 0 and math.copysign(1.0, x) < 0:
+            return "-0.0"
         return format(float(x), ".17g")
 
     def render(node, depth):
@@ -120,10 +122,30 @@ def test_pairs_round_trip_is_bit_exact():
     B = pairs_to_matrix(matrix_to_pairs(A))
     assert B.shape == A.shape and B.dtype == complex
     assert np.array_equal(_bits(B), _bits(A))
-    # through the 17-digit text; "-0" reads back as the integer 0, as cell by cell
+    # through the 17-digit text, bit for bit: -0.0 is written "-0.0", not the integer "-0"
     data = json.loads(dumps(matrix_to_pairs(A)))
     cell_by_cell = np.array([[complex(re, im) for re, im in row] for row in data])
     assert np.array_equal(_bits(pairs_to_matrix(data)), _bits(cell_by_cell))
+    assert np.array_equal(_bits(pairs_to_matrix(data)), _bits(A))
+
+
+def test_negative_zero_survives_dumps_and_loads(monkeypatch):
+    for obj in ([-0.0, 0.0, -0.5, -1e-05, 1e-300, -5e-324], [[-0.0, 1.0], [2.0, -0.0]]):
+        back = json.loads(dumps(obj))
+        assert np.array_equal(_bits(np.array(back, dtype=float)), _bits(np.array(obj, dtype=float)))
+    for scalar in (-0.0, np.float64(-0.0)):
+        assert dumps(scalar) == "-0.0\n" and math.copysign(1.0, json.loads(dumps(scalar))) < 0
+    assert dumps({"k": [1.5, -0.0]}) == '{\n  "k": [1.5, -0.0]\n}\n'
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A[0, 0], A[1, 2], A[2, 1] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+    text = dumps({"dim": 3, "matrix": matrix_to_pairs(A)})
+    assert np.array_equal(_bits(pairs_to_matrix(json.loads(text)["matrix"])), _bits(A))
+    # the vectorized route takes the matrix (an integer -0 would send it to json) and keeps the signs
+    monkeypatch.setattr(serialize, "MATRIX_ROUTE_MIN_CHARS", 0)
+    routed = serialize.loads(text)["matrix"]
+    assert isinstance(routed, np.ndarray)
+    assert np.array_equal(_bits(pairs_to_matrix(routed)), _bits(A))
 
 
 def test_pairs_accept_integers():
