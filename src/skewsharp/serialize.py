@@ -39,23 +39,27 @@ class FormatError(SkewsharpError):
     pass
 
 
-# .17g writes -0.0 as "-0", a token json reads as the integer 0: no digit or "." follows
-# it, as one does every "-0" that starts a nonzero number or an exponent
-_NEGATIVE_ZERO = re.compile(r"-0(?![.0-9])")
-
-
-def _json_floats(text: str) -> str:
-    """.17g text of floats in JSON: nan, inf and -0.0 written as json reads them back."""
+def _named_non_finite(text: str) -> str:
     # .17g writes no letter but "e" for a finite double: nan and inf are whole tokens
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    if "-0" in text:
-        text = _NEGATIVE_ZERO.sub("-0.0", text)
+    return text
+
+
+def _json_floats(text: str) -> str:
+    """.17g text of a list of floats, brackets included, made JSON: nan, inf and -0.0
+    as json reads them back."""
+    text = _named_non_finite(text)
+    # .17g writes -0.0 as "-0", which json reads as the integer 0; in a list every
+    # value ends at "," or "]", and no other value ends in "-0" (an exponent has two digits)
+    if "-0," in text or "-0]" in text:
+        text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
     return text
 
 
 def fmt_float(x: float) -> str:
-    return _json_floats(format(float(x), ".17g"))
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else _named_non_finite(text)
 
 
 def _fmt_number(v) -> str:
@@ -92,7 +96,7 @@ def dumps(obj, indent: int = 2) -> str:
                 return "[]"
             types = set(map(type, node))
             if types == {float}:
-                return "[" + _json_floats(", ".join(["%.17g"] * len(node)) % tuple(node)) + "]"
+                return _json_floats("[" + ", ".join(["%.17g"] * len(node)) % tuple(node) + "]")
             if all(map(_is_number_type, types)):
                 return "[" + ", ".join(map(_fmt_number, node)) + "]"
             inner = " " * (indent * (depth + 1))
