@@ -312,8 +312,8 @@ def _nongauss_states():
 
 @pytest.mark.parametrize("kind", ["breaking", "keeping"])
 def test_nongauss_matches_the_dense_library_route(tmp_path, capsys, kind):
-    # d = 144 (2 modes, cutoff 12); the parity-keeping file is above the reader's size
-    # constant, so the vectorized reader and the block route run together
+    # d = 144 (2 modes, cutoff 12); both files are above the reader's size constant, so
+    # on the parity-keeping one the vectorized reader and the block route run together
     from skewsharp import gaussian, serialize
     from skewsharp.linalg import DensityMatrix
 
@@ -321,10 +321,8 @@ def test_nongauss_matches_the_dense_library_route(tmp_path, capsys, kind):
     path = tmp_path / f"{kind}.json"
     path.write_text(dumps({"dim": 144, "matrix": matrix_to_pairs(M)}))
     read = serialize.loads(path.read_text())["matrix"]
-    assert isinstance(read, np.ndarray) == (path.stat().st_size > serialize.MATRIX_ROUTE_MIN_CHARS)
+    assert isinstance(read, np.ndarray)
     assert (gaussian.fock_density(serialize.pairs_to_matrix(read), 2, 12).blocks is None) == (kind == "breaking")
-    if kind == "keeping":
-        assert isinstance(read, np.ndarray)
     assert main(["nongauss", str(path), "--modes", "2", "--cutoff", "12"]) == 0
     dense = gaussian.nongaussianity(DensityMatrix.from_matrix(M), 2, 12)
     assert capsys.readouterr().out == f"delta_G={dense:#.12g}\n"
