@@ -3,7 +3,8 @@
 Exit codes: 0 = all requested relations hold or saturate, 1 = a relation is
 violated (or fuzz found violations, or a Gaussian gap exceeds tolerance),
 2 = input or configuration error.  SKEWSHARP_TOL overrides the violation
-tolerance (relative, default 1e-8); the saturation verdict band is 1e-7.
+tolerance (relative, default 1e-8, finite and >= 0); the saturation verdict
+band is 1e-7.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .fuzz import RELATION_GROUPS, FuzzConfig, context_margins, run_fuzz, violated
+from .fuzz import RELATIONS, FuzzConfig, context_margins, require_violation_tol, run_fuzz, violated
 from .gaussian import (
     fock_density,
     nongaussianity,
@@ -25,7 +24,7 @@ from .gaussian import (
     single_mode_generator,
     two_mode_generator,
 )
-from .gcov import big_F, lambda_f, resolve_monotone
+from .gcov import LAMBDA_GRID, big_F, lambda_f, resolve_monotone
 from .linalg import SkewsharpError
 from .serialize import (
     FormatError,
@@ -39,16 +38,16 @@ from .serialize import (
     state_to_dict,
     write_text,
 )
-from .skew import SpectralContext, instance
+from .skew import TOL_INEQ, SpectralContext, instance
 
 SAT_TOL = 1e-7
 
 
 def _violation_tol(override: float | None) -> float:
     if override is not None:
-        return override
+        return require_violation_tol(override)
     env = os.environ.get("SKEWSHARP_TOL")
-    return float(env) if env else 1e-8
+    return require_violation_tol(float(env)) if env else TOL_INEQ
 
 
 def _verdict(margin: float, scale: float, tol: float) -> str:
@@ -66,23 +65,19 @@ def cmd_check(args) -> int:
     if rho.dim != X.dim:
         raise FormatError(f"dim mismatch: state dim {rho.dim} != observables dim {X.dim}")
 
-    groups = ["rs", "refined", "weak-chain"]
-    if args.two_obs:
-        if X.n != 2:
-            raise FormatError(f"--two-obs needs exactly 2 observables, got {X.n}")
-        groups.append("two-obs")
-    fs = []
-    if args.f is not None:
-        fs.append(resolve_monotone(args.f))
-        groups += ["g-psd", "eq18", "eq19", "wy-strongest"]
+    if args.two_obs and X.n != 2:
+        raise FormatError(f"--two-obs needs exactly 2 observables, got {X.n}")
+    fs = [] if args.f is None else [resolve_monotone(args.f)]
+    selected = {None: True, "--two-obs": args.two_obs, "--f": args.f is not None}
+    chosen = [r for r in RELATIONS if selected[r.check]]
 
     ctx = SpectralContext(rho, X)
-    rows = context_margins(ctx, groups, fs)
+    rows = context_margins(ctx, {r.group for r in chosen}, fs)
     rep = instance(ctx.refined)
     margins = {rid: margin for rid, _, margin, _ in rows}
     scales = {rid: scale for rid, _, _, scale in rows}
-    notes = [f"{rid}: not evaluated, its precondition fails for f '{args.f}'"
-             for g in groups for rid in RELATION_GROUPS[g] if rid not in margins]
+    notes = [f"{r.rid}: not evaluated, its precondition fails for f '{args.f}'"
+             for r in chosen if r.rid not in margins]
 
     verdicts = {k: _verdict(margins[k], scales[k], tol) for k in margins}
     report = {
@@ -124,9 +119,8 @@ def cmd_lambda(args) -> int:
     f = resolve_monotone(args.f)
     res = lambda_f(f)
     if args.grid_dump:
-        xs = np.logspace(-8, 8, 4097)
-        Fs = big_F(f, xs)
-        lines = ["x,F"] + [f"{x:.17g},{v:.17g}" for x, v in zip(xs, Fs)]
+        Fs = big_F(f, LAMBDA_GRID)
+        lines = ["x,F"] + [f"{x:.17g},{v:.17g}" for x, v in zip(LAMBDA_GRID, Fs)]
         write_text(args.grid_dump, "\n".join(lines) + "\n")
     flag = "true" if res.conjecture_match else "false"
     print(f"lambda={res.lam:.17g} lower={res.lower_bound:.17g} "
@@ -211,7 +205,7 @@ def cmd_fuzz(args) -> int:
         trials=args.trials,
         seed=args.seed,
         relations=tuple(args.relations.split(",")) if args.relations else FuzzConfig.relations,
-        f_labels=tuple(args.f.split(",")) if args.f else ("wy", "sld", "wyd:0.3"),
+        f_labels=tuple(args.f.split(",")) if args.f else FuzzConfig.f_labels,
         tol=_violation_tol(args.tol),
         reproducer_dir=args.reproducer_dir,
     )

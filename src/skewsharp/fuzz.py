@@ -2,16 +2,11 @@
 
 Each trial derives its own generator from (master seed, trial index), so runs
 are deterministic at any parallelism and any subset of trials can be replayed
-(``replay_trial``).  Relation groups select what gets checked per trial:
-
-    rs          ->  rs
-    refined     ->  eq3, eq7-psd, eq8-schur
-    weak-chain  ->  eq4a, eq4b
-    two-obs     ->  eq9a, eq9b, eq10, furuichi      (only when n = 2 is drawn)
-    g-psd       ->  eq16 (one sample per f label), eq17
-    eq18 / eq19 ->  metric-adjusted relations, one sample per f label
-    wy-strongest -> wy-strongest, for sld only: it needs f <= f(0)(1+sqrt x)^2
-                    (in the catalog: sld and wy), and wy against itself is 0
+(``replay_trial``).  ``RELATIONS`` is the one table of relations, for this
+harness and ``skewsharp check`` alike: one record per relation id, in the
+order of the ``check`` report and of the reproducers, naming its group (what
+``FuzzConfig.relations`` and ``check`` select), its evaluator, whether it is
+sampled once per f label, and the ``check`` option that selects it.
 
 Evaluation is grouped.  ``run_fuzz`` draws a chunk of trials, each from its own
 generator exactly as a lone trial would, and groups them by (dim, n); the rank
@@ -25,8 +20,7 @@ every trial.  A failed check is replayed trial by trial, and the error names
 the first failing trial with its (dim, n, rank).  ``trial_margins`` and
 ``context_margins`` are the one-trial case of the same code.
 
-``RELATIONS`` is the one table of relations, for this harness and ``skewsharp
-check`` alike.  A margin that fails ``violated`` dumps a reproducer file in the
+A margin that fails ``violated`` dumps a reproducer file in the
 CLI state/observables JSON format (plus the relation and f label) so the
 instance replays through the command line; each relation's stats also name the
 trial of its smallest relative margin.  Observable counts are drawn with
@@ -38,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -55,20 +50,8 @@ from .gcov import (
 )
 from .linalg import DensityMatrix, SkewsharpError, hermitian_parts, mat_scale, validate_states
 from .serialize import dumps, observables_to_dict, state_to_dict, write_text
-from .skew import ObservableSet, SpectralContext, instance, relation_scale
+from .skew import TOL_INEQ, ObservableSet, SpectralContext, instance, relation_scale
 
-RELATION_GROUPS = {
-    "rs": ("rs",),
-    "refined": ("eq3", "eq7-psd", "eq8-schur"),
-    "weak-chain": ("eq4a", "eq4b"),
-    "two-obs": ("eq9a", "eq9b", "eq10", "furuichi"),
-    "g-psd": ("eq16", "eq17"),
-    "eq18": ("eq18",),
-    "eq19": ("eq19",),
-    "wy-strongest": ("wy-strongest",),
-}
-
-DEFAULT_GROUPS = tuple(RELATION_GROUPS)
 CHUNK_TRIALS = 500   # trials drawn, grouped and evaluated together
 
 
@@ -107,27 +90,43 @@ def _metric_adjusted(eq):
 
 
 def _wy_strongest(ctx, f):
+    """Only for f <= f(0)(1+sqrt x)^2: sld and wy in the catalog; the harness skips wy, 0 against itself."""
     if not f.wy_dominated:
         return None
     dets = ctx.dets
     return wy_strongest_check.ctx(ctx, f), relation_scale(dets["sigma_plus_c"] * dets["sigma_minus_c"])
 
 
-# id -> relation(ctx, f) -> (margins, scales), one entry per instance, or None where it does not apply
-RELATIONS = {
-    **{rid: _refined(rid) for rid in ("rs", "eq3", "eq4a", "eq4b", "eq7-psd", "eq8-schur")},
-    "eq9a": _two_obs("eq9a"),
-    "eq9b": _two_obs("eq9b_1", "eq9b_2"),
-    "eq10": _two_obs("eq10"),
-    "furuichi": _two_obs("furuichi"),
-    "eq16": _eq16,
-    "eq17": _eq17,
-    "eq18": _metric_adjusted(18),
-    "eq19": _metric_adjusted(19),
-    "wy-strongest": _wy_strongest,
-}
-PER_F = frozenset({"eq16", "eq18", "eq19", "wy-strongest"})  # sampled once per f label
-ROW_ORDER = {rid: k for k, rid in enumerate(RELATIONS)}
+@dataclass(frozen=True)
+class Relation:
+    """One determinant relation: everything ``check`` and the fuzz harness need to know of it."""
+
+    rid: str
+    group: str          # the unit that ``FuzzConfig.relations`` and ``check`` select
+    evaluate: Callable  # (ctx, f) -> (margins, scales), one entry per instance, or None where it does not apply
+    per_f: bool = False         # sampled once per f label
+    check: str | None = None    # the ``check`` option that selects it; None: always
+
+
+# the one relation table, in report and reproducer order
+RELATIONS = (
+    Relation("rs", "rs", _refined("rs")),
+    Relation("eq3", "refined", _refined("eq3")),
+    Relation("eq4a", "weak-chain", _refined("eq4a")),
+    Relation("eq4b", "weak-chain", _refined("eq4b")),
+    Relation("eq7-psd", "refined", _refined("eq7-psd")),
+    Relation("eq8-schur", "refined", _refined("eq8-schur")),
+    Relation("eq9a", "two-obs", _two_obs("eq9a"), check="--two-obs"),
+    Relation("eq9b", "two-obs", _two_obs("eq9b_1", "eq9b_2"), check="--two-obs"),
+    Relation("eq10", "two-obs", _two_obs("eq10"), check="--two-obs"),
+    Relation("furuichi", "two-obs", _two_obs("furuichi"), check="--two-obs"),
+    Relation("eq16", "g-psd", _eq16, per_f=True, check="--f"),
+    Relation("eq17", "g-psd", _eq17, check="--f"),
+    Relation("eq18", "eq18", _metric_adjusted(18), per_f=True, check="--f"),
+    Relation("eq19", "eq19", _metric_adjusted(19), per_f=True, check="--f"),
+    Relation("wy-strongest", "wy-strongest", _wy_strongest, per_f=True, check="--f"),
+)
+DEFAULT_GROUPS = tuple(dict.fromkeys(r.group for r in RELATIONS))
 
 HIST_EDGES = (-math.inf, -1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8,
               1e-6, 1e-4, 1e-2, 1.0, math.inf)
@@ -136,6 +135,13 @@ _EDGES = np.array(HIST_EDGES)
 
 class ConfigError(SkewsharpError):
     pass
+
+
+def require_violation_tol(tol: float) -> float:
+    """tol, if it is a finite number >= 0 (NaN would violate everything, inf nothing)."""
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"violation tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 @dataclass(eq=False)
@@ -147,10 +153,11 @@ class FuzzConfig:
     seed: int = 20240501
     relations: tuple[str, ...] = DEFAULT_GROUPS
     f_labels: tuple[str, ...] = ("wy", "sld", "wyd:0.3")
-    tol: float = 1e-8
+    tol: float = TOL_INEQ
     reproducer_dir: str | None = None
 
     def __post_init__(self):
+        require_violation_tol(self.tol)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not all(2 <= d <= 8 for d in self.dims):
@@ -160,9 +167,9 @@ class FuzzConfig:
         for r in self.ranks:
             if r != "full" and (not isinstance(r, int) or r < 1):
                 raise ConfigError(f"ranks entries must be 'full' or positive ints, got {r!r}")
-        unknown = [g for g in self.relations if g not in RELATION_GROUPS]
+        unknown = [g for g in self.relations if g not in DEFAULT_GROUPS]
         if unknown:
-            raise ConfigError(f"unknown relation groups {unknown}; valid: {sorted(RELATION_GROUPS)}")
+            raise ConfigError(f"unknown relation groups {unknown}; valid: {sorted(DEFAULT_GROUPS)}")
         if not self.combos:
             raise ConfigError("no admissible (dim, n) combination (need n <= dim^2 - 1)")
 
@@ -326,15 +333,14 @@ class FuzzStats:
 
 def group_margins(ctx: SpectralContext, groups, fs) -> list[tuple[str, str | None, np.ndarray, np.ndarray]]:
     """All (relation, f_label, margins, scales) rows of the groups, one entry per instance of ctx."""
-    wanted = {rid for g in groups for rid in RELATION_GROUPS[g]}
     out = []
-    for rid, relation in RELATIONS.items():
-        if rid not in wanted:
+    for r in RELATIONS:
+        if r.group not in groups:
             continue
-        for f in fs if rid in PER_F else (None,):
-            sample = relation(ctx, f)
+        for f in fs if r.per_f else (None,):
+            sample = r.evaluate(ctx, f)
             if sample is not None:
-                out.append((rid, f and f.label, *sample))
+                out.append((r.rid, f and f.label, *sample))
     return out
 
 
@@ -379,14 +385,16 @@ def _located(config: FuzzConfig, fs, trials, exc: SkewsharpError) -> SkewsharpEr
 def _record_chunk(stats: FuzzStats, config: FuzzConfig, fs, groups, rows) -> None:
     """File a chunk's samples, one array per relation in (trial, f) order, and its violations."""
     f_order = {None: -1, **{f.label: k for k, f in enumerate(fs)}}
-    samples: dict[str, list] = {}
+    samples: dict[str, list] = {r.rid: [] for r in RELATIONS}   # in table order
     for group, group_rows in zip(groups, rows):
         for rid, f_label, margins, scales in group_rows:
             if rid == "wy-strongest" and f_label == "wy":
                 continue  # wy against itself: identically 0
-            samples.setdefault(rid, []).append((group, f_label, margins, scales))
+            samples[rid].append((group, f_label, margins, scales))
     violations = []
     for rid, parts in samples.items():
+        if not parts:
+            continue
         # one key per sample: (trial, f position, group, index in the group, f label)
         keys = [(int(t), f_order[f_label], group, i, f_label)
                 for group, f_label, _, _ in parts for i, t in enumerate(group.trials)]
@@ -399,11 +407,11 @@ def _record_chunk(stats: FuzzStats, config: FuzzConfig, fs, groups, rows) -> Non
             return {**group.describe(i), "f": f_label}
 
         bad = stats.per_relation.setdefault(rid, RelationStats()).record(margins, scales, config.tol, case)
-        violations += [(keys[j][0], ROW_ORDER[rid], keys[j][1], rid, keys[j], margins[j], scales[j])
-                       for j in np.flatnonzero(bad)]
+        violations += [(keys[j], rid, margins[j], scales[j]) for j in np.flatnonzero(bad)]
     stats.total_violations += len(violations)
     if config.reproducer_dir is not None:
-        for trial, _, _, rid, (_, _, group, i, f_label), margin, scale in sorted(violations, key=lambda v: v[:3]):
+        # by trial; a stable sort keeps table order, then f order, within a trial
+        for (trial, _, group, i, f_label), rid, margin, scale in sorted(violations, key=lambda v: v[0][0]):
             stats.reproducers.append(write_reproducer(config, rid, f_label, trial, float(margin), float(scale),
                                                       *group.instance(i)))
 

@@ -338,6 +338,9 @@ def f_skew_matrix(ctx: SpectralContext, f: MonotoneFunction) -> np.ndarray:
 
 # --------------------------------------------------------------- lambda_f
 
+LAMBDA_GRID = np.logspace(-8, 8, 4097)   # the search grid of lambda_f; ``lambda --grid-dump`` writes F on it
+
+
 @dataclass(eq=False)
 class LambdaResult:
     lam: float
@@ -358,22 +361,21 @@ def _F1(f: MonotoneFunction, x: float) -> float:
     return float(big_F(f, np.array([x]))[0])
 
 
-def lambda_f(f: MonotoneFunction, grid_points: int = 4097,
-             rel_tol: float = 1e-10) -> LambdaResult:
-    """Minimize F over [0, inf): log grid on [1e-8, 1e8] plus the analytic endpoints,
-    then golden-section refinement (in log x) around the best grid cell."""
-    xs = np.logspace(-8, 8, grid_points)
+def lambda_f(f: MonotoneFunction) -> LambdaResult:
+    """Minimize F over [0, inf): ``LAMBDA_GRID`` plus the analytic endpoints,
+    then golden-section refinement (in log x, to 1e-10) around the best grid cell."""
+    xs = LAMBDA_GRID
     Fs = big_F(f, xs)
     i = int(np.argmin(Fs))
     lo = math.log(xs[max(i - 1, 0)])
-    hi = math.log(xs[min(i + 1, grid_points - 1)])
+    hi = math.log(xs[min(i + 1, xs.size - 1)])
 
     phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc = _F1(f, math.exp(c))
     fd = _F1(f, math.exp(d))
-    while (b - a) > rel_tol:
+    while (b - a) > 1e-10:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

@@ -6,7 +6,7 @@ All tolerances are relative to max(1, max|entry|) of the matrix at hand:
 * TOL_PSD            = 1e-9   (admissible negative-eigenvalue dip)
 * TOL_TRACE          = 1e-9   (density-matrix trace deviation)
 
-Eigenvalues in [-tol_psd, 0) are clipped to 0 before sqrt/ratio use; more
+Eigenvalues in [-TOL_PSD, 0) are clipped to 0 before sqrt/ratio use; more
 negative values are errors, never silently repaired.
 """
 
@@ -82,9 +82,9 @@ def require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     return A
 
 
-def require_hermitian(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
-    """Validate A = A^dagger within tol * max(1, max|A|) and return the Hermitian part."""
-    return hermitian_parts(_square(A, what), tol, what)
+def require_hermitian(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Validate A = A^dagger within TOL_HERM * max(1, max|A|) and return the Hermitian part."""
+    return hermitian_parts(_square(A, what), what=what)
 
 
 def hermitian_parts(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
@@ -112,28 +112,28 @@ class EigenSystem:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-def spectral_decompose(A: np.ndarray, tol: float = TOL_HERM) -> EigenSystem:
+def spectral_decompose(A: np.ndarray) -> EigenSystem:
     """Eigendecompose a Hermitian matrix; raises NonHermitianInput on bad input."""
-    A = require_hermitian(A, tol)
+    A = require_hermitian(A)
     w, V = np.linalg.eigh(A)
     return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
 
 
-def clip_psd_eigenvalues(w: np.ndarray, scale, tol: float = TOL_PSD) -> np.ndarray:
-    """Clip eigenvalues in [-tol*scale, 0) to 0; raise NotPSD below that.
+def clip_psd_eigenvalues(w: np.ndarray, scale) -> np.ndarray:
+    """Clip eigenvalues in [-TOL_PSD*scale, 0) to 0; raise NotPSD below that.
 
     A stack of spectra (..., m) takes one scale per spectrum.
     """
     lo = w.min(axis=-1, initial=np.inf)
-    raise_first(lo < -tol * scale, lambda m, s: NotPSD(f"min eigenvalue {m:.3e} below -{tol:.1e} * {s:.3e}"),
-                lo, scale)
+    raise_first(lo < -TOL_PSD * scale, lambda m, s: NotPSD(
+        f"min eigenvalue {m:.3e} below -{TOL_PSD:.1e} * {s:.3e}"), lo, scale)
     return np.maximum(w, 0.0)
 
 
-def matrix_sqrt_psd(A: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+def matrix_sqrt_psd(A: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix via eigendecomposition."""
     es = spectral_decompose(A)
-    w = clip_psd_eigenvalues(es.eigenvalues, mat_scale(A), tol_psd)
+    w = clip_psd_eigenvalues(es.eigenvalues, mat_scale(A))
     V = es.eigenvectors
     R = (V * np.sqrt(w)) @ V.conj().T
     return (R + R.conj().T) / 2
@@ -180,8 +180,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, rho: np.ndarray, tol_trace: float = TOL_TRACE,
-                    tol_psd: float = TOL_PSD, partition=None) -> "DensityMatrix":
+    def from_matrix(cls, rho: np.ndarray, partition=None) -> "DensityMatrix":
         """State from its matrix: finite entries, Hermitian part, unit trace, PSD spectrum.
 
         ``partition``, if given, is a sequence of index arrays that partition the
@@ -191,18 +190,18 @@ class DensityMatrix:
         """
         M = _square(rho, "state")[None]
         if partition is None:
-            rho, w, V = validate_states(M, tol_trace, tol_psd)
+            rho, w, V = validate_states(M)
             return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
-        rho = _unit_trace_hermitian(M, tol_trace)
+        rho = _unit_trace_hermitian(M)
         parts = _partition(partition, rho.shape[-1])
         # the Hermitian part is exactly Hermitian: the parts above the diagonal suffice
         if any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(parts) for s in parts[i + 1:]):
-            w, V = _spectra(rho, tol_psd)
+            w, V = _spectra(rho)
             return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
         rho = rho[0]
         eig = [np.linalg.eigh(rho[np.ix_(r, r)]) for r in parts]
         w, V, record = _embed([(r, Vb, wb) for r, (wb, Vb) in zip(parts, eig)])
-        return cls._with_blocks(rho, _clip_spectrum(rho, w, tol_psd), V, record)
+        return cls._with_blocks(rho, _clip_spectrum(rho, w), V, record)
 
     @classmethod
     def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray) -> "DensityMatrix":
@@ -243,7 +242,7 @@ class DensityMatrix:
             R = (V * w) @ V.conj().T
             rho[np.ix_(r, r)] = (R + R.conj().T) / 2
         w, V, record = _embed(checked)
-        return cls._with_blocks(rho, _clip_spectrum(rho, w, TOL_PSD), V, record)
+        return cls._with_blocks(rho, _clip_spectrum(rho, w), V, record)
 
     @classmethod
     def _with_blocks(cls, rho, eigenvalues, eigenvectors, record) -> "DensityMatrix":
@@ -251,11 +250,8 @@ class DensityMatrix:
         object.__setattr__(state, "blocks", record)
         return state
 
-    def expectation(self, X: np.ndarray) -> float:
-        return float(np.trace(self.matrix @ X).real)
-
-    def rank(self, tol: float = TOL_PSD) -> int:
-        return int(np.count_nonzero(self.eigenvalues > tol * mat_scale(self.matrix)))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.eigenvalues > TOL_PSD * mat_scale(self.matrix)))
 
 
 def _partition(parts, d: int) -> list[np.ndarray]:
@@ -288,38 +284,37 @@ def _embed(blocks) -> tuple[np.ndarray, np.ndarray, tuple]:
     return w[order], eigenvectors, tuple(record)
 
 
-def _unit_trace_hermitian(M: np.ndarray, tol_trace: float) -> np.ndarray:
+def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:
     """Hermitian parts of a stack of states (B, d, d), each checked for finite entries,
     Hermiticity and unit trace with its own scale."""
     rho = hermitian_parts(M, what="state")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    raise_first(np.abs(tr - 1.0) > tol_trace, lambda t: InvalidState(
-        f"state trace = {t:.12g}, expected 1 within {tol_trace:.1e}"), tr)
+    raise_first(np.abs(tr - 1.0) > TOL_TRACE, lambda t: InvalidState(
+        f"state trace = {t:.12g}, expected 1 within {TOL_TRACE:.1e}"), tr)
     return rho
 
 
-def _spectra(rho: np.ndarray, tol_psd: float) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clipped descending spectra and eigenvectors of checked states (B, d, d): one eigh each."""
     w, V = np.linalg.eigh(rho)
-    return _clip_spectrum(rho, w[..., ::-1].copy(), tol_psd), V[..., ::-1].copy()
+    return _clip_spectrum(rho, w[..., ::-1].copy()), V[..., ::-1].copy()
 
 
-def validate_states(M: np.ndarray, tol_trace: float = TOL_TRACE,
-                    tol_psd: float = TOL_PSD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def validate_states(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian part, clipped descending spectrum and eigenvectors of each state in a stack (B, d, d).
 
     Every check (finite entries, Hermiticity, unit trace, PSD) runs on every
     state with that state's own scale; an error reports the first failing one.
     """
-    rho = _unit_trace_hermitian(M, tol_trace)
-    return (rho, *_spectra(rho, tol_psd))
+    rho = _unit_trace_hermitian(M)
+    return (rho, *_spectra(rho))
 
 
-def _clip_spectrum(rho: np.ndarray, w: np.ndarray, tol_psd: float) -> np.ndarray:
+def _clip_spectrum(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Descending spectra w of the states rho clipped to >= 0, zeroed below TOL_STATE_CLIP."""
     scale = mat_scale(rho)
     try:
-        w = clip_psd_eigenvalues(w, scale, tol_psd)
+        w = clip_psd_eigenvalues(w, scale)
     except NotPSD as exc:
         raise InvalidState(f"state not positive semidefinite: {exc}") from exc
     w[w < TOL_STATE_CLIP * np.expand_dims(scale, -1)] = 0.0

@@ -156,18 +156,18 @@ def relation_scale(*terms):
     return reduce(np.fmax, terms, 1.0)
 
 
-def _require_classical_psd(lo, c: np.ndarray, tol_psd: float = TOL_PSD) -> None:
-    raise_first(lo < -tol_psd * mat_scale(c), lambda m: NotPSD(
+def _require_classical_psd(lo, c: np.ndarray) -> None:
+    raise_first(lo < -TOL_PSD * mat_scale(c), lambda m: NotPSD(
         f"classical matrix has eigenvalue {m:.3e}; upstream numerical failure"), lo)
 
 
-def classical_matrix(sigma: np.ndarray, skew: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """sigma - skew; raises NotPSD if the difference dips below -tol (upstream failure)."""
+def classical_matrix(sigma: np.ndarray, skew: np.ndarray) -> np.ndarray:
+    """sigma - skew; raises NotPSD if the difference dips below -TOL_PSD (upstream failure)."""
     if sigma.shape != skew.shape:
         raise DimensionMismatch(f"shape mismatch {sigma.shape} vs {skew.shape}")
     c = sigma - skew
     if c.size:
-        _require_classical_psd(np.linalg.eigvalsh(_sym(c))[..., 0], c, tol_psd)
+        _require_classical_psd(np.linalg.eigvalsh(_sym(c))[..., 0], c)
     return c
 
 
@@ -343,7 +343,7 @@ class SpectralContext:
     # the diagonal blocks sigma + c and sigma - c of L
     blocks = cached(lambda self: (self.sigma + self.classical, self.sigma - self.classical))
     refined = cached(lambda self: _refined_report(self))
-    two_obs = cached(lambda self: _two_obs_report(self, TOL_INEQ))
+    two_obs = cached(lambda self: _two_obs_report(self))
 
     @cached
     def skew(self) -> np.ndarray:
@@ -562,19 +562,19 @@ class TwoObsReport:
     scales: dict[str, float]
 
 
-def _guarded_sqrt(val: float, scale: float, tol: float, what: str) -> float:
-    if val < -tol * scale:
+def _guarded_sqrt(val: float, scale: float, what: str) -> float:
+    if val < -TOL_INEQ * scale:
         raise SkewsharpError(f"{what} = {val:.3e} is negative beyond tolerance")
     return math.sqrt(max(val, 0.0))
 
 
-def _clipped_sqrt(val: float, scale: float, tol: float, what: str) -> float:
-    """sqrt with a two-sided clip: |val| <= tol*scale counts as exact 0.
+def _clipped_sqrt(val: float, scale: float, what: str) -> float:
+    """sqrt with a two-sided clip: |val| <= TOL_INEQ*scale counts as exact 0.
 
     Near saturation the difference under the root is a cancellation of equal
     products; sqrt would amplify its eps-level noise to sqrt(eps).
     """
-    if abs(val) <= tol * scale:
+    if abs(val) <= TOL_INEQ * scale:
         return 0.0
     if val < 0:
         raise SkewsharpError(f"{what} = {val:.3e} is negative beyond tolerance")
@@ -582,7 +582,7 @@ def _clipped_sqrt(val: float, scale: float, tol: float, what: str) -> float:
 
 
 def _two_obs_scalars(d_sigma: float, d_class: float, d_plus: float, d_minus: float, delta: float,
-                     Lp: list, Lm: list, vac: float, tol_ineq: float) -> tuple:
+                     Lp: list, Lm: list, vac: float) -> tuple:
     """One instance's (delta, A, B, U1, U2, scale, margins...) from its determinants,
     its delta and its 2x2 blocks L+ and L- (flattened), in Python floats."""
     A = d_sigma - d_class
@@ -592,15 +592,15 @@ def _two_obs_scalars(d_sigma: float, d_class: float, d_plus: float, d_minus: flo
 
     L1p, L12p, _, L2p = Lp
     L1m, L12m, _, L2m = Lm
-    U1 = _guarded_sqrt(L1p * L1m, scale, tol_ineq, "L1+ L1-")
-    U2 = _guarded_sqrt(L2p * L2m, scale, tol_ineq, "L2+ L2-")
+    U1 = _guarded_sqrt(L1p * L1m, scale, "L1+ L1-")
+    U2 = _guarded_sqrt(L2p * L2m, scale, "L2+ L2-")
     U12 = U1 * U2
-    disc = _clipped_sqrt(A * A - B, scale, tol_ineq, "A^2 - B")
+    disc = _clipped_sqrt(A * A - B, scale, "A^2 - B")
 
     # a vanishing L_a- makes the relations through it VACUOUS
     m9b = [VACUOUS if La_m <= vac else (La_p / La_m) * d_minus - d2
            for La_p, La_m in ((L1p, L1m), (L2p, L2m))]
-    m10 = U12 - _guarded_sqrt(B, scale, tol_ineq, "B") - abs(L12p * L12m)
+    m10 = U12 - _guarded_sqrt(B, scale, "B") - abs(L12p * L12m)
     if L1m <= vac or L2m <= vac:
         m_fur = VACUOUS
     else:
@@ -614,7 +614,7 @@ def _two_obs_scalars(d_sigma: float, d_class: float, d_plus: float, d_minus: flo
 TWO_OBS_MARGINS = ("eq9a", "eq9b_1", "eq9b_2", "eq10", "furuichi", "impossibility", "second_root")
 
 
-def _two_obs_rows(ctx: SpectralContext, tol_ineq: float) -> list[tuple]:
+def _two_obs_rows(ctx: SpectralContext) -> list[tuple]:
     """``_two_obs_scalars`` of each instance.  The matrices and determinants come
     batched from the context; the few scalars per instance are evaluated in Python
     floats, which at B = 1 cost a fraction of the same arithmetic on (1,)-arrays."""
@@ -626,7 +626,7 @@ def _two_obs_rows(ctx: SpectralContext, tol_ineq: float) -> list[tuple]:
     per_instance = zip(dets["sigma"].tolist(), dets["classical"].tolist(), dets["sigma_plus_c"].tolist(),
                        dets["sigma_minus_c"].tolist(), delta.tolist(), Lp.reshape(-1, 4).tolist(),
                        Lm.reshape(-1, 4).tolist(), vac.tolist())
-    return [_two_obs_scalars(*args, tol_ineq) for args in per_instance]
+    return [_two_obs_scalars(*args) for args in per_instance]
 
 
 def _pack_two_obs(Lp, Lm, values) -> TwoObsReport:
@@ -637,15 +637,14 @@ def _pack_two_obs(Lp, Lm, values) -> TwoObsReport:
     )
 
 
-def _two_obs_report(ctx: SpectralContext, tol_ineq: float) -> TwoObsReport:
-    columns = zip(*_two_obs_rows(ctx, tol_ineq))
+def _two_obs_report(ctx: SpectralContext) -> TwoObsReport:
+    columns = zip(*_two_obs_rows(ctx))
     return _pack_two_obs(*ctx.blocks, [np.array(col) for col in columns])
 
 
-def two_obs_relations(rho: DensityMatrix, X1: np.ndarray, X2: np.ndarray,
-                      tol_ineq: float = TOL_INEQ) -> TwoObsReport:
+def two_obs_relations(rho: DensityMatrix, X1: np.ndarray, X2: np.ndarray) -> TwoObsReport:
     """Margins of the scalar relations equivalent to L >= 0 for two observables."""
     ctx = SpectralContext(rho, ObservableSet.from_matrices([X1, X2]))
-    (row,) = _two_obs_rows(ctx, tol_ineq)
+    (row,) = _two_obs_rows(ctx)
     Lp, Lm = ctx.blocks
     return _pack_two_obs(Lp[0], Lm[0], row)     # the one row as it is, not through batch arrays

@@ -394,6 +394,77 @@ def test_env_var_overrides_tolerance(monkeypatch, tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["tolerances"]["violation"] == 1e-6
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12"])
+def test_out_of_range_tolerance_is_a_config_error(monkeypatch, tmp_path, capsys, tol):
+    # NaN would report every relation violated, inf would pass every violation,
+    # and a negative tolerance turns the margin 0.75 of rs into a violation
+    monkeypatch.delenv("SKEWSHARP_TOL", raising=False)
+    sp, op = write_q1(tmp_path)
+    assert main(["check", sp, op, f"--tol={tol}"]) == 2
+    assert main(["fuzz", "--trials", "5", f"--tol={tol}"]) == 2
+    monkeypatch.setenv("SKEWSHARP_TOL", tol)
+    assert main(["check", sp, op]) == 2
+    assert main(["fuzz", "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: violation tolerance must be finite and >= 0") == 4
+
+
+def test_zero_tolerance_is_valid(monkeypatch, tmp_path):
+    from skewsharp.cli import _violation_tol
+    from skewsharp.fuzz import FuzzConfig
+
+    monkeypatch.setenv("SKEWSHARP_TOL", "0")
+    assert _violation_tol(None) == 0.0
+    assert _violation_tol(0.0) == 0.0
+    assert FuzzConfig(tol=0.0).to_dict()["tol"] == 0.0
+    # I/2 with sx, sy: sigma = I and delta = 0, so rs holds with margin 1
+    mixed = {"dim": 2, "matrix": matrix_to_pairs(np.eye(2, dtype=complex) / 2)}
+    obs = {"dim": 2, "observables": [matrix_to_pairs(SX), matrix_to_pairs(SY)]}
+    sp, op, out = tmp_path / "s.json", tmp_path / "o.json", tmp_path / "r.json"
+    sp.write_text(dumps(mixed))
+    op.write_text(dumps(obs))
+    main(["check", str(sp), str(op), "--tol", "0", "--json-out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["tolerances"]["violation"] == 0.0
+    assert report["margins"]["rs"] == pytest.approx(1.0)
+    assert report["verdicts"]["rs"] == "holds"
+
+
+@pytest.mark.parametrize("flags, options", [
+    ([], {None}),
+    (["--two-obs"], {None, "--two-obs"}),
+    (["--f", "wy"], {None, "--f"}),
+    (["--two-obs", "--f", "sld"], {None, "--two-obs", "--f"}),
+])
+def test_check_evaluates_the_records_its_options_select(tmp_path, monkeypatch, flags, options):
+    import dataclasses
+
+    import skewsharp.cli as cli_mod
+    import skewsharp.fuzz as fz
+
+    calls = []
+
+    def spy(r):
+        def evaluate(ctx, f):
+            calls.append(r.rid)
+            return r.evaluate(ctx, f)
+        return dataclasses.replace(r, evaluate=evaluate)
+
+    table = tuple(spy(r) for r in fz.RELATIONS)
+    monkeypatch.setattr(fz, "RELATIONS", table)
+    monkeypatch.setattr(cli_mod, "RELATIONS", table)
+    sp, op = write_q1(tmp_path)
+    out = tmp_path / "r.json"
+    assert main(["check", sp, op, "--json-out", str(out), *flags]) == 0
+    expected = [r.rid for r in table if r.check in options]
+    assert calls == expected
+    assert list(json.loads(out.read_text())["margins"]) == expected
+    if len(options) == 3:
+        assert calls == ["rs", "eq3", "eq4a", "eq4b", "eq7-psd", "eq8-schur", "eq9a", "eq9b", "eq10",
+                         "furuichi", "eq16", "eq17", "eq18", "eq19", "wy-strongest"]
+
+
 # ------------------------------------------------------------ entry point
 
 def test_console_script_runs(tmp_path):

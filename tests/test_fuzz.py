@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from skewsharp.fuzz import (
+    DEFAULT_GROUPS,
+    RELATIONS,
     ConfigError,
     FuzzConfig,
     random_density,
@@ -51,6 +53,61 @@ def test_config_validation():
         FuzzConfig(relations=("nope",))
     with pytest.raises(ConfigError):
         FuzzConfig(ranks=("half",))
+
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_config_rejects_out_of_range_tolerance(tol):
+    with pytest.raises(ConfigError, match="violation tolerance must be finite and >= 0"):
+        FuzzConfig(tol=tol)
+
+
+def test_unknown_group_message():
+    with pytest.raises(ConfigError) as err:
+        FuzzConfig(relations=("rs", "nope"))
+    assert str(err.value) == ("unknown relation groups ['nope']; valid: ['eq18', 'eq19', 'g-psd', "
+                              "'refined', 'rs', 'two-obs', 'weak-chain', 'wy-strongest']")
+
+
+def test_relation_table_order_and_groups():
+    assert [r.rid for r in RELATIONS] == ["rs", "eq3", "eq4a", "eq4b", "eq7-psd", "eq8-schur", "eq9a", "eq9b",
+                                          "eq10", "furuichi", "eq16", "eq17", "eq18", "eq19", "wy-strongest"]
+    assert DEFAULT_GROUPS == ("rs", "refined", "weak-chain", "two-obs", "g-psd", "eq18", "eq19", "wy-strongest")
+    # each group first appears at its place in DEFAULT_GROUPS
+    assert DEFAULT_GROUPS == tuple(dict.fromkeys(r.group for r in RELATIONS))
+    assert FuzzConfig().relations == DEFAULT_GROUPS
+
+
+def test_every_group_shares_one_check_option():
+    options = {}
+    for r in RELATIONS:
+        assert options.setdefault(r.group, r.check) == r.check, r.rid
+    assert set(options.values()) == {None, "--two-obs", "--f"}
+    # the options only add relations: every relation sampled per f needs --f
+    assert all(r.check == "--f" for r in RELATIONS if r.per_f)
+
+
+def test_reproducers_of_one_trial_in_table_order(tmp_path, monkeypatch):
+    # alphabetical order would be eq4a, eq7-psd, rs; group order rs, eq7-psd, eq4a
+    import dataclasses
+
+    import skewsharp.fuzz as fz
+
+    def failing(r):
+        def evaluate(ctx, f):
+            margins, scales = r.evaluate(ctx, f)
+            return -np.ones_like(margins), scales
+        return dataclasses.replace(r, evaluate=evaluate)
+
+    forced = {"eq7-psd", "rs", "eq4a"}
+    monkeypatch.setattr(fz, "RELATIONS", tuple(failing(r) if r.rid in forced else r for r in RELATIONS))
+    cfg = FuzzConfig(dims=(3,), n_obs=(2,), trials=2, seed=3, relations=("weak-chain", "refined", "rs"),
+                     reproducer_dir=str(tmp_path))
+    stats = fz.run_fuzz(cfg)
+    assert stats.total_violations == 6
+    names = [p.rsplit("/", 1)[-1] for p in stats.reproducers]
+    assert names == [f"violation_{rid}_{t}.json" for t in (0, 1) for rid in ("rs", "eq4a", "eq7-psd")]
+    assert [json.loads((tmp_path / n).read_text())["relation"] for n in names[:3]] == ["rs", "eq4a", "eq7-psd"]
 
 
 def test_small_fuzz_no_violations(tmp_path):
