@@ -356,8 +356,11 @@ def trial_margins(rho: DensityMatrix, X: ObservableSet, groups, fs) -> list[tupl
 
 def write_reproducer(config: FuzzConfig, rid: str, f_label: str | None, trial: int,
                      margin: float, scale: float, rho: DensityMatrix, X: ObservableSet) -> str:
-    """The trial as a reproducer file in ``config.reproducer_dir``, in the CLI input format."""
-    path = os.path.join(config.reproducer_dir, f"violation_{rid}_{trial}.json")
+    """The trial as a reproducer file in ``config.reproducer_dir``, in the CLI input format,
+    named ``violation_{rid}_{trial}.json``, or ``violation_{rid}_{f_label}_{trial}.json``
+    for a relation sampled per f label."""
+    tag = rid if f_label is None else f"{rid}_{f_label}"
+    path = os.path.join(config.reproducer_dir, f"violation_{tag}_{trial}.json")
     write_text(path, dumps({
         "relation": rid,
         "f": f_label,

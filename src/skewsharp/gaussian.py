@@ -9,6 +9,14 @@ has M = exp(-beta N) with
     C = J (M - I)^(-1),            C[k, j] = <Lambda_k Lambda_j>,
     sigma = (C^T + C) / 2,   c = C sqrt(M),   delta = J / 2.
 
+These moments take one route for every beta and spectral radius: the
+eigensystem N = P diag(w) P^(-1) of the drift (a near-defective P, cond above
+1e10, is an InvalidGenerator), on which M - I, C, c and C M are scalar
+functions of y = beta w, evaluated as arrays (``_moments_from_drift``).  Nothing
+is exponentiated as a matrix, so large |beta w| neither overflows nor cancels,
+and small |beta w| keeps its digits through expm1.  The identities
+C^T - C = J and C^T = C M are checked on every result.
+
 Hermiticity of the generator is the reality constraint Pi conj(S) Pi = S with
 Pi the block swap [[0, I], [I, 0]].  The product of the determinants of
 sigma +- c equals det(J/2)^2 for every admissible generator: thermal states of
@@ -50,7 +58,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DensityMatrix,
@@ -68,7 +75,6 @@ from .skew import (
 MOMENT_TOL = 1e-8
 SINGULAR_TOL = 1e-10  # absolute: M - I singular means an eigenvalue of M sits at 1
 PERTURB_SIZE = 1e-8   # spectral radius of the admissible nudge applied to N
-EXPM_RADIUS = 30.0    # beyond this beta*rho(N), exp(-beta N) amplifies error; use the eig route
 
 
 class InvalidGenerator(SkewsharpError):
@@ -199,102 +205,52 @@ class GaussianMoments:
     perturbed: bool
 
 
-def _moment_identities(C: np.ndarray, M: np.ndarray, J: np.ndarray) -> None:
-    scale = mat_scale(C)
-    dev_comm = float(np.abs(C.T - C - J).max())
-    if dev_comm > MOMENT_TOL * scale:
-        raise SkewsharpError(f"moment identity C^T - C = J violated by {dev_comm:.3e}")
-    dev_m = float(np.abs(C.T - C @ M).max())
-    if dev_m > MOMENT_TOL * scale * mat_scale(M):
-        raise SkewsharpError(f"moment identity C^T = C M violated by {dev_m:.3e}")
+def _moments_from_drift(N: np.ndarray, beta: float, J: np.ndarray):
+    """(C, c) from the eigensystem N = P diag(w) P^(-1) and the cond of M - I, or
+    (None, cond) when M - I is singular to SINGULAR_TOL.
 
-
-def _moments_via_expm(N: np.ndarray, beta: float, J: np.ndarray):
-    M = scipy.linalg.expm(-beta * N)
-    gap = M - np.eye(N.shape[0])
-    svals = np.linalg.svd(gap, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if svals[-1] <= SINGULAR_TOL:
-        return None, cond
-    C = J @ np.linalg.inv(gap)
-    _moment_identities(C, M, J)
-    c = C @ scipy.linalg.expm(-beta * N / 2)
-    return (C, c), cond
-
-
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z|."""
-    if abs(z) < 1e-4:
-        return z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
-    return np.exp(z) - 1.0
-
-
-def _stable_gap_funcs(y: complex) -> tuple[complex, complex]:
-    """(1/(e^(-y) - 1), e^(-y/2)/(e^(-y) - 1)): the second equals -1/(2 sinh(y/2)).
-
-    Both limits as Re(y) -> +-inf are finite (-1 or 0), so no overflow leaks out.
+    With y = beta w, M - I has eigenvalues expm1(-y), and C = J (M - I)^(-1),
+    c = C sqrt(M) and C M are J P diag(f(y)) P^(-1) for f = 1/expm1(-y),
+    -1/(2 sinh(y/2)) and -1/expm1(y): each finite at y -> +-inf and free of
+    cancellation at y -> 0.  |Re y| is clipped at 700, where they sit at their limits.
     """
-    if y.real > 700:
-        return -1.0 + 0j, 0.0 + 0j
-    if y.real < -700:
-        return 0.0 + 0j, 0.0 + 0j
-    g = _cexpm1(-y)
-    s = 2.0 * np.sinh(y / 2)
-    inv_gap = math.inf if g == 0 else 1.0 / g
-    inv_c = math.inf if s == 0 else -1.0 / s
-    return inv_gap, inv_c
-
-
-def _moments_via_eig(N: np.ndarray, beta: float, J: np.ndarray):
-    """Overflow-free route for large beta: scalar functions of the drift spectrum."""
     w, P = np.linalg.eig(N)
     condP = float(np.linalg.cond(P))
     if not np.isfinite(condP) or condP > 1e10:
         raise InvalidGenerator(
             f"drift matrix near-defective (eigenbasis condition {condP:.3e}); "
-            "large-beta moments need a diagonalizable drift"
+            "the moments need a diagonalizable drift"
         )
-    pairs = [_stable_gap_funcs(complex(beta * lam)) for lam in w]
-    inv_gap = np.array([p[0] for p in pairs])
-    inv_c = np.array([p[1] for p in pairs])
-    if (not np.all(np.isfinite(inv_gap))) or np.abs(inv_gap).max() > 1.0 / SINGULAR_TOL:
-        return None, math.inf
+    y = np.clip((beta * w).real, -700, 700) + 1j * (beta * w).imag
+    gap = np.expm1(-y)                          # the eigenvalues of M - I
+    hi, lo = float(np.abs(gap).max()), float(np.abs(gap).min())
+    cond = hi / lo if lo else math.inf
+    if lo <= SINGULAR_TOL:
+        return None, cond
     Pinv = np.linalg.inv(P)
-    C = J @ (P * inv_gap) @ Pinv
-    c = J @ (P * inv_c) @ Pinv
+    C, c, CM = (J @ (P * f) @ Pinv for f in (1 / gap, -0.5 / np.sinh(y / 2), -1 / np.expm1(y)))
     scale = mat_scale(C)
-    dev_comm = float(np.abs(C.T - C - J).max())
-    if dev_comm > MOMENT_TOL * scale:
-        raise SkewsharpError(f"moment identity C^T - C = J violated by {dev_comm:.3e}")
-    # C^T = C M with the M eigenvalue folded in: e^(-y)/(e^(-y)-1) = -1/expm1(y)
-    cm_eig = np.array([0.0 + 0j if y.real > 700 else -1.0 / _cexpm1(complex(y))
-                       for y in beta * w])
-    CM = J @ (P * cm_eig) @ Pinv
-    dev_m = float(np.abs(C.T - CM).max())
-    if dev_m > MOMENT_TOL * scale:
-        raise SkewsharpError(f"moment identity C^T = C M violated by {dev_m:.3e}")
-    return (C, c), float(np.abs(inv_gap).max())
+    for dev, identity in ((np.abs(C.T - C - J).max(), "C^T - C = J"), (np.abs(C.T - CM).max(), "C^T = C M")):
+        if dev > MOMENT_TOL * scale:
+            raise SkewsharpError(f"moment identity {identity} violated by {dev:.3e}")
+    return (C, c), cond
 
 
 def exact_moments(H: QuadraticHamiltonian, rng: np.random.Generator | None = None) -> GaussianMoments:
     """Closed-form ladder-basis moments of the thermal state of H.
 
-    A nearly singular M - I is nudged by a 1e-8 admissible perturbation of S
-    (with a warning and the ``perturbed`` flag) before giving up.
+    One route for every beta and spectral radius: scalar functions of the drift's
+    eigenvalues (``_moments_from_drift``); ``cond_M`` is the largest over the
+    smallest |eigenvalue of M - I|.  A nearly singular M - I is nudged by a 1e-8
+    admissible perturbation of S (with a warning and the ``perturbed`` flag)
+    before giving up.
     """
     n = H.n_modes
     J = symplectic_form(n)
     S = H.S
     perturbed = False
-    result = None
     for attempt in range(2):
-        N = -S @ J
-        radius = float(np.abs(np.linalg.eigvals(H.beta * N)).max())
-        # small radius: forming M - I cancels; large radius: expm overflows/amplifies
-        if 1e-3 <= radius <= EXPM_RADIUS:
-            result, cond = _moments_via_expm(N, H.beta, J)
-        else:
-            result, cond = _moments_via_eig(N, H.beta, J)
+        result, cond = _moments_from_drift(-S @ J, H.beta, J)
         if result is not None:
             break
         if attempt == 1:

@@ -78,6 +78,7 @@ from .linalg import (
 
 TOL_INEQ = 1e-8
 CONSTRUCTION_TOL = 1e-8
+SCHUR_PIVOT_CUT = 1e-6  # eq8: pivots of sigma - c at most this fraction of its scale are not eliminated
 
 VACUOUS = math.inf  # sentinel margin for relations whose denominator vanishes
 
@@ -351,15 +352,21 @@ class SpectralContext:
         return self.symmetric_pair((s[:, :, None] - s[:, None, :]) ** 2 / 2)
 
     @cached
-    def dets(self) -> dict[str, np.ndarray]:
-        """The determinants, from one eigvalsh of the sigma family; checks c >= 0 on the way.
+    def spectra(self) -> np.ndarray:
+        """Ascending eigenvalues (5, B, n) of sigma, skew, c, sigma + c and sigma - c, from
+        one eigvalsh; checks c >= 0 on the way.
 
         sigma and skew are symmetrized pairings, so all five matrices are exactly symmetric.
         """
         c = self.classical
         w = np.linalg.eigvalsh(np.stack([self.sigma, self.skew, c, *self.blocks]))
         _require_classical_psd(w[2, :, 0], c)
-        d = np.prod(w, axis=-1)
+        return w
+
+    @cached
+    def dets(self) -> dict[str, np.ndarray]:
+        """The determinants: products of ``spectra``."""
+        d = np.prod(self.spectra, axis=-1)
         return {"sigma": d[0], "delta": self.delta_det, "skew": d[1], "classical": d[2],
                 "sigma_plus_c": d[3], "sigma_minus_c": d[4]}
 
@@ -438,8 +445,12 @@ def det_delta(i_delta: np.ndarray):
     return float(d) if d.ndim == 0 else d
 
 
-def _pow_det(d, p: float):
-    return np.maximum(d, 0.0) ** p
+def _det_root(w: np.ndarray, p: float) -> np.ndarray:
+    """det^p of PSD matrices from their eigenvalues w (..., n); eigenvalues at or below
+    n eps max|w| count as 0, so the rounding of a zero determinant is not lifted to
+    its p-th root."""
+    cut = w.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=-1, keepdims=True)
+    return (w * (w > cut)).prod(axis=-1) ** p
 
 
 @dataclass(eq=False)
@@ -462,20 +473,35 @@ class UncertaintyReport:
 
 def _schur_margin(sigma_plus: np.ndarray, sigma_minus: np.ndarray,
                   delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min eigenvalue of (sigma+c) - delta^T (sigma-c)^+ delta, pseudo-inverted on the range.
+    """Min eigenvalue of L after eliminating the pivots of sigma - c above SCHUR_PIVOT_CUT.
+
+    In the eigenbasis (w, V) of sigma - c, L is similar to the real symmetric
+    [[sigma+c, delta V], [(delta V)^T, diag(w)]].  Eliminating the pivots w_k above
+    the cut leaves the trailing matrix [[sigma+c - sum_k (delta v_k)(delta v_k)^T / w_k,
+    delta V_Z], [(delta V_Z)^T, diag(w_Z)]], Z the pivots kept: the Schur complement
+    when Z is empty, else it still holds the near-null directions, so a violation
+    along them stays visible and their rounding is not divided by w.  An eliminated
+    slot stays as a decoupled diagonal entry max(sigma+c), at least the lowest
+    eigenvalue of the trailing matrix (at most its diagonal), so instances keep one shape.
 
     Returns (margin, range_residual) per instance, where the residual measures
-    how far delta falls outside the range of sigma-c.  Eigenvectors outside
-    each instance's own range are zeroed, not dropped, so instances keep one shape.
+    how far delta falls outside the range of sigma-c (eigenvalues above TOL_PSD).
     """
-    w, V = np.linalg.eigh(sigma_minus)             # exactly symmetric (see dets)
-    keep = w > TOL_PSD * mat_scale(sigma_minus)[:, None]
-    Pi = V * keep[:, None, :]
-    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    w, V = np.linalg.eigh(sigma_minus)             # exactly symmetric (see spectra)
+    scale = mat_scale(sigma_minus)[:, None]
+    Pi = V * (w > TOL_PSD * scale)[:, None, :]
     residual = np.abs(delta - Pi @ (Pi.swapaxes(1, 2) @ delta)).max(axis=(1, 2))
-    pinv = (Pi * inv_w[:, None, :]) @ Pi.swapaxes(1, 2)
-    schur = sigma_plus - delta.swapaxes(1, 2) @ pinv @ delta
-    return np.linalg.eigvalsh(_sym(schur))[:, 0], residual
+    pivot = w > SCHUR_PIVOT_CUT * scale
+    dV = delta @ V
+    n = w.shape[1]
+    T = np.zeros((w.shape[0], 2 * n, 2 * n))    # eigvalsh reads its lower triangle
+    inv_w = pivot / np.where(pivot, w, 1.0)
+    T[:, :n, :n] = sigma_plus - (dV * inv_w[:, None, :]) @ dV.swapaxes(1, 2)
+    T[:, n:, :n] = (dV * ~pivot[:, None, :]).swapaxes(1, 2)
+    diag = np.einsum("zii->zi", T[:, n:, n:])   # a view
+    diag[:] = w
+    np.copyto(diag, sigma_plus.max(axis=(1, 2))[:, None], where=pivot)
+    return np.linalg.eigvalsh(T)[:, 0], residual
 
 
 def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
@@ -497,11 +523,11 @@ def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
     d_plus, d_minus = dets["sigma_plus_c"], dets["sigma_minus_c"]
     delta_G = d_plus * d_minus - d_delta**2
 
-    p = 1.0 / n
-    root_gap = (_pow_det(d_sigma, p) - _pow_det(d_skew, p)) ** 2
-    chain_top = _pow_det(d_sigma, 2 * p)
-    m4a = (chain_top - _pow_det(d_delta, 2 * p)) - root_gap
-    m4b = root_gap - _pow_det(d_class, 2 * p)
+    root_sigma, root_skew, root_class = _det_root(ctx.spectra[:3], 1.0 / n)
+    root_gap = (root_sigma - root_skew) ** 2
+    chain_top = root_sigma ** 2
+    m4a = (chain_top - d_delta ** (2 / n)) - root_gap      # d_delta >= 0: an absolute value or 0
+    m4b = root_gap - root_class ** 2
 
     w_L = np.linalg.eigvalsh(L)
     rank_L = (w_L > TOL_PSD * scale_L[:, None]).sum(axis=1)
@@ -536,8 +562,10 @@ def check_refined_rs(ctx: SpectralContext) -> UncertaintyReport:
     """Assemble every matrix and the margins of the determinant relations.
 
     Margin keys: ``rs`` (|sigma| - |delta|), ``eq3`` (|sigma+c||sigma-c| - |delta|^2,
-    identical to delta_G), ``eq4a``/``eq4b`` (the Minkowski chain), ``eq7-psd``
-    (min eigenvalue of L), ``eq8-schur`` (min eigenvalue of the Schur complement).
+    identical to delta_G), ``eq4a``/``eq4b`` (the Minkowski chain, its n-th roots from
+    the eigenvalues, ``_det_root``), ``eq7-psd`` (min eigenvalue of L), ``eq8-schur``
+    (min eigenvalue of the Schur complement, with the near-null pivots of sigma - c
+    kept in the trailing matrix, ``_schur_margin``).
     """
     return ctx.refined
 

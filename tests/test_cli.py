@@ -235,6 +235,13 @@ def test_gaussian_two_modes(capsys):
                  "--coupling", "0.2", "--beta", "1.2", "--cutoff", "12"]) == 0
 
 
+def test_gaussian_squeezed_large_beta_saturates(capsys):
+    # beta rho(N) = 21.7: the moments an expm of -beta N gave broke C^T - C = J by 1.7e-8 (exit 2)
+    assert main(["gaussian", "--modes", "1", "--omega", "1", "--xi", "0.5", "--beta", "25",
+                 "--cutoff", "40"]) == 0
+    assert "saturated=true" in capsys.readouterr().out
+
+
 def test_gaussian_small_cutoff_exit2(capsys):
     assert main(["gaussian", "--modes", "1", "--beta", "1.0", "--cutoff", "4"]) == 2
 

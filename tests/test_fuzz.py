@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,13 +14,14 @@ from skewsharp.fuzz import (
     FuzzConfig,
     random_density,
     random_observables,
+    replay_trial,
     run_fuzz,
     strength_study,
     trial_margins,
 )
 from skewsharp.gcov import resolve_monotone
 from skewsharp.serialize import dumps
-from skewsharp.skew import ObservableSet
+from skewsharp.skew import ObservableSet, check_refined_rs
 
 from conftest import SX
 
@@ -108,6 +112,57 @@ def test_reproducers_of_one_trial_in_table_order(tmp_path, monkeypatch):
     names = [p.rsplit("/", 1)[-1] for p in stats.reproducers]
     assert names == [f"violation_{rid}_{t}.json" for t in (0, 1) for rid in ("rs", "eq4a", "eq7-psd")]
     assert [json.loads((tmp_path / n).read_text())["relation"] for n in names[:3]] == ["rs", "eq4a", "eq7-psd"]
+
+
+def test_forced_reproducers_are_distinct_files(tmp_path, monkeypatch):
+    # per-f relations violated under several f labels on one trial once shared one path
+    import skewsharp.fuzz as fz
+
+    def shifted(r):
+        def evaluate(ctx, f):
+            sample = r.evaluate(ctx, f)
+            return None if sample is None else (sample[0] - 0.4 * sample[1], sample[1])
+        return dataclasses.replace(r, evaluate=evaluate)
+
+    monkeypatch.setattr(fz, "RELATIONS", tuple(shifted(r) for r in RELATIONS))
+    stats = fz.run_fuzz(FuzzConfig(trials=40, seed=77, reproducer_dir=str(tmp_path)))
+    paths = stats.reproducers
+    assert len(paths) == stats.total_violations == 341
+    assert len(set(paths)) == len(paths)
+    assert all(os.path.isfile(p) for p in paths)
+    docs = [json.loads(pathlib.Path(p).read_text()) for p in paths]
+    for p, doc in zip(paths, docs):
+        tag = doc["relation"] if doc["f"] is None else f"{doc['relation']}_{doc['f']}"
+        assert os.path.basename(p) == f"violation_{tag}_{doc['trial']}.json"
+    assert any(doc["f"] == "wyd:0.3" for doc in docs)
+
+
+# chunk seeds of the benchmark's fuzz gate that each read one eq8-schur margin
+# below -1e-8 of its scale on a pure state when sigma - c was pseudo-inverted at 1e-9
+GATE_SEEDS = (2215948119, 3144317113, 4131391086, 580175844, 3166480445)
+
+
+@pytest.mark.parametrize("seed", GATE_SEEDS)
+def test_gate_chunk_has_no_violation(seed):
+    config = FuzzConfig(dims=(2, 3, 4, 5, 6), n_obs=(1, 2, 3, 4), ranks=("full", 1), trials=50,
+                        seed=seed, relations=DEFAULT_GROUPS, f_labels=("wy", "sld", "wyd:0.3"))
+    stats = run_fuzz(config)
+    assert stats.total_trials == 50
+    assert stats.total_violations == 0
+
+
+@pytest.mark.parametrize("seed, trial", [(682627131, 45), (3359296794, 46), (1943606882, 14)])
+def test_eq8_schur_pure_state_trials_saturate(seed, trial):
+    # d = 3, n = 4, pure: eq3 and eq7-psd read about 1e-16 here, eq8-schur once -1.1e-8 to -2.8e-8
+    rep = check_refined_rs(*replay_trial(FuzzConfig(trials=50, seed=seed), trial))
+    assert abs(rep.margins["eq8-schur"]) <= 1e-12 * rep.scales["eq8-schur"]
+
+
+def test_eq4a_root_of_a_zero_determinant():
+    # d = 2, n = 3, pure: det sigma = det I = 0 exactly, computed as -2.7e-17 and 9.3e-16,
+    # whose 1/n-th root once gave eq4a = -9.5e-11
+    rep = check_refined_rs(*replay_trial(FuzzConfig(seed=20240501), 5822))
+    assert abs(rep.margins["eq4a"]) <= 1e-12 * rep.scales["eq4a"]
 
 
 def test_small_fuzz_no_violations(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from skewsharp.gaussian import (
@@ -131,6 +132,40 @@ def test_saturation_identity_random_generators(n_modes, seed, radius):
     mq = to_quadrature(m)
     assert abs(moment_det_gap(mq)) <= 1e-9          # congruence, |det u| = 1
     assert abs(moment_det_gap(mq) - moment_det_gap(m)) <= 1e-9
+
+
+@pytest.mark.parametrize("radius", [20, 25, 29])
+def test_exact_moments_on_random_generators_at_large_radius(radius):
+    # an expm of -beta N with entries up to e^29 once failed 31, 66 and 71 of these draws
+    for s in range(200):
+        H = random_admissible_generator(1 + s % 2, np.random.default_rng(s), spectral_radius=radius)
+        m = exact_moments(H)
+        C, J = m.C, symplectic_form(H.n_modes)
+        M = scipy.linalg.expm(-H.beta * H.N)
+        scale = max(1.0, np.abs(C).max())
+        assert np.abs(C.T - C - J).max() <= 1e-8 * scale, s
+        assert np.abs(C.T - C @ M).max() <= 1e-8 * scale * np.abs(M).max(), s
+        assert abs(moment_det_gap(to_quadrature(m))) <= 1e-10, s
+
+
+@pytest.mark.parametrize("H, sigma, c", [
+    (single_mode_generator(1.0, beta=1.3863), 0.8333308271761722, 0.6666635339675656),
+    (two_mode_generator(1.0, 1.0, beta=1.0), 1.0819767068693262, 0.9595173756674718),
+])
+def test_benchmark_generator_moments_unchanged(H, sigma, c):
+    # the quadrature moments of the two thermal benchmark workloads, as the expm route gave them
+    mq = to_quadrature(exact_moments(H))
+    eye = np.eye(2 * H.n_modes)
+    assert np.abs(mq.sigma - sigma * eye).max() <= 1e-15 * sigma
+    assert np.abs(mq.c - c * eye).max() <= 1e-15 * c
+
+
+def test_cond_m_is_the_eigenvalue_ratio_of_m_minus_i():
+    # squeezed mode: N has eigenvalues +-nu, nu = sqrt(omega^2 - |xi|^2), and M - I is not normal
+    nu = math.sqrt(1 - 0.5**2)
+    m = exact_moments(single_mode_generator(1.0, xi=0.5, beta=1.0))
+    assert abs(m.cond_M - math.expm1(nu) / -math.expm1(-nu)) <= 1e-12 * m.cond_M
+    assert abs(exact_moments(thermal_fixture()).cond_M - 4.0) <= 1e-12
 
 
 def test_near_singular_perturbation_warns():

@@ -6,8 +6,11 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from skewsharp.fuzz import random_density
-from skewsharp.linalg import DensityMatrix, DimensionMismatch
+from skewsharp.linalg import DensityMatrix, DimensionMismatch, mat_scale
 from skewsharp.skew import (
+    TOL_INEQ,
+    _det_root,
+    _schur_margin,
     ConstructionMismatch,
     ObservableSet,
     SpectralContext,
@@ -349,3 +352,64 @@ def test_eigenbasis_gram_matches_input_basis_gram(seed):
     ops = [(R @ M + s * M @ R) / math.sqrt(2) for s in (1, -1) for M in Xc]
     gram = np.array([[np.trace(a.conj().T @ b) for b in ops] for a in ops])
     assert np.abs(check_refined_rs(rho, X).L - gram).max() <= 1e-12
+
+
+# ------------------------------------------------- eq8 and eq4 routes
+
+def _eq7_eq8_flags(Lp, Lm, delta):
+    """(eq7-psd, eq8-schur) violation flags of L = [[Lp, i delta], [i delta, Lm]] at the
+    violation tolerance, eq8 through the engine's pivoted elimination."""
+    L = np.block([[Lp, 1j * delta], [1j * delta, Lm]])
+    flag7 = np.linalg.eigvalsh(L)[0] < -TOL_INEQ * mat_scale(L)
+    m8, _ = _schur_margin(Lp[None], Lm[None], delta[None])
+    return flag7, m8[0] < -TOL_INEQ * mat_scale(Lp)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eq8_flags_planted_violations(seed):
+    rng = np.random.default_rng(seed)
+    dim, n = 4, 2 + seed % 3
+    rank = "full" if seed % 2 else 1
+    ctx = SpectralContext(random_density(dim, rank, rng), random_observables(rng, dim, n))
+    (Lp,), (Lm,) = ctx.blocks
+    delta = delta_antisymmetric(ctx.i_delta[0])
+    assert _eq7_eq8_flags(Lp, Lm, delta) == (False, False)
+    L = np.block([[Lp, 1j * delta], [1j * delta, Lm]])
+    eps = 1e-6 * mat_scale(L)
+    lam, Z = np.linalg.eigh(L)
+    w, V = np.linalg.eigh(Lm)
+    # t I off the sigma + c block takes lam[0] + eps off the Rayleigh quotient of L's lowest eigenvector
+    t = (lam[0] + eps) / np.sum(np.abs(Z[:n, 0]) ** 2)
+    planted = [
+        (Lp - t * np.eye(n), Lm),
+        (Lp, Lm - (w[0] + eps) * np.outer(V[:, 0], V[:, 0])),         # an eigenvector of sigma - c
+        (Lp, Lm - (w[-1] + eps) * np.outer(V[:, -1], V[:, -1])),
+    ]
+    for k, (P, M) in enumerate(planted):
+        assert _eq7_eq8_flags(P, M, delta) == (True, True), k
+
+
+@pytest.mark.parametrize("p, violated", [(0.0, True), (1e-6, False)])
+def test_eq8_near_null_pivot_stays_in_the_trailing_matrix(p, violated):
+    # sigma - c has eigenvalue w0 = 1e-7 of its scale, inside (1e-9, 1e-6], on v0, which
+    # delta couples to e2 with weight b = 2e-7; after the other two pivots L reads
+    # [[p, b], [b, w0]] on (e2, v0): a violation along v0 exactly when p < b^2 / w0 = 4e-7
+    w0, b = 1e-7, 2e-7
+    delta = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])   # delta x = e3 cross x
+    V = np.array([[b, 0.0, math.sqrt(1 - b * b)], [0.0, 1.0, 0.0], [math.sqrt(1 - b * b), 0.0, -b]]).T
+    Lm = (V * [w0, 1.0, 0.5]) @ V.T
+    dV = delta @ V
+    Lp = dV[:, 1:] / [1.0, 0.5] @ dV[:, 1:].T + np.diag([1.0, p, 1.0])
+    assert abs(dV[1, 0] - b) <= 1e-20 and np.abs(dV[[0, 2], 0]).max() == 0
+    assert _eq7_eq8_flags(Lp, Lm, delta) == (violated, violated)
+    m8, _ = _schur_margin(Lp[None], Lm[None], delta[None])
+    expected = min(0.0, (p + w0 - math.hypot(p - w0, 2 * b)) / 2)     # the 2x2 block's lower eigenvalue
+    assert abs(min(m8[0], 0.0) - expected) <= 1e-12
+
+
+def test_det_root_counts_rounding_zeros_as_zero():
+    # a rank-2 sigma whose zero eigenvalue computes as 1e-17: the root is exactly 0, not 1e-17^(1/3)
+    w = np.array([[1e-17, 0.4, 0.6], [0.2, 0.3, 0.5]])
+    roots = _det_root(w, 1 / 3)
+    assert roots[0] == 0.0
+    assert abs(roots[1] - 0.03 ** (1 / 3)) <= 1e-15
