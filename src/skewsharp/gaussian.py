@@ -28,25 +28,32 @@ x = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2); in that basis the
 commutator convention of :mod:`skewsharp.skew` gives the constant real
 antisymmetric matrix [[0, -I/2], [I/2, 0]].
 
-The truncated Fock space (cutoff levels per mode, Kronecker order) carries two
-exact structures that the d = cutoff^n numerics use.  A quadratic generator
+The truncated Fock space (cutoff levels per mode, Kronecker order) carries
+exact structure that the d = cutoff^n numerics use.  A quadratic generator
 changes the total photon number by 0 or +-2, so the truncated H has exactly
 zero entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal``
-checks that, diagonalizes each parity block on its own and builds the state
-with ``DensityMatrix.from_blocks``, which records the blocks.  A state read
-from a file gets the same blocks through ``fock_density`` when its matrix has
-exactly zero entries between the two parities (``DensityMatrix.from_matrix``
-with the ``parity_rows`` partition); any other state gets the dense eigh and
-no blocks.  The quadratures are linear in the ladder operators:
-``quadrature_observables`` records their ``LadderOrigin`` (n_modes, cutoff)
-on the ``ObservableSet``, and ``skew.SpectralContext`` asks that origin for
-the eigenbasis stack, which it forms from M_k = V^dag (a_k V) per mode.  When
-the state carries its parity blocks, each quadrature maps even to odd photon
-numbers and back, so its stack is zero on both diagonal parity blocks: the
-origin names the even and odd eigenvector columns (``stack_blocks``) and
-builds only the block A_k[even, odd], from the two nonzero blocks of M_k,
-each a half-size product; ``skew`` then pairs that block alone (its block
-route).  Without parity blocks the origin builds the full stack.  This module
+checks that, and inside the two parity classes takes the connected components
+of H's nonzero pattern as its parts (``linalg.part_eigensystems``), one
+eigensystem each and one batched eigh per part size: uncoupled modes give 1 x 1
+parts (H is diagonal), a beamsplitter coupling the photon-number shells,
+squeezing the two parity classes themselves.  The state records the parity
+blocks and the parts (``DensityMatrix.blocks`` and ``.parts``).  A state read
+from a file gets the same structure through ``fock_density`` when its matrix
+has exactly zero entries between the two parities (``DensityMatrix.from_matrix``
+with the ``parity_rows`` partition); any other state gets the dense eigh and no
+record.  The quadratures are linear in the ladder operators:
+``quadrature_observables`` records their ``LadderOrigin`` (n_modes, cutoff) on
+the ``ObservableSet``, and ``skew.SpectralContext`` asks that origin for the
+eigenbasis stack, which it forms from M_k = V^dag (a_k V) per mode, part by
+part: a_k has one nonzero per row, so a_k V is a scaled row shift of V, and a
+part with rows r and eigenvector columns c gives the rows c of M_k as
+V[r, c]^dag (a_k V)[r], one batched product per part size.  When the state
+carries its parity blocks, each quadrature maps even to odd photon numbers and
+back, so its stack is zero on both diagonal parity blocks: the origin names the
+even and odd eigenvector columns (``stack_blocks``) and builds only the block
+A_k[even, odd], from the two nonzero blocks of M_k; ``skew`` then pairs that
+block alone (its block route).  Without parity blocks the origin builds the
+full stack, a state without parts being one part.  This module
 alone knows the Fock basis layout; the relation engine sees only the origin.
 """
 
@@ -64,6 +71,7 @@ from .linalg import (
     DimensionMismatch,
     SkewsharpError,
     mat_scale,
+    part_eigensystems,
 )
 from .skew import (
     ConstructionMismatch,
@@ -337,26 +345,39 @@ def parity_rows(n_modes: int, cutoff: int) -> list[np.ndarray]:
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
-def _apply_destroy(V: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
-    """a V for the truncated annihilator a of one mode, as a cutoff x cutoff product on that
-    mode's tensor axis of the rows of V."""
-    return (destroy(cutoff) @ V.reshape(cutoff**mode, cutoff, -1)).reshape(V.shape)
+def _destroy_rows(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
+    """(a V)[rows, cols] for the truncated annihilator a of one mode.  a has one nonzero per
+    row: row i of a V is sqrt(n + 1) times row i + s of V, n the mode's photon number in
+    row i and s its stride in the Kronecker order, or 0 when n is the top level."""
+    stride = V.shape[0] // cutoff ** (mode + 1)
+    level = rows // stride % cutoff
+    # the row taken at the top level is arbitrary: its coefficient is 0
+    coef = np.where(level < cutoff - 1, np.sqrt(level + 1), 0.0)[..., None]
+    return coef * V[((rows + stride) % V.shape[0])[..., None], cols]
 
 
-def _ladder_matrix(V: np.ndarray, mode: int, cutoff: int, parity) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_matrix(V: np.ndarray, parts, mode: int, cutoff: int, parity) -> tuple[np.ndarray, np.ndarray]:
     """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors,
-    as a pair (M_out, M_back) from which the quadratures take (M_back^dag +- M_out).
+    as a pair (M_out, M_back^dag) from which the quadratures take (M_back^dag +- M_out).
 
-    Without ``parity`` blocks both are M.  With blocks ((rows_E, cols_E), (rows_O,
+    Without ``parity`` blocks M_out and M_back are M.  With blocks ((rows_E, cols_E), (rows_O,
     cols_O)) a maps each block into the other, so M is zero but on M[cols_E, cols_O]
-    and M[cols_O, cols_E]: the pair is those two blocks, each a half-size product
-    V_out^dag (a V_in) of the blocks of V.
+    and M[cols_O, cols_E]: the pair is those two blocks.  Each block V_out^dag (a V_in)
+    is built part by part (``parts`` as ``DensityMatrix.parts``): a part with rows r and
+    columns c among the out columns gives the rows c of the block as V[r, c]^dag (a V_in)[r],
+    one batched product per part size, where (a V_in)[r] is a scaled row shift of V_in
+    (``_destroy_rows``); a 1 x 1 part is such a row times a phase.
     """
-    if parity is None:
-        M = np.conj(V.T) @ _apply_destroy(V, mode, cutoff)
-        return M, M
-    return tuple(np.conj(V[np.ix_(rows_out, cols_out)].T) @ _apply_destroy(V[:, cols_in], mode, cutoff)[rows_out]
-                 for (rows_out, cols_out), (_, cols_in) in (parity, parity[::-1]))
+    cols = [np.arange(V.shape[0])] if parity is None else [c for _, c in parity]
+    blocks = []
+    for out, into in zip(cols, cols[::-1]):
+        is_out = np.bincount(out, minlength=V.shape[0]) > 0
+        M = np.empty((V.shape[0], into.size), dtype=complex)   # the rows of ``out`` are filled
+        for r, c in parts or ((np.arange(V.shape[0])[None],) * 2,):     # no record: one part
+            r, c = r[is_out[c[:, 0]]], c[is_out[c[:, 0]]]
+            M[c] = np.conj(V[r[..., None], c[:, None, :]].swapaxes(1, 2)) @ _destroy_rows(V, r, into, mode, cutoff)
+        blocks.append(M[out])
+    return blocks[0], np.conj(blocks[-1].T)
 
 
 @dataclass(frozen=True)
@@ -370,10 +391,8 @@ class LadderOrigin:
         """A state's invariant blocks, the even one first, when they are the two
         photon-number parity classes of this Fock basis (so each eigenvector has
         one parity), else None."""
-        if blocks is None or len(blocks) != 2:
-            return None
         parity = fock_parity(self.n_modes, self.cutoff)
-        kinds = [tuple(np.unique(parity[rows])) for rows, _ in blocks]
+        kinds = [tuple(np.unique(parity[rows])) for rows, _ in blocks or ()]
         if sorted(kinds) != [(0,), (1,)]:
             return None
         return tuple(blocks) if kinds[0] == (0,) else tuple(blocks[::-1])
@@ -388,26 +407,22 @@ class LadderOrigin:
         parity = self.parity_blocks(blocks)
         return None if parity is None else tuple(cols for _, cols in parity)
 
-    def eigenbasis_stack(self, V: np.ndarray, blocks) -> np.ndarray:
+    def eigenbasis_stack(self, state: DensityMatrix) -> np.ndarray:
         """Uncentered stack of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
-        in the eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time.
+        in the state's eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time.
 
         The full stack (2n, d, d) without parity blocks; with them, only its block
         A_k[cols_E, cols_O] (2n, d_E, d_O), built from the two nonzero blocks of M_k.
+        Either is built on the state's parts; a state without them is one part.
         """
-        n = self.n_modes
-        parity = self.parity_blocks(blocks)
+        n, V = self.n_modes, state.eigenvectors
+        parity = self.parity_blocks(state.blocks)
         shape = V.shape if parity is None else tuple(cols.size for _, cols in parity)
         A = np.empty((2 * n, *shape), dtype=complex)
         for k in range(n):
-            M, M_back = _ladder_matrix(V, k, self.cutoff, parity)
-            x, p = A[k], A[n + k]
-            np.conjugate(M_back.T, out=x)
-            np.subtract(x, M, out=p)
-            x += M
-            x /= math.sqrt(2)
-            p *= 1j / math.sqrt(2)
-            del M, M_back                       # before the next M_k is built (13 MB each at d = 900)
+            M, M_dag = _ladder_matrix(V, state.parts, k, self.cutoff, parity)
+            A[k] = (M_dag + M) / math.sqrt(2)
+            A[n + k] = (M_dag - M) * (1j / math.sqrt(2))
         return A
 
 
@@ -441,7 +456,9 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
 
     A quadratic H changes the total photon number by 0 or +-2, so its truncation
     is block-diagonal by photon-number parity: that is checked entry by entry
-    (ConstructionMismatch otherwise), and each parity block gets its own eigh.
+    (ConstructionMismatch otherwise).  Inside the parities each connected
+    component of H's nonzero pattern gets its own eigensystem
+    (``part_eigensystems``), and the state records the parity blocks and those parts.
     """
     if H.n_modes not in (1, 2):
         raise UnsupportedModeCount(f"Fock truncation supports 1 or 2 modes, got {H.n_modes}")
@@ -449,19 +466,15 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
         raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
     Hmat = _fock_hamiltonian(H, cutoff)
     rows = parity_rows(H.n_modes, cutoff)
-    cross = sum(np.count_nonzero(Hmat[np.ix_(r, s)]) for r, s in (rows, rows[::-1]))
-    if cross:
+    if cross := sum(np.count_nonzero(Hmat[np.ix_(r, s)]) for r, s in (rows, rows[::-1])):
         raise ConstructionMismatch(f"truncated H couples even and odd photon numbers at {cross} entries")
-    blocks = [Hmat[np.ix_(r, r)] for r in rows]
-    del Hmat                                  # the two blocks hold every nonzero entry
-    eig = [np.linalg.eigh(Hb) for Hb in blocks]
-    w_min = min(w[0] for w, _ in eig)
-    weights = [np.exp(-H.beta * (w - w_min)) for w, _ in eig]
-    total = sum(w.sum() for w in weights)
-    return ThermalTruncation(
-        rho=DensityMatrix.from_blocks([(r, V, w / total) for r, (_, V), w in zip(rows, eig, weights)]),
-        tail_mass=thermal_tail_mass(H, cutoff),
-    )
+    parts = part_eigensystems(Hmat)
+    w_min = min(w.min() for _, _, w in parts)
+    weights = [np.exp(-H.beta * (w - w_min)) for _, _, w in parts]
+    # each part's sum first, so parts that are the parity classes sum as one sum per block
+    total = sum(x.sum(axis=-1).sum() for x in weights)
+    rho = DensityMatrix._from_parts(rows, [(r, V, x / total) for (r, V, _), x in zip(parts, weights)], None)
+    return ThermalTruncation(rho=rho, tail_mass=thermal_tail_mass(H, cutoff))
 
 
 def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
@@ -500,8 +513,7 @@ def saturation_check(H: QuadraticHamiltonian, cutoff: int) -> SaturationReport:
     """Exact (symplectic) and truncated-Fock values of the saturation gap."""
     moments = to_quadrature(exact_moments(H))
     trunc = fock_truncate_thermal(H, cutoff)
-    X = quadrature_observables(H.n_modes, cutoff)
-    rep = check_refined_rs(trunc.rho, X)
+    rep = check_refined_rs(trunc.rho, quadrature_observables(H.n_modes, cutoff))
     return SaturationReport(
         delta_G_exact=moment_det_gap(moments),
         delta_G_numeric=rep.delta_G,
@@ -524,9 +536,9 @@ def fock_density(matrix: np.ndarray, n_modes: int, cutoff: int) -> DensityMatrix
     """State on n_modes modes cut off at cutoff from its Fock-basis matrix.
 
     The size is checked first (``check_fock_dim``), before any eigh.  A state
-    that keeps photon-number parity gets one eigh per parity block and records
-    them (``DensityMatrix.from_matrix`` on ``parity_rows``); any other gets the
-    dense eigh.
+    that keeps photon-number parity gets one eigensystem per part, a connected
+    component of its nonzero pattern, and records the parity blocks and the parts
+    (``DensityMatrix.from_matrix`` on ``parity_rows``); any other gets the dense eigh.
     """
     check_fock_dim(np.shape(matrix)[0], n_modes, cutoff)
     return DensityMatrix.from_matrix(matrix, partition=parity_rows(n_modes, cutoff))
@@ -535,8 +547,7 @@ def fock_density(matrix: np.ndarray, n_modes: int, cutoff: int) -> DensityMatrix
 def nongaussianity(rho: DensityMatrix, n_modes: int, cutoff: int) -> float:
     """Saturation gap of an arbitrary truncated-Fock state: 0 exactly on Gaussian states."""
     check_fock_dim(rho.dim, n_modes, cutoff)
-    rep = check_refined_rs(rho, quadrature_observables(n_modes, cutoff))
-    return rep.delta_G
+    return check_refined_rs(rho, quadrature_observables(n_modes, cutoff)).delta_G
 
 
 def generator_from_covariance(C: np.ndarray, n_modes: int) -> QuadraticHamiltonian:

@@ -166,14 +166,21 @@ class DensityMatrix:
 
     Eigenvalues are clipped to [0, ...] after the positivity check, so rank
     deficient (pure) states are safe inputs to sqrt/log-style maps.
+
+    A state whose eigensystem was taken part by part records its structure.
+    ``blocks`` holds each block of a partition of the basis as (rows, eigenvector
+    columns).  ``parts`` refines it into the parts each eigensystem was taken
+    on: per part size m, one pair (rows, columns) of (G, m) arrays for its G
+    parts, the m eigenvectors of a part living on its m rows alone.  A state
+    from the one dense eigh records neither.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)   # clipped, descending
     eigenvectors: np.ndarray = field(repr=False)
-    # (rows, eigenvector columns) of each invariant block; set by ``from_blocks``, and by
-    # ``from_matrix`` when its partition holds, only
+    # set by ``_from_parts`` only: ``from_blocks``, and ``from_matrix`` when its partition holds
     blocks: tuple | None = field(default=None, init=False, repr=False)
+    parts: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -185,73 +192,106 @@ class DensityMatrix:
 
         ``partition``, if given, is a sequence of index arrays that partition the
         basis.  When every entry of the Hermitian part between two parts is
-        exactly 0, each part gets its own eigh and ``blocks`` is recorded as by
-        ``from_blocks``; any other state gets the one dense eigh and no blocks.
+        exactly 0, the eigensystem is taken on the connected components of its
+        nonzero pattern (``part_eigensystems``), and ``blocks`` records the
+        partition; any other state gets the one dense eigh and no record.
         """
-        M = _square(rho, "state")[None]
-        if partition is None:
-            rho, w, V = validate_states(M)
-            return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
-        rho = _unit_trace_hermitian(M)
-        parts = _partition(partition, rho.shape[-1])
-        # the Hermitian part is exactly Hermitian: the parts above the diagonal suffice
-        if any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(parts) for s in parts[i + 1:]):
-            w, V = _spectra(rho)
-            return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
-        rho = rho[0]
-        eig = [np.linalg.eigh(rho[np.ix_(r, r)]) for r in parts]
-        w, V, record = _embed([(r, Vb, wb) for r, (wb, Vb) in zip(parts, eig)])
-        return cls._with_blocks(rho, _clip_spectrum(rho, w), V, record)
+        rho = _unit_trace_hermitian(_square(rho, "state")[None])
+        if partition is not None:
+            parts = _partition(partition, rho.shape[-1])
+            # the Hermitian part is exactly Hermitian: the parts above the diagonal suffice
+            if not any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(parts) for s in parts[i + 1:]):
+                return cls._from_parts(parts, part_eigensystems(rho[0]), rho[0])
+        w, V = _spectra(rho)
+        return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
     @classmethod
     def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray) -> "DensityMatrix":
         """State V diag(weights) V^dag from a known eigensystem, with no second eigh: one block."""
-        V = require_square(V, "eigenvector matrix")
-        return cls.from_blocks([(np.arange(V.shape[0]), V, weights)])
+        return cls.from_blocks([(np.arange(np.shape(V)[0]), V, weights)])
 
     @classmethod
     def from_blocks(cls, blocks) -> "DensityMatrix":
         """Block-diagonal state from the eigensystem of each block, with no eigh.
 
         ``blocks`` holds (rows, V_b, weights_b): the basis indices ``rows`` of the
-        block, its eigenvectors V_b (orthonormal columns, max|V_b^dag V_b - I|
-        within TOL_EIG) and their weights.  The rows partition the basis, all
-        weights together sum to 1 within TOL_TRACE and get the same PSD clip and
-        zeroing as ``from_matrix``.  Each block of rho is V_b diag(weights_b) V_b^dag; the
-        eigenvectors are the V_b embedded in the full basis, in descending weight
-        order, and ``blocks`` records each block's (rows, eigenvector columns).
+        block, its eigenvectors V_b and their weights, checked as ``_from_parts``
+        checks given eigensystems; each block is one part.  ``blocks`` records each
+        block's (rows, eigenvector columns), the columns in the order of V_b.
         """
-        checked = []
-        for r, V, w in blocks:
-            r, V, w = np.asarray(r), require_square(V, "eigenvector matrix"), np.asarray(w, dtype=float)
-            if w.shape != V.shape[:1] or w.shape != r.shape:
-                raise DimensionMismatch(f"{w.shape} weights for {V.shape[0]} eigenvectors on {r.size} rows")
-            if not np.all(np.isfinite(w)):
-                raise InvalidState("state weights have non-finite entries")
-            dev = float(np.abs(V.conj().T @ V - np.eye(V.shape[0])).max())
-            if dev > TOL_EIG:
-                raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
-            checked.append((r, V, w))
-        d = sum(r.size for r, _, _ in checked)
-        _partition([r for r, _, _ in checked], d)
-        tr = float(np.concatenate([w for _, _, w in checked]).sum())
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
-        rho = np.zeros((d, d), dtype=complex)
-        for r, V, w in checked:
-            R = (V * w) @ V.conj().T
-            rho[np.ix_(r, r)] = (R + R.conj().T) / 2
-        w, V, record = _embed(checked)
-        return cls._with_blocks(rho, _clip_spectrum(rho, w), V, record)
+        parts = [(np.asarray(r)[None], require_square(V, "eigenvector matrix")[None],
+                  np.asarray(w, dtype=float)[None]) for r, V, w in blocks]
+        return cls._from_parts([r[0] for r, _, _ in parts], parts, None)
 
     @classmethod
-    def _with_blocks(cls, rho, eigenvalues, eigenvectors, record) -> "DensityMatrix":
-        state = cls(matrix=rho, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-        object.__setattr__(state, "blocks", record)
+    def _from_parts(cls, blocks, parts, rho) -> "DensityMatrix":
+        """The one constructor path of a state with an eigensystem per part.
+
+        ``blocks`` partition the basis; ``parts`` holds per part size m the
+        eigensystems (rows (G, m), V (G, m, m), w (G, m)) of G parts, each part
+        inside one block.  ``rho`` is the state's checked Hermitian matrix, whose
+        parts' eigh gave the eigensystems, or None when the eigensystems are the
+        input: then the shapes agree, the weights are finite, each V is orthonormal
+        within TOL_EIG, the blocks partition the basis, all weights sum to 1 within
+        TOL_TRACE, and rho is assembled part by part as V diag(w) V^dag.  The
+        spectrum gets the PSD clip and zeroing of ``from_matrix``; the eigenvectors
+        are the V embedded at their rows, in columns of descending weight (stable
+        in the order of ``parts``), and ``blocks`` and ``parts`` are recorded.
+        """
+        d = sum(r.size for r in blocks)
+        if rho is None:
+            for r, V, w in parts:
+                if w.shape != r.shape or w.shape != V.shape[:2]:
+                    raise DimensionMismatch(f"{w.shape} weights for {V.shape[-1]} eigenvectors on {r.shape} rows")
+                raise_first(~np.isfinite(w).all(axis=-1), lambda: InvalidState("non-finite state weights"))
+                dev = float(np.abs(np.conj(V.swapaxes(1, 2)) @ V - np.eye(V.shape[-1])).max())
+                if dev > TOL_EIG:
+                    raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
+            blocks = _partition(blocks, d)
+            tr = float(sum(w.sum() for _, _, w in parts))
+            if abs(tr - 1.0) > TOL_TRACE:
+                raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
+            rho = np.zeros((d, d), dtype=complex)
+            for r, V, w in parts:
+                R = (V * w[:, None, :]) @ np.conj(V.swapaxes(1, 2))
+                rho[r[:, :, None], r[:, None, :]] = (R + np.conj(R.swapaxes(1, 2))) / 2
+        w = np.concatenate([wp.ravel() for _, _, wp in parts])
+        order = np.argsort(-w, kind="stable")
+        # eigenvector i sits in column argsort(order)[i]: each part's columns, shaped as its rows
+        columns = np.split(np.argsort(order), np.cumsum([r.size for r, _, _ in parts])[:-1])
+        record = tuple((r, c.reshape(r.shape)) for (r, _, _), c in zip(parts, columns))
+        eigenvectors = np.zeros((d, d), dtype=complex)
+        for (r, c), (_, V, _) in zip(record, parts):
+            eigenvectors[r[:, :, None], c[:, None, :]] = V
+        state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order]), eigenvectors=eigenvectors)
+        object.__setattr__(state, "blocks", tuple(      # a part is in the block of its first row
+            (b, np.concatenate([c[(np.bincount(b, minlength=d) > 0)[r[:, 0]]].ravel() for r, c in record]))
+            for b in blocks))
+        object.__setattr__(state, "parts", record)
         return state
 
     def rank(self) -> int:
         return int(np.count_nonzero(self.eigenvalues > TOL_PSD * mat_scale(self.matrix)))
+
+
+def part_eigensystems(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigensystems of a Hermitian M on its parts, the connected components of its nonzero pattern.
+
+    One (rows (G, m), V (G, m, m), w (G, m)) per part size m: the G parts' rows
+    in ascending order, and the eigenvectors and ascending eigenvalues of each
+    M[rows, rows] from one batched eigh.  The components come from masked-min
+    label propagation with pointer jumping: each index takes the smallest label
+    among itself and its neighbours, then its label's label, until nothing
+    changes; then every index carries the smallest index of its component.
+    """
+    linked, labels, new = M != 0, None, np.arange(M.shape[0])
+    while not np.array_equal(labels, new):
+        labels = new[new]
+        new = np.where(linked, labels, labels[:, None]).min(axis=1)     # a non-neighbour reads the own label
+    rows = np.argsort(labels, kind="stable")        # one component after another
+    size = np.bincount(labels)[labels[rows]]
+    return [(r, *np.linalg.eigh(M[r[:, :, None], r[:, None, :]])[::-1])
+            for r in (rows[size == m].reshape(-1, m) for m in np.flatnonzero(np.bincount(size)))]
 
 
 def _partition(parts, d: int) -> list[np.ndarray]:
@@ -260,28 +300,6 @@ def _partition(parts, d: int) -> list[np.ndarray]:
     if not np.array_equal(np.sort(np.concatenate(parts or [np.empty(0, dtype=int)])), np.arange(d)):
         raise DimensionMismatch("block rows must partition the basis indices")
     return parts
-
-
-def _embed(blocks) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Descending spectrum, eigenvectors and block record of a block-diagonal state.
-
-    ``blocks`` holds (rows, V_b, weights_b) on a partition of the basis.  Each
-    V_b is embedded at its rows, in the columns its weights take in descending
-    (stable) order; the record holds each block's (rows, eigenvector columns).
-    """
-    w = np.concatenate([wb for _, _, wb in blocks])
-    d = w.size
-    order = np.argsort(-w, kind="stable")
-    column = np.empty(d, dtype=int)
-    column[order] = np.arange(d)                 # eigenvector i sits in column column[i]
-    eigenvectors = np.zeros((d, d), dtype=complex)
-    record, start = [], 0
-    for r, V, _ in blocks:
-        cols = column[start:start + r.size]
-        start += r.size
-        eigenvectors[np.ix_(r, cols)] = V
-        record.append((r, cols))
-    return w[order], eigenvectors, tuple(record)
 
 
 def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:

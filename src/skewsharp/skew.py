@@ -23,10 +23,11 @@ The public (rho, X) functions are its B = 1 case, unwrapped by ``instance``.
 The eigenbasis stack A_k = V^dag X'_k V is built on one of two routes, chosen
 from the inputs.  Every observable set takes the dense products of V^dag, the
 stacked X_k and V, except a set that records its ``origin``: an object whose
-``eigenbasis_stack(V, blocks)`` gives the uncentered stack V^dag X_k V from
-the state's eigenvectors and its invariant blocks (``DensityMatrix.blocks``).
-The truncated quadratures of ``gaussian.quadrature_observables`` are the one
-such set; their origin builds the stack from the ladder operators (see
+``eigenbasis_stack(state)`` gives the uncentered stack V^dag X_k V from the
+state's eigenvectors and the structure it records (``DensityMatrix.blocks``
+and ``.parts``).  The truncated quadratures of
+``gaussian.quadrature_observables`` are the one such set; their origin builds
+the stack from the ladder operators, part by part (see
 :mod:`skewsharp.gaussian`).  Both routes are centered alike and pass the same
 two self-checks.
 
@@ -53,7 +54,11 @@ input basis in O(n^2 d^2): the means Tr(rho X_k) from the state matrix against
 the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
 of the input observables against the same pairing of A.  It reads the dense
 X_k on either route, so a stack built by an origin is checked against the
-plain definition of the observables.
+plain definition of the observables.  Its input pairings are dot products of
+the matrices' float views: one product on a stacked copy while that copy is
+small (every fuzz batch), pair by pair above STACK_CHECK_ENTRIES, so a d = 900
+check copies no d x d matrix.  Neither check sees a unitary relabeling
+U X_k U^dag of every observable, which keeps all Hilbert-Schmidt pairings.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from .linalg import (
 TOL_INEQ = 1e-8
 CONSTRUCTION_TOL = 1e-8
 SCHUR_PIVOT_CUT = 1e-6  # eq8: pivots of sigma - c at most this fraction of its scale are not eliminated
+STACK_CHECK_ENTRIES = 1 << 15  # the stack check's Gram matrix: one product on a copy up to this many entries
 
 VACUOUS = math.inf  # sentinel margin for relations whose denominator vanishes
 
@@ -202,18 +208,26 @@ def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, block_cols=None) -> np.ndar
 def _check_stack(ctx: "SpectralContext") -> None:
     """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
     B, n, d = ctx.size, ctx.n, ctx.dim
-    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views
-    rows = np.empty((B, n + 1, d, d), dtype=complex)
-    for k, X in enumerate(ctx.observables):
-        rows[:, k] = X
-    rows[:, n] = ctx.matrix
-    flat = rows.reshape(B, n + 1, -1).view(float)
-    G = flat @ flat.swapaxes(1, 2)
+    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views: one
+    # product on a stacked copy while that copy is small, else pair by pair (at d = 900 the copy
+    # of the n + 1 matrices would take 65 MB and most of the check's time)
+    if B * (n + 1) * d * d <= STACK_CHECK_ENTRIES:
+        rows = np.empty((B, n + 1, d, d), dtype=complex)
+        for k, Y in enumerate((*ctx.observables, ctx.matrix)):
+            rows[:, k] = Y
+        flat = rows.reshape(B, n + 1, -1).view(float)
+        G, traces = flat @ flat.swapaxes(1, 2), np.einsum("zkaa->zk", rows[:, :n]).real
+    else:
+        flat = [np.reshape(Y, (B, -1)).view(float) for Y in (*ctx.observables, ctx.matrix)]
+        G = np.empty((B, n + 1, n + 1))
+        for k in range(n + 1):
+            for j in range(k, n + 1):
+                G[:, k, j] = G[:, j, k] = np.vecdot(flat[k], flat[j])
+        traces = np.stack([f[:, ::2 * d + 2].sum(axis=-1) for f in flat[:n]], axis=1)   # real diagonals
     scale = mat_scale(G[:, :n, :n])             # max_k Tr(X_k^2) >= |Tr(rho X_k)|^2
     means = G[:, :n, n].copy()                  # Tr(rho X_k)
-    # the identity's pairings Tr(X_k 1) = Tr(X_k) and Tr(1 1) = d replace the rho column;
-    # a stored identity row would cost one more d x d copy at the peak of a d = 900 check
-    G[:, :n, n] = G[:, n, :n] = np.einsum("zkaa->zk", rows[:, :n]).real
+    # the identity's pairings Tr(X_k 1) = Tr(X_k) and Tr(1 1) = d replace the rho column
+    G[:, :n, n] = G[:, n, :n] = traces
     G[:, n, n] = d
     dev = np.abs(means - ctx.means).max(axis=-1)
     raise_first(dev > CONSTRUCTION_TOL * np.sqrt(scale), lambda e: ConstructionMismatch(
@@ -243,7 +257,7 @@ class SpectralContext:
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
         self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None],
-                    [M[None] for M in X.observables], X.origin, rho.blocks)
+                    [M[None] for M in X.observables], X.origin, rho)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -254,15 +268,15 @@ class SpectralContext:
         ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, matrix, lam, V, observables, origin=None, state_blocks=None) -> None:
+    def _setup(self, matrix, lam, V, observables, origin=None, state=None) -> None:
         self.matrix, self.lam, self.V = matrix, lam, V
-        self.origin, self.state_blocks = origin, state_blocks    # B = 1: the set's origin, the state's blocks
+        self.origin, self.state = origin, state    # B = 1: the set's origin and the state it reads
         self.observables = observables      # n arrays (B, d, d)
         self.size, self.dim = lam.shape
         self.n = len(observables)
         # the block route: eigenbasis columns (P, Q) of two blocks on whose diagonal
         # blocks every A_k is exactly zero, as the origin finds them in the state's blocks
-        self.block_cols = None if origin is None else origin.stack_blocks(state_blocks)
+        self.block_cols = None if origin is None else origin.stack_blocks(state.blocks)
         self.memo: dict = {}
         self._weights: dict = {}
 
@@ -272,7 +286,7 @@ class SpectralContext:
             V = self.V[:, None]
             A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
         else:
-            A = self.origin.eigenbasis_stack(self.V[0], self.state_blocks)[None]
+            A = self.origin.eigenbasis_stack(self.state)[None]
         if self.block_cols is not None:
             return A, np.zeros((self.size, self.n))     # a zero diagonal: every mean is 0
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A

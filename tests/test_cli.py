@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,6 +474,16 @@ def test_check_evaluates_the_records_its_options_select(tmp_path, monkeypatch, f
 
 
 # ------------------------------------------------------------ entry point
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test dependency only; importing it would double the CLI's start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import skewsharp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 def test_console_script_runs(tmp_path):
     sp, op = write_q1(tmp_path)

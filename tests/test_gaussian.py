@@ -615,3 +615,130 @@ def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
     monkeypatch.setattr(gaussian, "_ladder_matrix", corrupted)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, X)
+
+
+# ------------------------------------------- parts of the exact zero pattern
+
+def _matches_dense(rho, n, cutoff, reference):
+    """sigma, c and delta_G of (rho, the ladder quadratures) against the reference state with
+    the dense stack, within 1e-13 of max|sigma|."""
+    rep = check_refined_rs(rho, quadrature_observables(n, cutoff))
+    ref = check_refined_rs(reference, _dense_twin(quadrature_observables(n, cutoff)))
+    tol = 1e-13 * np.abs(ref.sigma).max()
+    assert np.abs(rep.sigma - ref.sigma).max() <= tol
+    assert np.abs(rep.classical - ref.classical).max() <= tol
+    assert abs(rep.delta_G - ref.delta_G) <= tol
+
+
+def _part_sizes(rho):
+    return [rows.shape[1] for rows, _ in rho.parts]
+
+
+def _fock_mixture(n, cutoff, seed):
+    """A Fock-diagonal mixture over the low photon numbers, as the benchmark's nongauss files hold it."""
+    p = np.zeros((cutoff,) * n)
+    p[(slice(0, 4),) * n] = np.random.default_rng(seed).uniform(0.2, 1.0, (4,) * n)
+    return np.diag(p.ravel() / p.sum()).astype(complex)
+
+
+def test_fock_diagonal_mixture_takes_one_by_one_parts():
+    M = _fock_mixture(2, 30, 8001)
+    rho = gaussian.fock_density(M, 2, 30)
+    assert _part_sizes(rho) == [1] and rho.blocks is not None
+    # a 1 x 1 part's eigenvector is the unit vector at its row: V is a permutation matrix
+    assert np.count_nonzero(rho.eigenvectors) == rho.dim
+    _matches_dense(rho, 2, 30, DensityMatrix.from_matrix(M))
+
+
+@pytest.mark.parametrize("H, cutoff", [(single_mode_generator(1.0), 60), (two_mode_generator(1.0, 1.0), 30)],
+                         ids=["cli-default-1m60", "cli-default-2m30"])
+def test_uncoupled_thermal_takes_one_by_one_parts(H, cutoff):
+    rho = fock_truncate_thermal(H, cutoff).rho
+    assert _part_sizes(rho) == [1] and len(rho.blocks) == 2
+    _matches_dense(rho, H.n_modes, cutoff, _full_eigh_thermal(H, cutoff))
+
+
+def test_beamsplitter_thermal_parts_are_photon_number_shells():
+    H, cutoff = two_mode_generator(1.0, 1.3, coupling=0.2), 12
+    rho = fock_truncate_thermal(H, cutoff).rho
+    shells = [np.unique(rows // cutoff + rows % cutoff, axis=1) for rows, _ in rho.parts]
+    # each part is all of one shell n_1 + n_2 = N: one total photon number, so one parity
+    assert all(s.shape[1] == 1 for s in shells)
+    assert sorted(np.concatenate(shells).ravel()) == list(range(2 * cutoff - 1))
+    assert len(_part_sizes(rho)) == cutoff                  # shell sizes 1..cutoff
+    _matches_dense(rho, 2, cutoff, _full_eigh_thermal(H, cutoff))
+
+
+def test_one_coherence_takes_the_dense_eigh():
+    M = _fock_mixture(2, 12, 5)
+    M[0, 12] = M[12, 0] = 0.5 * math.sqrt(M[0, 0].real * M[12, 12].real)     # |0,0> with |1,0>
+    rho = gaussian.fock_density(M, 2, 12)
+    assert rho.blocks is None and rho.parts is None
+    assert np.array_equal(rho.eigenvectors, DensityMatrix.from_matrix(M).eigenvectors)
+    _matches_dense(rho, 2, 12, DensityMatrix.from_matrix(M))
+
+
+def test_coupled_squeezed_parts_are_the_parity_classes():
+    H, cutoff = two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1), 30
+    rho = fock_truncate_thermal(H, cutoff).rho
+    rows = gaussian.parity_rows(2, cutoff)
+    assert len(rho.parts) == 1 and np.array_equal(rho.parts[0][0], np.stack(rows))
+    # the same state, bit for bit, as one eigh per parity class
+    Hmat = gaussian._fock_hamiltonian(H, cutoff)
+    eig = [np.linalg.eigh(Hmat[np.ix_(r, r)]) for r in rows]
+    weights = [np.exp(-H.beta * (w - min(w[0] for w, _ in eig))) for w, _ in eig]
+    total = sum(w.sum() for w in weights)
+    ref = DensityMatrix.from_blocks([(r, V, w / total) for r, (_, V), w in zip(rows, eig, weights)])
+    for name in ("matrix", "eigenvalues", "eigenvectors"):
+        assert np.array_equal(getattr(rho, name), getattr(ref, name))
+    # and the ladder blocks are exactly the half-size products V_out^dag (a V_in) of that route
+    V, a = rho.eigenvectors, destroy(cutoff)
+    parity = gaussian.LadderOrigin(2, cutoff).parity_blocks(rho.blocks)
+    for mode in range(2):
+        M, M_dag = gaussian._ladder_matrix(V, rho.parts, mode, cutoff, parity)
+        halves = [np.conj(V[np.ix_(rows_out, cols_out)].T)
+                  @ (a @ V[:, cols_in].reshape(cutoff**mode, cutoff, -1)).reshape(V.shape[0], -1)[rows_out]
+                  for (rows_out, cols_out), (_, cols_in) in (parity, parity[::-1])]
+        assert np.array_equal(M, halves[0]) and np.array_equal(M_dag, np.conj(halves[1].T))
+
+
+def _corrupt_level(build, level, factor):
+    """``_destroy_rows`` with the ladder coefficient of one photon number scaled by factor."""
+    def corrupted(V, rows, cols, mode, cutoff):
+        aV = build(V, rows, cols, mode, cutoff)
+        at = rows // (V.shape[0] // cutoff ** (mode + 1)) % cutoff == level
+        return np.where(at[..., None], factor * aV, aV)
+    return corrupted
+
+
+PART_KINDS = {
+    "one-by-one": lambda: fock_truncate_thermal(two_mode_generator(1.0, 1.0), 8).rho,
+    "shells": lambda: fock_truncate_thermal(two_mode_generator(1.0, 1.3, coupling=0.2), 8).rho,
+    "parity-classes": lambda: fock_truncate_thermal(two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1), 8).rho,
+}
+
+
+@pytest.mark.parametrize("kind", PART_KINDS)
+@pytest.mark.parametrize("factor", [0.0, 1 + 1e-6])
+def test_corrupted_ladder_coefficient_fails_stack_check(kind, factor, monkeypatch):
+    rho = PART_KINDS[kind]()
+    monkeypatch.setattr(gaussian, "_destroy_rows", _corrupt_level(gaussian._destroy_rows, 2, factor))
+    with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
+        check_refined_rs(rho, quadrature_observables(2, 8))
+
+
+def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
+    # a phase flipped on the out side of one eigenvector of a part with more than one row
+    # leaves the quadratures Hermitian but changes their Hilbert-Schmidt pairing
+    rho = PART_KINDS["parity-classes"]()
+    (rows, cols), = rho.parts
+    build = gaussian._ladder_matrix
+
+    def flipped(V, parts, mode, cutoff, parity):
+        M, M_dag = build(V, parts, mode, cutoff, parity)
+        M[np.flatnonzero(parity[0][1] == cols[0, 0])] *= -1
+        return M, M_dag
+
+    monkeypatch.setattr(gaussian, "_ladder_matrix", flipped)
+    with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
+        check_refined_rs(rho, quadrature_observables(2, 8))
