@@ -42,19 +42,23 @@ from a file gets the same structure through ``fock_density`` when its matrix
 has exactly zero entries between the two parities (``DensityMatrix.from_matrix``
 with the ``parity_rows`` partition); any other state gets the dense eigh and no
 record.  The quadratures are linear in the ladder operators:
-``quadrature_observables`` records their ``LadderOrigin`` (n_modes, cutoff) on
-the ``ObservableSet``, and ``skew.SpectralContext`` asks that origin for the
-eigenbasis stack, which it forms from M_k = V^dag (a_k V) per mode, part by
-part: a_k has one nonzero per row, so a_k V is a scaled row shift of V, and a
-part with rows r and eigenvector columns c gives the rows c of M_k as
-V[r, c]^dag (a_k V)[r], one batched product per part size.  When the state
-carries its parity blocks, each quadrature maps even to odd photon numbers and
-back, so its stack is zero on both diagonal parity blocks: the origin names the
-even and odd eigenvector columns (``stack_blocks``) and builds only the block
-A_k[even, odd], from the two nonzero blocks of M_k; ``skew`` then pairs that
-block alone (its block route).  Without parity blocks the origin builds the
-full stack, a state without parts being one part.  This module
-alone knows the Fock basis layout; the relation engine sees only the origin.
+``quadrature_observables`` fills their few nonzeros by index and records their
+``LadderOrigin`` (n_modes, cutoff) on the ``ObservableSet``, and
+``skew.SpectralContext`` asks that origin for the eigenbasis stack, which it
+forms from M_k = V^dag (a_k V) per mode, part by part: a_k has one nonzero per
+row, so a_k V is a scaled row shift of V, and a part with rows r and
+eigenvector columns c gives the rows c of M_k as V[r, c]^dag (a_k V)[r].  When
+each part has one photon-number parity, every quadrature maps an even part only
+to the odd parts a_k or a_k^dag reaches, so its stack is zero but on the blocks
+[c_E, c_O] (and their adjoints) of the linked part pairs (E, O): the origin
+lists those pairs (``part_pairs``, from the links i -> i + s_k of a_k), grouped
+by block shape, and builds per pair only M_k[c_E, c_O] and M_k[c_O, c_E], one
+batched product per shape, flattened into the entry list that ``skew`` pairs
+(its entry route).  1 x 1 parts give one entry per link, the shells their
+shell-to-shell blocks, the parity classes the whole even-to-odd block.
+Otherwise the origin builds the full stack, a state without parts being one
+part.  This module alone knows the Fock basis layout; the relation engine sees
+only the origin and the entry list.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -345,10 +350,31 @@ def parity_rows(n_modes: int, cutoff: int) -> list[np.ndarray]:
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
+@functools.lru_cache(maxsize=16)
+def _ladder_links(n_modes: int, cutoff: int) -> tuple[np.ndarray, ...]:
+    """Where the truncated annihilators a_k are nonzero, computed once per size (read-only arrays).
+
+    Per mode k (the rows of (n_modes, L) arrays): the basis rows i below the top level of
+    mode k, i + s_k (s_k the stride of mode k in the Kronecker order) and the photon number
+    l of mode k in row i, so that a_k[i, i + s_k] = sqrt(l + 1).  Then the even and the odd
+    end of every such link, flat, and the photon-number parity of every basis row.
+    """
+    d = cutoff**n_modes
+    strides = (d // cutoff ** np.arange(1, n_modes + 1))[:, None]
+    i = np.nonzero(np.arange(d) // strides % cutoff < cutoff - 1)[1].reshape(n_modes, -1)
+    j, parity = i + strides, fock_parity(n_modes, cutoff)
+    even = np.where(parity[i] == 0, i, j).ravel()
+    links = (i, j, i // strides % cutoff, even, (i + j).ravel() - even, parity)
+    for x in links:
+        x.setflags(write=False)
+    return links
+
+
 def _destroy_rows(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
-    """(a V)[rows, cols] for the truncated annihilator a of one mode.  a has one nonzero per
-    row: row i of a V is sqrt(n + 1) times row i + s of V, n the mode's photon number in
-    row i and s its stride in the Kronecker order, or 0 when n is the top level."""
+    """(a V)[rows, cols] for the truncated annihilator a of one mode, ``cols`` broadcast against
+    rows[..., None].  a has one nonzero per row: row i of a V is sqrt(n + 1) times row i + s of V,
+    n the mode's photon number in row i and s its stride in the Kronecker order, or 0 when n is
+    the top level."""
     stride = V.shape[0] // cutoff ** (mode + 1)
     level = rows // stride % cutoff
     # the row taken at the top level is arbitrary: its coefficient is 0
@@ -356,28 +382,47 @@ def _destroy_rows(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, mode: int, 
     return coef * V[((rows + stride) % V.shape[0])[..., None], cols]
 
 
-def _ladder_matrix(V: np.ndarray, parts, mode: int, cutoff: int, parity) -> tuple[np.ndarray, np.ndarray]:
+def _part_products(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, into, mode: int, cutoff: int) -> np.ndarray:
+    """V[r, c]^dag (a V)[r, into] for each of G parts with rows r and eigenvector columns c
+    (both (G, m)): the rows c of V^dag a V, one batched product."""
+    return np.conj(V[rows[..., None], cols[:, None, :]].swapaxes(1, 2)) @ _destroy_rows(V, rows, into, mode, cutoff)
+
+
+class PartPairs(NamedTuple):
+    """The entry list of a quadrature stack on a state whose parts each have one photon-number parity.
+
+    ``groups`` holds per block shape (m_E, m_O) the part pairs (even part E, odd part O) that
+    some a_k connects, as (rows_E, cols_E, rows_O, cols_O), (G, m_E) and (G, m_O) arrays;
+    ``a`` and ``b`` are the eigenvector columns (even, odd) of every entry of their blocks
+    [cols_E, cols_O], group by group, pair by pair, row-major.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    groups: list
+
+
+def _ladder_matrix(V: np.ndarray, parts, mode: int, cutoff: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     """M = V^dag a V for the truncated annihilator a of one mode, V the state's eigenvectors,
     as a pair (M_out, M_back^dag) from which the quadratures take (M_back^dag +- M_out).
 
-    Without ``parity`` blocks M_out and M_back are M.  With blocks ((rows_E, cols_E), (rows_O,
-    cols_O)) a maps each block into the other, so M is zero but on M[cols_E, cols_O]
-    and M[cols_O, cols_E]: the pair is those two blocks.  Each block V_out^dag (a V_in)
-    is built part by part (``parts`` as ``DensityMatrix.parts``): a part with rows r and
-    columns c among the out columns gives the rows c of the block as V[r, c]^dag (a V_in)[r],
-    one batched product per part size, where (a V_in)[r] is a scaled row shift of V_in
-    (``_destroy_rows``); a 1 x 1 part is such a row times a phase.
+    Without ``pairs`` both are the full matrices M and M^dag, built part by part (``parts`` as
+    ``DensityMatrix.parts``, a state without them being one part): a part with rows r and
+    columns c gives the rows c of M as V[r, c]^dag (a V)[r], one batched product per part size,
+    where (a V)[r] is a scaled row shift of V (``_destroy_rows``).  With ``pairs``
+    (``PartPairs``) they are M and M^dag on its entries (a, b) alone: per part pair (E, O) the
+    blocks M[c_E, c_O] = V[r_E, c_E]^dag (a V)[r_E, c_O] and M[c_O, c_E] likewise, one batched
+    product per block shape; a 1 x 1 part pair is two scalar products.
     """
-    cols = [np.arange(V.shape[0])] if parity is None else [c for _, c in parity]
-    blocks = []
-    for out, into in zip(cols, cols[::-1]):
-        is_out = np.bincount(out, minlength=V.shape[0]) > 0
-        M = np.empty((V.shape[0], into.size), dtype=complex)   # the rows of ``out`` are filled
-        for r, c in parts or ((np.arange(V.shape[0])[None],) * 2,):     # no record: one part
-            r, c = r[is_out[c[:, 0]]], c[is_out[c[:, 0]]]
-            M[c] = np.conj(V[r[..., None], c[:, None, :]].swapaxes(1, 2)) @ _destroy_rows(V, r, into, mode, cutoff)
-        blocks.append(M[out])
-    return blocks[0], np.conj(blocks[-1].T)
+    if pairs is None:
+        M = np.empty(V.shape, dtype=complex)
+        for r, c in parts or ((np.arange(V.shape[0])[None],) * 2,):
+            M[c] = _part_products(V, r, c, np.arange(V.shape[0]), mode, cutoff)
+        return M, np.conj(M.T)
+    out = [_part_products(V, r_E, c_E, c_O[:, None], mode, cutoff) for r_E, c_E, _, c_O in pairs.groups]
+    back = [_part_products(V, r_O, c_O, c_E[:, None], mode, cutoff).swapaxes(1, 2)
+            for _, c_E, r_O, c_O in pairs.groups]
+    return np.concatenate([x.ravel() for x in out]), np.conj(np.concatenate([x.ravel() for x in back]))
 
 
 @dataclass(frozen=True)
@@ -387,40 +432,51 @@ class LadderOrigin:
     n_modes: int
     cutoff: int
 
-    def parity_blocks(self, blocks):
-        """A state's invariant blocks, the even one first, when they are the two
-        photon-number parity classes of this Fock basis (so each eigenvector has
-        one parity), else None."""
-        parity = fock_parity(self.n_modes, self.cutoff)
-        kinds = [tuple(np.unique(parity[rows])) for rows, _ in blocks or ()]
-        if sorted(kinds) != [(0,), (1,)]:
-            return None
-        return tuple(blocks) if kinds[0] == (0,) else tuple(blocks[::-1])
+    def part_pairs(self, state: DensityMatrix) -> PartPairs | None:
+        """The entries on which the quadratures' eigenbasis stack can be nonzero, or None.
 
-    def stack_blocks(self, blocks):
-        """The eigenvector columns (even, odd) of a state's parity blocks, or None.
-
-        Every quadrature flips the parity, so its eigenbasis stack is exactly zero
-        on those two diagonal blocks, and ``eigenbasis_stack`` gives only the block
-        from even to odd columns.
+        Every quadrature flips the photon-number parity, and a_k links row i only to row
+        i + s_k (s_k the stride of mode k).  So when each of the state's parts has one parity,
+        the stack is zero but on the blocks [c_E, c_O] of the part pairs that those links join
+        (and their adjoints).  A state without parts, or with a part of both parities, gets None.
         """
-        parity = self.parity_blocks(blocks)
-        return None if parity is None else tuple(cols for _, cols in parity)
+        if state.parts is None:
+            return None
+        parts = state.parts
+        *_, even, odd, parity = _ladder_links(self.n_modes, self.cutoff)
+        first = np.cumsum([0] + [r.shape[0] for r, _ in parts])    # part ids run group by group
+        group = np.repeat(np.arange(len(parts)), np.diff(first))
+        part = np.empty(state.dim, dtype=np.intp)
+        for (r, _), start in zip(parts, first):
+            part[r] = start + np.arange(r.shape[0])[:, None]
+        if (parity != parity[np.concatenate([r[:, 0] for r, _ in parts])][part]).any():
+            return None
+        E, O = part[even], part[odd]
+        # one sort by (size group of O, E, O): E's size group rises with E, so each block shape is one run
+        P = first[-1]
+        key = np.sort((group[O] * P + E) * P + O)
+        E, O = np.divmod(key[np.diff(key, prepend=-1) != 0] % (P * P), P)    # each pair once
+        cuts = [0, *(np.flatnonzero(np.diff(group[E]) | np.diff(group[O])) + 1).tolist(), E.size]
+        groups = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            (r_E, c_E), (r_O, c_O) = parts[group[E[lo]]], parts[group[O[lo]]]
+            E_g, O_g = E[lo:hi] - first[group[E[lo]]], O[lo:hi] - first[group[O[lo]]]
+            groups.append((r_E[E_g], c_E[E_g], r_O[O_g], c_O[O_g]))
+        a = [np.broadcast_to(c_E[:, :, None], c_E.shape + c_O.shape[1:]).ravel() for _, c_E, _, c_O in groups]
+        b = [np.broadcast_to(c_O[:, None, :], c_E.shape + c_O.shape[1:]).ravel() for _, c_E, _, c_O in groups]
+        return PartPairs(np.concatenate(a), np.concatenate(b), groups)
 
-    def eigenbasis_stack(self, state: DensityMatrix) -> np.ndarray:
+    def eigenbasis_stack(self, state: DensityMatrix, pairs: PartPairs | None) -> np.ndarray:
         """Uncentered stack of x_k = (a_k^dag + a_k)/sqrt(2) and p_k = i(a_k^dag - a_k)/sqrt(2)
         in the state's eigenbasis V: (M_k^dag + M_k)/sqrt(2) and i(M_k^dag - M_k)/sqrt(2), one M_k at a time.
 
-        The full stack (2n, d, d) without parity blocks; with them, only its block
-        A_k[cols_E, cols_O] (2n, d_E, d_O), built from the two nonzero blocks of M_k.
-        Either is built on the state's parts; a state without them is one part.
+        The full stack (2n, d, d) without ``pairs``; with them (``part_pairs``), its values
+        (2n, nnz) on their entries (a, b) alone.
         """
         n, V = self.n_modes, state.eigenvectors
-        parity = self.parity_blocks(state.blocks)
-        shape = V.shape if parity is None else tuple(cols.size for _, cols in parity)
-        A = np.empty((2 * n, *shape), dtype=complex)
+        A = np.empty((2 * n, *(V.shape if pairs is None else pairs.a.shape)), dtype=complex)
         for k in range(n):
-            M, M_dag = _ladder_matrix(V, state.parts, k, self.cutoff, parity)
+            M, M_dag = _ladder_matrix(V, state.parts, k, self.cutoff, pairs)
             A[k] = (M_dag + M) / math.sqrt(2)
             A[n + k] = (M_dag - M) * (1j / math.sqrt(2))
         return A
@@ -486,14 +542,14 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
     """
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
-    a = destroy(cutoff)
-    eye = np.eye(cutoff, dtype=complex)
+    a, d = destroy(cutoff), cutoff**n_modes
+    i, j, level, *_ = _ladder_links(n_modes, cutoff)
     mats = []
     for q in ((a.conj().T + a) / math.sqrt(2), 1j * (a.conj().T - a) / math.sqrt(2)):
-        for k in range(n_modes):
-            factors = [eye] * n_modes
-            factors[k] = q
-            mats.append(functools.reduce(np.kron, factors))
+        for i_k, j_k, l_k in zip(i, j, level):    # the single-mode q at mode k of the Kronecker order
+            M = np.zeros((d, d), dtype=complex)
+            M[i_k, j_k], M[j_k, i_k] = q[l_k, l_k + 1], q[l_k + 1, l_k]
+            mats.append(M)
     return ObservableSet._with_origin(mats, LadderOrigin(n_modes, cutoff))
 
 

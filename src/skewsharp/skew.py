@@ -23,29 +23,34 @@ The public (rho, X) functions are its B = 1 case, unwrapped by ``instance``.
 The eigenbasis stack A_k = V^dag X'_k V is built on one of two routes, chosen
 from the inputs.  Every observable set takes the dense products of V^dag, the
 stacked X_k and V, except a set that records its ``origin``: an object whose
-``eigenbasis_stack(state)`` gives the uncentered stack V^dag X_k V from the
-state's eigenvectors and the structure it records (``DensityMatrix.blocks``
-and ``.parts``).  The truncated quadratures of
+``part_pairs(state)`` names the entries the stack can be nonzero on (or None)
+and whose ``eigenbasis_stack(state, pairs)`` gives the uncentered stack
+V^dag X_k V from the state's eigenvectors and the parts it records
+(``DensityMatrix.parts``).  The truncated quadratures of
 ``gaussian.quadrature_observables`` are the one such set; their origin builds
 the stack from the ladder operators, part by part (see
 :mod:`skewsharp.gaussian`).  Both routes are centered alike and pass the same
-two self-checks.
+self-checks.
 
-The block route.  An origin's ``stack_blocks(blocks)`` may name the
-eigenvector columns (P, Q) of two of the state's blocks on whose diagonal
-blocks every A_k is exactly zero: the quadratures flip photon-number parity,
-so they do so when the state carries its two parity blocks.  The context then
-stores only X_k = A_k[P, Q] (``ctx.stack``); A_k[Q, P] = X_k^dag, the rest is
-0 and so is every mean.  The pairing, the Gram check and the stack check each
-take a form of matrix products on the flattened X_k, e.g.
-sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum_{a in P, b in Q} (W[a, b] X_k conj(X_j)
+The entry route.  An origin's ``part_pairs`` may return an entry list: index
+arrays ``a`` and ``b`` of eigenvector columns such that every A_k is exactly
+zero off the entries (a, b) and their mirror images (b, a), no entry lying on
+the diagonal or twice.  The quadratures flip photon-number parity, so when
+each part of the state has one parity the list holds the blocks of the part
+pairs (even, odd) that a ladder operator links: 1740 entries at the CLI default
+(2 modes, cutoff 30, 1 x 1 parts), all d^2/4 even-to-odd entries when the parts
+are the two parity classes.  The context then stores only the values
+X_k = A_k[a, b] (``ctx.stack``, (B, n, nnz)); A_k[b, a] = conj(X_k), the rest
+is 0 and so is every mean.  The pairing, the Gram check and the stack check
+each take a form of matrix products on the values, e.g.
+sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum over the entries of (W[a, b] X_k conj(X_j)
 + W[b, a] conj(X_k) X_j) for any complex W.  The route is chosen from the
 inputs alone, an observable set with such an origin and a state with such
-blocks; every other instance, among them every batch of the fuzz harness,
-keeps the dense einsum bit for bit.  ``ctx.A`` stays available on the block
-route, assembled on demand; the engine itself reads ``ctx.stack``.
+parts; every instance without an origin, among them every batch of the fuzz
+harness, keeps the dense einsum bit for bit.  ``ctx.A`` stays available on
+the entry route, scattered on demand; the engine itself reads ``ctx.stack``.
 
-Two self-checks guard that assembly (ConstructionMismatch on failure).  The
+Three self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
 those operators are elementwise, (s_a +/- s_b) A_k[a, b] / sqrt(2) with
 s = sqrt(lam): each block is one product of A with a weighted copy of A, apart
@@ -58,7 +63,9 @@ plain definition of the observables.  Its input pairings are dot products of
 the matrices' float views: one product on a stacked copy while that copy is
 small (every fuzz batch), pair by pair above STACK_CHECK_ENTRIES, so a d = 900
 check copies no d x d matrix.  Neither check sees a unitary relabeling
-U X_k U^dag of every observable, which keeps all Hilbert-Schmidt pairings.
+U X_k U^dag of every observable, which keeps all Hilbert-Schmidt pairings; so a
+stack built by an origin also passes a random probe (``_probe_stack``), which
+compares it with the dense X_k along random vectors.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import reduce, wraps
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -99,8 +106,9 @@ class ObservableSet:
 
     ``origin`` is None, or the construction the observables came from when it
     gives their eigenbasis stack without the dense products: an object with
-    ``eigenbasis_stack(V, blocks)``.  Only a module's own constructor sets it
-    (``gaussian.quadrature_observables``), through ``_with_origin``.
+    ``part_pairs(state)`` and ``eigenbasis_stack(state, pairs)``.  Only a
+    module's own constructor sets it (``gaussian.quadrature_observables``),
+    through ``_with_origin``.
     """
 
     observables: tuple[np.ndarray, ...]
@@ -178,20 +186,20 @@ def classical_matrix(sigma: np.ndarray, skew: np.ndarray) -> np.ndarray:
     return c
 
 
-def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, block_cols=None) -> np.ndarray:
+def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, entries=None) -> np.ndarray:
     """Gram matrices of the operators (s_a +/- s_b) A_k[a, b] / sqrt(2), s = sqrt(lam).
 
     Block (u, v) is G[p, q] = sum_ab w_uv[a, b] conj(A_p[a, b]) A_q[a, b] with
     w_uv = t_u t_v for t_+/- = (s_a +/- s_b) / sqrt(2): one product per
     instance on one weighted copy of the stored stack S at a time.  On the
-    block route (S holds X_k = A_k[P, Q], ``block_cols`` = (P, Q)) the (Q, P)
-    terms are the (P, Q) ones conjugated, with the sign of w_uv[b, a] = +/- w_uv[a, b]
+    entry route (S holds X_k = A_k[a, b] on the ``entries`` (a, b)) the (b, a)
+    terms are the (a, b) ones conjugated, with the sign of w_uv[b, a] = +/- w_uv[a, b]
     (t_+ is symmetric, t_- antisymmetric).
     """
     B, n = S.shape[:2]
     s = np.sqrt(lam / 2)
-    s_rows, s_cols = (s, s) if block_cols is None else (s[:, c] for c in block_cols)
-    t_plus, t_minus = s_rows[:, :, None] + s_cols[:, None, :], s_rows[:, :, None] - s_cols[:, None, :]
+    s_a, s_b = (s[:, :, None], s[:, None, :]) if entries is None else (s[:, entries.a], s[:, entries.b])
+    t_plus, t_minus = s_a + s_b, s_a - s_b
     flat = S.reshape(B, n, -1)
     G = np.empty((B, 2 * n, 2 * n), dtype=complex)
     wS = np.empty_like(S)
@@ -200,7 +208,7 @@ def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, block_cols=None) -> np.ndar
         np.multiply((t_u * t_v)[:, None], S, out=wS)
         np.conjugate(wS, out=wS)
         T = wS.reshape(B, n, -1) @ flat.swapaxes(1, 2)
-        G[:, u:u + n, v:v + n] = T if block_cols is None else T + sign * np.conj(T)
+        G[:, u:u + n, v:v + n] = T if entries is None else T + sign * np.conj(T)
     G[:, n:, :n] = np.conj(G[:, :n, n:]).swapaxes(1, 2)
     return G
 
@@ -234,18 +242,55 @@ def _check_stack(ctx: "SpectralContext") -> None:
         f"eigenbasis means differ from Tr(rho X_k) by {e:.3e}"), dev)
     C = np.zeros((B, n, n + 1))                 # X'_k = X_k - m_k 1
     C[:, :, :n], C[:, :, n] = np.eye(n), -means
-    # on the block route Re Tr(A_k^dag A_j) is twice the pairing of the (P, Q) blocks
+    # on the entry route Re Tr(A_k^dag A_j) is twice the pairing of the entries (a, b)
     flat_S = ctx.stack.reshape(B, n, -1).view(float)
-    HS = flat_S @ flat_S.swapaxes(1, 2) * (1 if ctx.block_cols is None else 2)
+    HS = flat_S @ flat_S.swapaxes(1, 2) * (1 if ctx.entries is None else 2)
     dev = np.abs(C @ G @ C.swapaxes(1, 2) - HS).max(axis=(1, 2))
     raise_first(dev > CONSTRUCTION_TOL * scale, lambda e: ConstructionMismatch(
         f"eigenbasis stack changes Tr(X'_k X'_j) by {e:.3e}"), dev)
 
 
+@lru_cache(maxsize=16)
+def _probe_vectors(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's complex vectors (s, t) for instances of dimension d with n observables,
+    drawn once from a generator seeded by (d, n) (read-only)."""
+    re, im = np.random.default_rng([d, n]).standard_normal((2, 2, d))
+    s_t = re + 1j * im
+    s_t.setflags(write=False)
+    return s_t[0], s_t[1]
+
+
+def _probe_stack(ctx: "SpectralContext") -> None:
+    """Freivalds' check of a stack an origin built (one instance), read along a second
+    random vector: (V s)^dag X_k (V t) against s^dag (A_k + m_k) t for complex s and t
+    drawn from a generator seeded by the instance's size (``_probe_vectors``).
+
+    In O(n d^2) it ties each A_k to the input matrix X_k itself, where the stack check
+    and the Gram check see only pairings and so miss a relabeling U X_k U^dag.  On the
+    entry route s^dag A_k t is two dot products on the values, over the same entries
+    (a, b) the pairing reads.  It fails (ConstructionMismatch) when, for some k, the
+    two differ by more than CONSTRUCTION_TOL |s| |X_k V t|, their Cauchy-Schwarz bound.
+    """
+    V, (s, t) = ctx.V[0], _probe_vectors(ctx.dim, ctx.n)
+    Vt = V @ t
+    XVt = np.stack([X[0] @ Vt for X in ctx.observables])
+    lhs = XVt @ np.conj(V @ s)
+    X = ctx.stack[0]
+    if ctx.entries is None:
+        rhs = X @ t @ np.conj(s)
+    else:       # s^dag A_k t = sum over the entries of conj(s_a) X_k t_b + conj(s_b) conj(X_k) t_a
+        a, b = ctx.entries.a, ctx.entries.b
+        rhs = X @ (np.conj(s[a]) * t[b]) + np.conj(X @ (s[b] * np.conj(t[a])))
+    dev = np.abs(lhs - rhs - ctx.means[0] * (np.conj(s) @ t))
+    scale = np.linalg.norm(s) * np.linalg.norm(XVt, axis=1)
+    raise_first(dev > CONSTRUCTION_TOL * scale, lambda e, m: ConstructionMismatch(
+        f"random probe: eigenbasis stack misses X_k by {e:.3e} against |s| |X_k V t| = {m:.3e}"), dev, scale)
+
+
 class SpectralContext:
     """B instances (rho, X) of one shape: clipped spectra ``lam`` (B, d), centered
     eigenbasis stacks ``A`` (B, n, d, d), stored as ``stack``: A itself, or on the
-    block route (``block_cols`` set) its blocks A_k[P, Q].
+    entry route (``entries`` set) its values A_k[a, b] (B, n, nnz) on the entries (a, b).
 
     Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  A
     is built once; matrices, kernel weights and reports are cached, and ``memo``
@@ -274,9 +319,9 @@ class SpectralContext:
         self.observables = observables      # n arrays (B, d, d)
         self.size, self.dim = lam.shape
         self.n = len(observables)
-        # the block route: eigenbasis columns (P, Q) of two blocks on whose diagonal
-        # blocks every A_k is exactly zero, as the origin finds them in the state's blocks
-        self.block_cols = None if origin is None else origin.stack_blocks(state.blocks)
+        # the entry route: the eigenvector-column pairs (a, b) off which every A_k is exactly
+        # zero, A_k[b, a] being conj(A_k[a, b]), as the origin finds them in the state's parts
+        self.entries = None if origin is None else origin.part_pairs(state)
         self.memo: dict = {}
         self._weights: dict = {}
 
@@ -286,29 +331,29 @@ class SpectralContext:
             V = self.V[:, None]
             A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
         else:
-            A = self.origin.eigenbasis_stack(self.state)[None]
-        if self.block_cols is not None:
-            return A, np.zeros((self.size, self.n))     # a zero diagonal: every mean is 0
+            A = self.origin.eigenbasis_stack(self.state, self.entries)[None]
+        if self.entries is not None:
+            return A, np.zeros((self.size, self.n))     # no diagonal entry: every mean is 0
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
         means = np.einsum("zka,za->zk", diag, self.lam).real
         diag -= means[:, :, None]
         return A, means
 
-    # the stored stack: the centered A_k = V^dag X'_k V, or on the block route their
-    # blocks X_k = A_k[P, Q] (B, n, |P|, |Q|); and the means <X_k> A was centered with
+    # the stored stack: the centered A_k = V^dag X'_k V, or on the entry route their
+    # values X_k = A_k[a, b] (B, n, nnz); and the means <X_k> A was centered with
     stack = property(lambda self: self._stack[0])
     means = property(lambda self: self._stack[1])
 
     @property
     def A(self) -> np.ndarray:
-        """The centered stacks (B, n, d, d); on the block route assembled on each call
-        from X_k (A_k[Q, P] = X_k^dag, zero elsewhere).  The engine reads ``stack``."""
-        if self.block_cols is None:
+        """The centered stacks (B, n, d, d); on the entry route scattered on each call
+        from X_k (A_k[b, a] = conj(A_k[a, b]), zero elsewhere).  The engine reads ``stack``."""
+        if self.entries is None:
             return self.stack
-        P, Q = self.block_cols
+        a, b = self.entries.a, self.entries.b
         A = np.zeros((self.size, self.n, self.dim, self.dim), dtype=complex)
-        A[:, :, P[:, None], Q] = self.stack
-        A[:, :, Q[:, None], P] = np.conj(self.stack).swapaxes(2, 3)
+        A[:, :, a, b] = self.stack
+        A[:, :, b, a] = np.conj(self.stack)
         return A
 
     def weights(self, g) -> np.ndarray:
@@ -329,18 +374,15 @@ class SpectralContext:
     def pair(self, W: np.ndarray) -> np.ndarray:
         """M[z, k, j] = sum_ab W[z, a, b] A_k[a, b] A_j[b, a] for each instance z, complex (B, n, n).
 
-        On the block route the sum runs over a in P, b in Q only, as
+        On the entry route the sum runs over the entries (a, b) only, as
         W[a, b] X_k conj(X_j) + W[b, a] conj(X_k) X_j: two matrix products on the
-        flattened blocks, for any complex W.
+        values, for any complex W.
         """
-        if self.block_cols is None:
+        if self.entries is None:
             return np.einsum("zkab,zab,zjba->zkj", self.A, W, self.A)
-        P, Q = self.block_cols
-        X = self.stack.reshape(self.size, self.n, -1)
-        Xc = np.conj(X)
-        W_pq = W[:, P[:, None], Q].reshape(self.size, 1, -1)
-        W_qp = W.swapaxes(1, 2)[:, P[:, None], Q].reshape(self.size, 1, -1)    # W[b, a]
-        return (X * W_pq) @ Xc.swapaxes(1, 2) + (Xc * W_qp) @ X.swapaxes(1, 2)
+        a, b = self.entries.a, self.entries.b
+        X, Xc = self.stack, np.conj(self.stack)
+        return (X * W[:, None, a, b]) @ Xc.swapaxes(1, 2) + (Xc * W[:, None, b, a]) @ X.swapaxes(1, 2)
 
     def symmetric_pair(self, W: np.ndarray) -> np.ndarray:
         return np.real(_sym(self.pair(W)))
@@ -529,9 +571,11 @@ def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
     L[:, :n, n:] = L[:, n:, :n] = i_delta
     scale_L = mat_scale(L)
     _check_stack(ctx)
-    dev = np.abs(L - _eigenbasis_gram(ctx.stack, ctx.lam, ctx.block_cols)).max(axis=(1, 2))
+    dev = np.abs(L - _eigenbasis_gram(ctx.stack, ctx.lam, ctx.entries)).max(axis=(1, 2))
     raise_first(dev > CONSTRUCTION_TOL * scale_L, lambda e: ConstructionMismatch(
         f"Gram and block constructions of L differ by {e:.3e}"), dev)
+    if ctx.origin is not None:
+        _probe_stack(ctx)
 
     d_sigma, d_skew, d_class, d_delta = dets["sigma"], dets["skew"], dets["classical"], dets["delta"]
     d_plus, d_minus = dets["sigma_plus_c"], dets["sigma_minus_c"]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -510,6 +511,21 @@ def test_quadratures_exactly_hermitian_with_ladder_origin(n_modes, cutoff):
     assert all(np.array_equal(a, b) for a, b in zip(X.observables, checked.observables))
 
 
+@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize("cutoff", [2, 8, 30])
+def test_index_filled_quadratures_equal_the_kronecker_build(n_modes, cutoff):
+    a, eye = destroy(cutoff), np.eye(cutoff, dtype=complex)
+    kron = []
+    for q in ((a.conj().T + a) / math.sqrt(2), 1j * (a.conj().T - a) / math.sqrt(2)):
+        for k in range(n_modes):
+            factors = [eye] * n_modes
+            factors[k] = q
+            kron.append(functools.reduce(np.kron, factors))
+    X = quadrature_observables(n_modes, cutoff)
+    assert len(X.observables) == len(kron)
+    assert all(np.array_equal(M, K) for M, K in zip(X.observables, kron))
+
+
 def test_ladder_origin_is_not_user_settable():
     X = quadrature_observables(1, 4)
     with pytest.raises(TypeError):
@@ -566,20 +582,20 @@ def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
     rho, X = _stack_instance(kind, n, cutoff, seed)
     fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
     assert fast.origin == gaussian.LadderOrigin(n, cutoff) and dense.origin is None
-    # ginibre states carry no parity blocks; the other kinds take the block route
-    assert (fast.origin.parity_blocks(rho.blocks) is None) == (kind == "ginibre")
-    assert (fast.block_cols is None) == (kind == "ginibre") and dense.block_cols is None
+    # ginibre states carry no parts; the other kinds take the entry route
+    assert (fast.origin.part_pairs(rho) is None) == (kind == "ginibre")
+    assert (fast.entries is None) == (kind == "ginibre") and dense.entries is None
     scale = np.abs(dense.A).max()
     assert np.abs(fast.A - dense.A).max() <= 1e-13 * scale
     assert np.abs(fast.means - dense.means).max() <= 1e-13 * scale
     assert abs(fast.refined.delta_G - dense.refined.delta_G) <= 1e-12 * max(1.0, abs(dense.refined.delta_G))
     if kind != "ginibre":
-        P, Q = fast.block_cols
-        assert fast.stack.shape == (1, X.n, P.size, Q.size) and not fast.means.any()
+        a, b = fast.entries.a, fast.entries.b
+        assert fast.stack.shape == (1, X.n, a.size) == (1, X.n, b.size) and not fast.means.any()
         for name in ("P", "skew"):
             _assert_close(getattr(fast, name), getattr(dense, name), 1e-13)
         _assert_close(fast.refined.L, dense.refined.L, 1e-13)
-        _assert_close(skew._eigenbasis_gram(fast.stack, fast.lam, fast.block_cols),
+        _assert_close(skew._eigenbasis_gram(fast.stack, fast.lam, fast.entries),
                       skew._eigenbasis_gram(dense.stack, dense.lam), 1e-13)
 
 
@@ -587,7 +603,7 @@ def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
 def test_block_pairing_matches_dense_for_complex_weights(kind, n, cutoff, seed):
     rho, X = _stack_instance(kind, n, cutoff, seed)
     fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
-    assert fast.block_cols is not None
+    assert fast.entries is not None
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((1, rho.dim, rho.dim)) + 1j * rng.standard_normal((1, rho.dim, rho.dim))
     _assert_close(fast.pair(W), dense.pair(W), 1e-13)
@@ -600,16 +616,74 @@ def test_block_pairing_matches_dense_for_complex_weights(kind, n, cutoff, seed):
         _assert_close(getattr(a, key), getattr(b, key), 1e-12)
 
 
+def _squeezed_mode0_generator():
+    """Squeezing on mode 0 only and no coupling: the parts are the number levels of mode 1
+    split by the parity of mode 0, so they mix the two parity halves and the number levels."""
+    F = np.diag([0.3, 0.0]).astype(complex)
+    W = np.diag([1.0, 1.3]).astype(complex)
+    return validate_quadratic(np.block([[F, W], [W.T, F.conj()]]), 2)
+
+
+ENTRY_STRUCTURES = {     # (n_modes, cutoff, state)
+    "squeezed-1m": (1, 30, lambda: fock_truncate_thermal(single_mode_generator(1.0, xi=0.3), 30).rho),
+    "squeezed-mode0": (2, 8, lambda: fock_truncate_thermal(_squeezed_mode0_generator(), 8).rho),
+    "nongauss-parity": (2, 6, lambda: gaussian.fock_density(
+        _parity_state_matrix(2, 6, np.random.default_rng(5), diagonal=False), 2, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", ENTRY_STRUCTURES)
+def test_entry_route_matches_dense_twin(kind):
+    n, cutoff, state = ENTRY_STRUCTURES[kind]
+    rho, X = state(), quadrature_observables(n, cutoff)
+    fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
+    assert fast.entries is not None and dense.entries is None
+    tol = 1e-13 * np.abs(dense.sigma).max()
+
+    def close(a, b):
+        assert np.abs(a - b).max() <= tol
+
+    for name in ("P", "skew", "sigma", "classical"):
+        close(getattr(fast, name), getattr(dense, name))
+    close(fast.refined.L, dense.refined.L)
+    close(fast.refined.delta_G, dense.refined.delta_G)
+    rng = np.random.default_rng(1)
+    W = rng.standard_normal((1, rho.dim, rho.dim)) + 1j * rng.standard_normal((1, rho.dim, rho.dim))
+    close(fast.pair(W), dense.pair(W))
+    f = gcov.sld_function()
+    close(gcov.build_Lg.ctx(fast, *f.gram_kernels), gcov.build_Lg.ctx(dense, *f.gram_kernels))
+    a, b = gcov.check_metric_adjusted.ctx(fast, f), gcov.check_metric_adjusted.ctx(dense, f)
+    for key in ("margin18", "margin19"):
+        close(getattr(a, key), getattr(b, key))
+
+
+def test_squeezed_mode0_parts_mix_parity_halves_and_levels():
+    rho = ENTRY_STRUCTURES["squeezed-mode0"][2]()
+    (rows, _), = rho.parts                      # 2 * 8 parts of 4 rows: one n_2, one parity of n_1
+    assert rows.shape == (16, 4)
+    assert all(np.unique(r % 8).size == 1 and np.unique(r // 8 % 2).size == 1 for r in rows)
+    assert {int(r[0] % 2) for r in rows} == {0, 1}       # both total parities occur
+
+
+def test_uncoupled_entry_list_size():
+    # the CLI default: 900 parts of one row; the a_k links give n (K - 1) K entries, not d^2 / 4
+    rho = fock_truncate_thermal(two_mode_generator(1.0, 1.0), 30).rho
+    pairs = gaussian.LadderOrigin(2, 30).part_pairs(rho)
+    assert pairs.a.size == pairs.b.size == 2 * 29 * 30 == 1740 < 900**2 // 4
+    ctx = SpectralContext(rho, quadrature_observables(2, 30))
+    assert ctx.stack.shape == (1, 4, 1740)
+
+
 @pytest.mark.parametrize("kind", ["ginibre", "thermal", "parity"])
 def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
     rho, X = _stack_instance(kind, 1, 9, 1)
-    assert (SpectralContext(rho, X).block_cols is None) == (kind == "ginibre")
+    assert (SpectralContext(rho, X).entries is None) == (kind == "ginibre")
     build = gaussian._ladder_matrix
 
     def corrupted(*args):
-        M, M_back = build(*args)    # the dense M twice, or on the block route its two nonzero blocks
-        a, b = np.unravel_index(np.argmax(np.abs(M)), M.shape)
-        M[a, b] += 1e-6 * M[a, b] / abs(M[a, b])
+        M, M_back = build(*args)    # the dense M and M^dag, or on the entry route their values on the entries
+        at = np.unravel_index(np.argmax(np.abs(M)), M.shape)
+        M[at] += 1e-6 * M[at] / abs(M[at])
         return M, M_back
 
     monkeypatch.setattr(gaussian, "_ladder_matrix", corrupted)
@@ -691,15 +765,16 @@ def test_coupled_squeezed_parts_are_the_parity_classes():
     ref = DensityMatrix.from_blocks([(r, V, w / total) for r, (_, V), w in zip(rows, eig, weights)])
     for name in ("matrix", "eigenvalues", "eigenvectors"):
         assert np.array_equal(getattr(rho, name), getattr(ref, name))
-    # and the ladder blocks are exactly the half-size products V_out^dag (a V_in) of that route
+    # and the ladder entries are exactly the half-size products V_out^dag (a V_in) of that route
     V, a = rho.eigenvectors, destroy(cutoff)
-    parity = gaussian.LadderOrigin(2, cutoff).parity_blocks(rho.blocks)
+    parity = rho.blocks
+    pairs = gaussian.LadderOrigin(2, cutoff).part_pairs(rho)
     for mode in range(2):
-        M, M_dag = gaussian._ladder_matrix(V, rho.parts, mode, cutoff, parity)
+        M, M_dag = gaussian._ladder_matrix(V, rho.parts, mode, cutoff, pairs)
         halves = [np.conj(V[np.ix_(rows_out, cols_out)].T)
                   @ (a @ V[:, cols_in].reshape(cutoff**mode, cutoff, -1)).reshape(V.shape[0], -1)[rows_out]
                   for (rows_out, cols_out), (_, cols_in) in (parity, parity[::-1])]
-        assert np.array_equal(M, halves[0]) and np.array_equal(M_dag, np.conj(halves[1].T))
+        assert np.array_equal(M, halves[0].ravel()) and np.array_equal(M_dag, np.conj(halves[1].T).ravel())
 
 
 def _corrupt_level(build, level, factor):
@@ -734,11 +809,77 @@ def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
     (rows, cols), = rho.parts
     build = gaussian._ladder_matrix
 
-    def flipped(V, parts, mode, cutoff, parity):
-        M, M_dag = build(V, parts, mode, cutoff, parity)
-        M[np.flatnonzero(parity[0][1] == cols[0, 0])] *= -1
+    def flipped(V, parts, mode, cutoff, pairs):
+        M, M_dag = build(V, parts, mode, cutoff, pairs)
+        M[np.flatnonzero(pairs.a == cols[0, 0])] *= -1
         return M, M_dag
 
     monkeypatch.setattr(gaussian, "_ladder_matrix", flipped)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, quadrature_observables(2, 8))
+
+
+# ------------------------------------------- the random probe against the input basis
+
+def _swap_two_columns(rho):
+    """The eigenvectors with two columns swapped: two of one part's columns, or with only
+    1 x 1 parts, the columns of the first two parts."""
+    cols = next((c for _, c in rho.parts if c.shape[1] > 1), None)
+    c0, c1 = (cols[0, 0], cols[0, 1]) if cols is not None else (rho.parts[0][1][0, 0], rho.parts[0][1][1, 0])
+    perm = np.arange(rho.dim)
+    perm[[c0, c1]] = c1, c0
+    return perm
+
+
+def _probe_mutation(kind, rho, monkeypatch):
+    """Plant one fault in the ladder stack built for rho."""
+    if kind == "level-2-sign":
+        monkeypatch.setattr(gaussian, "_destroy_rows", _corrupt_level(gaussian._destroy_rows, 2, -1.0))
+        return
+    build = gaussian._ladder_matrix
+    if kind == "swapped-columns":
+        perm = _swap_two_columns(rho)
+        monkeypatch.setattr(gaussian, "_ladder_matrix", lambda V, *args: build(V[:, perm], *args))
+        return
+    (_, cols), *_ = rho.parts                   # one whole part, its out side only
+
+    def flipped(V, parts, mode, cutoff, pairs):
+        M, M_dag = build(V, parts, mode, cutoff, pairs)
+        M[np.isin(pairs.a, cols[0])] *= -1
+        return M, M_dag
+
+    monkeypatch.setattr(gaussian, "_ladder_matrix", flipped)
+
+
+@pytest.mark.parametrize("mutation", ["level-2-sign", "swapped-columns", "part-phase-one-side"])
+@pytest.mark.parametrize("kind", PART_KINDS)
+def test_probe_flags_stack_mutations(kind, mutation, monkeypatch):
+    rho, X = PART_KINDS[kind](), quadrature_observables(2, 8)
+    skew._probe_stack(SpectralContext(rho, X))          # the unmutated stack passes
+    _probe_mutation(mutation, rho, monkeypatch)
+    with pytest.raises(ConstructionMismatch):
+        check_refined_rs(rho, X)
+    # the probe alone flags it, whatever the other checks see
+    with pytest.raises(ConstructionMismatch, match="random probe"):
+        skew._probe_stack(SpectralContext(rho, X))
+
+
+def test_level_2_sign_flip_passes_the_pairing_checks(monkeypatch):
+    # the blind spot the probe closes: a relabeling of the stack that keeps every pairing
+    rho, X = PART_KINDS["parity-classes"](), quadrature_observables(2, 8)
+    monkeypatch.setattr(gaussian, "_destroy_rows", _corrupt_level(gaussian._destroy_rows, 2, -1.0))
+    ctx = SpectralContext(rho, X)
+    skew._check_stack(ctx)
+    L = np.block([[ctx.blocks[0][0], ctx.i_delta[0]], [ctx.i_delta[0], ctx.blocks[1][0]]])
+    assert np.abs(L - skew._eigenbasis_gram(ctx.stack, ctx.lam, ctx.entries)[0]).max() <= 1e-12
+    with pytest.raises(ConstructionMismatch, match="random probe"):
+        ctx.refined
+
+
+def test_probe_runs_only_with_an_origin(monkeypatch):
+    calls = []
+    monkeypatch.setattr(skew, "_probe_stack", lambda ctx: calls.append(ctx.origin))
+    rho, X = PART_KINDS["shells"](), quadrature_observables(2, 8)
+    check_refined_rs(rho, X)
+    check_refined_rs(rho, _dense_twin(X))
+    assert calls == [X.origin]

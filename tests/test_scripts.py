@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("argv", [["lambda_table.py"], ["strength_compare.py", "--trials", "20"]])
+@pytest.mark.parametrize("argv", [["lambda_table.py"], ["strength_compare.py", "--trials", "20"],
+                                  ["fock_phases.py", "--cutoff", "8", "--repeat", "2"]])
 def test_helper_script_runs(argv):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
