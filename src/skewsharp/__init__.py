@@ -3,15 +3,10 @@
 from .linalg import (
     DensityMatrix,
     DimensionMismatch,
-    EigenSystem,
     InvalidState,
     NonHermitianInput,
     NotPSD,
     SkewsharpError,
-    det_hermitian,
-    is_psd,
-    matrix_sqrt_psd,
-    spectral_decompose,
 )
 from .skew import (
     ObservableSet,

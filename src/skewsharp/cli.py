@@ -133,6 +133,8 @@ def _build_generator(args):
     if args.modes == 1:
         if len(omegas) != 1:
             raise FormatError("one --omega expected for --modes 1")
+        if args.coupling != 0:
+            raise FormatError("--coupling needs --modes 2")
         return single_mode_generator(omegas[0], xi=args.xi, beta=args.beta)
     if args.modes == 2:
         if len(omegas) == 1:
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--f", help="comma-separated monotone-function labels")
     z.add_argument("--tol", type=float)
     z.add_argument("--json-out")
-    z.add_argument("--reproducer-dir", help="directory for violation reproducer files")
+    z.add_argument("--reproducer-dir", help="existing directory for violation reproducer files")
     return p
 
 

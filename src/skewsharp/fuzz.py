@@ -172,6 +172,8 @@ class FuzzConfig:
             raise ConfigError(f"unknown relation groups {unknown}; valid: {sorted(DEFAULT_GROUPS)}")
         if not self.combos:
             raise ConfigError("no admissible (dim, n) combination (need n <= dim^2 - 1)")
+        if self.reproducer_dir is not None and not os.path.isdir(self.reproducer_dir):
+            raise ConfigError(f"reproducer_dir {self.reproducer_dir!r} is not an existing directory")
 
     @cached_property
     def combos(self) -> list[tuple[int, int]]:

@@ -36,8 +36,8 @@ checks that, and inside the two parity classes takes the connected components
 of H's nonzero pattern as its parts (``linalg.part_eigensystems``), one
 eigensystem each and one batched eigh per part size: uncoupled modes give 1 x 1
 parts (H is diagonal), a beamsplitter coupling the photon-number shells,
-squeezing the two parity classes themselves.  The state records the parity
-blocks and the parts (``DensityMatrix.blocks`` and ``.parts``).  A state read
+squeezing the two parity classes themselves.  The state records the parts
+(``DensityMatrix.parts``).  A state read
 from a file gets the same structure through ``fock_density`` when its matrix
 has exactly zero entries between the two parities (``DensityMatrix.from_matrix``
 with the ``parity_rows`` partition); any other state gets the dense eigh and no
@@ -249,14 +249,14 @@ def _moments_from_drift(N: np.ndarray, beta: float, J: np.ndarray):
     return (C, c), cond
 
 
-def exact_moments(H: QuadraticHamiltonian, rng: np.random.Generator | None = None) -> GaussianMoments:
+def exact_moments(H: QuadraticHamiltonian) -> GaussianMoments:
     """Closed-form ladder-basis moments of the thermal state of H.
 
     One route for every beta and spectral radius: scalar functions of the drift's
     eigenvalues (``_moments_from_drift``); ``cond_M`` is the largest over the
     smallest |eigenvalue of M - I|.  A nearly singular M - I is nudged by a 1e-8
-    admissible perturbation of S (with a warning and the ``perturbed`` flag)
-    before giving up.
+    admissible perturbation of S drawn from ``default_rng(0)`` (with a warning
+    and the ``perturbed`` flag) before giving up.
     """
     n = H.n_modes
     J = symplectic_form(n)
@@ -269,8 +269,7 @@ def exact_moments(H: QuadraticHamiltonian, rng: np.random.Generator | None = Non
         if attempt == 1:
             raise SingularM(f"M - I singular (cond {cond:.3e}) even after perturbation")
         warnings.warn("M - I nearly singular; perturbing the generator by 1e-8", stacklevel=2)
-        gen = rng if rng is not None else np.random.default_rng(0)
-        bump = random_admissible_generator(n, gen, spectral_radius=PERTURB_SIZE, beta=1.0)
+        bump = random_admissible_generator(n, np.random.default_rng(0), spectral_radius=PERTURB_SIZE, beta=1.0)
         S = S + bump.S
         perturbed = True
     C, c = result
@@ -514,7 +513,7 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
     is block-diagonal by photon-number parity: that is checked entry by entry
     (ConstructionMismatch otherwise).  Inside the parities each connected
     component of H's nonzero pattern gets its own eigensystem
-    (``part_eigensystems``), and the state records the parity blocks and those parts.
+    (``part_eigensystems``), and the state records those parts.
     """
     if H.n_modes not in (1, 2):
         raise UnsupportedModeCount(f"Fock truncation supports 1 or 2 modes, got {H.n_modes}")
@@ -529,7 +528,7 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
     weights = [np.exp(-H.beta * (w - w_min)) for _, _, w in parts]
     # each part's sum first, so parts that are the parity classes sum as one sum per block
     total = sum(x.sum(axis=-1).sum() for x in weights)
-    rho = DensityMatrix._from_parts(rows, [(r, V, x / total) for (r, V, _), x in zip(parts, weights)], None)
+    rho = DensityMatrix._from_parts([(r, V, x / total) for (r, V, _), x in zip(parts, weights)], None)
     return ThermalTruncation(rho=rho, tail_mass=thermal_tail_mass(H, cutoff))
 
 
@@ -593,8 +592,8 @@ def fock_density(matrix: np.ndarray, n_modes: int, cutoff: int) -> DensityMatrix
 
     The size is checked first (``check_fock_dim``), before any eigh.  A state
     that keeps photon-number parity gets one eigensystem per part, a connected
-    component of its nonzero pattern, and records the parity blocks and the parts
-    (``DensityMatrix.from_matrix`` on ``parity_rows``); any other gets the dense eigh.
+    component of its nonzero pattern, and records the parts (``DensityMatrix.from_matrix``
+    on ``parity_rows``); any other gets the dense eigh.
     """
     check_fock_dim(np.shape(matrix)[0], n_modes, cutoff)
     return DensityMatrix.from_matrix(matrix, partition=parity_rows(n_modes, cutoff))

@@ -19,7 +19,7 @@ context, and their ``.ctx`` forms take a shared, possibly batched one and
 return one result per instance.
 
 Monotone-function catalog labels: "wy" (= "wyd:0.5"), "wyd:<alpha>" with
-alpha in (0, 1/2], "sld".  Kernel labels: "mean", "eps".
+alpha in (0, 1/2], "sld".
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    DensityMatrix,
-    DimensionMismatch,
     SkewsharpError,
     hermitian_parts,
     mat_scale,
@@ -108,9 +106,9 @@ def eps_kernel() -> BivariateKernel:
     return BivariateKernel("eps", lambda x, y: 0.5j * (y - x))
 
 
-def quotient_kernel(num: BivariateKernel, den: BivariateKernel, label: str | None = None) -> BivariateKernel:
+def quotient_kernel(num: BivariateKernel, den: BivariateKernel) -> BivariateKernel:
     """num/den with the 0/0 := 0 convention; other zero denominators are domain errors."""
-    label = label or f"{num.label}/{den.label}"
+    label = f"{num.label}/{den.label}"
 
     def combine(n, d):
         zero = np.abs(d) == 0
@@ -259,14 +257,6 @@ def resolve_monotone(label: str) -> MonotoneFunction:
     raise UnknownLabel(f"unknown f label '{label}' (expected wy, wyd:<alpha>, sld)")
 
 
-def resolve_kernel(label: str) -> BivariateKernel:
-    if label == "mean":
-        return mean_kernel()
-    if label == "eps":
-        return eps_kernel()
-    raise UnknownLabel(f"unknown kernel label '{label}' (expected mean, eps)")
-
-
 def f_star(f: MonotoneFunction) -> Callable[[np.ndarray], np.ndarray]:
     """The transform f_*(x) = f(0)(1-x)^2 / (2 f(x)); symmetric with f_*(1) = 0, f_*(0) = 1/2."""
 
@@ -291,29 +281,7 @@ def _mean_like(scalar: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return fn
 
 
-def m_kernel(f: MonotoneFunction) -> BivariateKernel:
-    return f.mean_kernel
-
-
-def m_star_kernel(f: MonotoneFunction) -> BivariateKernel:
-    return f.skew_kernel
-
-
-# ----------------------------------------------------------- superoperator
-
-def apply_superop(rho: DensityMatrix, g: BivariateKernel, Z: np.ndarray) -> np.ndarray:
-    """J_g(Z): multiply Z entrywise by g(l_j, l_k) in the eigenbasis of rho."""
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (rho.dim, rho.dim):
-        raise DimensionMismatch(f"operand shape {Z.shape} vs state dim {rho.dim}")
-    lam = rho.eigenvalues
-    G = g(lam[:, None], lam[None, :])
-    if not np.all(np.isfinite(G)):
-        raise KernelDomainError(f"kernel '{g.label}' non-finite on the state's spectrum")
-    V = rho.eigenvectors
-    W = V.conj().T @ Z @ V
-    return V @ (G * W) @ V.conj().T
-
+# --------------------------------------------------------------- pairings
 
 @on_context
 def g_covariance(ctx: SpectralContext, g: BivariateKernel) -> np.ndarray:
@@ -397,10 +365,6 @@ def lambda_f(f: MonotoneFunction) -> LambdaResult:
         lam=lam, argmin_x=argmin_x, lower_bound=lower, upper_bound=upper,
         conjecture_match=abs(lam - upper) <= 1e-6,
     )
-
-
-def cached_lambda(f: MonotoneFunction) -> float:
-    return f.lam
 
 
 # ------------------------------------------------------------- inequalities

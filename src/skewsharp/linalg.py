@@ -82,11 +82,6 @@ def require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     return A
 
 
-def require_hermitian(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Validate A = A^dagger within TOL_HERM * max(1, max|A|) and return the Hermitian part."""
-    return hermitian_parts(_square(A, what), what=what)
-
-
 def hermitian_parts(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
     """(A + A^dag)/2 for a matrix or a stack (..., m, m), checked matrix by matrix:
     finite entries and max|A - A^dag| within tol * mat_scale of that matrix."""
@@ -100,25 +95,6 @@ def hermitian_parts(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") 
     return (A + np.conj(A).swapaxes(-2, -1)) / 2
 
 
-@dataclass(eq=False)
-class EigenSystem:
-    """Spectral decomposition with eigenvalues sorted in descending order."""
-
-    eigenvalues: np.ndarray   # real, descending
-    eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, k] <-> eigenvalues[k]
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
-
-def spectral_decompose(A: np.ndarray) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix; raises NonHermitianInput on bad input."""
-    A = require_hermitian(A)
-    w, V = np.linalg.eigh(A)
-    return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
-
-
 def clip_psd_eigenvalues(w: np.ndarray, scale) -> np.ndarray:
     """Clip eigenvalues in [-TOL_PSD*scale, 0) to 0; raise NotPSD below that.
 
@@ -130,36 +106,6 @@ def clip_psd_eigenvalues(w: np.ndarray, scale) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def matrix_sqrt_psd(A: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix via eigendecomposition."""
-    es = spectral_decompose(A)
-    w = clip_psd_eigenvalues(es.eigenvalues, mat_scale(A))
-    V = es.eigenvectors
-    R = (V * np.sqrt(w)) @ V.conj().T
-    return (R + R.conj().T) / 2
-
-
-@dataclass(eq=False)
-class PsdCheck:
-    verdict: bool
-    min_eigenvalue: float
-
-
-def is_psd(A: np.ndarray, tol: float = TOL_PSD) -> PsdCheck:
-    """PSD verdict against -tol * max(1, max|A|); reports the raw min eigenvalue."""
-    A = require_hermitian(A)
-    w = np.linalg.eigvalsh(A)
-    lo = float(w[0]) if w.size else 0.0
-    return PsdCheck(verdict=lo >= -tol * mat_scale(A), min_eigenvalue=lo)
-
-
-def det_hermitian(A: np.ndarray) -> float:
-    """Determinant of a Hermitian matrix as the product of its eigenvalues."""
-    A = require_hermitian(A)
-    w = np.linalg.eigvalsh(A)
-    return float(np.prod(w)) if w.size else 1.0
-
-
 @dataclass(eq=False, frozen=True)
 class DensityMatrix:
     """Validated quantum state with cached eigensystem.
@@ -167,19 +113,16 @@ class DensityMatrix:
     Eigenvalues are clipped to [0, ...] after the positivity check, so rank
     deficient (pure) states are safe inputs to sqrt/log-style maps.
 
-    A state whose eigensystem was taken part by part records its structure.
-    ``blocks`` holds each block of a partition of the basis as (rows, eigenvector
-    columns).  ``parts`` refines it into the parts each eigensystem was taken
-    on: per part size m, one pair (rows, columns) of (G, m) arrays for its G
-    parts, the m eigenvectors of a part living on its m rows alone.  A state
-    from the one dense eigh records neither.
+    A state whose eigensystem was taken part by part records its structure in
+    ``parts``: per part size m, one pair (rows, eigenvector columns) of (G, m)
+    arrays for its G parts, the m eigenvectors of a part living on its m rows
+    alone.  A state from the one dense eigh records none.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)   # clipped, descending
     eigenvectors: np.ndarray = field(repr=False)
     # set by ``_from_parts`` only: ``from_blocks``, and ``from_matrix`` when its partition holds
-    blocks: tuple | None = field(default=None, init=False, repr=False)
     parts: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -193,15 +136,15 @@ class DensityMatrix:
         ``partition``, if given, is a sequence of index arrays that partition the
         basis.  When every entry of the Hermitian part between two parts is
         exactly 0, the eigensystem is taken on the connected components of its
-        nonzero pattern (``part_eigensystems``), and ``blocks`` records the
-        partition; any other state gets the one dense eigh and no record.
+        nonzero pattern (``part_eigensystems``), and ``parts`` records them;
+        any other state gets the one dense eigh and no record.
         """
         rho = _unit_trace_hermitian(_square(rho, "state")[None])
         if partition is not None:
-            parts = _partition(partition, rho.shape[-1])
-            # the Hermitian part is exactly Hermitian: the parts above the diagonal suffice
-            if not any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(parts) for s in parts[i + 1:]):
-                return cls._from_parts(parts, part_eigensystems(rho[0]), rho[0])
+            blocks = _partition(partition, rho.shape[-1])
+            # the Hermitian part is exactly Hermitian: the blocks above the diagonal suffice
+            if not any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(blocks) for s in blocks[i + 1:]):
+                return cls._from_parts(part_eigensystems(rho[0]), rho[0])
         w, V = _spectra(rho)
         return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
@@ -216,29 +159,27 @@ class DensityMatrix:
 
         ``blocks`` holds (rows, V_b, weights_b): the basis indices ``rows`` of the
         block, its eigenvectors V_b and their weights, checked as ``_from_parts``
-        checks given eigensystems; each block is one part.  ``blocks`` records each
-        block's (rows, eigenvector columns), the columns in the order of V_b.
+        checks given eigensystems; each block is one part, recorded in ``parts`` with
+        its eigenvector columns in the order of V_b.
         """
-        parts = [(np.asarray(r)[None], require_square(V, "eigenvector matrix")[None],
-                  np.asarray(w, dtype=float)[None]) for r, V, w in blocks]
-        return cls._from_parts([r[0] for r, _, _ in parts], parts, None)
+        return cls._from_parts([(np.asarray(r)[None], require_square(V, "eigenvector matrix")[None],
+                                 np.asarray(w, dtype=float)[None]) for r, V, w in blocks], None)
 
     @classmethod
-    def _from_parts(cls, blocks, parts, rho) -> "DensityMatrix":
+    def _from_parts(cls, parts, rho) -> "DensityMatrix":
         """The one constructor path of a state with an eigensystem per part.
 
-        ``blocks`` partition the basis; ``parts`` holds per part size m the
-        eigensystems (rows (G, m), V (G, m, m), w (G, m)) of G parts, each part
-        inside one block.  ``rho`` is the state's checked Hermitian matrix, whose
+        ``parts`` holds per part size m the eigensystems (rows (G, m), V (G, m, m),
+        w (G, m)) of G parts.  ``rho`` is the state's checked Hermitian matrix, whose
         parts' eigh gave the eigensystems, or None when the eigensystems are the
         input: then the shapes agree, the weights are finite, each V is orthonormal
-        within TOL_EIG, the blocks partition the basis, all weights sum to 1 within
-        TOL_TRACE, and rho is assembled part by part as V diag(w) V^dag.  The
+        within TOL_EIG, the parts' rows partition the basis, all weights sum to 1
+        within TOL_TRACE, and rho is assembled part by part as V diag(w) V^dag.  The
         spectrum gets the PSD clip and zeroing of ``from_matrix``; the eigenvectors
         are the V embedded at their rows, in columns of descending weight (stable
-        in the order of ``parts``), and ``blocks`` and ``parts`` are recorded.
+        in the order of ``parts``), and ``parts`` records (rows, columns).
         """
-        d = sum(r.size for r in blocks)
+        d = sum(r.size for r, _, _ in parts)
         if rho is None:
             for r, V, w in parts:
                 if w.shape != r.shape or w.shape != V.shape[:2]:
@@ -247,7 +188,7 @@ class DensityMatrix:
                 dev = float(np.abs(np.conj(V.swapaxes(1, 2)) @ V - np.eye(V.shape[-1])).max())
                 if dev > TOL_EIG:
                     raise InvalidState(f"eigenvectors not orthonormal: max|V^dag V - I| = {dev:.3e}")
-            blocks = _partition(blocks, d)
+            _partition([r for r, _, _ in parts], d)
             tr = float(sum(w.sum() for _, _, w in parts))
             if abs(tr - 1.0) > TOL_TRACE:
                 raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
@@ -264,9 +205,6 @@ class DensityMatrix:
         for (r, c), (_, V, _) in zip(record, parts):
             eigenvectors[r[:, :, None], c[:, None, :]] = V
         state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order]), eigenvectors=eigenvectors)
-        object.__setattr__(state, "blocks", tuple(      # a part is in the block of its first row
-            (b, np.concatenate([c[(np.bincount(b, minlength=d) > 0)[r[:, 0]]].ravel() for r, c in record]))
-            for b in blocks))
         object.__setattr__(state, "parts", record)
         return state
 

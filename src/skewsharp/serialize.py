@@ -161,11 +161,8 @@ def real_matrix_to_lists(A: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.asarray(A, dtype=float)]
 
 
-def state_to_dict(rho: DensityMatrix, label: str | None = None) -> dict:
-    out = {"dim": rho.dim, "matrix": matrix_to_pairs(rho.matrix)}
-    if label is not None:
-        out["label"] = label
-    return out
+def state_to_dict(rho: DensityMatrix) -> dict:
+    return {"dim": rho.dim, "matrix": matrix_to_pairs(rho.matrix)}
 
 
 def _declared_dim(data: dict, what: str) -> int | None:
@@ -191,11 +188,8 @@ def parse_state(data: dict, what: str = "state", build=DensityMatrix.from_matrix
     return build(A)
 
 
-def observables_to_dict(X: ObservableSet, labels: list[str] | None = None) -> dict:
-    out = {"dim": X.dim, "observables": [matrix_to_pairs(M) for M in X.observables]}
-    if labels is not None:
-        out["labels"] = list(labels)
-    return out
+def observables_to_dict(X: ObservableSet) -> dict:
+    return {"dim": X.dim, "observables": [matrix_to_pairs(M) for M in X.observables]}
 
 
 def parse_observables(data: dict, what: str = "observables") -> ObservableSet:

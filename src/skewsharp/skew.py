@@ -47,8 +47,7 @@ sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum over the entries of (W[a, b] X_k conj(X
 + W[b, a] conj(X_k) X_j) for any complex W.  The route is chosen from the
 inputs alone, an observable set with such an origin and a state with such
 parts; every instance without an origin, among them every batch of the fuzz
-harness, keeps the dense einsum bit for bit.  ``ctx.A`` stays available on
-the entry route, scattered on demand; the engine itself reads ``ctx.stack``.
+harness, keeps the dense einsum bit for bit.
 
 Three self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
@@ -83,9 +82,10 @@ from .linalg import (
     DimensionMismatch,
     NotPSD,
     SkewsharpError,
+    _square,
+    hermitian_parts,
     mat_scale,
     raise_first,
-    require_hermitian,
 )
 
 TOL_INEQ = 1e-8
@@ -116,14 +116,16 @@ class ObservableSet:
 
     @classmethod
     def from_matrices(cls, mats) -> "ObservableSet":
-        mats = tuple(require_hermitian(np.asarray(m, dtype=complex), what="observable") for m in mats)
+        """The Hermitian parts of matrices from any iterable: each square and of one
+        dimension, then the stacked set checked for finite entries and Hermiticity."""
+        mats = [_square(m, "observable") for m in mats]
         if not mats:
             raise DimensionMismatch("need at least one observable")
         d = mats[0].shape[0]
         for k, m in enumerate(mats):
             if m.shape[0] != d:
                 raise DimensionMismatch(f"observable {k} has dim {m.shape[0]}, expected {d}")
-        return cls(observables=mats)
+        return cls(observables=tuple(hermitian_parts(np.stack(mats), what="observable")))
 
     @classmethod
     def _with_origin(cls, mats, origin) -> "ObservableSet":
@@ -288,12 +290,12 @@ def _probe_stack(ctx: "SpectralContext") -> None:
 
 
 class SpectralContext:
-    """B instances (rho, X) of one shape: clipped spectra ``lam`` (B, d), centered
-    eigenbasis stacks ``A`` (B, n, d, d), stored as ``stack``: A itself, or on the
-    entry route (``entries`` set) its values A_k[a, b] (B, n, nnz) on the entries (a, b).
+    """B instances (rho, X) of one shape: clipped spectra ``lam`` (B, d) and centered
+    eigenbasis stacks A (B, n, d, d), stored as ``stack``: A itself, or on the entry
+    route (``entries`` set) its values A_k[a, b] (B, n, nnz) on the entries (a, b).
 
-    Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  A
-    is built once; matrices, kernel weights and reports are cached, and ``memo``
+    Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  The
+    stack is built once; matrices, kernel weights and reports are cached, and ``memo``
     holds further results keyed by their producer (e.g. one per monotone function).
     ``SpectralContext(rho, X)`` is one instance (B = 1); ``from_arrays`` takes a batch.
     """
@@ -344,18 +346,6 @@ class SpectralContext:
     stack = property(lambda self: self._stack[0])
     means = property(lambda self: self._stack[1])
 
-    @property
-    def A(self) -> np.ndarray:
-        """The centered stacks (B, n, d, d); on the entry route scattered on each call
-        from X_k (A_k[b, a] = conj(A_k[a, b]), zero elsewhere).  The engine reads ``stack``."""
-        if self.entries is None:
-            return self.stack
-        a, b = self.entries.a, self.entries.b
-        A = np.zeros((self.size, self.n, self.dim, self.dim), dtype=complex)
-        A[:, :, a, b] = self.stack
-        A[:, :, b, a] = np.conj(self.stack)
-        return A
-
     def weights(self, g) -> np.ndarray:
         """Kernel g(l_a, l_b) on each spectrum, once per kernel; non-finite values are a KernelDomainError.
 
@@ -379,7 +369,7 @@ class SpectralContext:
         values, for any complex W.
         """
         if self.entries is None:
-            return np.einsum("zkab,zab,zjba->zkj", self.A, W, self.A)
+            return np.einsum("zkab,zab,zjba->zkj", self.stack, W, self.stack)
         a, b = self.entries.a, self.entries.b
         X, Xc = self.stack, np.conj(self.stack)
         return (X * W[:, None, a, b]) @ Xc.swapaxes(1, 2) + (Xc * W[:, None, b, a]) @ X.swapaxes(1, 2)
@@ -462,11 +452,6 @@ def covariance_matrix(ctx: SpectralContext) -> np.ndarray:
 def commutator_matrix(ctx: SpectralContext) -> np.ndarray:
     """Hermitian matrix i*delta with delta[k, j] = (i/2) <[X_k, X_j]>."""
     return ctx.i_delta
-
-
-def delta_antisymmetric(i_delta: np.ndarray) -> np.ndarray:
-    """Real antisymmetric delta extracted from the Hermitian i*delta."""
-    return np.imag(i_delta)
 
 
 @on_context
@@ -565,7 +550,7 @@ def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
     sigma, skew, c, i_delta = ctx.sigma, ctx.skew, ctx.classical, ctx.i_delta
     dets = ctx.dets
     Lp, Lm = ctx.blocks
-    delta = delta_antisymmetric(i_delta)
+    delta = np.imag(i_delta)     # real antisymmetric, from the Hermitian i*delta
     L = np.empty((ctx.size, 2 * n, 2 * n), dtype=complex)    # [[sigma+c, i delta], [i delta, sigma-c]]
     L[:, :n, :n], L[:, n:, n:] = Lp, Lm
     L[:, :n, n:] = L[:, n:, :n] = i_delta

@@ -25,7 +25,6 @@ from skewsharp.gcov import (
     check_metric_adjusted,
     eps_kernel,
     lambda_f,
-    m_star_kernel,
     mean_kernel,
     g_covariance,
     resolve_monotone,
@@ -39,7 +38,6 @@ from skewsharp.skew import (
     classical_matrix,
     commutator_matrix,
     covariance_matrix,
-    delta_antisymmetric,
     det_symmetric_psd,
     two_obs_relations,
     wy_skew_matrix,
@@ -228,8 +226,8 @@ def test_criterion_9_reduction_identities():
         X = random_observables(rng, dim, n)
         dev_cov = np.abs(g_covariance(rho, X, mean_kernel()) - covariance_matrix(rho, X)).max()
         dev_del = np.abs(g_covariance(rho, X, eps_kernel())
-                         - delta_antisymmetric(commutator_matrix(rho, X))).max()
-        dev_skew = np.abs(g_covariance(rho, X, m_star_kernel(wy)) - wy_skew_matrix(rho, X)).max()
+                         - np.imag(commutator_matrix(rho, X))).max()
+        dev_skew = np.abs(g_covariance(rho, X, wy.skew_kernel) - wy_skew_matrix(rho, X)).max()
         worst = max(worst, float(dev_cov), float(dev_del), float(dev_skew))
     worst_coincide = 0.0
     for trial in range(100):

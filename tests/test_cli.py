@@ -247,6 +247,14 @@ def test_gaussian_small_cutoff_exit2(capsys):
     assert main(["gaussian", "--modes", "1", "--beta", "1.0", "--cutoff", "4"]) == 2
 
 
+def test_gaussian_one_mode_rejects_coupling(capsys):
+    # a beamsplitter needs two modes: --coupling on one mode is an input error, not ignored
+    assert main(["gaussian", "--modes", "1", "--coupling", "0.7", "--cutoff", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --coupling needs --modes 2\n"
+    assert main(["gaussian", "--modes", "1", "--coupling", "0", "--cutoff", "20"]) == 0
+
+
 # ---------------------------------------------------------------- nongauss
 
 def test_nongauss_fock_one(tmp_path, capsys):
@@ -330,7 +338,7 @@ def test_nongauss_matches_the_dense_library_route(tmp_path, capsys, kind):
     path.write_text(dumps({"dim": 144, "matrix": matrix_to_pairs(M)}))
     read = serialize.loads(path.read_text())["matrix"]
     assert isinstance(read, np.ndarray)
-    assert (gaussian.fock_density(serialize.pairs_to_matrix(read), 2, 12).blocks is None) == (kind == "breaking")
+    assert (gaussian.fock_density(serialize.pairs_to_matrix(read), 2, 12).parts is None) == (kind == "breaking")
     assert main(["nongauss", str(path), "--modes", "2", "--cutoff", "12"]) == 0
     dense = gaussian.nongaussianity(DensityMatrix.from_matrix(M), 2, 12)
     assert capsys.readouterr().out == f"delta_G={dense:#.12g}\n"

@@ -66,6 +66,27 @@ def test_config_rejects_out_of_range_tolerance(tol):
         FuzzConfig(tol=tol)
 
 
+def test_missing_reproducer_dir_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    import skewsharp.fuzz as fz
+    from skewsharp.cli import main
+
+    missing, a_file = tmp_path / "missing", tmp_path / "file"
+    a_file.write_text("")
+    for path in (missing, a_file):
+        with pytest.raises(ConfigError, match="is not an existing directory"):
+            FuzzConfig(reproducer_dir=str(path))
+    FuzzConfig(reproducer_dir=str(tmp_path))
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(fz, "draw_groups", no_trial)
+    assert main(["fuzz", "--trials", "20", "--tol", "0", "--reproducer-dir", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: reproducer_dir {str(missing)!r} is not an existing directory\n"
+
+
 def test_unknown_group_message():
     with pytest.raises(ConfigError) as err:
         FuzzConfig(relations=("rs", "nope"))

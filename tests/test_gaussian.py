@@ -326,8 +326,8 @@ def _parity_state(kind, n, cutoff):
 def test_per_parity_state_matches_dense_eigh(kind, n, cutoff):
     M = _parity_state(kind, n, cutoff)
     a, b = gaussian.fock_density(M, n, cutoff), DensityMatrix.from_matrix(M)
-    assert np.array_equal(a.matrix, b.matrix) and b.blocks is None
-    assert (a.blocks is None) == (kind == "parity-breaking")
+    assert np.array_equal(a.matrix, b.matrix) and b.parts is None
+    assert (a.parts is None) == (kind == "parity-breaking")
     assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-14
     dg_a, dg_b = nongaussianity(a, n, cutoff), nongaussianity(b, n, cutoff)
     assert abs(dg_a - dg_b) <= 1e-12 * max(1.0, abs(dg_b))
@@ -335,10 +335,10 @@ def test_per_parity_state_matches_dense_eigh(kind, n, cutoff):
 
 def test_per_parity_route_needs_exactly_zero_cross_entries():
     M = _parity_state("parity-block", 1, 10)
-    assert gaussian.fock_density(M, 1, 10).blocks is not None
+    assert gaussian.fock_density(M, 1, 10).parts is not None
     M[0, 1] = M[1, 0] = 1e-300                  # |0> and |1> differ in parity
     rho = gaussian.fock_density(M, 1, 10)
-    assert rho.blocks is None
+    assert rho.parts is None
     assert np.array_equal(rho.eigenvectors, DensityMatrix.from_matrix(M).eigenvectors)
 
 
@@ -481,7 +481,7 @@ PARITY_CASES.append(pytest.param(two_mode_generator(1.0, 1.0), 30, id="cli-defau
 @pytest.mark.parametrize("H, cutoff", PARITY_CASES)
 def test_parity_blocks_match_full_eigh(H, cutoff):
     out = fock_truncate_thermal(H, cutoff)
-    assert len(out.rho.blocks) == 2
+    assert out.rho.parts is not None
     assert np.abs(out.rho.matrix - _full_eigh_thermal(H, cutoff).matrix).max() <= 1e-13
     assert out.tail_mass == gaussian.thermal_tail_mass(H, cutoff)
 
@@ -585,8 +585,13 @@ def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
     # ginibre states carry no parts; the other kinds take the entry route
     assert (fast.origin.part_pairs(rho) is None) == (kind == "ginibre")
     assert (fast.entries is None) == (kind == "ginibre") and dense.entries is None
-    scale = np.abs(dense.A).max()
-    assert np.abs(fast.A - dense.A).max() <= 1e-13 * scale
+    scale = np.abs(dense.stack).max()
+    A = fast.stack
+    if fast.entries is not None:    # scatter the values X_k = A_k[a, b]: A_k[b, a] = conj(X_k), 0 elsewhere
+        A = np.zeros_like(dense.stack)
+        A[:, :, fast.entries.a, fast.entries.b] = fast.stack
+        A[:, :, fast.entries.b, fast.entries.a] = np.conj(fast.stack)
+    assert np.abs(A - dense.stack).max() <= 1e-13 * scale
     assert np.abs(fast.means - dense.means).max() <= 1e-13 * scale
     assert abs(fast.refined.delta_G - dense.refined.delta_G) <= 1e-12 * max(1.0, abs(dense.refined.delta_G))
     if kind != "ginibre":
@@ -718,7 +723,7 @@ def _fock_mixture(n, cutoff, seed):
 def test_fock_diagonal_mixture_takes_one_by_one_parts():
     M = _fock_mixture(2, 30, 8001)
     rho = gaussian.fock_density(M, 2, 30)
-    assert _part_sizes(rho) == [1] and rho.blocks is not None
+    assert _part_sizes(rho) == [1] and rho.parts is not None
     # a 1 x 1 part's eigenvector is the unit vector at its row: V is a permutation matrix
     assert np.count_nonzero(rho.eigenvectors) == rho.dim
     _matches_dense(rho, 2, 30, DensityMatrix.from_matrix(M))
@@ -728,7 +733,7 @@ def test_fock_diagonal_mixture_takes_one_by_one_parts():
                          ids=["cli-default-1m60", "cli-default-2m30"])
 def test_uncoupled_thermal_takes_one_by_one_parts(H, cutoff):
     rho = fock_truncate_thermal(H, cutoff).rho
-    assert _part_sizes(rho) == [1] and len(rho.blocks) == 2
+    assert _part_sizes(rho) == [1]
     _matches_dense(rho, H.n_modes, cutoff, _full_eigh_thermal(H, cutoff))
 
 
@@ -747,7 +752,7 @@ def test_one_coherence_takes_the_dense_eigh():
     M = _fock_mixture(2, 12, 5)
     M[0, 12] = M[12, 0] = 0.5 * math.sqrt(M[0, 0].real * M[12, 12].real)     # |0,0> with |1,0>
     rho = gaussian.fock_density(M, 2, 12)
-    assert rho.blocks is None and rho.parts is None
+    assert rho.parts is None
     assert np.array_equal(rho.eigenvectors, DensityMatrix.from_matrix(M).eigenvectors)
     _matches_dense(rho, 2, 12, DensityMatrix.from_matrix(M))
 
@@ -767,7 +772,7 @@ def test_coupled_squeezed_parts_are_the_parity_classes():
         assert np.array_equal(getattr(rho, name), getattr(ref, name))
     # and the ladder entries are exactly the half-size products V_out^dag (a V_in) of that route
     V, a = rho.eigenvectors, destroy(cutoff)
-    parity = rho.blocks
+    parity = list(zip(rows, rho.parts[0][1]))     # (rows, eigenvector columns) per parity class
     pairs = gaussian.LadderOrigin(2, cutoff).part_pairs(rho)
     for mode in range(2):
         M, M_dag = gaussian._ladder_matrix(V, rho.parts, mode, cutoff, pairs)

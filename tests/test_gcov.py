@@ -12,10 +12,8 @@ from skewsharp.gcov import (
     PreconditionViolation,
     UnknownLabel,
     alpha_inequality_check,
-    apply_superop,
     big_F,
     build_Lg,
-    cached_lambda,
     check_g_triple,
     check_metric_adjusted,
     eps_kernel,
@@ -23,8 +21,6 @@ from skewsharp.gcov import (
     f_star,
     g_covariance,
     lambda_f,
-    m_kernel,
-    m_star_kernel,
     mean_kernel,
     product_kernels,
     quotient_kernel,
@@ -38,34 +34,10 @@ from skewsharp.skew import (
     ObservableSet,
     commutator_matrix,
     covariance_matrix,
-    delta_antisymmetric,
     wy_skew_matrix,
 )
 
-from conftest import SX, random_observables
-
-
-# ---------------------------------------------------------------- superop
-
-def test_identity_kernel_is_identity(q1_state):
-    g = BivariateKernel("one", lambda x, y: np.ones_like(x * y))
-    Z = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert np.abs(apply_superop(q1_state, g, Z) - Z).max() <= 1e-14
-
-
-def test_multiplicative_kernel(q1_state):
-    g = BivariateKernel("xy", lambda x, y: x * y)
-    Z = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    expect = q1_state.matrix @ Z @ q1_state.matrix
-    assert np.abs(apply_superop(q1_state, g, Z) - expect).max() <= 1e-14
-
-
-def test_wy_kernel_scales_offdiagonal(q1_state):
-    f = wyd_function(0.5)
-    scaled = apply_superop(q1_state, m_star_kernel(f), SX)
-    factor = (math.sqrt(0.75) - math.sqrt(0.25)) ** 2 / 2
-    assert np.isclose(2 * factor, 1 - math.sqrt(3) / 2)  # matrix entry doubles it
-    assert np.abs(scaled - factor * SX).max() <= 1e-14
+from conftest import random_observables
 
 
 # -------------------------------------------------------------- reductions
@@ -78,12 +50,12 @@ def test_gcov_reduces_to_covariance(q1_state, q1_obs):
 
 def test_gcov_reduces_to_commutator(q1_state, q1_obs):
     got = g_covariance(q1_state, q1_obs, eps_kernel())
-    want = delta_antisymmetric(commutator_matrix(q1_state, q1_obs))
+    want = np.imag(commutator_matrix(q1_state, q1_obs))
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_gcov_reduces_to_wy_skew(q1_state, q1_obs):
-    got = g_covariance(q1_state, q1_obs, m_star_kernel(wyd_function(0.5)))
+    got = g_covariance(q1_state, q1_obs, wyd_function(0.5).skew_kernel)
     expect = (1 - math.sqrt(3) / 2) * np.eye(2)
     assert np.abs(got - expect).max() <= 1e-12
     assert np.abs(got - wy_skew_matrix(q1_state, q1_obs)).max() <= 1e-12
@@ -97,8 +69,8 @@ def test_reductions_random(dim, n, seed):
     X = random_observables(rng, dim, n)
     assert np.abs(g_covariance(rho, X, mean_kernel()) - covariance_matrix(rho, X)).max() <= 1e-10
     assert np.abs(g_covariance(rho, X, eps_kernel())
-                  - delta_antisymmetric(commutator_matrix(rho, X))).max() <= 1e-10
-    assert np.abs(g_covariance(rho, X, m_star_kernel(wyd_function(0.5)))
+                  - np.imag(commutator_matrix(rho, X))).max() <= 1e-10
+    assert np.abs(g_covariance(rho, X, wyd_function(0.5).skew_kernel)
                   - wy_skew_matrix(rho, X)).max() <= 1e-10
 
 
@@ -151,12 +123,6 @@ def test_resolve_labels():
     assert resolve_monotone("sld").f0 == 0.5
     with pytest.raises(UnknownLabel):
         resolve_monotone("qfi")
-    from skewsharp.gcov import resolve_kernel
-
-    assert resolve_kernel("mean").nonnegative
-    assert resolve_kernel("eps").label == "eps"
-    with pytest.raises(UnknownLabel):
-        resolve_kernel("median")
 
 
 def test_f_star_closed_forms():
@@ -174,7 +140,7 @@ def test_f_star_closed_forms():
 
 
 def test_m_star_kernel_limits():
-    k = m_star_kernel(sld_function())
+    k = sld_function().skew_kernel
     x = np.array([0.3, 1.2, 0.0])
     assert np.abs(k(x, x)).max() <= 1e-15
     got = k(np.array([0.4]), np.array([0.0]))[0]
@@ -213,7 +179,7 @@ def test_f_skew_equals_gcov_of_mstar(dim, n, seed, label):
     X = random_observables(rng, dim, n)
     f = resolve_monotone(label)
     direct = f_skew_matrix(rho, X, f)
-    via_gcov = g_covariance(rho, X, m_star_kernel(f))
+    via_gcov = g_covariance(rho, X, f.skew_kernel)
     assert np.abs(direct - via_gcov).max() <= 1e-10 * max(1.0, np.abs(direct).max())
 
 
@@ -270,9 +236,9 @@ def test_build_Lg_duplicate_kernel(q1_state, q1_obs):
 
 def test_build_Lg_wy_pair_saturates(q1_state, q1_obs):
     f = wyd_function(0.5)
-    g1 = BivariateKernel("sqrt_m", lambda x, y: np.sqrt(np.maximum(m_kernel(f).fn(x, y).real, 0.0)),
+    g1 = BivariateKernel("sqrt_m", lambda x, y: np.sqrt(np.maximum(f.mean_kernel.fn(x, y).real, 0.0)),
                          nonnegative=True, symmetric=True)
-    g2 = quotient_kernel(eps_kernel(), g1, label="eps/sqrt_m")
+    g2 = quotient_kernel(eps_kernel(), g1)
     L = build_Lg(q1_state, q1_obs, g1, g2)
     w = np.linalg.eigvalsh(L)
     assert w[0] >= -1e-9
@@ -364,10 +330,10 @@ def test_observation1_monotonicity(dim, n, seed, label):
     rho = random_density(dim, "full", rng)
     X = random_observables(rng, dim, n)
     f = resolve_monotone(label)
-    lam = cached_lambda(f)
+    lam = f.lam
     sigma = covariance_matrix(rho, X)
     If = f_skew_matrix(rho, X, f)
-    cov_mf = g_covariance(rho, X, m_kernel(f)).real
+    cov_mf = g_covariance(rho, X, f.mean_kernel).real
     M = 2 * sigma - If - 2 * lam * cov_mf
     assert np.linalg.eigvalsh((M + M.T) / 2)[0] >= -1e-9 * max(1.0, np.abs(sigma).max())
 

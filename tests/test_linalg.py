@@ -2,106 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from skewsharp.linalg import (
     DensityMatrix,
     DimensionMismatch,
     InvalidState,
     NonHermitianInput,
-    NotPSD,
     SkewsharpError,
-    det_hermitian,
-    is_psd,
-    matrix_sqrt_psd,
-    spectral_decompose,
 )
 
-from conftest import SX, random_hermitian, random_unitary
-
-
-def test_spectral_identity():
-    es = spectral_decompose(np.eye(2, dtype=complex))
-    assert np.allclose(es.eigenvalues, [1.0, 1.0])
-    assert np.allclose(es.eigenvectors.conj().T @ es.eigenvectors, np.eye(2))
-
-
-def test_spectral_diagonal_descending():
-    es = spectral_decompose(np.diag([0.25, 0.75]).astype(complex))
-    assert np.allclose(es.eigenvalues, [0.75, 0.25])
-    assert np.allclose(np.abs(es.eigenvectors), [[0, 1], [1, 0]])
-
-
-def test_spectral_pauli_x():
-    es = spectral_decompose(SX)
-    assert np.allclose(es.eigenvalues, [1.0, -1.0])
-    v = es.eigenvectors[:, 0]
-    assert np.allclose(np.abs(v), [1 / np.sqrt(2)] * 2)
-
-
-def test_spectral_rejects_nonhermitian():
-    with pytest.raises(NonHermitianInput):
-        spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_sqrt_diagonal():
-    assert np.allclose(matrix_sqrt_psd(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]))
-    assert np.allclose(matrix_sqrt_psd(np.eye(3, dtype=complex)), np.eye(3))
-    R = matrix_sqrt_psd(np.diag([0.75, 0.25]).astype(complex))
-    assert np.allclose(R, np.diag([np.sqrt(3) / 2, 0.5]))
-
-
-def test_sqrt_rejects_negative():
-    with pytest.raises(NotPSD):
-        matrix_sqrt_psd(np.diag([1.0, -0.1]).astype(complex))
-
-
-def test_is_psd_reports_min_eigenvalue():
-    chk = is_psd(np.eye(4, dtype=complex), tol=1e-9)
-    assert chk.verdict and np.isclose(chk.min_eigenvalue, 1.0)
-    chk = is_psd(np.diag([1.0, -0.1]).astype(complex), tol=1e-9)
-    assert not chk.verdict and np.isclose(chk.min_eigenvalue, -0.1)
-
-
-def test_det_examples():
-    assert np.isclose(det_hermitian(np.diag([2.0, 3.0]).astype(complex)), 6.0)
-    assert np.isclose(det_hermitian(np.eye(5, dtype=complex)), 1.0)
-    # i*delta for the saturating qubit fixture: eigenvalues +-1/2
-    i_delta = np.array([[0, -0.5j], [0.5j, 0]])
-    assert np.isclose(det_hermitian(i_delta), -0.25)
-    assert np.isclose(abs(det_hermitian(i_delta)), 0.25)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
-def test_reconstruction_property(dim, seed):
-    A = random_hermitian(np.random.default_rng(seed), dim)
-    es = spectral_decompose(A)
-    scale = max(1.0, np.abs(A).max())
-    assert np.abs(es.reconstruct() - A).max() <= 1e-10 * scale
-    assert np.abs(es.eigenvectors.conj().T @ es.eigenvectors - np.eye(dim)).max() <= 1e-10
-    assert np.all(np.diff(es.eigenvalues) <= 1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
-def test_sqrt_squares_back(dim, seed):
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    A = G @ G.conj().T
-    R = matrix_sqrt_psd(A)
-    assert np.abs(R @ R - A).max() <= 1e-10 * max(1.0, np.abs(A).max())
-    assert np.linalg.eigvalsh(R)[0] >= -1e-12 * max(1.0, np.abs(R).max())
-
-
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
-def test_det_matches_lu(dim, seed):
-    A = random_hermitian(np.random.default_rng(seed), dim)
-    d_eig = det_hermitian(A)
-    d_lu = np.linalg.det(A)  # LU-based reference
-    assert abs(d_lu.imag) <= 1e-10 * max(1.0, abs(d_lu))
-    assert np.isclose(d_eig, d_lu.real, rtol=1e-10, atol=1e-13)
+from conftest import random_unitary
 
 
 def test_density_matrix_validation():
@@ -121,13 +31,6 @@ def test_density_clips_tiny_negative():
     rho = DensityMatrix.from_matrix(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
     assert rho.eigenvalues[-1] == 0.0
     assert rho.rank() == 1
-
-
-def test_basis_freedom_in_degenerate_subspace():
-    # formulas downstream only use the eigenprojections; reconstruct must match
-    A = np.diag([2.0, 2.0, 1.0]).astype(complex)
-    es = spectral_decompose(A)
-    assert np.abs(es.reconstruct() - A).max() <= 1e-12
 
 
 def _eigensystem(seed, dim=6):
@@ -203,11 +106,11 @@ def test_from_blocks_agrees_with_from_matrix(seed):
     P = (a.eigenvectors * a.eigenvalues) @ a.eigenvectors.conj().T
     assert np.abs(P - b.matrix).max() <= 1e-13
     # each recorded block: its eigenvector columns live on its rows alone
-    for (r, V, w), (rows, cols) in zip(blocks, a.blocks):
-        assert np.array_equal(rows, r)
-        assert np.array_equal(a.eigenvectors[np.ix_(r, cols)], V)
-        assert np.abs(np.delete(a.eigenvectors[:, cols], r, axis=0)).max(initial=0.0) == 0.0
-    assert b.blocks is None
+    for (r, V, w), (rows, cols) in zip(blocks, a.parts):
+        assert np.array_equal(rows[0], r)
+        assert np.array_equal(a.eigenvectors[np.ix_(r, cols[0])], V)
+        assert np.abs(np.delete(a.eigenvectors[:, cols[0]], r, axis=0)).max(initial=0.0) == 0.0
+    assert b.parts is None
 
 
 def test_from_blocks_rejects_bad_input():
@@ -232,18 +135,19 @@ def test_from_matrix_partition_matches_dense_eigh(seed):
         dense[np.ix_(r, r)] = (V * w) @ V.conj().T
     rows = [r for r, _, _ in blocks]
     a, b = DensityMatrix.from_matrix(dense, partition=rows), DensityMatrix.from_matrix(dense)
-    assert np.array_equal(a.matrix, b.matrix) and b.blocks is None
+    assert np.array_equal(a.matrix, b.matrix) and b.parts is None
     assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-14
     P = (a.eigenvectors * a.eigenvalues) @ a.eigenvectors.conj().T
     assert np.abs(P - b.matrix).max() <= 1e-14
-    for r, (rows_b, cols) in zip(rows, a.blocks):
-        assert np.array_equal(rows_b, r)
-        assert np.abs(np.delete(a.eigenvectors[:, cols], r, axis=0)).max(initial=0.0) == 0.0
-    # a coupling of two parts, however small, takes the dense eigh and records no blocks
+    # one part per block, in ascending size (2, 3, 4), its rows sorted
+    for r, (rows_p, cols) in zip(rows, a.parts):
+        assert np.array_equal(rows_p[0], np.sort(r))
+        assert np.abs(np.delete(a.eigenvectors[:, cols[0]], r, axis=0)).max(initial=0.0) == 0.0
+    # a coupling of two parts, however small, takes the dense eigh and records no parts
     coupled = dense.copy()
     coupled[rows[0][0], rows[2][0]] = coupled[rows[2][0], rows[0][0]] = 1e-300
     c = DensityMatrix.from_matrix(coupled, partition=rows)
-    assert c.blocks is None
+    assert c.parts is None
     assert np.array_equal(c.eigenvectors, DensityMatrix.from_matrix(coupled).eigenvectors)
 
 
@@ -255,11 +159,11 @@ def test_from_matrix_rejects_a_partition_that_is_not_one():
 
 
 def test_recorded_blocks_are_not_assignable():
-    # the blocks select the parity route of the quadratures' stack: only from_blocks and a
+    # the parts select the entry route of the quadratures' stack: only from_blocks and a
     # from_matrix partition that holds set them
     rho = DensityMatrix.from_blocks(_block_eigensystems(3))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        rho.blocks = None
+        rho.parts = None
     with pytest.raises(TypeError):
         DensityMatrix(matrix=rho.matrix, eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors,
-                      blocks=rho.blocks)
+                      parts=rho.parts)

@@ -6,7 +6,14 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from skewsharp.fuzz import random_density
-from skewsharp.linalg import DensityMatrix, DimensionMismatch, mat_scale
+from skewsharp.linalg import (
+    DensityMatrix,
+    DimensionMismatch,
+    NonHermitianInput,
+    SkewsharpError,
+    hermitian_parts,
+    mat_scale,
+)
 from skewsharp.skew import (
     TOL_INEQ,
     _det_root,
@@ -19,14 +26,13 @@ from skewsharp.skew import (
     classical_matrix,
     commutator_matrix,
     covariance_matrix,
-    delta_antisymmetric,
     det_delta,
     det_symmetric_psd,
     two_obs_relations,
     wy_skew_matrix,
 )
 
-from conftest import SX, SY, SZ, random_observables, random_unitary
+from conftest import SX, SY, SZ, random_hermitian, random_observables, random_unitary
 
 
 # ---------------------------------------------------------------- oracles
@@ -75,7 +81,7 @@ def test_q1_covariance_is_identity(q1_state, q1_obs):
 
 def test_q1_commutator(q1_state, q1_obs):
     i_delta = commutator_matrix(q1_state, q1_obs)
-    delta = delta_antisymmetric(i_delta)
+    delta = np.imag(i_delta)
     assert np.isclose(delta[0, 1], -0.5)  # (i/2)<[sx, sy]> = -<sz> = -1/2
     assert np.isclose(det_delta(i_delta), 0.25)
     assert np.abs(i_delta - oracle_i_delta(q1_state.matrix, q1_obs.observables)).max() <= 1e-12
@@ -104,10 +110,7 @@ def test_q1_L_saturates(q1_state, q1_obs):
     assert np.abs(L[:2, 2:] - np.array([[0, -0.5j], [0.5j, 0]])).max() <= 1e-12
     w = np.linalg.eigvalsh(L)
     assert abs(w[0]) <= 1e-10  # saturation: L singular
-    from skewsharp.linalg import is_psd
-
-    chk = is_psd(L, tol=1e-9)
-    assert chk.verdict and abs(chk.min_eigenvalue) <= 1e-10
+    assert w[0] >= -1e-9 * mat_scale(L)  # PSD within TOL_PSD of its scale
 
 
 def test_q1_report_margins(q1_state, q1_obs):
@@ -169,6 +172,67 @@ def test_pure_state_L_blocks(pauli):
 def test_dimension_mismatch(q1_state):
     with pytest.raises(DimensionMismatch):
         covariance_matrix(q1_state, ObservableSet.from_matrices([np.eye(3, dtype=complex)]))
+
+
+# ------------------------------------------------------ observable validation
+
+def _per_matrix_observables(mats):
+    """Observable validation matrix by matrix: each one square, finite and Hermitian in
+    turn, then the count and the common dimension; the Hermitian parts."""
+    out = []
+    for m in mats:
+        m = np.asarray(m, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"observable must be square, got shape {m.shape}")
+        out.append(hermitian_parts(m, what="observable"))
+    if not out:
+        raise DimensionMismatch("need at least one observable")
+    for k, m in enumerate(out):
+        if m.shape[0] != out[0].shape[0]:
+            raise DimensionMismatch(f"observable {k} has dim {m.shape[0]}, expected {out[0].shape[0]}")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_from_matrices_keeps_the_per_matrix_hermitian_parts(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    # Hermitian within tolerance, not exactly: the Hermitian parts move the last bits
+    mats = [random_hermitian(rng, dim) + 1e-12 * rng.standard_normal((dim, dim)) for _ in range(n)]
+    want = _per_matrix_observables(mats)
+    for got in (ObservableSet.from_matrices(mats), ObservableSet.from_matrices(m for m in mats)):
+        assert len(got.observables) == n
+        assert all(np.array_equal(g, w) for g, w in zip(got.observables, want))
+
+
+def _single_faults():
+    rng = np.random.default_rng(5)
+    ok = [random_hermitian(rng, 3) for _ in range(4)]
+    nan = ok[1].copy()
+    nan[0, 2] = np.nan
+
+    def skewed(m):
+        return m + 1e-6 * np.triu(np.ones((3, 3)), 1)
+
+    return {
+        "non-square": (DimensionMismatch, [ok[0], np.ones((3, 2)), *ok[2:]]),
+        "mismatched-dims": (DimensionMismatch, [*ok[:2], random_hermitian(rng, 4), ok[3]]),
+        "nan": (SkewsharpError, [ok[0], nan, *ok[2:]]),
+        "non-hermitian-first": (NonHermitianInput, [skewed(ok[0]), *ok[1:]]),
+        "non-hermitian-last": (NonHermitianInput, [*ok[:3], skewed(ok[3])]),
+        "empty": (DimensionMismatch, []),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_single_faults()))
+def test_from_matrices_single_fault_error_matches_per_matrix_validation(fault):
+    error, mats = _single_faults()[fault]
+    with pytest.raises(SkewsharpError) as want:
+        _per_matrix_observables(mats)
+    with pytest.raises(SkewsharpError) as got:
+        ObservableSet.from_matrices(mats)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------- two-observable set
@@ -372,7 +436,7 @@ def test_eq8_flags_planted_violations(seed):
     rank = "full" if seed % 2 else 1
     ctx = SpectralContext(random_density(dim, rank, rng), random_observables(rng, dim, n))
     (Lp,), (Lm,) = ctx.blocks
-    delta = delta_antisymmetric(ctx.i_delta[0])
+    delta = np.imag(ctx.i_delta[0])
     assert _eq7_eq8_flags(Lp, Lm, delta) == (False, False)
     L = np.block([[Lp, 1j * delta], [1j * delta, Lm]])
     eps = 1e-6 * mat_scale(L)
