@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .fuzz import RELATIONS, FuzzConfig, context_margins, require_violation_tol, run_fuzz, violated
 from .gaussian import (
+    bogoliubov_floor,
     fock_density,
     nongaussianity,
     saturation_check,
@@ -129,21 +130,25 @@ def cmd_lambda(args) -> int:
 
 
 def _build_generator(args):
+    """The generator of the flags; a FormatError when it has no thermal state."""
+    if args.modes not in (1, 2):
+        raise FormatError(f"--modes must be 1 or 2, got {args.modes}")
     omegas = args.omega if args.omega else [1.0]
     if args.modes == 1:
         if len(omegas) != 1:
             raise FormatError("one --omega expected for --modes 1")
         if args.coupling != 0:
             raise FormatError("--coupling needs --modes 2")
-        return single_mode_generator(omegas[0], xi=args.xi, beta=args.beta)
-    if args.modes == 2:
+        H = single_mode_generator(omegas[0], xi=args.xi, beta=args.beta)
+    else:
         if len(omegas) == 1:
             omegas = omegas * 2
         if len(omegas) != 2:
             raise FormatError("one or two --omega values expected for --modes 2")
-        return two_mode_generator(omegas[0], omegas[1], coupling=args.coupling,
-                                  xi=args.xi, beta=args.beta)
-    raise FormatError(f"--modes must be 1 or 2, got {args.modes}")
+        H = two_mode_generator(omegas[0], omegas[1], coupling=args.coupling, xi=args.xi, beta=args.beta)
+    if (low := bogoliubov_floor(H)) <= 0:
+        raise FormatError(f"no thermal state: S Pi (the Bogoliubov matrix) has min eigenvalue {low:.6g} <= 0")
+    return H
 
 
 def cmd_gaussian(args) -> int:

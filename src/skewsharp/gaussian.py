@@ -29,20 +29,27 @@ commutator convention of :mod:`skewsharp.skew` gives the constant real
 antisymmetric matrix [[0, -I/2], [I/2, 0]].
 
 The truncated Fock space (cutoff levels per mode, Kronecker order) carries
-exact structure that the d = cutoff^n numerics use.  A quadratic generator
-changes the total photon number by 0 or +-2, so the truncated H has exactly
-zero entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal``
-checks that, and inside the two parity classes takes the connected components
-of H's nonzero pattern as its parts (``linalg.part_eigensystems``), one
-eigensystem each and one batched eigh per part size: uncoupled modes give 1 x 1
-parts (H is diagonal), a beamsplitter coupling the photon-number shells,
-squeezing the two parity classes themselves.  The state records the parts
-(``DensityMatrix.parts``).  A state read
+exact structure that the d = cutoff^n numerics use.  Its operators are built
+from ladder index arithmetic and kept as the (row, column, value) triples of
+their nonzeros: a ladder operator moves one mode's digit of the Kronecker index
+by +-1 with coefficient sqrt(n), so the truncated H (``_fock_hamiltonian``) has
+a few nonzeros per row and no d x d matrix is formed but the state's matrix and
+its eigenvectors.  A quadratic generator changes the total photon number by 0
+or +-2, so the truncated H has exactly zero entries between even and odd
+n_1 + ... + n_n: ``fock_truncate_thermal`` checks that triple by triple, and
+inside the two parity classes takes the connected components of H's nonzero
+pattern as its parts (``linalg.part_eigensystems`` on the triples as an edge
+list), one eigensystem each and one batched eigh per part size: uncoupled modes
+give 1 x 1 parts (H is diagonal), a beamsplitter coupling the photon-number
+shells, squeezing the two parity classes themselves.  The state records the
+parts (``DensityMatrix.parts``).  A state read
 from a file gets the same structure through ``fock_density`` when its matrix
 has exactly zero entries between the two parities (``DensityMatrix.from_matrix``
 with the ``parity_rows`` partition); any other state gets the dense eigh and no
 record.  The quadratures are linear in the ladder operators:
-``quadrature_observables`` fills their few nonzeros by index and records their
+``quadrature_observables`` holds their nonzeros (``ObservableSet.nonzeros``,
+which the stack check and the probe of :mod:`skewsharp.skew` read; the dense
+matrices are formed only when a caller reads ``observables``) and records their
 ``LadderOrigin`` (n_modes, cutoff) on the ``ObservableSet``, and
 ``skew.SpectralContext`` asks that origin for the eigenbasis stack, which it
 forms from M_k = V^dag (a_k V) per mode, part by part: a_k has one nonzero per
@@ -285,9 +292,7 @@ def to_quadrature(m: GaussianMoments) -> GaussianMoments:
     if m.basis != "ladder":
         raise AlreadyQuadrature("moments already in the quadrature basis")
     u = quadrature_transform(m.n_modes)
-    sigma = u.T @ m.sigma @ u
-    c = u.T @ m.c @ u
-    C = u.T @ m.C @ u
+    sigma, c, C = (u.T @ M @ u for M in (m.sigma, m.c, m.C))
     for name, mat in (("sigma", sigma), ("c", c)):
         dev = float(np.abs(mat.imag).max())
         if dev > MOMENT_TOL * mat_scale(mat):
@@ -313,10 +318,25 @@ def moment_det_gap(m: GaussianMoments) -> float:
 
 # ------------------------------------------------------------- Fock space
 
+def bogoliubov_floor(H: QuadraticHamiltonian) -> float:
+    """Smallest eigenvalue of the Hermitian S Pi = [[W, F], [conj(F), W^T]] (the Bogoliubov matrix).
+
+    H has a thermal state (it is bounded below, with positive normal modes) exactly when
+    this is positive; ``exact_moments`` and ``fock_truncate_thermal`` also take formal,
+    indefinite generators.
+    """
+    return float(np.linalg.eigvalsh(H.S @ block_swap(H.n_modes))[0])
+
+
 def thermal_tail_mass(H: QuadraticHamiltonian, cutoff: int) -> float:
-    """Per-normal-mode geometric tail sum_k q_k^cutoff / (1 - q_k), q_k = e^(-beta w_k)."""
-    eigs = np.linalg.eigvals(H.N)
-    omegas = sorted(e.real for e in eigs if e.real > 0)
+    """Per-normal-mode geometric tail sum_k q_k^cutoff / (1 - q_k), q_k = e^(-beta w_k).
+
+    1.0 for an H without a thermal state (``bogoliubov_floor`` at most 0), whose
+    negative normal modes the positive eigenvalues of N do not tell apart.
+    """
+    if bogoliubov_floor(H) <= 0:
+        return 1.0
+    omegas = sorted(e.real for e in np.linalg.eigvals(H.N) if e.real > 0)
     tail = 0.0
     for w in omegas:
         q = math.exp(-H.beta * w) if H.beta * w < 700 else 0.0
@@ -369,16 +389,27 @@ def _ladder_links(n_modes: int, cutoff: int) -> tuple[np.ndarray, ...]:
     return links
 
 
+def _ladder_step(idx: np.ndarray, mode: int, up: bool, d: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^dag (up) or a of one mode on the basis states idx of the d-dimensional truncated space:
+    the states it reaches and its coefficients.
+
+    It moves the mode's digit of the Kronecker index (stride s) by +-1 with coefficient
+    sqrt(n + 1) or sqrt(n), n the digit; the coefficient is 0 at the top level (a^dag) and
+    at 0 (a), where idx stays.
+    """
+    stride = d // cutoff ** (mode + 1)
+    level = idx // stride % cutoff
+    step = np.where(level < cutoff - 1, 1, 0) if up else np.where(level > 0, -1, 0)
+    return idx + stride * step, np.sqrt(level + up) * (step != 0)
+
+
 def _destroy_rows(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
     """(a V)[rows, cols] for the truncated annihilator a of one mode, ``cols`` broadcast against
     rows[..., None].  a has one nonzero per row: row i of a V is sqrt(n + 1) times row i + s of V,
     n the mode's photon number in row i and s its stride in the Kronecker order, or 0 when n is
-    the top level."""
-    stride = V.shape[0] // cutoff ** (mode + 1)
-    level = rows // stride % cutoff
-    # the row taken at the top level is arbitrary: its coefficient is 0
-    coef = np.where(level < cutoff - 1, np.sqrt(level + 1), 0.0)[..., None]
-    return coef * V[((rows + stride) % V.shape[0])[..., None], cols]
+    the top level; <i|a|i + s> = <i + s|a^dag|i> is the step of a^dag from i (``_ladder_step``)."""
+    target, coef = _ladder_step(rows, mode, True, V.shape[0], cutoff)
+    return coef[..., None] * V[target[..., None], cols]
 
 
 def _part_products(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, into, mode: int, cutoff: int) -> np.ndarray:
@@ -481,49 +512,55 @@ class LadderOrigin:
         return A
 
 
-def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
-    """(1/2) sum_ij S_ij Lambda_i Lambda_j on the truncated product space, in normal order.
+def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """Triples with the values at one position summed in their order, row-major, exact zeros dropped."""
+    key, at = np.unique(rows * d + cols, return_inverse=True)
+    total = np.bincount(at, vals.real, key.size) + 1j * np.bincount(at, vals.imag, key.size)
+    return key[total != 0] // d, key[total != 0] % d, total[total != 0]
 
-    Each term Lambda_i Lambda_j (i <= j, so creators first) is a Kronecker product
-    of cutoff-size factors; a mode hit by both ladder operators gets their product.
-    Normal order matters: the truncated a_k a_k^dag is 0 on the top Fock level,
-    a_k^dag a_k is not; the dropped constant [a_k, a_k^dag] = 1 leaves the state unchanged.
+
+def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1/2) sum_ij S_ij Lambda_i Lambda_j on the truncated product space, in normal order, as
+    the (rows, columns, values) of its nonzeros, row-major.
+
+    Each term Lambda_i Lambda_j (i <= j, so creators first) maps every basis state by two
+    ladder steps (``_ladder_step``); the terms are summed position by position in term order,
+    and the Hermitian part is taken on the triples.  Normal order matters: the truncated
+    a_k a_k^dag is 0 on the top Fock level, a_k^dag a_k is not; the dropped constant
+    [a_k, a_k^dag] = 1 leaves the state unchanged.
     """
-    n = H.n_modes
-    a = destroy(cutoff)
-    local = [a.conj().T] * n + [a] * n      # Lambda_i on its own mode
-    eye = np.eye(cutoff, dtype=complex)
-    Hmat = np.zeros((cutoff**n, cutoff**n), dtype=complex)
+    # the empty first term keeps the sums defined when S = 0 gives no term
+    n, idx, terms = H.n_modes, np.arange(cutoff**H.n_modes), [(np.arange(0), np.arange(0), np.zeros(0, complex))]
     for i in range(2 * n):
         for j in range(i, 2 * n):
             s = 0.5 * (H.S[i, j] + H.S[j, i]) if i < j else 0.5 * H.S[i, i]
-            if s == 0:
-                continue
-            factors = [eye] * n
-            for k in (i, j):
-                factors[k % n] = factors[k % n] @ local[k]
-            Hmat += s * functools.reduce(np.kron, factors)
-    return (Hmat + Hmat.conj().T) / 2
+            if s != 0:
+                mid, c_j = _ladder_step(idx, j % n, j < n, idx.size, cutoff)
+                row, c_i = _ladder_step(mid, i % n, i < n, idx.size, cutoff)
+                terms.append((row, idx, s * (c_i * c_j)))
+    r, c, v = _summed(*map(np.concatenate, zip(*terms)), idx.size)
+    r, c, v = _summed(np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, np.conj(v)]), idx.size)
+    return r, c, v / 2
 
 
 def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTruncation:
     """Normalized exp(-beta H) on the truncated Fock space, with the reported tail mass.
 
     A quadratic H changes the total photon number by 0 or +-2, so its truncation
-    is block-diagonal by photon-number parity: that is checked entry by entry
-    (ConstructionMismatch otherwise).  Inside the parities each connected
-    component of H's nonzero pattern gets its own eigensystem
-    (``part_eigensystems``), and the state records those parts.
+    is block-diagonal by photon-number parity: that is checked on each of its
+    nonzero triples (ConstructionMismatch otherwise).  Inside the parities each
+    connected component of H's nonzero pattern gets its own eigensystem
+    (``part_eigensystems`` on the triples), and the state records those parts.
     """
     if H.n_modes not in (1, 2):
         raise UnsupportedModeCount(f"Fock truncation supports 1 or 2 modes, got {H.n_modes}")
     if cutoff < 8:
         raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
-    Hmat = _fock_hamiltonian(H, cutoff)
-    rows = parity_rows(H.n_modes, cutoff)
-    if cross := sum(np.count_nonzero(Hmat[np.ix_(r, s)]) for r, s in (rows, rows[::-1])):
+    rows, cols, vals = _fock_hamiltonian(H, cutoff)
+    parity = fock_parity(H.n_modes, cutoff)
+    if cross := np.count_nonzero(parity[rows] != parity[cols]):
         raise ConstructionMismatch(f"truncated H couples even and odd photon numbers at {cross} entries")
-    parts = part_eigensystems(Hmat)
+    parts = part_eigensystems(rows, cols, vals, parity.size)
     w_min = min(w.min() for _, _, w in parts)
     weights = [np.exp(-H.beta * (w - w_min)) for _, _, w in parts]
     # each part's sum first, so parts that are the parity classes sum as one sum per block
@@ -536,20 +573,20 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
     """Truncated (x_1..x_n, p_1..p_n); the commutator defect sits at the top Fock level.
 
     x = (a^dag + a)/sqrt(2) and p = i(a^dag - a)/sqrt(2) of the real truncated a
-    are exactly Hermitian, so the set is not re-validated; it records its
-    ``LadderOrigin``, from which ``SpectralContext`` builds its stack.
+    are exactly Hermitian, so the set is not re-validated.  It holds their nonzeros
+    at the links i -> i + s_k of every a_k and their mirror images (``_ladder_links``),
+    and records its ``LadderOrigin``, from which ``SpectralContext`` builds its stack.
     """
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
-    a, d = destroy(cutoff), cutoff**n_modes
+    a, k = destroy(cutoff), np.arange(n_modes)
     i, j, level, *_ = _ladder_links(n_modes, cutoff)
-    mats = []
-    for q in ((a.conj().T + a) / math.sqrt(2), 1j * (a.conj().T - a) / math.sqrt(2)):
-        for i_k, j_k, l_k in zip(i, j, level):    # the single-mode q at mode k of the Kronecker order
-            M = np.zeros((d, d), dtype=complex)
-            M[i_k, j_k], M[j_k, i_k] = q[l_k, l_k + 1], q[l_k + 1, l_k]
-            mats.append(M)
-    return ObservableSet._with_origin(mats, LadderOrigin(n_modes, cutoff))
+    values = np.zeros((2, n_modes, 2, *i.shape), dtype=complex)     # (x or p, mode; link or mirror, mode, link)
+    for q, v in zip(((a.conj().T + a) / math.sqrt(2), 1j * (a.conj().T - a) / math.sqrt(2)), values):
+        v[k, 0, k], v[k, 1, k] = q[level, level + 1], q[level + 1, level]    # the single-mode q at mode k
+    nonzeros = (cutoff**n_modes, np.concatenate([i, j]).ravel(), np.concatenate([j, i]).ravel(),
+                values.reshape(2 * n_modes, -1))
+    return ObservableSet._with_origin(nonzeros, LadderOrigin(n_modes, cutoff))
 
 
 @dataclass(eq=False)

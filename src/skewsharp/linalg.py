@@ -144,7 +144,8 @@ class DensityMatrix:
             blocks = _partition(partition, rho.shape[-1])
             # the Hermitian part is exactly Hermitian: the blocks above the diagonal suffice
             if not any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(blocks) for s in blocks[i + 1:]):
-                return cls._from_parts(part_eigensystems(rho[0]), rho[0])
+                rows, cols = np.nonzero(rho[0])
+                return cls._from_parts(part_eigensystems(rows, cols, rho[0][rows, cols], rho.shape[-1]), rho[0])
         w, V = _spectra(rho)
         return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
@@ -212,24 +213,33 @@ class DensityMatrix:
         return int(np.count_nonzero(self.eigenvalues > TOL_PSD * mat_scale(self.matrix)))
 
 
-def part_eigensystems(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigensystems of a Hermitian M on its parts, the connected components of its nonzero pattern.
+def part_eigensystems(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> list[tuple]:
+    """Eigensystems of a Hermitian d x d matrix M on its parts, the connected components of its
+    nonzero pattern, from its nonzeros M[rows, cols] = values (each position once).
 
     One (rows (G, m), V (G, m, m), w (G, m)) per part size m: the G parts' rows
     in ascending order, and the eigenvectors and ascending eigenvalues of each
-    M[rows, rows] from one batched eigh.  The components come from masked-min
-    label propagation with pointer jumping: each index takes the smallest label
-    among itself and its neighbours, then its label's label, until nothing
-    changes; then every index carries the smallest index of its component.
+    M[rows, rows], filled from the nonzeros, from one batched eigh.  The components
+    come from masked-min label propagation with pointer jumping on the edge list:
+    each index takes the smallest label among itself and its neighbours, then its
+    label's label, until nothing changes; then every index carries the smallest
+    index of its component.
     """
-    linked, labels, new = M != 0, None, np.arange(M.shape[0])
+    labels, new = None, np.arange(d)
     while not np.array_equal(labels, new):
-        labels = new[new]
-        new = np.where(linked, labels, labels[:, None]).min(axis=1)     # a non-neighbour reads the own label
-    rows = np.argsort(labels, kind="stable")        # one component after another
-    size = np.bincount(labels)[labels[rows]]
-    return [(r, *np.linalg.eigh(M[r[:, :, None], r[:, None, :]])[::-1])
-            for r in (rows[size == m].reshape(-1, m) for m in np.flatnonzero(np.bincount(size)))]
+        labels, new = new[new], new[new]
+        np.minimum.at(new, rows, labels[cols])
+    order = np.argsort(labels, kind="stable")       # one component after another
+    size = np.bincount(labels)[labels]              # the size of each index's part
+    slot, parts = np.empty(d, dtype=int), []
+    for m in np.flatnonzero(np.bincount(size)):
+        r = order[size[order] == m].reshape(-1, m)
+        slot[r] = np.arange(r.size).reshape(r.shape)    # part p, place q: slot p m + q
+        at = size[rows] == m
+        block = np.zeros(r.size * m, dtype=complex)
+        block[slot[rows[at]] * m + slot[cols[at]] % m] = values[at]
+        parts.append((r, *np.linalg.eigh(block.reshape(-1, m, m))[::-1]))
+    return parts
 
 
 def _partition(parts, d: int) -> list[np.ndarray]:

@@ -56,15 +56,20 @@ s = sqrt(lam): each block is one product of A with a weighted copy of A, apart
 from the pairing that builds sigma, c and delta.  The stack check ties A to the
 input basis in O(n^2 d^2): the means Tr(rho X_k) from the state matrix against
 the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
-of the input observables against the same pairing of A.  It reads the dense
-X_k on either route, so a stack built by an origin is checked against the
-plain definition of the observables.  Its input pairings are dot products of
-the matrices' float views: one product on a stacked copy while that copy is
-small (every fuzz batch), pair by pair above STACK_CHECK_ENTRIES, so a d = 900
+of the input observables against the same pairing of A.  It reads the input
+X_k, not the stack, so a stack built by an origin is checked against the plain
+definition of the observables: a set built with an origin also records its
+nonzeros (``ObservableSet.nonzeros``), and the check reads those in O(nnz), as
+Tr(X_k X_j) and Tr X_k from the values and Tr(rho X_k) as the sum of
+v rho[c, r] over the triples (r, c, v).  The input pairings are dot products of
+float views: on the nonzeros, of the values beside rho at their positions; for
+a dense set one product on a stacked copy while that copy is small (every fuzz
+batch, every ``check``), pair by pair above STACK_CHECK_ENTRIES, so a large
 check copies no d x d matrix.  Neither check sees a unitary relabeling
 U X_k U^dag of every observable, which keeps all Hilbert-Schmidt pairings; so a
 stack built by an origin also passes a random probe (``_probe_stack``), which
-compares it with the dense X_k along random vectors.
+compares it with the input X_k along random vectors, X_k (V t) a scatter-add of
+the nonzeros over their rows.
 """
 
 from __future__ import annotations
@@ -108,11 +113,15 @@ class ObservableSet:
     gives their eigenbasis stack without the dense products: an object with
     ``part_pairs(state)`` and ``eigenbasis_stack(state, pairs)``.  Only a
     module's own constructor sets it (``gaussian.quadrature_observables``),
-    through ``_with_origin``.
+    through ``_with_origin``, together with ``nonzeros``: (d, rows (K,), cols (K,),
+    values (n, K)), every observable's entries at one list of K distinct positions,
+    zero off them.  Such a set forms its dense matrices on the first read of
+    ``observables``.
     """
 
     observables: tuple[np.ndarray, ...]
     origin: object | None = field(default=None, init=False, repr=False)
+    nonzeros: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_matrices(cls, mats) -> "ObservableSet":
@@ -128,20 +137,27 @@ class ObservableSet:
         return cls(observables=tuple(hermitian_parts(np.stack(mats), what="observable")))
 
     @classmethod
-    def _with_origin(cls, mats, origin) -> "ObservableSet":
-        """Observables built exactly Hermitian by their constructor, recorded with
-        their origin and not re-validated."""
-        X = cls(observables=tuple(mats))
-        object.__setattr__(X, "origin", origin)
+    def _with_origin(cls, nonzeros, origin) -> "ObservableSet":
+        """Observables built exactly Hermitian by their constructor, given by their
+        ``nonzeros`` and recorded with their origin, not re-validated."""
+        X = cls.__new__(cls)
+        vars(X).update(origin=origin, nonzeros=nonzeros)     # frozen: set in the instance dict, as ``cached`` sets
         return X
+
+    def __getattr__(self, name):
+        if name != "observables" or self.nonzeros is None:
+            raise AttributeError(name)
+        mats = np.zeros((self.n, self.dim, self.dim), dtype=complex)
+        mats[:, self.nonzeros[1], self.nonzeros[2]] = self.nonzeros[3]
+        return vars(self).setdefault("observables", tuple(mats))    # stored as ``cached`` stores
 
     @property
     def n(self) -> int:
-        return len(self.observables)
+        return len(self.observables) if self.nonzeros is None else self.nonzeros[3].shape[0]
 
     @property
     def dim(self) -> int:
-        return self.observables[0].shape[0]
+        return self.observables[0].shape[0] if self.nonzeros is None else self.nonzeros[0]
 
 
 class KernelDomainError(SkewsharpError):
@@ -215,13 +231,18 @@ def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, entries=None) -> np.ndarray
     return G
 
 
-def _check_stack(ctx: "SpectralContext") -> None:
-    """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
+def _input_pairings(ctx: "SpectralContext") -> tuple[np.ndarray, np.ndarray]:
+    """Re Tr(Y_k Y_j) over (X_1..X_n, rho) as G (B, n + 1, n + 1), and the traces Tr X_k (B, n)."""
     B, n, d = ctx.size, ctx.n, ctx.dim
-    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views: one
-    # product on a stacked copy while that copy is small, else pair by pair (at d = 900 the copy
-    # of the n + 1 matrices would take 65 MB and most of the check's time)
-    if B * (n + 1) * d * d <= STACK_CHECK_ENTRIES:
+    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views: on a
+    # set's nonzeros, the values at its positions (r, c) beside rho[r, c]; else one product on a
+    # stacked copy while that copy is small, else pair by pair (at d = 900 the copy of the n + 1
+    # matrices would take 65 MB and most of the check's time)
+    if ctx.nonzeros is not None:
+        _, r, c, values = ctx.nonzeros
+        flat = np.concatenate([values, ctx.matrix[:, r, c]]).view(float)[None]
+        G, traces = flat @ flat.swapaxes(1, 2), values[:, r == c].real.sum(axis=-1)[None]
+    elif B * (n + 1) * d * d <= STACK_CHECK_ENTRIES:
         rows = np.empty((B, n + 1, d, d), dtype=complex)
         for k, Y in enumerate((*ctx.observables, ctx.matrix)):
             rows[:, k] = Y
@@ -234,11 +255,17 @@ def _check_stack(ctx: "SpectralContext") -> None:
             for j in range(k, n + 1):
                 G[:, k, j] = G[:, j, k] = np.vecdot(flat[k], flat[j])
         traces = np.stack([f[:, ::2 * d + 2].sum(axis=-1) for f in flat[:n]], axis=1)   # real diagonals
+    return G, traces
+
+
+def _check_stack(ctx: "SpectralContext") -> None:
+    """The eigenbasis stack against the input basis: means and Hilbert-Schmidt pairing."""
+    (G, traces), B, n = _input_pairings(ctx), ctx.size, ctx.n
     scale = mat_scale(G[:, :n, :n])             # max_k Tr(X_k^2) >= |Tr(rho X_k)|^2
     means = G[:, :n, n].copy()                  # Tr(rho X_k)
     # the identity's pairings Tr(X_k 1) = Tr(X_k) and Tr(1 1) = d replace the rho column
     G[:, :n, n] = G[:, n, :n] = traces
-    G[:, n, n] = d
+    G[:, n, n] = ctx.dim
     dev = np.abs(means - ctx.means).max(axis=-1)
     raise_first(dev > CONSTRUCTION_TOL * np.sqrt(scale), lambda e: ConstructionMismatch(
         f"eigenbasis means differ from Tr(rho X_k) by {e:.3e}"), dev)
@@ -267,15 +294,17 @@ def _probe_stack(ctx: "SpectralContext") -> None:
     random vector: (V s)^dag X_k (V t) against s^dag (A_k + m_k) t for complex s and t
     drawn from a generator seeded by the instance's size (``_probe_vectors``).
 
-    In O(n d^2) it ties each A_k to the input matrix X_k itself, where the stack check
-    and the Gram check see only pairings and so miss a relabeling U X_k U^dag.  On the
+    In O(n d^2) (V t and V s; X_k (V t) from the set's nonzeros in O(nnz)) it ties each
+    A_k to the input matrix X_k itself, where the stack check and the Gram check see
+    only pairings and so miss a relabeling U X_k U^dag.  On the
     entry route s^dag A_k t is two dot products on the values, over the same entries
     (a, b) the pairing reads.  It fails (ConstructionMismatch) when, for some k, the
     two differ by more than CONSTRUCTION_TOL |s| |X_k V t|, their Cauchy-Schwarz bound.
     """
     V, (s, t) = ctx.V[0], _probe_vectors(ctx.dim, ctx.n)
-    Vt = V @ t
-    XVt = np.stack([X[0] @ Vt for X in ctx.observables])
+    # X_k (V t) from the set's nonzeros: each value times (V t) at its column, summed into its row
+    d, r, c, values = ctx.nonzeros
+    XVt = np.stack([np.bincount(r, w.real, d) + 1j * np.bincount(r, w.imag, d) for w in values * (V @ t)[c]])
     lhs = XVt @ np.conj(V @ s)
     X = ctx.stack[0]
     if ctx.entries is None:
@@ -303,8 +332,9 @@ class SpectralContext:
     def __init__(self, rho: DensityMatrix, X: ObservableSet):
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
-        self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None],
-                    [M[None] for M in X.observables], X.origin, rho)
+        # a set given by its nonzeros is read through them alone: its dense matrices stay unformed
+        dense = None if X.nonzeros is not None else [M[None] for M in X.observables]
+        self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None], dense, X, rho)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -315,15 +345,16 @@ class SpectralContext:
         ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, matrix, lam, V, observables, origin=None, state=None) -> None:
+    def _setup(self, matrix, lam, V, observables, X=None, state=None) -> None:
         self.matrix, self.lam, self.V = matrix, lam, V
-        self.origin, self.state = origin, state    # B = 1: the set's origin and the state it reads
-        self.observables = observables      # n arrays (B, d, d)
+        # B = 1: the set's origin and nonzeros, and the state the origin reads
+        self.origin, self.nonzeros, self.state = (None, None, None) if X is None else (X.origin, X.nonzeros, state)
+        self.observables = observables      # n arrays (B, d, d), or None for a set given by its nonzeros
         self.size, self.dim = lam.shape
-        self.n = len(observables)
+        self.n = len(observables) if X is None else X.n
         # the entry route: the eigenvector-column pairs (a, b) off which every A_k is exactly
         # zero, A_k[b, a] being conj(A_k[a, b]), as the origin finds them in the state's parts
-        self.entries = None if origin is None else origin.part_pairs(state)
+        self.entries = None if self.origin is None else self.origin.part_pairs(state)
         self.memo: dict = {}
         self._weights: dict = {}
 
@@ -361,26 +392,29 @@ class SpectralContext:
             self._weights[g] = G
         return self._weights[g]
 
-    def pair(self, W: np.ndarray) -> np.ndarray:
+    def pair(self, W) -> np.ndarray:
         """M[z, k, j] = sum_ab W[z, a, b] A_k[a, b] A_j[b, a] for each instance z, complex (B, n, n).
 
-        On the entry route the sum runs over the entries (a, b) only, as
-        W[a, b] X_k conj(X_j) + W[b, a] conj(X_k) X_j: two matrix products on the
-        values, for any complex W.
+        W is an array (B, d, d), or a function w, elementwise in the spectra, with
+        W[a, b] = w(l_a, l_b).  On the entry route the sum runs over the entries (a, b)
+        only, as W[a, b] X_k conj(X_j) + W[b, a] conj(X_k) X_j: two matrix products on
+        the values, for any complex W, and w is taken at the entries alone.
         """
         if self.entries is None:
+            W = W(self.lam[:, :, None], self.lam[:, None, :]) if callable(W) else W
             return np.einsum("zkab,zab,zjba->zkj", self.stack, W, self.stack)
-        a, b = self.entries.a, self.entries.b
+        (a, b), lam = self.entries[:2], self.lam
+        W_ab, W_ba = (W(lam[:, a], lam[:, b]), W(lam[:, b], lam[:, a])) if callable(W) else (W[:, a, b], W[:, b, a])
         X, Xc = self.stack, np.conj(self.stack)
-        return (X * W[:, None, a, b]) @ Xc.swapaxes(1, 2) + (Xc * W[:, None, b, a]) @ X.swapaxes(1, 2)
+        return (X * W_ab[:, None]) @ Xc.swapaxes(1, 2) + (Xc * W_ba[:, None]) @ X.swapaxes(1, 2)
 
-    def symmetric_pair(self, W: np.ndarray) -> np.ndarray:
+    def symmetric_pair(self, W) -> np.ndarray:
         return np.real(_sym(self.pair(W)))
 
     @cached
     def P(self) -> np.ndarray:
         """P[k, j] = Tr(rho X'_k X'_j): the pairing with W[a, b] = l_a."""
-        return self.pair(self.lam[:, :, None] * np.ones(self.dim))
+        return self.pair(lambda l_a, l_b: l_a * np.ones_like(l_b))
 
     sigma = cached(lambda self: np.real(_sym(self.P)))
     # i*delta[k,j] = -(P[k,j] - P[j,k])/2 = -i Im P[k,j]
@@ -394,8 +428,7 @@ class SpectralContext:
 
     @cached
     def skew(self) -> np.ndarray:
-        s = np.sqrt(self.lam)
-        return self.symmetric_pair((s[:, :, None] - s[:, None, :]) ** 2 / 2)
+        return self.symmetric_pair(lambda l_a, l_b: (np.sqrt(l_a) - np.sqrt(l_b)) ** 2 / 2)
 
     @cached
     def spectra(self) -> np.ndarray:

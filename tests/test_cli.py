@@ -255,6 +255,21 @@ def test_gaussian_one_mode_rejects_coupling(capsys):
     assert main(["gaussian", "--modes", "1", "--coupling", "0", "--cutoff", "20"]) == 0
 
 
+@pytest.mark.parametrize("argv, low", [
+    (["--modes", "2", "--omega", "1", "--omega", "-1", "--cutoff", "10"], "-1"),
+    (["--modes", "1", "--omega", "-1", "--cutoff", "8"], "-1"),
+    (["--modes", "1", "--omega", "0", "--cutoff", "8"], "0"),
+    (["--modes", "1", "--xi", "1.5", "--cutoff", "8"], "-0.5"),
+])
+def test_gaussian_without_a_thermal_state_exit2(argv, low, capsys):
+    # these generators are unbounded below (a negative or zero normal mode): there is no
+    # thermal state to saturate the relation, so no report is made
+    assert main(["gaussian", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no thermal state: S Pi (the Bogoliubov matrix) has min eigenvalue {low} <= 0\n"
+
+
 # ---------------------------------------------------------------- nongauss
 
 def test_nongauss_fock_one(tmp_path, capsys):

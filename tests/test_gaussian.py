@@ -33,7 +33,7 @@ from skewsharp.gaussian import (
     validate_quadratic,
 )
 from skewsharp import gaussian, gcov, skew
-from skewsharp.fuzz import random_density
+from skewsharp.fuzz import random_density, random_observables as fuzz_observables
 from skewsharp.skew import ConstructionMismatch, ObservableSet, SpectralContext, check_refined_rs
 from skewsharp.linalg import DensityMatrix, InvalidState, NonHermitianInput
 
@@ -205,6 +205,21 @@ def test_truncation_tail_report():
     out = fock_truncate_thermal(thermal_fixture(), cutoff=8)
     assert np.isclose(out.tail_mass, Q**8 / (1 - Q), rtol=1e-12)
     assert abs(np.trace(out.rho.matrix).real - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("H", [single_mode_generator(-1.0), single_mode_generator(0.0),
+                               single_mode_generator(1.0, xi=1.5), two_mode_generator(1.0, -1.0)],
+                         ids=["negative-mode", "zero-mode", "oversqueezed", "one-negative-of-two"])
+def test_tail_mass_is_one_without_a_thermal_state(H):
+    # the positive eigenvalues of N cannot tell a negative normal mode from a positive one
+    assert gaussian.bogoliubov_floor(H) <= 0
+    assert gaussian.thermal_tail_mass(H, 8) == 1.0
+    assert fock_truncate_thermal(H, 8).tail_mass == 1.0
+
+
+def test_bogoliubov_floor_of_a_thermal_generator():
+    assert gaussian.bogoliubov_floor(single_mode_generator(1.0, xi=0.3)) == pytest.approx(0.7, rel=1e-14)
+    assert gaussian.thermal_tail_mass(thermal_fixture(), 8) < 1.0
 
 
 def test_zero_temperature_truncation():
@@ -406,6 +421,38 @@ def test_converse_near_vacuum_is_reported():
         generator_from_covariance(C, 1)
 
 
+def _kronecker_hamiltonian(H, cutoff):
+    """The truncated H summed from Kronecker products of cutoff-size factors, in normal order:
+    each term Lambda_i Lambda_j (i <= j) with a mode hit by both ladder operators taking their product."""
+    n = H.n_modes
+    a = destroy(cutoff)
+    local = [a.conj().T] * n + [a] * n      # Lambda_i on its own mode
+    eye = np.eye(cutoff, dtype=complex)
+    Hmat = np.zeros((cutoff**n, cutoff**n), dtype=complex)
+    for i in range(2 * n):
+        for j in range(i, 2 * n):
+            s = 0.5 * (H.S[i, j] + H.S[j, i]) if i < j else 0.5 * H.S[i, i]
+            if s == 0:
+                continue
+            factors = [eye] * n
+            for k in (i, j):
+                factors[k % n] = factors[k % n] @ local[k]
+            Hmat += s * functools.reduce(np.kron, factors)
+    return (Hmat + Hmat.conj().T) / 2
+
+
+def _densify(triples, d):
+    rows, cols, vals = triples
+    M = np.zeros((d, d), dtype=complex)
+    M[rows, cols] = vals
+    return M
+
+
+def _dense_hamiltonian(H, cutoff):
+    """The index-built H of ``fock_truncate_thermal`` as a dense matrix."""
+    return _densify(gaussian._fock_hamiltonian(H, cutoff), cutoff**H.n_modes)
+
+
 def _dense_thermal(H, cutoff):
     """Thermal rho with H summed from dense products of product-space ladder matrices."""
     n = H.n_modes
@@ -451,8 +498,8 @@ def test_refined_check_extra_memory_at_d900():
 
 
 def test_saturation_check_extra_memory_at_d900():
-    # bound: the 204 MiB this call read with one eigh of the whole H and the dense
-    # stack, whose peak sat in the stack self-check (A and the input observables at once)
+    # bound: the 31.0 MiB this call reads with H, the quadratures and the stack check's inputs
+    # as nonzeros (the state's matrix and eigenvectors take 24.7 MiB of it), plus 5 MiB
     H = two_mode_generator(1.0, 1.0)
     tracemalloc.start()
     try:
@@ -460,14 +507,14 @@ def test_saturation_check_extra_memory_at_d900():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 204 * 2**20, f"extra peak {peak / 2**20:.0f} MiB"
+    assert peak < 36 * 2**20, f"extra peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------- parity blocks and ladder stack
 
 def _full_eigh_thermal(H, cutoff):
     """The thermal state from one eigh of the whole truncated H."""
-    w, V = np.linalg.eigh(gaussian._fock_hamiltonian(H, cutoff))
+    w, V = np.linalg.eigh(_dense_hamiltonian(H, cutoff))
     weights = np.exp(-H.beta * (w - w.min()))
     return DensityMatrix.from_eigensystem(V, weights / weights.sum())
 
@@ -490,13 +537,32 @@ def test_parity_guard_rejects_cross_parity_entries(monkeypatch):
     build = gaussian._fock_hamiltonian
 
     def coupled(H, cutoff):
-        Hmat = build(H, cutoff)
-        Hmat[0, 1] = Hmat[1, 0] = 1e-300        # |0> and |1> differ in parity
-        return Hmat
+        rows, cols, vals = build(H, cutoff)     # |0> and |1> differ in parity
+        return np.r_[rows, 0, 1], np.r_[cols, 1, 0], np.r_[vals, 1e-300, 1e-300]
 
     monkeypatch.setattr(gaussian, "_fock_hamiltonian", coupled)
     with pytest.raises(ConstructionMismatch, match="odd photon numbers at 2 entries"):
         fock_truncate_thermal(thermal_fixture(), 10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_modes=st.integers(1, 2), cutoff=st.integers(8, 12), seed=st.integers(0, 2**32 - 1))
+def test_index_built_hamiltonian_matches_the_kronecker_sum(n_modes, cutoff, seed):
+    H = random_admissible_generator(n_modes, np.random.default_rng(seed))
+    rows, cols, vals = gaussian._fock_hamiltonian(H, cutoff)
+    ref = _kronecker_hamiltonian(H, cutoff)
+    assert np.all(vals != 0) and np.all(np.diff(rows * ref.shape[0] + cols) > 0)   # each nonzero once, row-major
+    assert np.array_equal(np.flatnonzero(ref), rows * ref.shape[0] + cols)
+    assert np.abs(_densify((rows, cols, vals), ref.shape[0]) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 9)])
+def test_zero_generator_has_no_triples_and_one_by_one_parts(n_modes, cutoff):
+    H = validate_quadratic(np.zeros((2 * n_modes, 2 * n_modes)), n_modes)
+    assert all(x.size == 0 for x in gaussian._fock_hamiltonian(H, cutoff))
+    rho = fock_truncate_thermal(H, cutoff).rho
+    assert _part_sizes(rho) == [1] and rho.parts[0][0].shape == (cutoff**n_modes, 1)
+    assert np.array_equal(rho.matrix, np.eye(cutoff**n_modes) / cutoff**n_modes)
 
 
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 2), (1, 9), (1, 60), (2, 2), (2, 7), (2, 30)])
@@ -679,6 +745,40 @@ def test_uncoupled_entry_list_size():
     assert ctx.stack.shape == (1, 4, 1740)
 
 
+@pytest.mark.parametrize("kind", ["uncoupled", "coupled-squeezed"])
+def test_stack_check_inputs_from_the_nonzeros_match_the_dense_pairings(kind):
+    # d = 900: the dense twin takes the pair-by-pair branch, the ladder set its nonzeros
+    H = two_mode_generator(1.0, 1.0) if kind == "uncoupled" else two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1)
+    rho, X = fock_truncate_thermal(H, 30).rho, quadrature_observables(2, 30)
+    fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(quadrature_observables(2, 30)))
+    assert fast.nonzeros is not None and fast.observables is None and dense.nonzeros is None
+    assert (X.n + 1) * X.dim**2 > skew.STACK_CHECK_ENTRIES
+    (G, traces), (G_dense, traces_dense) = skew._input_pairings(fast), skew._input_pairings(dense)
+    n = X.n
+    _assert_close(G[:, :n, :n], G_dense[:, :n, :n], 1e-15)      # the Hilbert-Schmidt pairing
+    _assert_close(G[:, :n, n], G_dense[:, :n, n], 1e-15)        # the means Tr(rho X_k)
+    assert np.array_equal(traces, traces_dense) and not traces.any()
+    skew._check_stack(fast)
+    skew._check_stack(dense)
+    fast.refined
+    assert "observables" not in vars(X)                         # no dense matrix of the set was formed
+
+
+def test_pair_by_pair_stack_check_matches_the_stacked_product():
+    # a dense set above STACK_CHECK_ENTRIES takes the pair-by-pair branch; it reads what the
+    # one stacked product reads below it
+    rng = np.random.default_rng(3)
+    rho, X = random_density(96, "full", rng), fuzz_observables(96, 4, rng)
+    ctx = SpectralContext(rho, X)
+    assert (X.n + 1) * X.dim**2 > skew.STACK_CHECK_ENTRIES
+    G, traces = skew._input_pairings(ctx)
+    Y = np.stack([*X.observables, rho.matrix])
+    ref = np.einsum("kab,jba->kj", Y, Y).real
+    _assert_close(G[0], ref, 1e-13)
+    _assert_close(traces[0], np.trace(Y[:-1], axis1=1, axis2=2).real, 1e-13)
+    skew._check_stack(ctx)
+
+
 @pytest.mark.parametrize("kind", ["ginibre", "thermal", "parity"])
 def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
     rho, X = _stack_instance(kind, 1, 9, 1)
@@ -763,7 +863,7 @@ def test_coupled_squeezed_parts_are_the_parity_classes():
     rows = gaussian.parity_rows(2, cutoff)
     assert len(rho.parts) == 1 and np.array_equal(rho.parts[0][0], np.stack(rows))
     # the same state, bit for bit, as one eigh per parity class
-    Hmat = gaussian._fock_hamiltonian(H, cutoff)
+    Hmat = _dense_hamiltonian(H, cutoff)
     eig = [np.linalg.eigh(Hmat[np.ix_(r, r)]) for r in rows]
     weights = [np.exp(-H.beta * (w - min(w[0] for w, _ in eig))) for w, _ in eig]
     total = sum(w.sum() for w in weights)
@@ -822,6 +922,17 @@ def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
     monkeypatch.setattr(gaussian, "_ladder_matrix", flipped)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, quadrature_observables(2, 8))
+
+
+@pytest.mark.parametrize("kind", PART_KINDS)
+def test_kernel_weights_pair_bit_for_bit_like_the_dense_weights(kind):
+    # P and skew take their weights as functions of (l_a, l_b): at the entries alone on the
+    # entry route, on the full (B, d, d) grid on the dense one; both pair as the array would
+    rho, X = PART_KINDS[kind](), quadrature_observables(2, 8)
+    for ctx in (SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))):
+        s = np.sqrt(ctx.lam)
+        assert np.array_equal(ctx.P, ctx.pair(ctx.lam[:, :, None] * np.ones(ctx.dim)))
+        assert np.array_equal(ctx.skew, ctx.symmetric_pair((s[:, :, None] - s[:, None, :]) ** 2 / 2))
 
 
 # ------------------------------------------- the random probe against the input basis

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewsharp.linalg import (
     DensityMatrix,
@@ -9,6 +10,7 @@ from skewsharp.linalg import (
     InvalidState,
     NonHermitianInput,
     SkewsharpError,
+    part_eigensystems,
 )
 
 from conftest import random_unitary
@@ -167,3 +169,32 @@ def test_recorded_blocks_are_not_assignable():
     with pytest.raises(TypeError):
         DensityMatrix(matrix=rho.matrix, eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors,
                       parts=rho.parts)
+
+
+def _dense_pattern_parts(M):
+    """Reference: the components of M's nonzero pattern by masked-min label propagation on the
+    dense d x d pattern, and one eigh per part size of the parts' blocks gathered from M."""
+    linked, labels, new = M != 0, None, np.arange(M.shape[0])
+    while not np.array_equal(labels, new):
+        labels = new[new]
+        new = np.where(linked, labels, labels[:, None]).min(axis=1)
+    rows = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)[labels[rows]]
+    return [(r, *np.linalg.eigh(M[r[:, :, None], r[:, None, :]])[::-1])
+            for r in (rows[size == m].reshape(-1, m) for m in np.flatnonzero(np.bincount(size)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 40), density=st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1))
+def test_edge_list_parts_match_the_dense_pattern(d, density, seed):
+    rng = np.random.default_rng(seed)
+    G = np.where(rng.uniform(size=(d, d)) < density, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 0)
+    M = G + G.conj().T
+    M[rng.uniform(size=(d, d)) < np.eye(d) / 2] = 0     # some isolated indices carry no entry at all
+    # the zeros are +0 (an edge list has no signed zeros), so the blocks are equal bit for bit
+    assert not np.signbit(M.view(float)[M.view(float) == 0]).any()
+    rows, cols = np.nonzero(M)
+    got, ref = part_eigensystems(rows, cols, M[rows, cols], d), _dense_pattern_parts(M)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))      # rows, eigenvectors, eigenvalues
