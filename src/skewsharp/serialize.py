@@ -8,26 +8,30 @@ doubles exactly.  Infinities follow Python's json convention (Infinity), which
 Reading: ``loads`` returns what ``json.loads`` returns, except that on a text
 longer than MATRIX_ROUTE_MIN_CHARS every array that is exactly a d x d matrix of
 [re, im] number cells comes back as one float64 array of shape (d, d, 2), read
-straight from the text by ``np.fromstring`` instead of through about 3 d^2
-Python objects (``pairs_to_matrix`` takes either form).  Such an array must
-match _MATRIX: JSON numbers and JSON whitespace only, in ASCII, and no integer
--0 (json reads it as +0.0, strtod as -0.0).  It must also be square, with
-finite values.  Each one is replaced by a marker string and json parses what
-is left, so keys, strings, ``dim``, ``label`` and every other array take the
-json path.  If that parse fails, or a marker is not a value exactly once (a
-matrix-like text inside a string, or in a key), the whole text goes to
-``json.loads``.  Both conversions round correctly, so an accepted text gives
-bit-identical numbers, and a rejected one raises json's own exception.
+from the text's bytes instead of through about 3 d^2 Python objects
+(``pairs_to_matrix`` takes either form).  One pass over the text, chunk by chunk,
+classifies every byte with a ``bytes.translate`` table and builds a skeleton: no
+whitespace, and each number token (a run of 0-9 . e E + -) as one "n".  A matrix
+is accepted only where the skeleton is exactly [[[n,n],...],...] for the d of its
+first row, which proves that it is square with one token per slot.  A token that
+is exactly 0.0 becomes +0.0 without conversion.  Every other token must be a JSON
+number, and not an integer -0 (json reads it as +0.0, strtod as -0.0), with a
+finite value; ``np.fromstring`` converts them.  Each accepted matrix is replaced
+by a marker string and json parses what is left, so keys, strings, ``dim``,
+``label`` and every other array take the json path.  If that parse fails, or a
+marker is not a value exactly once (a matrix-like text inside a string, or in a
+key), the whole text goes to ``json.loads``.  Both conversions round correctly,
+so an accepted text gives bit-identical numbers, and a rejected one raises
+json's own exception.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
 import numbers
-import re
-import sys
 
 import numpy as np
 
@@ -213,29 +217,202 @@ def parse_observables(data: dict, what: str = "observables") -> ObservableSet:
 # most about 10^4 characters.
 MATRIX_ROUTE_MIN_CHARS = 1 << 17
 
-_WS = r"[ \t\n\r]*+"
-_NUMBER = r"(?:-(?:0(?=[.eE])|[1-9][0-9]*+)|0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
-_CELL = rf"\[{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS}\]"
-_ROW = rf"\[{_WS}{_CELL}(?:{_WS},{_WS}{_CELL})*+{_WS}\]"
-# possessive quantifiers (Python 3.11) keep the scan linear; without them there is
-# no route.  re compiles it on first use (3 ms) and caches it.
-_MATRIX = rf"\[{_WS}{_ROW}(?:{_WS},{_WS}{_ROW})*+{_WS}\]" if sys.version_info >= (3, 11) else None
-_NUMBER_AND_SPACE_BYTES = b"0123456789.eE+- \t\n\r"
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# Byte classes, a translate table: "n" for a number byte (0-9 . e E + -), " " for
+# JSON whitespace, "[", "]" and "," as themselves, "?" for every other byte.
+_CLASS = (b"?" * 9 + b"  ?? " + b"?" * 18 + b" " + b"?" * 10 + b"n,nn?" + b"n" * 10
+          + b"?" * 11 + b"n" + b"?" * 21 + b"[?]" + b"?" * 7 + b"n" + b"?" * 154)
+# The route reads a text in chunks of about this many characters, so that its
+# per-byte masks exist for one chunk at a time and stay in cache.  With 2^20 the
+# tracemalloc peak on a d = 300 Fock-diagonal file was 8.4 MiB (2.6 MiB at 2^16),
+# and the d = 900 files read about 1.5 times slower.
+_CHUNK_CHARS = 1 << 16
 _MARK = "\0"
 
 
-def _matrix_array(span: bytes) -> np.ndarray | None:
-    """(d, d, 2) values of a text _MATRIX matched, or None unless it is square
-    with finite values (json reads an integer beyond the float range as an int)."""
-    skeleton = span.translate(None, _NUMBER_AND_SPACE_BYTES)
-    d = skeleton.find(b"]]") // 4   # "[" then d cells "[,]" joined by ",": the first row ends at 4 d
-    row = b"[" + b",".join([b"[,]"] * d) + b"]"
-    if d < 1 or skeleton != b"[" + b",".join([row] * d) + b"]":
+def _chunks(text: str, start: int, stop: int):
+    """(offset, piece) of text[start:stop] in pieces of about _CHUNK_CHARS, each but
+    the last ending in a byte that is not a number byte, so that no token
+    straddles two (a token longer than a chunk is cut, and its pieces make no
+    matrix)."""
+    while start < stop:
+        piece = text[start:min(start + _CHUNK_CHARS, stop)]
+        if start + len(piece) < stop:
+            piece = piece.rstrip("0123456789.eE+-") or piece
+        yield start, piece
+        start += len(piece)
+
+
+def _token_starts(num: np.ndarray) -> np.ndarray:
+    """The first byte of each run of number bytes."""
+    first = num.copy()
+    first[1:] &= ~num[:-1]
+    return first
+
+
+def _zero_tokens(chars: np.ndarray, num: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Starts of the tokens that are exactly 0.0: "0.0" then a byte that is not a
+    number byte."""
+    zero = np.zeros_like(first)
+    zero[:-3] = (first[:-3] & (chars[:-3] == ord("0")) & (chars[1:-2] == ord("."))
+                 & (chars[2:-1] == ord("0")) & ~num[3:])
+    return zero
+
+
+def _classify(piece: str) -> tuple:
+    """The bytes of a piece and its _CLASS bytes, as arrays, with its number-byte mask
+    and token starts."""
+    raw = piece.encode("ascii", "replace")
+    cls = np.frombuffer(raw.translate(_CLASS), np.uint8)
+    num = cls == ord("n")
+    return np.frombuffer(raw, np.uint8), cls, num, _token_starts(num)
+
+
+def _skeleton_piece(cls: np.ndarray, num: np.ndarray, first: np.ndarray) -> bytes:
+    """The skeleton of a piece: its _CLASS bytes without whitespace, each number
+    token as one "n"."""
+    tail = num & ~first
+    return (cls - tail * np.uint8(ord("n") - ord(" "))).tobytes().translate(None, b" ")
+
+
+def _other_tokens(chars: np.ndarray, num: np.ndarray, first: np.ndarray) -> tuple | None:
+    """None if every token of a piece is exactly 0.0; else the piece with its number
+    bytes kept and every other byte, and every 0.0 token, as a space, and which of
+    its tokens that keeps (None for all)."""
+    zero = _zero_tokens(chars, num, first)
+    if not (first & ~zero).any():
         return None
-    values = np.fromstring(span.translate(_BRACKETS_TO_SPACES), dtype=float, sep=",")
-    if values.size != 2 * d * d or not np.isfinite(values).all():
+    keep, kept = num, None
+    if zero.any():
+        blank = zero.copy()
+        blank[1:] |= zero[:-1]
+        blank[2:] |= zero[:-2]
+        keep, kept = num & ~blank, ~zero[first]
+    # kept bytes, else a space (np.where takes several times longer)
+    return (chars * keep + ~keep * np.uint8(ord(" "))).tobytes(), kept
+
+
+def _json_numbers(spaced: np.ndarray) -> bool:
+    """Whether every token of ``spaced`` (number bytes and spaces; it ends in a space)
+    is a JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, other than the
+    integer -0, which json reads as +0.0 and strtod as -0.0.  Checked array-wise:
+    the bytes on either side of each sign, "." and exponent letter and of a leading
+    0, and the order of the "." and exponent letters within each token."""
+    t = np.full(len(spaced) + 4, ord(" "), np.uint8)   # two spaces on either side
+    t[2:-2] = spaced
+    at, before, after = slice(2, -2), slice(1, -3), slice(3, -1)
+    low = t | 0x20
+    space, digit, zero = t == ord(" "), (t - ord("0")) < 10, t == ord("0")
+    minus, plus, dot, exp = t == ord("-"), t == ord("+"), t == ord("."), low == ord("e")
+    sign = minus | plus
+    bad = (sign | dot)[at] & ~digit[after]           # 1., -, 1e+
+    bad |= exp[at] & ~(digit | sign)[after]          # 1e
+    bad |= (dot | exp)[at] & ~digit[before]          # .5, 1.e5
+    bad |= plus[at] & ~exp[before]                   # +1
+    bad |= minus[at] & ~(space | exp)[before]        # 1-2, --1
+    lead = space[before] | (minus[before] & space[:-4])
+    bad |= zero[at] & lead & (digit[after] | (minus[before] & space[after]))   # 01, -01, -0
+    if bad.any():
+        return False
+    # in the sequence of "." and exponent letters and token ends, two that are not
+    # ends follow each other only as "." then exponent letter: no 1.5.5, 1e5e5, 1e5.5
+    marks = low[at][np.flatnonzero((dot | exp)[at] | (space[at] & digit[before]))]
+    one, two = marks[:-1], marks[1:]
+    return not ((one != ord(" ")) & (two != ord(" ")) & ((one != ord(".")) | (two == ord(".")))).any()
+
+
+def _converted(spaced: bytes, count: int) -> np.ndarray | None:
+    """The values of the count tokens of ``spaced``, or None unless each is a JSON
+    number (_json_numbers) with a finite value (json reads an integer beyond the
+    float range as an int)."""
+    if not _json_numbers(np.frombuffer(spaced, np.uint8)):
         return None
+    values = np.fromstring(spaced, dtype=float, sep=" ")
+    return values if values.size == count and np.isfinite(values).all() else None
+
+
+def _matrix_size(skeleton: bytearray, i: int, e: int) -> int:
+    """d when skeleton[i:] starts with the skeleton of a d x d matrix of [n,n] cells
+    whose first row ends at e, the first "]]" after i; else 0."""
+    d, rest = divmod(e - i, 6)   # "[" then the first row "[[n,n],...,[n,n]]": "]]" at 6 d
+    if rest or d < 1:
+        return 0
+    row = b"[[n,n]" + b",[n,n]" * (d - 1) + b"]"
+    rows = [row + b","] * (d - 1) + [row + b"]"]
+    # row by row, so that the bytes compared beyond the matched rows stay one row
+    at = i + 1
+    for r in rows:
+        if not skeleton.startswith(r, at):
+            return 0
+        at += len(r)
+    return d
+
+
+def _matrix_spans(text: str) -> tuple[list, list]:
+    """One pass over the text, chunk by chunk: the (start, stop, d, first token,
+    first chunk) of each text[start:stop] whose skeleton is exactly that of a d x d
+    matrix of [re, im] cells, in text order; and per chunk its offset, the tokens
+    before it and in it, and its _other_tokens."""
+    skeleton, offsets, chunks, tokens = bytearray(), [], [], 0
+    for start, piece in _chunks(text, 0, len(text)):
+        chars, cls, num, first = _classify(piece)
+        offsets.append(len(skeleton))
+        skeleton += _skeleton_piece(cls, num, first)
+        count = np.count_nonzero(first)
+        chunks.append((start, tokens, count, _other_tokens(chars, num, first)))
+        tokens += count
+
+    def char_index(k):
+        # of a bracket: the skeleton keeps every bracket of the text, in order
+        c = bisect.bisect_right(offsets, k) - 1
+        bracket = skeleton[k:k + 1]
+        start, piece = next(_chunks(text, chunks[c][0], len(text)))
+        at = np.flatnonzero(np.frombuffer(piece.encode("ascii", "replace"), np.uint8) == bracket[0])
+        return start + int(at[skeleton.count(bracket, offsets[c], k)])
+
+    spans, at = [], 0
+    # a matrix starts at the last "[[[n" before the end of its first row: the row
+    # holds no "[[[", so each "]]" has one candidate and the search is linear
+    while (e := skeleton.find(b"]]", at)) >= 0:
+        i = skeleton.rfind(b"[[[n", at, e)
+        d = _matrix_size(skeleton, i, e) if i >= 0 else 0
+        if d:
+            end = i + 6 * d * d + 2 * d
+            c = bisect.bisect_right(offsets, i) - 1
+            first_token = chunks[c][1] + skeleton.count(b"n", offsets[c], i)
+            spans.append((char_index(i), char_index(end) + 1, d, first_token, c))
+            at = end + 1
+        else:
+            at = e + 2
+    return spans, chunks
+
+
+def _matrix_values(chunks: list, span: tuple) -> np.ndarray | None:
+    """(d, d, 2) values of a matrix span, or None unless _converted takes each of its
+    tokens.  A token that is exactly 0.0 is +0.0 without conversion."""
+    start, stop, d, first_token, first_chunk = span
+    values = np.zeros(2 * d * d)
+    for lo, tokens_before, count, others in chunks[first_chunk:]:
+        if lo >= stop:
+            break
+        if others is None:
+            continue
+        spaced, kept = others
+        # the span's bytes and tokens of this chunk: a span starts at "[" and ends at "]"
+        spaced = spaced[max(start - lo, 0):stop - lo]
+        k0 = max(first_token - tokens_before, 0)
+        k1 = min(first_token + 2 * d * d - tokens_before, count)
+        kept = None if kept is None else kept[k0:k1]
+        n = k1 - k0 if kept is None else np.count_nonzero(kept)
+        if n == 0:
+            continue
+        converted = _converted(spaced, n)
+        if converted is None:
+            return None
+        at = values[tokens_before + k0 - first_token:tokens_before + k1 - first_token]
+        if kept is None:
+            at[:] = converted
+        else:
+            at[kept] = converted
     return values.reshape(d, d, 2)
 
 
@@ -260,16 +437,17 @@ def _place(doc, arrays: dict):
 def loads(text: str):
     """``json.loads(text)``, with each d x d matrix of [re, im] number cells as one
     (d, d, 2) float64 array on a text longer than MATRIX_ROUTE_MIN_CHARS."""
-    if len(text) <= MATRIX_ROUTE_MIN_CHARS or _MATRIX is None:
+    if len(text) <= MATRIX_ROUTE_MIN_CHARS:
         return json.loads(text)
+    spans, chunks = _matrix_spans(text)
     pieces, arrays, end = [], {}, 0
-    for m in re.finditer(_MATRIX, text):
-        values = _matrix_array(m.group().encode("ascii"))
+    for span in spans:
+        values = _matrix_values(chunks, span)
         if values is not None:
             mark = f"{_MARK}{len(arrays)}"
             arrays[mark] = values
-            pieces += (text[end:m.start()], json.dumps(mark))
-            end = m.end()
+            pieces += (text[end:span[0]], json.dumps(mark))
+            end = span[1]
     if not arrays:
         return json.loads(text)
     pieces.append(text[end:])

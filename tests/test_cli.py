@@ -327,6 +327,33 @@ def test_nongauss_large_file_matches_json_path(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == routed
 
 
+@pytest.mark.parametrize("command", ["check", "nongauss"])
+@pytest.mark.parametrize("defect", ["byte order mark", "invalid byte"])
+def test_large_state_file_decoding_errors_exit2(tmp_path, capsys, command, defect):
+    # files are read as text: json.loads(bytes) would accept the BOM that a str rejects
+    from skewsharp import serialize
+
+    rho = np.zeros(144)
+    rho[0] = 1.0
+    text = dumps({"dim": 144, "matrix": matrix_to_pairs(np.diag(rho))})
+    data = text.encode()
+    if defect == "byte order mark":
+        data = "\ufeff".encode() + data
+        want = "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    else:
+        data = data[:1000] + b"\xff" + data[1000:]
+        want = "error: 'utf-8' codec can't decode byte 0xff in position 1000: invalid start byte"
+    state = tmp_path / "state.json"
+    state.write_bytes(data)
+    assert len(text) > serialize.MATRIX_ROUTE_MIN_CHARS
+    obs = tmp_path / "obs.json"
+    obs.write_text(dumps({"dim": 144, "observables": [matrix_to_pairs(np.eye(144))]}))
+    argv = (["check", str(state), str(obs)] if command == "check"
+            else ["nongauss", str(state), "--modes", "2", "--cutoff", "12"])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want + "\n"
+
+
 def _nongauss_states():
     rng = np.random.default_rng(4)
     cat = np.zeros(144, dtype=complex)               # (|0,0> + |0,1> + i|1,1>)/sqrt(3)

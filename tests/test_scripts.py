@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [["lambda_table.py"], ["strength_compare.py", "--trials", "20"],
-                                  ["fock_phases.py", "--cutoff", "8", "--repeat", "2"], ["code_lines.py"]])
+                                  ["fock_phases.py", "--cutoff", "8", "--repeat", "2"], ["code_lines.py"],
+                                  ["reader_phases.py", "--fock-dim", "120", "--dense-dim", "80", "--repeat", "1"]])
 def test_helper_script_runs(argv):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],

@@ -1,8 +1,12 @@
+import itertools
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewsharp import serialize
 from skewsharp.serialize import FormatError, dumps, matrix_to_pairs, pairs_to_matrix
@@ -320,3 +324,116 @@ def test_loads_route_only_above_the_size_constant():
     doc = serialize.loads(big)
     assert isinstance(doc["matrix"], np.ndarray)
     assert _outcome(big, serialize.loads) == _outcome(big, json.loads)
+
+
+def test_loads_route_matches_json_on_slots_and_zero_lookalikes(route):
+    base = [f"{v}" for v in (0.5, 0.0, 0.25, -0.125, 0.0, 0.0, 0.25, 0.125, 0.25, 0.0,
+                             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0)]
+    state = _state_text(base, 3)
+    texts = {   # one token per slot
+        "two tokens in the first slot": state.replace("[0.5, 0.0]", "[0.5 2, 0.0]", 1),
+        "two tokens in the second slot": state.replace("[0.5, 0.0]", "[0.5, 2 0.0]", 1),
+        "empty first slot": state.replace("[0.5, 0.0]", "[, 0.0]", 1),
+        "empty second slot": state.replace("[0.5, 0.0]", "[0.5, ]", 1),
+        "a number between two cells": state.replace("[0.5, 0.0], ", "[0.5, 0.0], 7, ", 1),
+        "a number and no comma between two cells": state.replace("[0.5, 0.0], ", "[0.5, 0.0] 7, ", 1),
+        "a number before a row": state.replace(",\n [[", ",\n 7, [[", 1),
+        "a number before the first row": state.replace('"matrix": [[', '"matrix": [7, [', 1),
+    }
+    for tok in ("0.00", "00.0", "0.0.0", "0.0e0", "-0.0", "0.0e", "0.0-1", "0.", ".0", "0", "-0"):
+        for k in (1, 17):   # a zero slot, and the last token
+            texts[f"{tok!r} at {k}"] = _state_text(base[:k] + [tok] + base[k + 1:], 3)
+    for name, text in texts.items():
+        want = _outcome(text, json.loads)
+        assert _outcome(text, route) == want, name
+        if want[0] == "ok" and not name.startswith("'-0'"):   # json reads an integer -0 as +0.0
+            assert isinstance(route(text)["matrix"], np.ndarray), name
+
+
+@pytest.mark.parametrize("chunk", [7, 16, 61])
+def test_loads_route_across_chunk_boundaries(monkeypatch, route, chunk):
+    # every offset of the chunk cut against a matrix and its tokens: a cut that
+    # falls in a token moves back to the token's start
+    monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
+    rng = np.random.default_rng(chunk)
+    tokens = ["0.0"] * 32
+    tokens[::5] = [repr(float(v)) for v in rng.standard_normal(7) * 10.0 ** rng.integers(-9, 9, 7)]
+    tokens[3], tokens[4], tokens[30] = "-0.0", "1e5", "0.25"
+    body = _matrix_text(tokens, 4) + ",\n" + _matrix_text(tokens[::-1], 4)
+    for pad in range(max(chunk, 24) + 1):
+        text = '{"pad": "' + "x" * pad + '", "dim": 4, "observables": [' + body + "]}"
+        assert _outcome(text, route) == _outcome(text, json.loads), pad
+        if chunk > 24:   # longer than every token: no token is cut, so the route reads both
+            assert all(isinstance(m, np.ndarray) for m in route(text)["observables"]), pad
+
+
+@pytest.mark.parametrize("kind", ["fock", "dense"])
+def test_loads_route_reads_large_matrices_bit_for_bit(kind):
+    rng = np.random.default_rng(200)
+    d = 200
+    if kind == "fock":   # every off-diagonal token is 0.0
+        values = np.diag(np.concatenate([rng.dirichlet(np.ones(16)), np.zeros(d - 16)]))
+        tokens = [repr(float(v)) for v in np.stack([values, np.zeros((d, d))], -1).ravel()]
+    else:                # 17 significant digits
+        values = rng.standard_normal((d, d, 2)) * 10.0 ** rng.integers(-12, 12, (d, d, 2))
+        tokens = ["%.17g" % v for v in values.ravel()]
+    text = _state_text(tokens, d)
+    assert len(text) > serialize.MATRIX_ROUTE_MIN_CHARS
+    assert isinstance(serialize.loads(text)["matrix"], np.ndarray)
+    assert _outcome(text, serialize.loads) == _outcome(text, json.loads)
+
+
+# the tracemalloc peak of the regex-scan reader that the byte-class route replaced,
+# on the text below: the route keeps its masks for one chunk at a time
+REGEX_READER_PEAK_D300 = 3_967_823   # bytes, 3.78 MiB
+
+
+def test_loads_peak_memory_on_a_d300_fock_state():
+    rng = np.random.default_rng(300)
+    d = 300
+    weights = np.zeros(d)
+    weights[:16] = rng.uniform(0.2, 1.0, 16)
+    pairs = np.stack([np.diag(weights / weights.sum()), np.zeros((d, d))], -1)
+    text = _state_text([repr(float(v)) for v in pairs.ravel()], d)
+    serialize.loads(text)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        doc = serialize.loads(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert isinstance(doc["matrix"], np.ndarray)
+    assert peak <= REGEX_READER_PEAK_D300
+
+
+# ----------------------------------------- the route's JSON number grammar
+
+# the JSON number grammar without the integer -0, as one pattern: the reference
+# for the array-wise check
+NUMBER = r"(?:-(?:0(?=[.eE])|[1-9][0-9]*)|0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+
+
+def _grammar_agrees(tokens, gaps):
+    spaced = "".join(g + t for g, t in zip(gaps, tokens)) + " "
+    want = all(re.fullmatch(NUMBER, t) for t in tokens)
+    return serialize._json_numbers(np.frombuffer(spaced.encode(), np.uint8)) == want
+
+
+def test_json_numbers_match_the_pattern_on_every_short_token():
+    for n in range(1, 5):
+        for tok in map("".join, itertools.product("019.eE+-", repeat=n)):
+            for tokens, gaps in (([tok], [""]), ([tok, "2.5e-3"], [" ", "  "]),
+                                 (["1", tok, "0"], ["", " ", " "])):
+                assert _grammar_agrees(tokens, gaps), tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.text("0123456789.eE+-", min_size=1, max_size=9), min_size=1, max_size=6),
+       gaps=st.lists(st.sampled_from(["", " ", "   "]), min_size=6, max_size=6))
+def test_json_numbers_match_the_pattern(tokens, gaps):
+    assert _grammar_agrees(tokens, [gaps[0]] + [g or " " for g in gaps[1:len(tokens)]])
