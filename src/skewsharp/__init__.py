@@ -12,7 +12,6 @@ from .skew import (
     ObservableSet,
     TwoObsReport,
     UncertaintyReport,
-    build_L,
     check_refined_rs,
     classical_matrix,
     commutator_matrix,

@@ -150,11 +150,6 @@ class DensityMatrix:
         return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
     @classmethod
-    def from_eigensystem(cls, V: np.ndarray, weights: np.ndarray) -> "DensityMatrix":
-        """State V diag(weights) V^dag from a known eigensystem, with no second eigh: one block."""
-        return cls.from_blocks([(np.arange(np.shape(V)[0]), V, weights)])
-
-    @classmethod
     def from_blocks(cls, blocks) -> "DensityMatrix":
         """Block-diagonal state from the eigensystem of each block, with no eigh.
 

@@ -21,33 +21,36 @@ is an array over that axis, and every tolerance scale is taken per instance.
 The public (rho, X) functions are its B = 1 case, unwrapped by ``instance``.
 
 The eigenbasis stack A_k = V^dag X'_k V is built on one of two routes, chosen
-from the inputs.  Every observable set takes the dense products of V^dag, the
-stacked X_k and V, except a set that records its ``origin``: an object whose
-``part_pairs(state)`` names the entries the stack can be nonzero on (or None)
-and whose ``eigenbasis_stack(state, pairs)`` gives the uncentered stack
-V^dag X_k V from the state's eigenvectors and the parts it records
-(``DensityMatrix.parts``).  The truncated quadratures of
-``gaussian.quadrature_observables`` are the one such set; their origin builds
-the stack from the ladder operators, part by part (see
-:mod:`skewsharp.gaussian`).  Both routes are centered alike and pass the same
-self-checks.
+from the inputs.  A set of dense matrices takes the dense products of V^dag,
+the stacked X_k and V.  A set given by its nonzeros (``ObservableSet.nonzeros``:
+the (row, column, value) triples of every X_k, as
+``gaussian.quadrature_observables`` builds the truncated quadratures) takes
+products that read the nonzeros row by row (``_nonzeros_stack``), from a table
+of each row's nonzeros: row i of X_k V is the sum of a few rows of V.  On a
+state whose eigensystem was taken part by part (``DensityMatrix.parts``: the
+eigenvectors of a part live on its rows r_P alone, in its columns c_P) the
+block A_k[c_P, c_Q] is V[r_P, c_P]^dag (X_k V)[r_P, c_Q], and it is zero unless
+some nonzero of X_k links a row of P with a row of Q.
 
-The entry route.  An origin's ``part_pairs`` may return an entry list: index
-arrays ``a`` and ``b`` of eigenvector columns such that every A_k is exactly
-zero off the entries (a, b) and their mirror images (b, a), no entry lying on
-the diagonal or twice.  The quadratures flip photon-number parity, so when
-each part of the state has one parity the list holds the blocks of the part
-pairs (even, odd) that a ladder operator links: 1740 entries at the CLI default
-(2 modes, cutoff 30, 1 x 1 parts), all d^2/4 even-to-odd entries when the parts
-are the two parity classes.  The context then stores only the values
-X_k = A_k[a, b] (``ctx.stack``, (B, n, nnz)); A_k[b, a] = conj(X_k), the rest
-is 0 and so is every mean.  The pairing, the Gram check and the stack check
-each take a form of matrix products on the values, e.g.
+The entry route.  When no nonzero lies inside one part, every A_k is zero but
+on the blocks [c_P, c_Q] of the part pairs that some nonzero links, and their
+mirrors [c_Q, c_P]; its diagonal, and so every mean, is 0.  ``_entries`` lists
+each such pair once, grouped by block shape, as index arrays ``a`` and ``b`` of
+eigenvector columns, no entry on the diagonal or twice, and each block is one
+batched product per shape.  The truncated quadratures flip photon-number
+parity, so on a state whose parts each have one parity the list holds 1740
+entries at the CLI default (2 modes, cutoff 30, 1 x 1 parts) and all d^2/4
+even-to-odd entries when the parts are the two parity classes.  The context
+then stores only the values X_k = A_k[a, b] (``ctx.stack``, (B, n, nnz));
+A_k[b, a] = conj(X_k).  The pairing, the Gram check and the stack check each
+take a form of matrix products on the values, e.g.
 sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum over the entries of (W[a, b] X_k conj(X_j)
-+ W[b, a] conj(X_k) X_j) for any complex W.  The route is chosen from the
-inputs alone, an observable set with such an origin and a state with such
-parts; every instance without an origin, among them every batch of the fuzz
-harness, keeps the dense einsum bit for bit.
++ W[b, a] conj(X_k) X_j) for any complex W.  A state without parts, or a
+nonzero inside a part, gives the full route: the whole stack, two observables
+per product, B = V^dag (X_j + i X_{j+1}) V split into the Hermitian
+(B + B^dag)/2 and (B - B^dag)/2i, part by part.  Every dense set, among them
+every batch of the fuzz harness and every ``check``, keeps the dense einsum bit
+for bit.
 
 Three self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
@@ -57,19 +60,19 @@ from the pairing that builds sigma, c and delta.  The stack check ties A to the
 input basis in O(n^2 d^2): the means Tr(rho X_k) from the state matrix against
 the means A was centered with, and the Hilbert-Schmidt pairing Tr(X'_k X'_j)
 of the input observables against the same pairing of A.  It reads the input
-X_k, not the stack, so a stack built by an origin is checked against the plain
-definition of the observables: a set built with an origin also records its
-nonzeros (``ObservableSet.nonzeros``), and the check reads those in O(nnz), as
-Tr(X_k X_j) and Tr X_k from the values and Tr(rho X_k) as the sum of
-v rho[c, r] over the triples (r, c, v).  The input pairings are dot products of
-float views: on the nonzeros, of the values beside rho at their positions; for
-a dense set one product on a stacked copy while that copy is small (every fuzz
-batch, every ``check``), pair by pair above STACK_CHECK_ENTRIES, so a large
-check copies no d x d matrix.  Neither check sees a unitary relabeling
-U X_k U^dag of every observable, which keeps all Hilbert-Schmidt pairings; so a
-stack built by an origin also passes a random probe (``_probe_stack``), which
-compares it with the input X_k along random vectors, X_k (V t) a scatter-add of
-the nonzeros over their rows.
+X_k, not the stack, so a stack built from the nonzeros is checked against the
+plain definition of the observables: on a set given by its nonzeros the check
+reads them in O(nnz), as Tr(X_k X_j) and Tr X_k from the values and
+Tr(rho X_k) as the sum of v rho[c, r] over the triples (r, c, v).  The input
+pairings are dot products of float views: on the nonzeros, of the values beside
+rho at their positions; for a dense set one product on a stacked copy while
+that copy is small (every fuzz batch, every ``check``), pair by pair above
+STACK_CHECK_ENTRIES, so a large check copies no d x d matrix.  Neither check
+sees a unitary relabeling U X_k U^dag of every observable, which keeps all
+Hilbert-Schmidt pairings; so a stack built from the nonzeros also passes a
+random probe (``_probe_stack``), which compares it with the input X_k along
+random vectors, X_k (V t) a scatter-add of the nonzeros over their rows, apart
+from the table the stack was built from.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,18 +113,16 @@ class ConstructionMismatch(SkewsharpError):
 class ObservableSet:
     """Ordered list of Hermitian observables with a common dimension.
 
-    ``origin`` is None, or the construction the observables came from when it
-    gives their eigenbasis stack without the dense products: an object with
-    ``part_pairs(state)`` and ``eigenbasis_stack(state, pairs)``.  Only a
-    module's own constructor sets it (``gaussian.quadrature_observables``),
-    through ``_with_origin``, together with ``nonzeros``: (d, rows (K,), cols (K,),
+    A set may instead be given by its ``nonzeros``: (d, rows (K,), cols (K,),
     values (n, K)), every observable's entries at one list of K distinct positions,
-    zero off them.  Such a set forms its dense matrices on the first read of
-    ``observables``.
+    zero off them.  Only a module's own constructor gives them
+    (``gaussian.quadrature_observables``), through ``_from_nonzeros``, for
+    observables it builds exactly Hermitian.  ``SpectralContext`` builds the
+    eigenbasis stack of such a set from its nonzeros, and the set forms its dense
+    matrices only on the first read of ``observables``.
     """
 
     observables: tuple[np.ndarray, ...]
-    origin: object | None = field(default=None, init=False, repr=False)
     nonzeros: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -137,11 +139,11 @@ class ObservableSet:
         return cls(observables=tuple(hermitian_parts(np.stack(mats), what="observable")))
 
     @classmethod
-    def _with_origin(cls, nonzeros, origin) -> "ObservableSet":
+    def _from_nonzeros(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> "ObservableSet":
         """Observables built exactly Hermitian by their constructor, given by their
-        ``nonzeros`` and recorded with their origin, not re-validated."""
+        nonzeros X_k[rows, cols] = values[k] and not re-validated."""
         X = cls.__new__(cls)
-        vars(X).update(origin=origin, nonzeros=nonzeros)     # frozen: set in the instance dict, as ``cached`` sets
+        vars(X)["nonzeros"] = (d, rows, cols, values)     # frozen: set in the instance dict, as ``cached`` sets
         return X
 
     def __getattr__(self, name):
@@ -279,6 +281,106 @@ def _check_stack(ctx: "SpectralContext") -> None:
         f"eigenbasis stack changes Tr(X'_k X'_j) by {e:.3e}"), dev)
 
 
+class Entries(NamedTuple):
+    """The entry list of a stack: the eigenvector columns ``a`` and ``b`` of every entry,
+    and per block shape the linked part pairs (P, Q) as (rows_P, cols_P, cols_Q), (G, m_P)
+    and (G, m_Q) arrays, the entries of their blocks [cols_P, cols_Q] listed group by
+    group, pair by pair, row-major."""
+
+    a: np.ndarray
+    b: np.ndarray
+    groups: list
+
+
+def _entries(nonzeros: tuple, parts: tuple) -> Entries | None:
+    """The entries on which the stack of a set given by its ``nonzeros`` can be nonzero, on a
+    state with ``parts`` (``DensityMatrix.parts``), or None when a nonzero lies inside one part.
+
+    A_k[c_P, c_Q] is zero unless a nonzero of X_k links a row of P with a row of Q, so the list
+    holds each linked pair {P, Q} once, P before Q in the order of ``parts``.
+    """
+    d, r, c, _ = nonzeros
+    first = np.cumsum([0] + [rows.shape[0] for rows, _ in parts])    # part ids run group by group
+    group = np.repeat(np.arange(len(parts)), np.diff(first))
+    part = np.empty(d, dtype=np.intp)
+    for (rows, _), start in zip(parts, first):
+        part[rows] = start + np.arange(rows.shape[0])[:, None]
+    P, Q = np.minimum(part[r], part[c]), np.maximum(part[r], part[c])
+    if not P.size or (P == Q).any():
+        return None
+    # one sort by (size group of Q, P, Q): P's size group rises with P, so each block shape is one run
+    N = first[-1]
+    key = np.sort((group[Q] * N + P) * N + Q)
+    P, Q = np.divmod(key[np.diff(key, prepend=-1) != 0] % (N * N), N)     # each pair once
+    cuts = [0, *(np.flatnonzero(np.diff(group[P]) | np.diff(group[Q])) + 1).tolist(), P.size]
+    groups = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        (r_P, c_P), (_, c_Q) = parts[group[P[lo]]], parts[group[Q[lo]]]
+        P_g, Q_g = P[lo:hi] - first[group[P[lo]]], Q[lo:hi] - first[group[Q[lo]]]
+        groups.append((r_P[P_g], c_P[P_g], c_Q[Q_g]))
+    a = [np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel() for _, c_P, c_Q in groups]
+    b = [np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel() for _, c_P, c_Q in groups]
+    return Entries(np.concatenate(a), np.concatenate(b), groups)
+
+
+def _row_table(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzeros of the matrices M_k[rows, cols] = values[k] (values (h, K)): their
+    columns (d, w) and values (d, w, h), w the most nonzeros a row holds, padded with column 0
+    and value 0."""
+    order = np.argsort(rows, kind="stable")
+    count = np.bincount(rows, minlength=d)
+    w, place = count.max(initial=0), np.empty_like(order)
+    # each nonzero's flat slot row * w + its place among its row's nonzeros
+    place[order] = rows[order] * w + np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    at, vals = np.zeros(d * w, dtype=np.intp), np.zeros((d * w, values.shape[0]), dtype=complex)
+    at[place], vals[place] = cols, values.T
+    return at.reshape(d, w), vals.reshape(d, w, -1)
+
+
+def _block_products(V: np.ndarray, table: tuple, rows: np.ndarray, cols: np.ndarray,
+                    into: np.ndarray) -> np.ndarray:
+    """V[r, c]^dag (M_k V)[r, into] for each of G parts with rows r and eigenvector columns c
+    ((G, m) each, ``into`` (G, q), or None for all d columns) and every M_k of a
+    ``_row_table``, as (G, m, h, q).
+
+    Row i of M_k V, for every k at once, is the product of the values of row i (w, h),
+    transposed, with the rows of V at their columns (w, q); one batched product per part then
+    takes every k.
+    """
+    at, vals = table
+    V_at = V[at[rows]] if into is None else V[at[rows][..., None], into[:, None, None, :]]     # (G, m, w, q)
+    MV = vals[rows].swapaxes(2, 3) @ V_at
+    G, m, h, q = MV.shape
+    return (np.conj(V[rows[..., None], cols[:, None, :]]).swapaxes(1, 2) @ MV.reshape(G, m, h * q)).reshape(MV.shape)
+
+
+def _nonzeros_stack(V: np.ndarray, nonzeros: tuple, parts: tuple | None, entries: Entries | None) -> np.ndarray:
+    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros``, V the eigenvectors
+    of a state with ``parts`` (a state without them is one part): its values (n, nnz) on the
+    ``entries``, or without them the full stack (n, d, d), two observables per product."""
+    d, r, c, values = nonzeros
+    if entries is not None:
+        table, A = _row_table(d, r, c, values), np.empty((values.shape[0], entries.a.size), dtype=complex)
+        sizes = np.cumsum([c_P.size * c_Q.shape[1] for _, c_P, c_Q in entries.groups])
+        for out, (r_P, c_P, c_Q) in zip(np.split(A, sizes[:-1], axis=1), entries.groups):
+            out[:] = _block_products(V, table, r_P, c_P, c_Q).transpose(2, 0, 1, 3).reshape(out.shape)
+        return A
+    # B = V^dag (X_j + i X_{j+1}) V / 2 per pair: X_j = B + B^dag and X_{j+1} = -i (B - B^dag) in the eigenbasis
+    n = values.shape[0]
+    Y = values[0::2] / 2
+    Y[:n // 2] += 0.5j * values[1::2]
+    table, B = _row_table(d, r, c, Y), np.empty((d, Y.shape[0], d), dtype=complex)
+    for rows, cols in parts or ((np.arange(d)[None],) * 2,):
+        B[cols] = _block_products(V, table, rows, cols, None)
+    A = np.empty((n, d, d), dtype=complex)
+    for h in range(Y.shape[0]):
+        B_dag = np.conj(B[:, h].T)
+        np.add(B[:, h], B_dag, out=A[2 * h])
+        if 2 * h + 1 < n:
+            np.multiply(B[:, h] - B_dag, -1j, out=A[2 * h + 1])
+    return A
+
+
 @lru_cache(maxsize=16)
 def _probe_vectors(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The probe's complex vectors (s, t) for instances of dimension d with n observables,
@@ -290,16 +392,17 @@ def _probe_vectors(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe_stack(ctx: "SpectralContext") -> None:
-    """Freivalds' check of a stack an origin built (one instance), read along a second
-    random vector: (V s)^dag X_k (V t) against s^dag (A_k + m_k) t for complex s and t
+    """Freivalds' check of a stack built from a set's nonzeros (one instance), read along a
+    second random vector: (V s)^dag X_k (V t) against s^dag (A_k + m_k) t for complex s and t
     drawn from a generator seeded by the instance's size (``_probe_vectors``).
 
-    In O(n d^2) (V t and V s; X_k (V t) from the set's nonzeros in O(nnz)) it ties each
-    A_k to the input matrix X_k itself, where the stack check and the Gram check see
-    only pairings and so miss a relabeling U X_k U^dag.  On the
-    entry route s^dag A_k t is two dot products on the values, over the same entries
-    (a, b) the pairing reads.  It fails (ConstructionMismatch) when, for some k, the
-    two differ by more than CONSTRUCTION_TOL |s| |X_k V t|, their Cauchy-Schwarz bound.
+    In O(n d^2) (V t and V s; X_k (V t) a scatter-add of the nonzeros over their rows in
+    O(nnz), apart from the row table the stack was built from) it ties each A_k to the input
+    matrix X_k itself, where the stack check and the Gram check see only pairings and so miss
+    a relabeling U X_k U^dag.  On the entry route s^dag A_k t is two dot products on the
+    values, over the same entries (a, b) the pairing reads.  It fails (ConstructionMismatch)
+    when, for some k, the two differ by more than CONSTRUCTION_TOL |s| |X_k V t|, their
+    Cauchy-Schwarz bound.
     """
     V, (s, t) = ctx.V[0], _probe_vectors(ctx.dim, ctx.n)
     # X_k (V t) from the set's nonzeros: each value times (V t) at its column, summed into its row
@@ -334,7 +437,7 @@ class SpectralContext:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
         # a set given by its nonzeros is read through them alone: its dense matrices stay unformed
         dense = None if X.nonzeros is not None else [M[None] for M in X.observables]
-        self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None], dense, X, rho)
+        self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None], dense, X.nonzeros, rho.parts)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -345,26 +448,25 @@ class SpectralContext:
         ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, matrix, lam, V, observables, X=None, state=None) -> None:
+    def _setup(self, matrix, lam, V, observables, nonzeros=None, parts=None) -> None:
         self.matrix, self.lam, self.V = matrix, lam, V
-        # B = 1: the set's origin and nonzeros, and the state the origin reads
-        self.origin, self.nonzeros, self.state = (None, None, None) if X is None else (X.origin, X.nonzeros, state)
-        self.observables = observables      # n arrays (B, d, d), or None for a set given by its nonzeros
+        # n arrays (B, d, d), or B = 1 and a set given by its nonzeros, on a state with or without parts
+        self.observables, self.nonzeros, self.parts = observables, nonzeros, parts
         self.size, self.dim = lam.shape
-        self.n = len(observables) if X is None else X.n
+        self.n = len(observables) if nonzeros is None else nonzeros[3].shape[0]
         # the entry route: the eigenvector-column pairs (a, b) off which every A_k is exactly
-        # zero, A_k[b, a] being conj(A_k[a, b]), as the origin finds them in the state's parts
-        self.entries = None if self.origin is None else self.origin.part_pairs(state)
+        # zero, A_k[b, a] being conj(A_k[a, b]), as the nonzeros link the state's parts
+        self.entries = None if nonzeros is None or parts is None else _entries(nonzeros, parts)
         self.memo: dict = {}
         self._weights: dict = {}
 
     @cached
     def _stack(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.origin is None:
+        if self.nonzeros is None:
             V = self.V[:, None]
             A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
         else:
-            A = self.origin.eigenbasis_stack(self.state, self.entries)[None]
+            A = _nonzeros_stack(self.V[0], self.nonzeros, self.parts, self.entries)[None]
         if self.entries is not None:
             return A, np.zeros((self.size, self.n))     # no diagonal entry: every mean is 0
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
@@ -493,17 +595,6 @@ def wy_skew_matrix(ctx: SpectralContext) -> np.ndarray:
     return ctx.skew
 
 
-@on_context
-def build_L(ctx: SpectralContext) -> np.ndarray:
-    """2n x 2n Gram matrix of the (anti)commutators of sqrt(rho) with centered X.
-
-    Built both as an explicit Gram matrix and by block assembly from
-    sigma, classical and i*delta; disagreement beyond CONSTRUCTION_TOL is a
-    permanent self-check failure (ConstructionMismatch).
-    """
-    return ctx.refined.L
-
-
 def det_symmetric_psd(A: np.ndarray):
     """Determinant of a real symmetric (nominally PSD) matrix via eigenvalues; one per matrix of a stack."""
     if A.shape[-1] == 0:
@@ -592,7 +683,7 @@ def _refined_report(ctx: SpectralContext) -> UncertaintyReport:
     dev = np.abs(L - _eigenbasis_gram(ctx.stack, ctx.lam, ctx.entries)).max(axis=(1, 2))
     raise_first(dev > CONSTRUCTION_TOL * scale_L, lambda e: ConstructionMismatch(
         f"Gram and block constructions of L differ by {e:.3e}"), dev)
-    if ctx.origin is not None:
+    if ctx.nonzeros is not None:
         _probe_stack(ctx)
 
     d_sigma, d_skew, d_class, d_delta = dets["sigma"], dets["skew"], dets["classical"], dets["delta"]

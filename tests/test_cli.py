@@ -255,6 +255,18 @@ def test_gaussian_one_mode_rejects_coupling(capsys):
     assert main(["gaussian", "--modes", "1", "--coupling", "0", "--cutoff", "20"]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--modes", "1", "--beta", "inf", "--cutoff", "8"], "beta must be positive and finite, got inf"),
+    (["--modes", "1", "--omega", "nan", "--cutoff", "8"], "S has non-finite entries"),
+    (["--modes", "2", "--xi", "inf", "--cutoff", "8"], "S has non-finite entries"),
+])
+def test_gaussian_non_finite_generator_exit2(argv, message, capsys):
+    # rejected when the generator is built, before any moment or Fock numerics
+    assert main(["gaussian", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, low", [
     (["--modes", "2", "--omega", "1", "--omega", "-1", "--cutoff", "10"], "-1"),
     (["--modes", "1", "--omega", "-1", "--cutoff", "8"], "-1"),

@@ -69,6 +69,19 @@ def test_validate_rejects_bad_reality():
         validate_quadratic(np.array([[0, 1j], [1j, 0]]), 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: single_mode_generator(float("nan")), "S has non-finite entries"),
+    (lambda: single_mode_generator(1.0, xi=complex("inf")), "S has non-finite entries"),
+    (lambda: two_mode_generator(1.0, 1.0, coupling=float("inf")), "S has non-finite entries"),
+    (lambda: single_mode_generator(1.0, beta=float("inf")), "beta must be positive and finite, got inf"),
+    (lambda: validate_quadratic(np.eye(2), 1, beta=float("nan")), "beta must be positive and finite, got nan"),
+])
+def test_validate_rejects_non_finite_generators(make, message):
+    with pytest.raises(InvalidGenerator) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_two_mode_constructor_valid():
     H = two_mode_generator(1.0, 1.5, coupling=0.3, beta=0.7)
     assert H.S.shape == (4, 4)
@@ -516,7 +529,7 @@ def _full_eigh_thermal(H, cutoff):
     """The thermal state from one eigh of the whole truncated H."""
     w, V = np.linalg.eigh(_dense_hamiltonian(H, cutoff))
     weights = np.exp(-H.beta * (w - w.min()))
-    return DensityMatrix.from_eigensystem(V, weights / weights.sum())
+    return DensityMatrix.from_blocks([(np.arange(V.shape[0]), V, weights / weights.sum())])
 
 
 PARITY_CASES = [pytest.param(random_admissible_generator(n, np.random.default_rng(seed)), cutoff,
@@ -568,12 +581,12 @@ def test_zero_generator_has_no_triples_and_one_by_one_parts(n_modes, cutoff):
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 2), (1, 9), (1, 60), (2, 2), (2, 7), (2, 30)])
 def test_quadratures_exactly_hermitian_with_ladder_origin(n_modes, cutoff):
     X = quadrature_observables(n_modes, cutoff)
-    assert X.origin == gaussian.LadderOrigin(n_modes, cutoff) and X.n == 2 * n_modes
+    assert X.nonzeros is not None and X.n == 2 * n_modes
     for M in X.observables:
         assert np.array_equal(M, M.conj().T)
-    # full validation returns the same matrices bit for bit, and no ladder origin
+    # full validation returns the same matrices bit for bit, as a dense set
     checked = ObservableSet.from_matrices(X.observables)
-    assert checked.origin is None
+    assert checked.nonzeros is None
     assert all(np.array_equal(a, b) for a, b in zip(X.observables, checked.observables))
 
 
@@ -592,16 +605,16 @@ def test_index_filled_quadratures_equal_the_kronecker_build(n_modes, cutoff):
     assert all(np.array_equal(M, K) for M, K in zip(X.observables, kron))
 
 
-def test_ladder_origin_is_not_user_settable():
+def test_nonzeros_are_not_user_settable():
     X = quadrature_observables(1, 4)
     with pytest.raises(TypeError):
-        ObservableSet(observables=X.observables, origin=gaussian.LadderOrigin(1, 4))
+        ObservableSet(observables=X.observables, nonzeros=X.nonzeros)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        X.origin = None
+        X.nonzeros = None
 
 
 def _dense_twin(X):
-    """The same observables without the ladder origin: the dense stack route."""
+    """The same observables as dense matrices: the dense stack route."""
     return ObservableSet.from_matrices(X.observables)
 
 
@@ -647,9 +660,8 @@ def _assert_close(a, b, rel):
 def test_ladder_stack_matches_dense_stack(kind, n, cutoff, seed):
     rho, X = _stack_instance(kind, n, cutoff, seed)
     fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(X))
-    assert fast.origin == gaussian.LadderOrigin(n, cutoff) and dense.origin is None
+    assert fast.nonzeros is not None and dense.nonzeros is None
     # ginibre states carry no parts; the other kinds take the entry route
-    assert (fast.origin.part_pairs(rho) is None) == (kind == "ginibre")
     assert (fast.entries is None) == (kind == "ginibre") and dense.entries is None
     scale = np.abs(dense.stack).max()
     A = fast.stack
@@ -739,9 +751,8 @@ def test_squeezed_mode0_parts_mix_parity_halves_and_levels():
 def test_uncoupled_entry_list_size():
     # the CLI default: 900 parts of one row; the a_k links give n (K - 1) K entries, not d^2 / 4
     rho = fock_truncate_thermal(two_mode_generator(1.0, 1.0), 30).rho
-    pairs = gaussian.LadderOrigin(2, 30).part_pairs(rho)
-    assert pairs.a.size == pairs.b.size == 2 * 29 * 30 == 1740 < 900**2 // 4
     ctx = SpectralContext(rho, quadrature_observables(2, 30))
+    assert ctx.entries.a.size == ctx.entries.b.size == 2 * 29 * 30 == 1740 < 900**2 // 4
     assert ctx.stack.shape == (1, 4, 1740)
 
 
@@ -783,15 +794,15 @@ def test_pair_by_pair_stack_check_matches_the_stacked_product():
 def test_corrupted_ladder_matrix_fails_stack_check(kind, monkeypatch):
     rho, X = _stack_instance(kind, 1, 9, 1)
     assert (SpectralContext(rho, X).entries is None) == (kind == "ginibre")
-    build = gaussian._ladder_matrix
+    build = skew._block_products
 
     def corrupted(*args):
-        M, M_back = build(*args)    # the dense M and M^dag, or on the entry route their values on the entries
+        M = build(*args)    # the blocks of every quadrature, or on the full route of each pair x + i p
         at = np.unravel_index(np.argmax(np.abs(M)), M.shape)
         M[at] += 1e-6 * M[at] / abs(M[at])
-        return M, M_back
+        return M
 
-    monkeypatch.setattr(gaussian, "_ladder_matrix", corrupted)
+    monkeypatch.setattr(skew, "_block_products", corrupted)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, X)
 
@@ -870,24 +881,23 @@ def test_coupled_squeezed_parts_are_the_parity_classes():
     ref = DensityMatrix.from_blocks([(r, V, w / total) for r, (_, V), w in zip(rows, eig, weights)])
     for name in ("matrix", "eigenvalues", "eigenvectors"):
         assert np.array_equal(getattr(rho, name), getattr(ref, name))
-    # and the ladder entries are exactly the half-size products V_out^dag (a V_in) of that route
-    V, a = rho.eigenvectors, destroy(cutoff)
-    parity = list(zip(rows, rho.parts[0][1]))     # (rows, eigenvector columns) per parity class
-    pairs = gaussian.LadderOrigin(2, cutoff).part_pairs(rho)
-    for mode in range(2):
-        M, M_dag = gaussian._ladder_matrix(V, rho.parts, mode, cutoff, pairs)
-        halves = [np.conj(V[np.ix_(rows_out, cols_out)].T)
-                  @ (a @ V[:, cols_in].reshape(cutoff**mode, cutoff, -1)).reshape(V.shape[0], -1)[rows_out]
-                  for (rows_out, cols_out), (_, cols_in) in (parity, parity[::-1])]
-        assert np.array_equal(M, halves[0].ravel()) and np.array_equal(M_dag, np.conj(halves[1].T).ravel())
+    # and the stack holds the half-size products V_E^dag (X_k V_O) of that route, even to odd
+    X, (cols_E, cols_O) = quadrature_observables(2, cutoff), rho.parts[0][1]
+    V, stack = rho.eigenvectors, SpectralContext(rho, X).stack[0]
+    halves = np.stack([(np.conj(V[np.ix_(rows[0], cols_E)].T) @ (M @ V[:, cols_O])[rows[0]]).ravel()
+                       for M in X.observables])
+    assert np.abs(stack - halves).max() <= 1e-13 * np.abs(halves).max()
 
 
-def _corrupt_level(build, level, factor):
-    """``_destroy_rows`` with the ladder coefficient of one photon number scaled by factor."""
-    def corrupted(V, rows, cols, mode, cutoff):
-        aV = build(V, rows, cols, mode, cutoff)
-        at = rows // (V.shape[0] // cutoff ** (mode + 1)) % cutoff == level
-        return np.where(at[..., None], factor * aV, aV)
+def _corrupt_level(level, factor, cutoff):
+    """``skew._row_table`` with the quadratures' ladder coefficients between photon numbers level
+    and level + 1 of every mode scaled by factor, at both mirror positions."""
+    build = skew._row_table
+
+    def corrupted(d, rows, cols, values):
+        stride = np.abs(rows - cols)        # a nonzero links i and i + s_k, s_k the stride of its mode
+        at = np.minimum(rows, cols) // stride % cutoff == level
+        return build(d, rows, cols, np.where(at, factor * values, values))
     return corrupted
 
 
@@ -902,26 +912,31 @@ PART_KINDS = {
 @pytest.mark.parametrize("factor", [0.0, 1 + 1e-6])
 def test_corrupted_ladder_coefficient_fails_stack_check(kind, factor, monkeypatch):
     rho = PART_KINDS[kind]()
-    monkeypatch.setattr(gaussian, "_destroy_rows", _corrupt_level(gaussian._destroy_rows, 2, factor))
+    monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, factor, 8))
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, quadrature_observables(2, 8))
 
 
 def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
-    # a phase flipped on the out side of one eigenvector of a part with more than one row
-    # leaves the quadratures Hermitian but changes their Hilbert-Schmidt pairing
-    rho = PART_KINDS["parity-classes"]()
-    (rows, cols), = rho.parts
-    build = gaussian._ladder_matrix
+    # the full route builds B = V^dag (x + i p) V / 2 part by part and takes x = B + B^dag: a
+    # phase flipped on the left side of one eigenvector of a part with more than one row leaves
+    # the quadratures Hermitian but changes their Hilbert-Schmidt pairing.  (The entry route
+    # builds each block once and implies its mirror, so there a phase is a relabeling: the
+    # probe's case, ``test_probe_flags_stack_mutations``.)
+    parity = PART_KINDS["parity-classes"]()
+    rho = DensityMatrix.from_blocks([(np.arange(parity.dim), parity.eigenvectors, parity.eigenvalues)])
+    X = quadrature_observables(2, 8)
+    assert SpectralContext(rho, X).entries is None and rho.parts is not None
+    build = skew._block_products
 
-    def flipped(V, parts, mode, cutoff, pairs):
-        M, M_dag = build(V, parts, mode, cutoff, pairs)
-        M[np.flatnonzero(pairs.a == cols[0, 0])] *= -1
-        return M, M_dag
+    def flipped(V, table, rows, cols, into):
+        out = build(V, table, rows, cols, into)
+        out[cols == rho.parts[0][1][0, 0]] *= -1
+        return out
 
-    monkeypatch.setattr(gaussian, "_ladder_matrix", flipped)
+    monkeypatch.setattr(skew, "_block_products", flipped)
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
-        check_refined_rs(rho, quadrature_observables(2, 8))
+        check_refined_rs(rho, X)
 
 
 @pytest.mark.parametrize("kind", PART_KINDS)
@@ -948,23 +963,23 @@ def _swap_two_columns(rho):
 
 
 def _probe_mutation(kind, rho, monkeypatch):
-    """Plant one fault in the ladder stack built for rho."""
+    """Plant one fault in the quadrature stack built for rho."""
     if kind == "level-2-sign":
-        monkeypatch.setattr(gaussian, "_destroy_rows", _corrupt_level(gaussian._destroy_rows, 2, -1.0))
+        monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, -1.0, 8))
         return
-    build = gaussian._ladder_matrix
     if kind == "swapped-columns":
-        perm = _swap_two_columns(rho)
-        monkeypatch.setattr(gaussian, "_ladder_matrix", lambda V, *args: build(V[:, perm], *args))
+        build, perm = skew._nonzeros_stack, _swap_two_columns(rho)
+        monkeypatch.setattr(skew, "_nonzeros_stack", lambda V, *args: build(V[:, perm], *args))
         return
-    (_, cols), *_ = rho.parts                   # one whole part, its out side only
+    (_, part), *_ = rho.parts                   # one whole part, on the left side of its blocks only
+    build = skew._block_products
 
-    def flipped(V, parts, mode, cutoff, pairs):
-        M, M_dag = build(V, parts, mode, cutoff, pairs)
-        M[np.isin(pairs.a, cols[0])] *= -1
-        return M, M_dag
+    def flipped(V, table, rows, cols, into):
+        out = build(V, table, rows, cols, into)
+        out[np.isin(cols, part[0])] *= -1
+        return out
 
-    monkeypatch.setattr(gaussian, "_ladder_matrix", flipped)
+    monkeypatch.setattr(skew, "_block_products", flipped)
 
 
 @pytest.mark.parametrize("mutation", ["level-2-sign", "swapped-columns", "part-phase-one-side"])
@@ -983,7 +998,7 @@ def test_probe_flags_stack_mutations(kind, mutation, monkeypatch):
 def test_level_2_sign_flip_passes_the_pairing_checks(monkeypatch):
     # the blind spot the probe closes: a relabeling of the stack that keeps every pairing
     rho, X = PART_KINDS["parity-classes"](), quadrature_observables(2, 8)
-    monkeypatch.setattr(gaussian, "_destroy_rows", _corrupt_level(gaussian._destroy_rows, 2, -1.0))
+    monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, -1.0, 8))
     ctx = SpectralContext(rho, X)
     skew._check_stack(ctx)
     L = np.block([[ctx.blocks[0][0], ctx.i_delta[0]], [ctx.i_delta[0], ctx.blocks[1][0]]])
@@ -992,10 +1007,10 @@ def test_level_2_sign_flip_passes_the_pairing_checks(monkeypatch):
         ctx.refined
 
 
-def test_probe_runs_only_with_an_origin(monkeypatch):
+def test_probe_runs_only_on_a_stack_built_from_nonzeros(monkeypatch):
     calls = []
-    monkeypatch.setattr(skew, "_probe_stack", lambda ctx: calls.append(ctx.origin))
+    monkeypatch.setattr(skew, "_probe_stack", lambda ctx: calls.append(ctx.nonzeros))
     rho, X = PART_KINDS["shells"](), quadrature_observables(2, 8)
     check_refined_rs(rho, X)
     check_refined_rs(rho, _dense_twin(X))
-    assert calls == [X.origin]
+    assert len(calls) == 1 and calls[0] is X.nonzeros

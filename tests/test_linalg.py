@@ -46,7 +46,7 @@ def _eigensystem(seed, dim=6):
 def test_from_eigensystem_agrees_with_from_matrix(seed):
     V, w = _eigensystem(seed)
     order = np.random.default_rng(seed).permutation(len(w))   # unsorted input
-    a = DensityMatrix.from_eigensystem(V[:, order], w[order])
+    a = DensityMatrix.from_blocks([(np.arange(V.shape[0]), V[:, order], w[order])])
     b = DensityMatrix.from_matrix((V * w) @ V.conj().T)
     assert np.abs(a.matrix - b.matrix).max() <= 1e-13
     assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-13
@@ -59,7 +59,7 @@ def test_from_eigensystem_agrees_with_from_matrix(seed):
 def test_from_eigensystem_clips_tiny_negative_weight():
     V, w = _eigensystem(0)
     w[-1] = -5e-10
-    rho = DensityMatrix.from_eigensystem(V, w / w.sum())
+    rho = DensityMatrix.from_blocks([(np.arange(V.shape[0]), V, w / w.sum())])
     assert rho.eigenvalues.min() == 0.0
 
 
@@ -68,22 +68,22 @@ def test_from_eigensystem_rejects_bad_input():
     skewed = V.copy()
     skewed[:, 0] *= 1 + 1e-6
     with pytest.raises(InvalidState, match="orthonormal"):
-        DensityMatrix.from_eigensystem(skewed, w)
+        DensityMatrix.from_blocks([(np.arange(skewed.shape[0]), skewed, w)])
     with pytest.raises(InvalidState, match="trace"):
-        DensityMatrix.from_eigensystem(V, 1.01 * w)
+        DensityMatrix.from_blocks([(np.arange(V.shape[0]), V, 1.01 * w)])
     negative = w.copy()
     negative[0] += 1e-6
     negative[-1] = -1e-6
     with pytest.raises(InvalidState, match="positive"):
-        DensityMatrix.from_eigensystem(V, negative)
+        DensityMatrix.from_blocks([(np.arange(V.shape[0]), V, negative)])
     bad = w.copy()
     bad[0] = np.nan
     with pytest.raises(InvalidState, match="non-finite"):
-        DensityMatrix.from_eigensystem(V, bad)
+        DensityMatrix.from_blocks([(np.arange(V.shape[0]), V, bad)])
     bad = V.copy()
     bad[0, 0] = np.nan
     with pytest.raises(SkewsharpError, match="non-finite"):
-        DensityMatrix.from_eigensystem(bad, w)
+        DensityMatrix.from_blocks([(np.arange(bad.shape[0]), bad, w)])
 
 
 def _block_eigensystems(seed, sizes=(3, 4)):

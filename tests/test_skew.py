@@ -21,7 +21,6 @@ from skewsharp.skew import (
     ConstructionMismatch,
     ObservableSet,
     SpectralContext,
-    build_L,
     check_refined_rs,
     classical_matrix,
     commutator_matrix,
@@ -103,7 +102,7 @@ def test_q1_classical(q1_state, q1_obs):
 
 
 def test_q1_L_saturates(q1_state, q1_obs):
-    L = build_L(q1_state, q1_obs)
+    L = check_refined_rs(q1_state, q1_obs).L
     root3 = np.sqrt(3) / 2
     assert np.abs(L[:2, :2] - np.diag([1 + root3, 1 + root3])).max() <= 1e-12
     assert np.abs(L[2:, 2:] - np.diag([1 - root3, 1 - root3])).max() <= 1e-12
@@ -142,7 +141,7 @@ def test_maximally_mixed_pauli(pauli):
     assert np.abs(covariance_matrix(rho, X) - np.eye(2)).max() <= 1e-14
     assert np.abs(wy_skew_matrix(rho, X)).max() <= 1e-14
     # delta vanishes: Tr[X_k, X_j] = 0, so L = blockdiag(2 sigma, 0)
-    L = build_L(rho, X)
+    L = check_refined_rs(rho, X).L
     assert np.abs(L - np.block([[2 * np.eye(2), np.zeros((2, 2))],
                                 [np.zeros((2, 2)), np.zeros((2, 2))]])).max() <= 1e-12
 
@@ -165,7 +164,7 @@ def test_pure_state_L_blocks(pauli):
     sx, _, _ = pauli
     rho = DensityMatrix.from_matrix(np.array([[1.0, 0], [0, 0]], dtype=complex))
     X = ObservableSet.from_matrices([sx])
-    L = build_L(rho, X)
+    L = check_refined_rs(rho, X).L
     assert np.abs(L - np.eye(2)).max() <= 1e-12  # sigma = 1, delta = 0
 
 
@@ -416,6 +415,62 @@ def test_eigenbasis_gram_matches_input_basis_gram(seed):
     ops = [(R @ M + s * M @ R) / math.sqrt(2) for s in (1, -1) for M in Xc]
     gram = np.array([[np.trace(a.conj().T @ b) for b in ops] for a in ops])
     assert np.abs(check_refined_rs(rho, X).L - gram).max() <= 1e-12
+
+
+# ---------------------------------------- stacks of sets given by their nonzeros
+
+def _block_state(rng, sizes):
+    """A state from the eigensystems of blocks on a shuffled partition of the basis (``from_blocks``):
+    one part per block, and each basis index's block."""
+    rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    weights = [rng.uniform(0.1, 1.0, r.size) for r in rows]
+    total = sum(w.sum() for w in weights)
+    rho = DensityMatrix.from_blocks([(r, random_unitary(rng, r.size), w / total) for r, w in zip(rows, weights)])
+    block = np.empty(rho.dim, dtype=int)
+    for b, r in enumerate(rows):
+        block[r] = b
+    return rho, block
+
+
+def _sparse_set(rng, n, block, inside):
+    """n random Hermitian matrices given by their nonzeros: random values, some 0, at a random half
+    of the positions (i, j) that link two blocks, and their mirrors; with ``inside``, also a real
+    diagonal entry, a nonzero inside one block."""
+    i, j = np.triu_indices(block.size, 1)
+    links = rng.permutation(np.flatnonzero(block[i] != block[j]))[:np.count_nonzero(block[i] != block[j]) // 2]
+    values = (rng.standard_normal((n, links.size)) + 1j * rng.standard_normal((n, links.size))) \
+        * (rng.uniform(size=(n, links.size)) < 0.7)
+    rows, cols = np.r_[i[links], j[links]], np.r_[j[links], i[links]]
+    values = np.concatenate([values, np.conj(values)], axis=1)
+    if inside:
+        rows, cols = np.r_[rows, 0], np.r_[cols, 0]
+        values = np.concatenate([values, rng.standard_normal((n, 1))], axis=1)
+    return ObservableSet._from_nonzeros(block.size, rows, cols, values)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", ["between-parts", "inside-a-part", "no-parts"])
+def test_stack_from_nonzeros_matches_the_dense_stack(case, n, seed):
+    rng = np.random.default_rng([seed, n])
+    rho, block = _block_state(rng, [1, 3, 2, 1, 4, 2])
+    X = _sparse_set(rng, n, block, inside=case == "inside-a-part")
+    if case == "no-parts":
+        rho = DensityMatrix.from_matrix(rho.matrix)
+    fast, dense = SpectralContext(rho, X), SpectralContext(rho, ObservableSet.from_matrices(X.observables))
+    # the entry route when every nonzero links two parts; else the full route, with or without parts
+    assert (fast.entries is not None) == (case == "between-parts") and (rho.parts is None) == (case == "no-parts")
+    A = fast.stack
+    if fast.entries is not None:    # scatter the values X_k = A_k[a, b]: A_k[b, a] = conj(X_k), 0 elsewhere
+        A = np.zeros_like(dense.stack)
+        A[:, :, fast.entries.a, fast.entries.b] = fast.stack
+        A[:, :, fast.entries.b, fast.entries.a] = np.conj(fast.stack)
+    scale = np.abs(dense.stack).max()
+    assert np.abs(A - dense.stack).max() <= 1e-13 * scale
+    assert np.abs(fast.means - dense.means).max() <= 1e-13 * scale
+    rep, ref = fast.refined, dense.refined
+    for key, margin in ref.margins.items():
+        assert abs(rep.margins[key] - margin) <= 1e-12 * max(1.0, abs(margin)), key
 
 
 # ------------------------------------------------- eq8 and eq4 routes
