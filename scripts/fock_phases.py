@@ -8,13 +8,15 @@ default), the photon-number shells (a beamsplitter coupling) and the two parity
 classes (coupling plus squeezing).  A fourth row takes the coupled and squeezed
 state rebuilt by ``DensityMatrix.from_matrix(rho.matrix)``, which records no
 parts, so that its stack is built whole (the full route of ``skew``); its
-``state`` phase includes that dense eigh.  Each run rebuilds the state, the quadratures
+``state`` phase includes forming the dense matrix from the parts and that dense
+eigh.  Each run rebuilds the state, the quadratures
 and the spectral context and times the steps of ``saturation_check`` one after
 another with ``time.perf_counter``; a phase prints the best of --repeat runs in ms.
 ``fock_truncate_thermal`` is cut at the returns of its two steps: ``H triples``
 (``_fock_hamiltonian``, the nonzeros of the truncated H), ``guard+parts`` (the
 cross-parity check on the triples and ``part_eigensystems``) and ``state`` (the
-state assembled part by part, and the tail mass); ``total`` is a separate timing
+checks of the parts' eigensystems, the ordered and clipped spectrum of the state
+kept as its parts, and the tail mass); ``total`` is a separate timing
 of the whole ``saturation_check`` (on the fourth row: the truncation, the
 rebuild and ``check_refined_rs``).
 """

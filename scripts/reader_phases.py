@@ -2,10 +2,12 @@
 
 Usage: PYTHONPATH=src python scripts/reader_phases.py [--fock-dim 900] [--dense-dim 300] [--repeat 7]
 
-Two seeded files are written with ``json.dumps`` (17-digit repr floats, zeros as
-0.0) to a temporary directory: a Fock-diagonal state (weights on the first 16
-levels, every other entry 0.0, as in the files of the benchmark's nongauss
-workload) and a dense state of random complex entries.  Each run reads a file
+Three seeded files are written to a temporary directory: a Fock-diagonal state
+(weights on the first 16 levels, every other entry 0.0, as in the files of the
+benchmark's nongauss workload) and a dense state of random complex entries, both
+with ``json.dumps`` (17-digit repr floats, zeros as 0.0), and the Fock-diagonal
+state again with ``serialize.dumps``, as the program writes its own files (zeros
+as 0).  Each run reads a file
 with ``load_json`` while the reader's steps are timed with ``time.perf_counter``;
 a phase is the self time of its steps (time in nested steps excluded), and
 prints the best of --repeat runs in ms:
@@ -13,7 +15,7 @@ prints the best of --repeat runs in ms:
 - read: ``load_json`` itself, the file read and the UTF-8 decode;
 - classify: ``_classify``, the byte classes and token starts of each chunk;
 - skeleton: ``_skeleton_piece`` and ``_matrix_spans``, the skeleton and the matrix search;
-- zero fill: ``_other_tokens`` and ``_matrix_values``, the tokens other than 0.0 and the value array;
+- zero fill: ``_other_tokens`` and ``_matrix_values``, the tokens other than 0.0 and 0 and the value array;
 - grammar+conversion: ``_converted``, the JSON number check and ``np.fromstring``;
 - json of the rest: ``loads`` and ``_place``, json on the text without the matrices.
 
@@ -44,12 +46,16 @@ PHASES = {
 }
 
 
-def states(fock_dim: int, dense_dim: int) -> dict:
+def files(fock_dim: int, dense_dim: int) -> dict:
+    """Label: the text of each file."""
     rng = np.random.default_rng(900)
     weights = np.zeros(fock_dim)
     weights[:16] = rng.uniform(0.2, 1.0, min(16, fock_dim))
     dense = rng.standard_normal((dense_dim, dense_dim)) + 1j * rng.standard_normal((dense_dim, dense_dim))
-    return {f"fock d={fock_dim}": np.diag(weights / weights.sum()), f"dense d={dense_dim}": dense}
+    fock = {"dim": fock_dim, "matrix": serialize.matrix_to_pairs(np.diag(weights / weights.sum()))}
+    return {f"fock d={fock_dim}": json.dumps(fock),
+            f"dense d={dense_dim}": json.dumps({"dim": dense_dim, "matrix": serialize.matrix_to_pairs(dense)}),
+            f"fock d={fock_dim}, serialize.dumps": serialize.dumps(fock)}
 
 
 def one_run(path: str) -> dict:
@@ -92,9 +98,9 @@ def main(argv=None) -> None:
     print("| file | chars | " + " | ".join(PHASES) + " | total | peak |")
     print("|---" * (len(PHASES) + 4) + "|")
     with tempfile.TemporaryDirectory() as tmp:
-        for label, M in states(args.fock_dim, args.dense_dim).items():
+        for label, text in files(args.fock_dim, args.dense_dim).items():
             path = os.path.join(tmp, "state.json")
-            serialize.write_text(path, json.dumps({"dim": len(M), "matrix": serialize.matrix_to_pairs(M)}))
+            serialize.write_text(path, text)
             runs = [one_run(path) for _ in range(args.repeat)]
             best = [min(sum(run[name] for name in steps) for run in runs) for steps in PHASES.values()]
             total = []

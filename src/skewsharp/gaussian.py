@@ -28,35 +28,36 @@ x = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2); in that basis the
 commutator convention of :mod:`skewsharp.skew` gives the constant real
 antisymmetric matrix [[0, -I/2], [I/2, 0]].
 
-The truncated Fock space (cutoff levels per mode, Kronecker order) carries
-exact structure that the d = cutoff^n numerics use.  Its operators are built
-from ladder index arithmetic and kept as the (row, column, value) triples of
-their nonzeros: a ladder operator moves one mode's digit of the Kronecker index
-by +-1 with coefficient sqrt(n), so the truncated H (``_fock_hamiltonian``) has
-a few nonzeros per row and no d x d matrix is formed but the state's matrix and
-its eigenvectors.  A quadratic generator changes the total photon number by 0
-or +-2, so the truncated H has exactly zero entries between even and odd
-n_1 + ... + n_n: ``fock_truncate_thermal`` checks that triple by triple, and
-inside the two parity classes takes the connected components of H's nonzero
-pattern as its parts (``linalg.part_eigensystems`` on the triples as an edge
-list), one eigensystem each and one batched eigh per part size: uncoupled modes
-give 1 x 1 parts (H is diagonal), a beamsplitter coupling the photon-number
-shells, squeezing the two parity classes themselves.  The state records the
-parts (``DensityMatrix.parts``).  A state read
-from a file gets the same structure through ``fock_density`` when its matrix
-has exactly zero entries between the two parities (``DensityMatrix.from_matrix``
-with the ``parity_rows`` partition); any other state gets the dense eigh and no
-record.  The quadratures are linear in the ladder operators, so
-``quadrature_observables`` gives them by their nonzeros at the links
-i -> i + s_k of every a_k (s_k the stride of mode k) and their mirror images
-(``ObservableSet.nonzeros``); the dense matrices are formed only when a caller
-reads ``observables``.  :mod:`skewsharp.skew` builds their eigenbasis stack from
-those nonzeros and the state's parts alone, as it would for any set so given:
-every quadrature flips the photon-number parity, so on a state whose parts each
-have one parity the stack lives on the blocks of the part pairs that a link
-joins (its entry route), and on any other state it is built whole.  This module
-writes Fock operators as triples and records the state's parts; it builds no
-eigenbasis stack.
+The truncated Fock space (cutoff levels per mode, Kronecker order) carries exact
+structure that the d = cutoff^n numerics use.  Its operators are built from
+ladder index arithmetic and kept as the (row, column, value) triples of their
+nonzeros: a ladder operator moves one mode's digit of the Kronecker index by +-1
+with coefficient sqrt(n), so the truncated H (``_fock_hamiltonian``) has a few
+nonzeros per row.  The thermal state is kept as the eigensystems of its parts,
+so the thermal path forms no d x d matrix: the state's dense matrix and
+eigenvectors are formed only if a caller reads them.  A quadratic generator
+changes the total photon number by 0 or +-2, so the truncated H has exactly zero
+entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal`` checks
+that triple by triple, and inside the two parity classes takes the connected
+components of H's nonzero pattern as its parts (``linalg.part_eigensystems`` on
+the triples as an edge list), one eigensystem each and one batched eigh per part
+size: uncoupled modes give 1 x 1 parts (H is diagonal), a beamsplitter coupling
+the photon-number shells, squeezing the two parity classes themselves.  The
+state records the parts (``DensityMatrix.parts``, and their eigensystems in
+``systems``).  A state read from a file gets the same structure through
+``fock_density`` when its matrix has exactly zero entries between the two
+parities (``DensityMatrix.from_matrix`` with the ``parity_rows`` partition); any
+other state gets the dense eigh and no record.  The quadratures are linear in
+the ladder operators, so ``quadrature_observables`` gives them by their nonzeros
+at the links i -> i + s_k of every a_k (s_k the stride of mode k) and their
+mirror images (``ObservableSet.nonzeros``); the dense matrices are formed only
+when a caller reads ``observables``.  :mod:`skewsharp.skew` builds their
+eigenbasis stack from those nonzeros and the state's parts alone, as it would
+for any set so given: every quadrature flips the photon-number parity, so on a
+state whose parts each have one parity the stack lives on the blocks of the part
+pairs that a link joins (its entry route), and on any other state it is built
+whole.  This module writes Fock operators as triples and records the state's
+parts; it builds no eigenbasis stack.
 """
 
 from __future__ import annotations

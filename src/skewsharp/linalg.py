@@ -1,10 +1,14 @@
-"""Dense complex Hermitian linear algebra with an explicit tolerance policy.
+"""Complex Hermitian linear algebra with an explicit tolerance policy.
 
-All tolerances are relative to max(1, max|entry|) of the matrix at hand:
+Matrix tolerances are relative to max(1, max|entry|) of the matrix at hand
+(``mat_scale``); a state's spectrum is judged against max(1, max|w|) of that
+spectrum (``spectrum_scale``), which bounds every entry of the state, so no
+check of a spectrum reads the state's matrix:
 
-* TOL_HERM / TOL_EIG = 1e-10  (Hermiticity deviation, eigen reconstruction)
-* TOL_PSD            = 1e-9   (admissible negative-eigenvalue dip)
+* TOL_HERM / TOL_EIG = 1e-10  (Hermiticity deviation, eigenvector orthonormality)
+* TOL_PSD            = 1e-9   (admissible negative-eigenvalue dip, rank cut)
 * TOL_TRACE          = 1e-9   (density-matrix trace deviation)
+* TOL_STATE_CLIP     = 1e-13  (state eigenvalues zeroed below it)
 
 Eigenvalues in [-TOL_PSD, 0) are clipped to 0 before sqrt/ratio use; more
 negative values are errors, never silently repaired.
@@ -57,6 +61,14 @@ def mat_scale(A: np.ndarray):
     return float(scale) if scale.ndim == 0 else scale
 
 
+def spectrum_scale(w: np.ndarray):
+    """Relative-tolerance scale max(1, max|w|) of a spectrum; for a stack (..., m), one per spectrum.
+
+    For a Hermitian matrix max|w| is its spectral norm, which bounds every entry.
+    """
+    return np.fmax(1.0, np.abs(w).max(axis=-1, initial=0.0))
+
+
 def raise_first(bad, error, *values) -> None:
     """Raise ``error(*v)``, each value v taken at the first instance flagged in ``bad``.
 
@@ -95,17 +107,6 @@ def hermitian_parts(A: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") 
     return (A + np.conj(A).swapaxes(-2, -1)) / 2
 
 
-def clip_psd_eigenvalues(w: np.ndarray, scale) -> np.ndarray:
-    """Clip eigenvalues in [-TOL_PSD*scale, 0) to 0; raise NotPSD below that.
-
-    A stack of spectra (..., m) takes one scale per spectrum.
-    """
-    lo = w.min(axis=-1, initial=np.inf)
-    raise_first(lo < -TOL_PSD * scale, lambda m, s: NotPSD(
-        f"min eigenvalue {m:.3e} below -{TOL_PSD:.1e} * {s:.3e}"), lo, scale)
-    return np.maximum(w, 0.0)
-
-
 @dataclass(eq=False, frozen=True)
 class DensityMatrix:
     """Validated quantum state with cached eigensystem.
@@ -113,10 +114,14 @@ class DensityMatrix:
     Eigenvalues are clipped to [0, ...] after the positivity check, so rank
     deficient (pure) states are safe inputs to sqrt/log-style maps.
 
-    A state whose eigensystem was taken part by part records its structure in
-    ``parts``: per part size m, one pair (rows, eigenvector columns) of (G, m)
-    arrays for its G parts, the m eigenvectors of a part living on its m rows
-    alone.  A state from the one dense eigh records none.
+    A state whose eigensystem was taken part by part is kept as its parts:
+    ``parts`` holds per part size m one pair (rows, eigenvector columns) of
+    (G, m) arrays for its G parts, the m eigenvectors of a part living on its m
+    rows alone, and ``systems`` the matching pair (V (G, m, m), weights (G, m)),
+    the weights as given, before the clip of ``eigenvalues``.
+    Its dense ``matrix`` (unless it was the input) and ``eigenvectors`` are
+    formed on their first read, from those parts.  A state from the one dense
+    eigh records no parts.
     """
 
     matrix: np.ndarray
@@ -124,10 +129,23 @@ class DensityMatrix:
     eigenvectors: np.ndarray = field(repr=False)
     # set by ``_from_parts`` only: ``from_blocks``, and ``from_matrix`` when its partition holds
     parts: tuple | None = field(default=None, init=False, repr=False)
+    systems: tuple | None = field(default=None, init=False, repr=False)
+
+    def __getattr__(self, name):
+        if name not in ("matrix", "eigenvectors") or self.parts is None:
+            raise AttributeError(name)
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for (r, c), (V, w) in zip(self.parts, self.systems):
+            if name == "eigenvectors":
+                M[r[:, :, None], c[:, None, :]] = V
+            else:
+                R = (V * w[:, None, :]) @ np.conj(V.swapaxes(1, 2))
+                M[r[:, :, None], r[:, None, :]] = (R + np.conj(R.swapaxes(1, 2))) / 2
+        return vars(self).setdefault(name, M)      # frozen: stored in the instance dict
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.shape[0]
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray, partition=None) -> "DensityMatrix":
@@ -169,11 +187,11 @@ class DensityMatrix:
         w (G, m)) of G parts.  ``rho`` is the state's checked Hermitian matrix, whose
         parts' eigh gave the eigensystems, or None when the eigensystems are the
         input: then the shapes agree, the weights are finite, each V is orthonormal
-        within TOL_EIG, the parts' rows partition the basis, all weights sum to 1
-        within TOL_TRACE, and rho is assembled part by part as V diag(w) V^dag.  The
-        spectrum gets the PSD clip and zeroing of ``from_matrix``; the eigenvectors
-        are the V embedded at their rows, in columns of descending weight (stable
-        in the order of ``parts``), and ``parts`` records (rows, columns).
+        within TOL_EIG, the parts' rows partition the basis and all weights sum to 1
+        within TOL_TRACE, and no d x d array is formed.  The spectrum gets the PSD
+        clip and zeroing of ``from_matrix``, its columns ordered by descending weight
+        (stable in the order of ``parts``); ``parts`` records each part's (rows,
+        columns) and ``systems`` its (V, w).
         """
         d = sum(r.size for r, _, _ in parts)
         if rho is None:
@@ -188,24 +206,28 @@ class DensityMatrix:
             tr = float(sum(w.sum() for _, _, w in parts))
             if abs(tr - 1.0) > TOL_TRACE:
                 raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
-            rho = np.zeros((d, d), dtype=complex)
-            for r, V, w in parts:
-                R = (V * w[:, None, :]) @ np.conj(V.swapaxes(1, 2))
-                rho[r[:, :, None], r[:, None, :]] = (R + np.conj(R.swapaxes(1, 2))) / 2
         w = np.concatenate([wp.ravel() for _, _, wp in parts])
         order = np.argsort(-w, kind="stable")
         # eigenvector i sits in column argsort(order)[i]: each part's columns, shaped as its rows
         columns = np.split(np.argsort(order), np.cumsum([r.size for r, _, _ in parts])[:-1])
-        record = tuple((r, c.reshape(r.shape)) for (r, _, _), c in zip(parts, columns))
-        eigenvectors = np.zeros((d, d), dtype=complex)
-        for (r, c), (_, V, _) in zip(record, parts):
-            eigenvectors[r[:, :, None], c[:, None, :]] = V
-        state = cls(matrix=rho, eigenvalues=_clip_spectrum(rho, w[order]), eigenvectors=eigenvectors)
-        object.__setattr__(state, "parts", record)
+        state = cls.__new__(cls)
+        vars(state).update(eigenvalues=_clip_spectrum(w[order]), systems=tuple((V, wp) for _, V, wp in parts),
+                           parts=tuple((r, c.reshape(r.shape)) for (r, _, _), c in zip(parts, columns)))
+        if rho is not None:
+            vars(state)["matrix"] = rho
         return state
 
     def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > TOL_PSD * mat_scale(self.matrix)))
+        return int(np.count_nonzero(self.eigenvalues > TOL_PSD * spectrum_scale(self.eigenvalues)))
+
+    def eigenvectors_times(self, t: np.ndarray) -> np.ndarray:
+        """V t for eigenvector coefficients t (d,), part by part on a state with parts."""
+        if self.parts is None:
+            return self.eigenvectors @ t
+        out = np.empty(t.shape, dtype=complex)      # every row lies in one part
+        for (r, c), (V, _) in zip(self.parts, self.systems):
+            out[r] = (V @ t[c][..., None])[..., 0]
+        return out
 
 
 def part_eigensystems(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> list[tuple]:
@@ -258,7 +280,7 @@ def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:
 def _spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clipped descending spectra and eigenvectors of checked states (B, d, d): one eigh each."""
     w, V = np.linalg.eigh(rho)
-    return _clip_spectrum(rho, w[..., ::-1].copy()), V[..., ::-1].copy()
+    return _clip_spectrum(w[..., ::-1].copy()), V[..., ::-1].copy()
 
 
 def validate_states(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,12 +293,13 @@ def validate_states(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (rho, *_spectra(rho))
 
 
-def _clip_spectrum(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Descending spectra w of the states rho clipped to >= 0, zeroed below TOL_STATE_CLIP."""
-    scale = mat_scale(rho)
-    try:
-        w = clip_psd_eigenvalues(w, scale)
-    except NotPSD as exc:
-        raise InvalidState(f"state not positive semidefinite: {exc}") from exc
+def _clip_spectrum(w: np.ndarray) -> np.ndarray:
+    """Descending state spectra w (..., d), each against its own ``spectrum_scale``: eigenvalues
+    in [-TOL_PSD * scale, 0) clipped to 0 (InvalidState below that), and zeroed below
+    TOL_STATE_CLIP * scale."""
+    scale, lo = spectrum_scale(w), w.min(axis=-1, initial=np.inf)
+    raise_first(lo < -TOL_PSD * scale, lambda m, s: InvalidState(
+        f"state not positive semidefinite: min eigenvalue {m:.3e} below -{TOL_PSD:.1e} * {s:.3e}"), lo, scale)
+    w = np.maximum(w, 0.0)
     w[w < TOL_STATE_CLIP * np.expand_dims(scale, -1)] = 0.0
     return w

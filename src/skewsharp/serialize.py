@@ -14,15 +14,15 @@ classifies every byte with a ``bytes.translate`` table and builds a skeleton: no
 whitespace, and each number token (a run of 0-9 . e E + -) as one "n".  A matrix
 is accepted only where the skeleton is exactly [[[n,n],...],...] for the d of its
 first row, which proves that it is square with one token per slot.  A token that
-is exactly 0.0 becomes +0.0 without conversion.  Every other token must be a JSON
-number, and not an integer -0 (json reads it as +0.0, strtod as -0.0), with a
-finite value; ``np.fromstring`` converts them.  Each accepted matrix is replaced
-by a marker string and json parses what is left, so keys, strings, ``dim``,
-``label`` and every other array take the json path.  If that parse fails, or a
-marker is not a value exactly once (a matrix-like text inside a string, or in a
-key), the whole text goes to ``json.loads``.  Both conversions round correctly,
-so an accepted text gives bit-identical numbers, and a rejected one raises
-json's own exception.
+is exactly 0.0 or 0 (``dumps`` writes a zero as 0) becomes +0.0 without
+conversion.  Every other token must be a JSON number, and not an integer -0
+(json reads it as +0.0, strtod as -0.0), with a finite value; ``np.fromstring``
+converts them.  Each accepted matrix is replaced by a marker string and json
+parses what is left, so keys, strings, ``dim``, ``label`` and every other array
+take the json path.  If that parse fails, or a marker is not a value exactly once
+(a matrix-like text inside a string, or in a key), the whole text goes to
+``json.loads``.  Both conversions round correctly, so an accepted text gives
+bit-identical numbers, and a rejected one raises json's own exception.
 """
 
 from __future__ import annotations
@@ -249,15 +249,6 @@ def _token_starts(num: np.ndarray) -> np.ndarray:
     return first
 
 
-def _zero_tokens(chars: np.ndarray, num: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Starts of the tokens that are exactly 0.0: "0.0" then a byte that is not a
-    number byte."""
-    zero = np.zeros_like(first)
-    zero[:-3] = (first[:-3] & (chars[:-3] == ord("0")) & (chars[1:-2] == ord("."))
-                 & (chars[2:-1] == ord("0")) & ~num[3:])
-    return zero
-
-
 def _classify(piece: str) -> tuple:
     """The bytes of a piece and its _CLASS bytes, as arrays, with its number-byte mask
     and token starts."""
@@ -275,17 +266,24 @@ def _skeleton_piece(cls: np.ndarray, num: np.ndarray, first: np.ndarray) -> byte
 
 
 def _other_tokens(chars: np.ndarray, num: np.ndarray, first: np.ndarray) -> tuple | None:
-    """None if every token of a piece is exactly 0.0; else the piece with its number
-    bytes kept and every other byte, and every 0.0 token, as a space, and which of
-    its tokens that keeps (None for all)."""
-    zero = _zero_tokens(chars, num, first)
-    if not (first & ~zero).any():
+    """None if every token of a piece is exactly 0.0 or 0 ("0.0" or "0" then a byte
+    that is not a number byte); else the piece with its number bytes kept and every
+    other byte, and every 0.0 and 0 token, as a space, and which of its tokens that
+    keeps (None for all)."""
+    lead, end = first & (chars == ord("0")), ~num
+    dotted = np.zeros_like(first)       # the starts of the 0.0 tokens
+    dotted[:-3] = lead[:-3] & (chars[1:-2] == ord(".")) & (chars[2:-1] == ord("0")) & end[3:]
+    if np.array_equal(dotted, first):   # json.dumps writes a zero as 0.0, ``dumps`` as 0
+        return None
+    zero = dotted.copy()
+    zero[:-1] |= lead[:-1] & end[1:]
+    if np.array_equal(zero, first):
         return None
     keep, kept = num, None
     if zero.any():
-        blank = zero.copy()
-        blank[1:] |= zero[:-1]
-        blank[2:] |= zero[:-2]
+        # the bytes of the zero tokens: each start, and the two after a 0.0 start (none
+        # in the last three bytes, so the roll wraps no start around)
+        blank = zero | np.roll(dotted, 1) | np.roll(dotted, 2)
         keep, kept = num & ~blank, ~zero[first]
     # kept bytes, else a space (np.where takes several times longer)
     return (chars * keep + ~keep * np.uint8(ord(" "))).tobytes(), kept
@@ -388,7 +386,7 @@ def _matrix_spans(text: str) -> tuple[list, list]:
 
 def _matrix_values(chunks: list, span: tuple) -> np.ndarray | None:
     """(d, d, 2) values of a matrix span, or None unless _converted takes each of its
-    tokens.  A token that is exactly 0.0 is +0.0 without conversion."""
+    tokens.  A token that is exactly 0.0 or 0 is +0.0 without conversion."""
     start, stop, d, first_token, first_chunk = span
     values = np.zeros(2 * d * d)
     for lo, tokens_before, count, others in chunks[first_chunk:]:

@@ -37,20 +37,25 @@ on the blocks [c_P, c_Q] of the part pairs that some nonzero links, and their
 mirrors [c_Q, c_P]; its diagonal, and so every mean, is 0.  ``_entries`` lists
 each such pair once, grouped by block shape, as index arrays ``a`` and ``b`` of
 eigenvector columns, no entry on the diagonal or twice, and each block is one
-batched product per shape.  The truncated quadratures flip photon-number
-parity, so on a state whose parts each have one parity the list holds 1740
-entries at the CLI default (2 modes, cutoff 30, 1 x 1 parts) and all d^2/4
-even-to-odd entries when the parts are the two parity classes.  The context
-then stores only the values X_k = A_k[a, b] (``ctx.stack``, (B, n, nnz));
+batched product per shape.  That route reads the state as its parts alone
+(``DensityMatrix.systems``: each part's eigenvectors V_P), so it forms neither
+the state's dense matrix nor its eigenvectors: V[r_P, c_P] is V_P itself, and
+V[i, c_Q] is the row of V_Q at i's place when i lies in Q, else 0.  The
+truncated quadratures flip photon-number parity, so on a state whose parts each
+have one parity the list holds 1740 entries at the CLI default (2 modes, cutoff
+30, 1 x 1 parts) and all d^2/4 even-to-odd entries when the parts are the two
+parity classes.  The context then stores only the values X_k = A_k[a, b]
+(``ctx.stack``, (B, n, nnz));
 A_k[b, a] = conj(X_k).  The pairing, the Gram check and the stack check each
 take a form of matrix products on the values, e.g.
 sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum over the entries of (W[a, b] X_k conj(X_j)
 + W[b, a] conj(X_k) X_j) for any complex W.  A state without parts, or a
 nonzero inside a part, gives the full route: the whole stack, two observables
 per product, B = V^dag (X_j + i X_{j+1}) V split into the Hermitian
-(B + B^dag)/2 and (B - B^dag)/2i, part by part.  Every dense set, among them
-every batch of the fuzz harness and every ``check``, keeps the dense einsum bit
-for bit.
+(B + B^dag)/2 and (B - B^dag)/2i, part by part, from the state's dense
+eigenvectors (formed on that first read for a state kept as its parts).  Every
+dense set, among them every batch of the fuzz harness and every ``check``, keeps
+the dense einsum bit for bit.
 
 Three self-checks guard that assembly (ConstructionMismatch on failure).  The
 Gram route forms L again from the eigenbasis stack A_k = V^dag X'_k V, where
@@ -63,7 +68,8 @@ of the input observables against the same pairing of A.  It reads the input
 X_k, not the stack, so a stack built from the nonzeros is checked against the
 plain definition of the observables: on a set given by its nonzeros the check
 reads them in O(nnz), as Tr(X_k X_j) and Tr X_k from the values and
-Tr(rho X_k) as the sum of v rho[c, r] over the triples (r, c, v).  The input
+Tr(rho X_k) as the sum of v rho[c, r] over the triples (r, c, v), rho[c, r]
+being 0 on the entry route, where every nonzero links two parts.  The input
 pairings are dot products of float views: on the nonzeros, of the values beside
 rho at their positions; for a dense set one product on a stacked copy while
 that copy is small (every fuzz batch, every ``check``), pair by pair above
@@ -72,7 +78,8 @@ sees a unitary relabeling U X_k U^dag of every observable, which keeps all
 Hilbert-Schmidt pairings; so a stack built from the nonzeros also passes a
 random probe (``_probe_stack``), which compares it with the input X_k along
 random vectors, X_k (V t) a scatter-add of the nonzeros over their rows, apart
-from the table the stack was built from.
+from the table the stack was built from, and V t formed part by part
+(``DensityMatrix.eigenvectors_times``).
 """
 
 from __future__ import annotations
@@ -242,7 +249,9 @@ def _input_pairings(ctx: "SpectralContext") -> tuple[np.ndarray, np.ndarray]:
     # matrices would take 65 MB and most of the check's time)
     if ctx.nonzeros is not None:
         _, r, c, values = ctx.nonzeros
-        flat = np.concatenate([values, ctx.matrix[:, r, c]]).view(float)[None]
+        # rho at the nonzeros: on the entry route each links two parts, where the state is 0
+        rho_rc = np.zeros((1, r.size), dtype=complex) if ctx.entries is not None else ctx.matrix[:, r, c]
+        flat = np.concatenate([values, rho_rc]).view(float)[None]
         G, traces = flat @ flat.swapaxes(1, 2), values[:, r == c].real.sum(axis=-1)[None]
     elif B * (n + 1) * d * d <= STACK_CHECK_ENTRIES:
         rows = np.empty((B, n + 1, d, d), dtype=complex)
@@ -283,13 +292,24 @@ def _check_stack(ctx: "SpectralContext") -> None:
 
 class Entries(NamedTuple):
     """The entry list of a stack: the eigenvector columns ``a`` and ``b`` of every entry,
-    and per block shape the linked part pairs (P, Q) as (rows_P, cols_P, cols_Q), (G, m_P)
-    and (G, m_Q) arrays, the entries of their blocks [cols_P, cols_Q] listed group by
-    group, pair by pair, row-major."""
+    and per block shape the linked part pairs (P, Q) as (size group of P, places of P in
+    it, size group of Q, places of Q), indices into ``DensityMatrix.parts``, the entries
+    of their blocks [cols_P, cols_Q] listed group by group, pair by pair, row-major."""
 
     a: np.ndarray
     b: np.ndarray
     groups: list
+
+
+def _part_index(parts: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of a state's ``parts``, numbered size group by size group: each group's first part id
+    (and the count of parts last), and per basis row the id of its part and its place there."""
+    first = np.cumsum([0] + [rows.shape[0] for rows, _ in parts])
+    part, place = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
+    for (rows, _), start in zip(parts, first):
+        part[rows] = start + np.arange(rows.shape[0])[:, None]
+        place[rows] = np.arange(rows.shape[1])
+    return first, part, place
 
 
 def _entries(nonzeros: tuple, parts: tuple) -> Entries | None:
@@ -300,11 +320,8 @@ def _entries(nonzeros: tuple, parts: tuple) -> Entries | None:
     holds each linked pair {P, Q} once, P before Q in the order of ``parts``.
     """
     d, r, c, _ = nonzeros
-    first = np.cumsum([0] + [rows.shape[0] for rows, _ in parts])    # part ids run group by group
+    first, part, _ = _part_index(parts, d)
     group = np.repeat(np.arange(len(parts)), np.diff(first))
-    part = np.empty(d, dtype=np.intp)
-    for (rows, _), start in zip(parts, first):
-        part[rows] = start + np.arange(rows.shape[0])[:, None]
     P, Q = np.minimum(part[r], part[c]), np.maximum(part[r], part[c])
     if not P.size or (P == Q).any():
         return None
@@ -315,11 +332,11 @@ def _entries(nonzeros: tuple, parts: tuple) -> Entries | None:
     cuts = [0, *(np.flatnonzero(np.diff(group[P]) | np.diff(group[Q])) + 1).tolist(), P.size]
     groups = []
     for lo, hi in zip(cuts, cuts[1:]):
-        (r_P, c_P), (_, c_Q) = parts[group[P[lo]]], parts[group[Q[lo]]]
-        P_g, Q_g = P[lo:hi] - first[group[P[lo]]], Q[lo:hi] - first[group[Q[lo]]]
-        groups.append((r_P[P_g], c_P[P_g], c_Q[Q_g]))
-    a = [np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel() for _, c_P, c_Q in groups]
-    b = [np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel() for _, c_P, c_Q in groups]
+        g_P, g_Q = group[P[lo]], group[Q[lo]]
+        groups.append((g_P, P[lo:hi] - first[g_P], g_Q, Q[lo:hi] - first[g_Q]))
+    cols = [(parts[g_P][1][P_g], parts[g_Q][1][Q_g]) for g_P, P_g, g_Q, Q_g in groups]
+    a = [np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel() for c_P, c_Q in cols]
+    b = [np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel() for c_P, c_Q in cols]
     return Entries(np.concatenate(a), np.concatenate(b), groups)
 
 
@@ -337,41 +354,44 @@ def _row_table(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -
     return at.reshape(d, w), vals.reshape(d, w, -1)
 
 
-def _block_products(V: np.ndarray, table: tuple, rows: np.ndarray, cols: np.ndarray,
-                    into: np.ndarray) -> np.ndarray:
-    """V[r, c]^dag (M_k V)[r, into] for each of G parts with rows r and eigenvector columns c
-    ((G, m) each, ``into`` (G, q), or None for all d columns) and every M_k of a
-    ``_row_table``, as (G, m, h, q).
+def _block_products(vals: np.ndarray, rows: np.ndarray, V_P: np.ndarray, V_at: np.ndarray) -> np.ndarray:
+    """V_P^dag (M_k V)[rows, q columns] for each of G parts with rows (G, m) and eigenvectors
+    V_P (G, m, m), and every M_k of a ``_row_table`` with values ``vals``, as (G, m, h, q).
 
     Row i of M_k V, for every k at once, is the product of the values of row i (w, h),
-    transposed, with the rows of V at their columns (w, q); one batched product per part then
-    takes every k.
+    transposed, with the rows of V at their columns on the q columns, V_at (G, m, w, q); one
+    batched product per part then takes every k.
     """
-    at, vals = table
-    V_at = V[at[rows]] if into is None else V[at[rows][..., None], into[:, None, None, :]]     # (G, m, w, q)
     MV = vals[rows].swapaxes(2, 3) @ V_at
     G, m, h, q = MV.shape
-    return (np.conj(V[rows[..., None], cols[:, None, :]]).swapaxes(1, 2) @ MV.reshape(G, m, h * q)).reshape(MV.shape)
+    return (np.conj(V_P).swapaxes(1, 2) @ MV.reshape(G, m, h * q)).reshape(MV.shape)
 
 
-def _nonzeros_stack(V: np.ndarray, nonzeros: tuple, parts: tuple | None, entries: Entries | None) -> np.ndarray:
-    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros``, V the eigenvectors
-    of a state with ``parts`` (a state without them is one part): its values (n, nnz) on the
-    ``entries``, or without them the full stack (n, d, d), two observables per product."""
+def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple, entries: Entries | None) -> np.ndarray:
+    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros`` on a ``state``: its
+    values (n, nnz) on the ``entries``, from the eigensystems of the state's parts alone, or
+    without them the full stack (n, d, d) from its eigenvectors, two observables per product."""
     d, r, c, values = nonzeros
     if entries is not None:
-        table, A = _row_table(d, r, c, values), np.empty((values.shape[0], entries.a.size), dtype=complex)
-        sizes = np.cumsum([c_P.size * c_Q.shape[1] for _, c_P, c_Q in entries.groups])
-        for out, (r_P, c_P, c_Q) in zip(np.split(A, sizes[:-1], axis=1), entries.groups):
-            out[:] = _block_products(V, table, r_P, c_P, c_Q).transpose(2, 0, 1, 3).reshape(out.shape)
+        (at, vals), A = _row_table(d, r, c, values), np.empty((values.shape[0], entries.a.size), dtype=complex)
+        (first, part, place), parts, systems = _part_index(state.parts, d), state.parts, state.systems
+        sizes = np.cumsum([P.size * parts[g_P][0].shape[1] * parts[g_Q][0].shape[1]
+                           for g_P, P, g_Q, _ in entries.groups])
+        for out, (g_P, P, g_Q, Q) in zip(np.split(A, sizes[:-1], axis=1), entries.groups):
+            rows = parts[g_P][0][P]
+            i, V_Q = at[rows], systems[g_Q][0][Q]       # the columns of each row's nonzeros; Q's V
+            # V[i, c_Q] is row place(i) of Q's V where i lies in Q, else 0
+            in_Q = part[i] == (first[g_Q] + Q)[:, None, None]
+            V_at = np.where(in_Q[..., None], V_Q[np.arange(Q.size)[:, None, None], place[i] * in_Q], 0)
+            out[:] = _block_products(vals, rows, systems[g_P][0][P], V_at).transpose(2, 0, 1, 3).reshape(out.shape)
         return A
     # B = V^dag (X_j + i X_{j+1}) V / 2 per pair: X_j = B + B^dag and X_{j+1} = -i (B - B^dag) in the eigenbasis
     n = values.shape[0]
     Y = values[0::2] / 2
     Y[:n // 2] += 0.5j * values[1::2]
-    table, B = _row_table(d, r, c, Y), np.empty((d, Y.shape[0], d), dtype=complex)
-    for rows, cols in parts or ((np.arange(d)[None],) * 2,):
-        B[cols] = _block_products(V, table, rows, cols, None)
+    (at, vals), B, V = _row_table(d, r, c, Y), np.empty((d, Y.shape[0], d), dtype=complex), state.eigenvectors
+    for rows, cols in state.parts or ((np.arange(d)[None],) * 2,):
+        B[cols] = _block_products(vals, rows, V[rows[..., None], cols[:, None, :]], V[at[rows]])
     A = np.empty((n, d, d), dtype=complex)
     for h in range(Y.shape[0]):
         B_dag = np.conj(B[:, h].T)
@@ -404,11 +424,12 @@ def _probe_stack(ctx: "SpectralContext") -> None:
     when, for some k, the two differ by more than CONSTRUCTION_TOL |s| |X_k V t|, their
     Cauchy-Schwarz bound.
     """
-    V, (s, t) = ctx.V[0], _probe_vectors(ctx.dim, ctx.n)
+    s, t = _probe_vectors(ctx.dim, ctx.n)
+    Vt, Vs = (ctx.state.eigenvectors_times(v) for v in (t, s))
     # X_k (V t) from the set's nonzeros: each value times (V t) at its column, summed into its row
     d, r, c, values = ctx.nonzeros
-    XVt = np.stack([np.bincount(r, w.real, d) + 1j * np.bincount(r, w.imag, d) for w in values * (V @ t)[c]])
-    lhs = XVt @ np.conj(V @ s)
+    XVt = np.stack([np.bincount(r, w.real, d) + 1j * np.bincount(r, w.imag, d) for w in values * Vt[c]])
+    lhs = XVt @ np.conj(Vs)
     X = ctx.stack[0]
     if ctx.entries is None:
         rhs = X @ t @ np.conj(s)
@@ -437,7 +458,7 @@ class SpectralContext:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
         # a set given by its nonzeros is read through them alone: its dense matrices stay unformed
         dense = None if X.nonzeros is not None else [M[None] for M in X.observables]
-        self._setup(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None], dense, X.nonzeros, rho.parts)
+        self._setup(rho, rho.eigenvalues[None], dense, X.nonzeros)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -445,20 +466,25 @@ class SpectralContext:
         """A batch of validated instances: states (B, d, d) with their clipped
         descending spectra and eigenvectors, and Hermitian observables (B, n, d, d)."""
         ctx = cls.__new__(cls)
-        ctx._setup(matrix, lam, V, [obs[:, k] for k in range(obs.shape[1])])
+        ctx.matrix, ctx.V = matrix, V
+        ctx._setup(None, lam, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, matrix, lam, V, observables, nonzeros=None, parts=None) -> None:
-        self.matrix, self.lam, self.V = matrix, lam, V
+    def _setup(self, state, lam, observables, nonzeros=None) -> None:
         # n arrays (B, d, d), or B = 1 and a set given by its nonzeros, on a state with or without parts
-        self.observables, self.nonzeros, self.parts = observables, nonzeros, parts
+        self.state, self.lam, self.observables, self.nonzeros = state, lam, observables, nonzeros
         self.size, self.dim = lam.shape
         self.n = len(observables) if nonzeros is None else nonzeros[3].shape[0]
         # the entry route: the eigenvector-column pairs (a, b) off which every A_k is exactly
         # zero, A_k[b, a] being conj(A_k[a, b]), as the nonzeros link the state's parts
-        self.entries = None if nonzeros is None or parts is None else _entries(nonzeros, parts)
-        self.memo: dict = {}
-        self._weights: dict = {}
+        parts = None if nonzeros is None else self.state.parts
+        self.entries = None if parts is None else _entries(nonzeros, parts)
+        self.memo, self._weights = {}, {}
+
+    # the states (B, d, d) and eigenvectors (B, d, d), read by every route but the entry route:
+    # a state kept as its parts forms them on this first read
+    matrix = cached(lambda self: self.state.matrix[None])
+    V = cached(lambda self: self.state.eigenvectors[None])
 
     @cached
     def _stack(self) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +492,7 @@ class SpectralContext:
             V = self.V[:, None]
             A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
         else:
-            A = _nonzeros_stack(self.V[0], self.nonzeros, self.parts, self.entries)[None]
+            A = _nonzeros_stack(self.state, self.nonzeros, self.entries)[None]
         if self.entries is not None:
             return A, np.zeros((self.size, self.n))     # no diagonal entry: every mean is 0
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A

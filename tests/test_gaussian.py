@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -36,6 +37,8 @@ from skewsharp import gaussian, gcov, skew
 from skewsharp.fuzz import random_density, random_observables as fuzz_observables
 from skewsharp.skew import ConstructionMismatch, ObservableSet, SpectralContext, check_refined_rs
 from skewsharp.linalg import DensityMatrix, InvalidState, NonHermitianInput
+
+from conftest import random_unitary
 
 Q = 0.25                      # e^(-beta omega) for the thermal fixture
 BETA = math.log(1 / Q)        # omega = 1
@@ -511,16 +514,47 @@ def test_refined_check_extra_memory_at_d900():
 
 
 def test_saturation_check_extra_memory_at_d900():
-    # bound: the 31.0 MiB this call reads with H, the quadratures and the stack check's inputs
-    # as nonzeros (the state's matrix and eigenvectors take 24.7 MiB of it), plus 5 MiB
+    # bound: the 1.7 MiB this call reads with H, the quadratures and the stack check's inputs
+    # as nonzeros and the state kept as its 1 x 1 parts (no d x d array), plus 5 MiB
     H = two_mode_generator(1.0, 1.0)
     tracemalloc.start()
     try:
-        saturation_check(H, 30)
+        rho = saturation_check(H, 30).truncation.rho
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * 2**20, f"extra peak {peak / 2**20:.1f} MiB"
+    assert peak < 6.7 * 2**20, f"extra peak {peak / 2**20:.1f} MiB"
+    assert rho.parts is not None and not {"matrix", "eigenvectors"} & set(vars(rho))
+
+
+def _eager_assembly(rho):
+    """Reference: the dense matrix, each part's V diag(w) V^dag made Hermitian at its rows, and
+    the eigenvectors, each part's V at its rows and columns, assembled one part at a time."""
+    M, E = np.zeros((rho.dim, rho.dim), dtype=complex), np.zeros((rho.dim, rho.dim), dtype=complex)
+    for (rows, cols), (Vs, ws) in zip(rho.parts, rho.systems):
+        for r, c, V, w in zip(rows, cols, Vs, ws):
+            R = (V * w) @ V.conj().T
+            M[np.ix_(r, r)] = (R + R.conj().T) / 2
+            E[np.ix_(r, c)] = V
+    return M, E
+
+
+@pytest.mark.parametrize("kind", ["uncoupled", "shells", "coupled-squeezed", "from-blocks"])
+def test_lazy_state_arrays_match_the_eager_assembly(kind):
+    generators = {"uncoupled": (1.0, 1.0, 0.0, 0.0), "shells": (1.0, 1.3, 0.2, 0.0),
+                  "coupled-squeezed": (1.0, 1.3, 0.2, 0.1)}
+    if kind == "from-blocks":
+        rng = np.random.default_rng(4)
+        rows = np.split(rng.permutation(10), [3, 7])
+        w = rng.uniform(0.1, 1.0, 10)
+        rho = DensityMatrix.from_blocks([(r, random_unitary(rng, r.size), w[r] / w.sum()) for r in rows])
+    else:
+        omega1, omega2, coupling, xi = generators[kind]
+        rho = fock_truncate_thermal(two_mode_generator(omega1, omega2, coupling=coupling, xi=xi), 10).rho
+    assert not {"matrix", "eigenvectors"} & set(vars(rho))
+    M, E = _eager_assembly(rho)
+    assert np.array_equal(rho.matrix, M) and np.array_equal(rho.eigenvectors, E)
+    assert rho.matrix is rho.matrix and rho.eigenvectors is rho.eigenvectors     # formed once
 
 
 # ------------------------------------------- parity blocks and ladder stack
@@ -929,9 +963,9 @@ def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
     assert SpectralContext(rho, X).entries is None and rho.parts is not None
     build = skew._block_products
 
-    def flipped(V, table, rows, cols, into):
-        out = build(V, table, rows, cols, into)
-        out[cols == rho.parts[0][1][0, 0]] *= -1
+    def flipped(*args):
+        out = build(*args)
+        out[0, 0] *= -1         # the first eigenvector of the one part
         return out
 
     monkeypatch.setattr(skew, "_block_products", flipped)
@@ -953,13 +987,23 @@ def test_kernel_weights_pair_bit_for_bit_like_the_dense_weights(kind):
 # ------------------------------------------- the random probe against the input basis
 
 def _swap_two_columns(rho):
-    """The eigenvectors with two columns swapped: two of one part's columns, or with only
-    1 x 1 parts, the columns of the first two parts."""
-    cols = next((c for _, c in rho.parts if c.shape[1] > 1), None)
-    c0, c1 = (cols[0, 0], cols[0, 1]) if cols is not None else (rho.parts[0][1][0, 0], rho.parts[0][1][1, 0])
-    perm = np.arange(rho.dim)
-    perm[[c0, c1]] = c1, c0
-    return perm
+    """A copy of rho, read from its parts, with two eigenvector columns swapped: two of one
+    part's (its V's first two columns), or with only 1 x 1 parts, the first two parts' (their rows)."""
+    parts, systems = list(rho.parts), list(rho.systems)
+    g = next((g for g, (rows, _) in enumerate(parts) if rows.shape[1] > 1), None)
+    if g is not None:
+        V = systems[g][0].copy()
+        V[0][:, [0, 1]] = V[0][:, [1, 0]]
+        systems[g] = (V, systems[g][1])
+    else:
+        rows = parts[0][0].copy()
+        rows[[0, 1]] = rows[[1, 0]]
+        parts[0] = (rows, parts[0][1])
+    swapped = copy.copy(rho)
+    for name in ("matrix", "eigenvectors"):    # formed again from the swapped parts if read
+        vars(swapped).pop(name, None)
+    vars(swapped).update(parts=tuple(parts), systems=tuple(systems))
+    return swapped
 
 
 def _probe_mutation(kind, rho, monkeypatch):
@@ -968,15 +1012,15 @@ def _probe_mutation(kind, rho, monkeypatch):
         monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, -1.0, 8))
         return
     if kind == "swapped-columns":
-        build, perm = skew._nonzeros_stack, _swap_two_columns(rho)
-        monkeypatch.setattr(skew, "_nonzeros_stack", lambda V, *args: build(V[:, perm], *args))
+        build, swapped = skew._nonzeros_stack, _swap_two_columns(rho)
+        monkeypatch.setattr(skew, "_nonzeros_stack", lambda state, *args: build(swapped, *args))
         return
-    (_, part), *_ = rho.parts                   # one whole part, on the left side of its blocks only
+    (part, _), *_ = rho.parts                   # one whole part, on the left side of its blocks only
     build = skew._block_products
 
-    def flipped(V, table, rows, cols, into):
-        out = build(V, table, rows, cols, into)
-        out[np.isin(cols, part[0])] *= -1
+    def flipped(vals, rows, V_P, V_at):
+        out = build(vals, rows, V_P, V_at)
+        out[np.isin(rows, part[0])] *= -1
         return out
 
     monkeypatch.setattr(skew, "_block_products", flipped)

@@ -126,6 +126,12 @@ def test_from_blocks_rejects_bad_input():
         DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1 * (1 + 1e-6), w1)])
     with pytest.raises(InvalidState, match="trace"):
         DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1, 1.01 * w1)])
+    nan = w1.copy()
+    nan[0] = np.nan
+    with pytest.raises(InvalidState, match="non-finite"):
+        DensityMatrix.from_blocks([(r0, V0, w0), (r1, V1, nan)])
+    # a state kept as its parts forms no dense array: each check above ran in from_blocks itself
+    assert not {"matrix", "eigenvectors"} & set(vars(DensityMatrix.from_blocks(blocks)))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -383,6 +383,38 @@ def test_loads_route_reads_large_matrices_bit_for_bit(kind):
     assert _outcome(text, serialize.loads) == _outcome(text, json.loads)
 
 
+def test_loads_route_fills_the_zeros_dumps_writes(monkeypatch):
+    # dumps writes a zero as the integer token 0: the route fills it without conversion, as it fills 0.0
+    rng = np.random.default_rng(301)
+    d = 200
+    weights = np.zeros(d)
+    weights[:16] = rng.uniform(0.2, 1.0, 16)
+    text = dumps({"dim": d, "matrix": matrix_to_pairs(np.diag(weights / weights.sum()))})
+    assert len(text) > serialize.MATRIX_ROUTE_MIN_CHARS and "[0, 0]" in text
+    assert _outcome(text, serialize.loads) == _outcome(text, json.loads)
+    counts, build = [], serialize._converted
+    monkeypatch.setattr(serialize, "_converted", lambda spaced, count: counts.append(count) or build(spaced, count))
+    assert isinstance(serialize.loads(text)["matrix"], np.ndarray)
+    assert sum(counts) == 16            # the weights alone are converted
+
+
+def test_loads_route_rejects_zero_lookalikes_as_before(route):
+    # a bare 0 is filled; -0, 01, -01 and 00 still fail the grammar and go to json, which reads
+    # -0 as +0.0 and raises on the others
+    base = dumps({"dim": 3, "matrix": matrix_to_pairs(np.diag([0.5, 0.25, 0.25]))})
+    slots = [m.start() for m in re.finditer(r"(?<=[\[ ])0(?=[,\]])", base)]
+    assert len(slots) == 15
+    for tok in ("0", "-0", "01", "-01", "00", "0e0", "0.", "0 0"):
+        for at in (slots[0], slots[7], slots[-1]):
+            text = base[:at] + tok + base[at + 1:]
+            want = _outcome(text, json.loads)
+            assert _outcome(text, route) == want, (tok, at)
+            if tok in ("0", "0e0"):
+                assert isinstance(route(text)["matrix"], np.ndarray), (tok, at)
+            elif want[0] == "ok":       # -0: the whole text takes json
+                assert isinstance(route(text)["matrix"], list), (tok, at)
+
+
 # the tracemalloc peak of the regex-scan reader that the byte-class route replaced,
 # on the text below: the route keeps its masks for one chunk at a time
 REGEX_READER_PEAK_D300 = 3_967_823   # bytes, 3.78 MiB
