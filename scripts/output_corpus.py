@@ -1,0 +1,156 @@
+"""Write the outputs of a fixed set of CLI runs to a directory, so that two trees compare with ``diff -r``.
+
+Usage: PYTHONPATH=src python scripts/output_corpus.py OUTDIR [--cutoff 30] [--trials 10000]
+
+Every run is ``python -m skewsharp.cli ...`` in OUTDIR, with the environment's
+PYTHONPATH (this repository's ``src`` appended), so one copy of the script
+writes the outputs of any tree:
+
+    PYTHONPATH=/path/to/parent/src python scripts/output_corpus.py out-parent
+    PYTHONPATH=src python scripts/output_corpus.py out-change
+    diff -r out-parent out-change
+
+The runs:
+
+- ``check`` on 12 instances x 5 flag sets (none, ``--two-obs``, ``--f wy``,
+  ``--two-obs --f sld``, ``--two-obs --f wyd:0.3 --tol 1e-6``), each with
+  ``--json-out``.  The instances are q1 = diag(3/4, 1/4) and |+> with (sx, sy),
+  and 10 seeded ones of dimension 2 to 6, pure and mixed, two of them with 3
+  observables;
+- ``fuzz --seed 20240501 --trials N --json-out``;
+- ``gaussian --json-out`` on the 2-mode structures at --cutoff: uncoupled
+  modes, photon-number shells (a beamsplitter coupling) and a coupled and
+  squeezed generator; and the README's 1-mode example at cutoff 60;
+- ``nongauss`` on 2-mode Fock-diagonal states at cutoffs 12 and --cutoff, each
+  written by ``json.dumps`` (zeros as 0.0) and by ``serialize.dumps`` (zeros as
+  0), and on parity-breaking ones (the same weights and one |0,0>-|1,0>
+  coherence).
+
+Each run writes OUTDIR/<run>/ with ``stdout``, ``stderr``, ``exit`` (the exit
+code) and, for the runs that write one, ``report.json``; the input files go to
+OUTDIR/inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.append(str(SRC))
+
+from skewsharp import serialize  # noqa: E402
+
+FLAG_SETS = {"plain": [], "two-obs": ["--two-obs"], "f-wy": ["--f", "wy"],
+             "two-obs-f-sld": ["--two-obs", "--f", "sld"],
+             "two-obs-f-wyd-tol": ["--two-obs", "--f", "wyd:0.3", "--tol", "1e-6"]}
+GAUSSIAN = {
+    "uncoupled": ["--modes", "2", "--omega", "1", "--omega", "1.3"],
+    "shells": ["--modes", "2", "--omega", "1", "--omega", "1.3", "--coupling", "0.2"],
+    "coupled-squeezed": ["--modes", "2", "--omega", "1", "--omega", "1.3", "--coupling", "0.2", "--xi", "0.1"],
+}
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def pairs(M: np.ndarray) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+
+def hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    B = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (B + B.conj().T) / 2
+
+
+def check_instances() -> dict:
+    """Name: (state matrix, observable matrices)."""
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    out = {"q1": (np.diag([0.75, 0.25]).astype(complex), [SX, SY]), "plus": (plus, [SX, SY])}
+    for k in range(10):
+        rng = np.random.default_rng([20240501, k])
+        d, pure, n = 2 + k % 5, k % 2 == 1, 3 if k in (3, 8) else 2
+        A = rng.standard_normal((d, 1 if pure else d)) + 1j * rng.standard_normal((d, 1 if pure else d))
+        rho = A @ A.conj().T
+        out[f"seed{k}-d{d}-{'pure' if pure else 'mixed'}"] = (rho / np.trace(rho).real,
+                                                             [hermitian(rng, d) for _ in range(n)])
+    return out
+
+
+def fock_states(cutoff: int) -> dict:
+    """Name: 2-mode state matrix at this cutoff, Fock-diagonal or with one cross-parity coherence."""
+    rng = np.random.default_rng(cutoff)
+    weights = np.zeros(cutoff**2)
+    weights[:16] = rng.uniform(0.2, 1.0, 16)
+    diag = np.diag(weights / weights.sum()).astype(complex)
+    breaking = diag.copy()
+    # |0,0> is index 0 and |1,0> index cutoff: a coherence between even and odd photon number
+    breaking[0, cutoff] = breaking[cutoff, 0] = 0.1 * min(diag[0, 0].real, diag[cutoff, cutoff].real)
+    return {"diagonal": diag, "breaking": breaking}
+
+
+def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
+    """Write every input file to OUTDIR/inputs; the names and arguments of the check and nongauss runs."""
+    inputs = outdir / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    checks, nongauss = [], []
+    for name, (rho, obs) in check_instances().items():
+        d = rho.shape[0]
+        (inputs / f"{name}.state.json").write_text(json.dumps({"dim": d, "matrix": pairs(rho)}))
+        (inputs / f"{name}.obs.json").write_text(json.dumps({"dim": d, "observables": [pairs(X) for X in obs]}))
+        for flags, extra in FLAG_SETS.items():
+            checks.append((f"check-{name}-{flags}", ["check", f"inputs/{name}.state.json",
+                                                     f"inputs/{name}.obs.json", *extra]))
+    for K in sorted({12, cutoff}):
+        for kind, M in fock_states(K).items():
+            doc = {"dim": K * K, "matrix": pairs(M)}
+            writers = {"json": json.dumps, "serialize": serialize.dumps} if kind == "diagonal" else {"json": json.dumps}
+            for writer, dump in writers.items():
+                name = f"fock-{kind}-c{K}-{writer}"
+                (inputs / f"{name}.json").write_text(dump(doc))
+                nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "2",
+                                                      "--cutoff", str(K)]))
+    return checks, nongauss
+
+
+def run(outdir: Path, name: str, argv: list, report: bool, env: dict) -> None:
+    target = outdir / name
+    target.mkdir(parents=True, exist_ok=True)
+    extra = ["--json-out", f"{name}/report.json"] if report else []
+    proc = subprocess.run([sys.executable, "-m", "skewsharp.cli", *argv, *extra], cwd=outdir,
+                          capture_output=True, text=True, env=env)
+    (target / "stdout").write_text(proc.stdout)
+    (target / "stderr").write_text(proc.stderr)
+    (target / "exit").write_text(f"{proc.returncode}\n")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outdir", type=Path)
+    ap.add_argument("--cutoff", type=int, default=30, help="cutoff of the 2-mode gaussian runs and larger nongauss files")
+    ap.add_argument("--trials", type=int, default=10000, help="fuzz trials")
+    args = ap.parse_args()
+    outdir = args.outdir.resolve()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (os.environ.get("PYTHONPATH"), str(SRC)) if p)}
+    checks, nongauss = write_inputs(outdir, args.cutoff)
+    runs = [(name, argv, True) for name, argv in checks]
+    runs.append(("fuzz", ["fuzz", "--seed", "20240501", "--trials", str(args.trials)], True))
+    runs += [(f"gaussian-{name}", ["gaussian", *argv, "--cutoff", str(args.cutoff)], True)
+             for name, argv in GAUSSIAN.items()]
+    runs.append(("gaussian-readme", ["gaussian", "--modes", "1", "--omega", "1", "--beta", "1.3863",
+                                     "--cutoff", "60"], True))
+    runs += [(name, argv, False) for name, argv in nongauss]
+    for name, argv, report in runs:
+        run(outdir, name, argv, report, env)
+    codes = [int((outdir / name / "exit").read_text()) for name, _, _ in runs]
+    print(f"{len(runs)} runs in {outdir}: exit codes " +
+          ", ".join(f"{c}: {codes.count(c)}" for c in sorted(set(codes))))
+
+
+if __name__ == "__main__":
+    main()

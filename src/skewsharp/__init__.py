@@ -13,7 +13,6 @@ from .skew import (
     TwoObsReport,
     UncertaintyReport,
     check_refined_rs,
-    classical_matrix,
     commutator_matrix,
     covariance_matrix,
     two_obs_relations,

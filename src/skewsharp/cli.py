@@ -2,7 +2,8 @@
 
 Exit codes: 0 = all requested relations hold or saturate, 1 = a relation is
 violated (or fuzz found violations, or a Gaussian gap exceeds tolerance),
-2 = input or configuration error.  SKEWSHARP_TOL overrides the violation
+2 = input or configuration error (also a ``gaussian`` cutoff whose thermal tail
+mass reaches 1).  SKEWSHARP_TOL overrides the violation
 tolerance (relative, default 1e-8, finite and >= 0); the saturation verdict
 band is 1e-7.
 """
@@ -18,11 +19,13 @@ import sys
 from . import __version__
 from .fuzz import RELATIONS, FuzzConfig, context_margins, require_violation_tol, run_fuzz, violated
 from .gaussian import (
+    CutoffTooSmall,
     bogoliubov_floor,
     fock_density,
     nongaussianity,
     saturation_check,
     single_mode_generator,
+    thermal_tail_mass,
     two_mode_generator,
 )
 from .gcov import LAMBDA_GRID, big_F, lambda_f, resolve_monotone
@@ -153,6 +156,9 @@ def _build_generator(args):
 
 def cmd_gaussian(args) -> int:
     H = _build_generator(args)
+    if (tail := thermal_tail_mass(H, args.cutoff)) >= 1:
+        raise CutoffTooSmall(f"thermal tail mass {tail:.6g} at cutoff {args.cutoff} is not below 1: "
+                             "the truncation may drop more weight than it keeps; use a larger --cutoff")
     sat = saturation_check(H, args.cutoff)
     dg_exact, dg_numeric = sat.delta_G_exact, sat.delta_G_numeric
 
@@ -170,7 +176,6 @@ def cmd_gaussian(args) -> int:
             "sigma": real_matrix_to_lists(sat.moments.sigma),
             "classical": real_matrix_to_lists(sat.moments.c),
             "delta_G": dg_exact,
-            "perturbed": sat.moments.perturbed,
         },
         "numeric": {
             "cutoff": args.cutoff,

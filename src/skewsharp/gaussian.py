@@ -14,8 +14,10 @@ eigensystem N = P diag(w) P^(-1) of the drift (a near-defective P, cond above
 1e10, is an InvalidGenerator), on which M - I, C, c and C M are scalar
 functions of y = beta w, evaluated as arrays (``_moments_from_drift``).  Nothing
 is exponentiated as a matrix, so large |beta w| neither overflows nor cancels,
-and small |beta w| keeps its digits through expm1.  The identities
-C^T - C = J and C^T = C M are checked on every result.
+and small |beta w| keeps its digits through expm1: the moments are exact for
+every beta w that is not 0 to double precision, and where it is 0 (M - I
+singular) they do not exist (SingularM).  The identities C^T - C = J and
+C^T = C M are checked on every result.
 
 Hermiticity of the generator is the reality constraint Pi conj(S) Pi = S with
 Pi the block swap [[0, I], [I, 0]].  The product of the determinants of
@@ -64,7 +66,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,6 @@ from .skew import (
 )
 
 MOMENT_TOL = 1e-8
-SINGULAR_TOL = 1e-10  # absolute: M - I singular means an eigenvalue of M sits at 1
-PERTURB_SIZE = 1e-8   # spectral radius of the admissible nudge applied to N
 
 
 class InvalidGenerator(SkewsharpError):
@@ -117,15 +116,17 @@ class LogBranchFailure(SkewsharpError):
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    n, eye = n_modes, np.eye(n_modes)
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:], J[n:, :n] = eye, -eye
+    return J
 
 
 def block_swap(n_modes: int) -> np.ndarray:
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [eye, zero]])
+    n, eye = n_modes, np.eye(n_modes)
+    Pi = np.zeros((2 * n, 2 * n))
+    Pi[:n, n:], Pi[n:, :n] = eye, eye
+    return Pi
 
 
 def quadrature_transform(n_modes: int) -> np.ndarray:
@@ -215,17 +216,17 @@ class GaussianMoments:
     c: np.ndarray
     delta: np.ndarray
     cond_M: float
-    perturbed: bool
 
 
 def _moments_from_drift(N: np.ndarray, beta: float, J: np.ndarray):
-    """(C, c) from the eigensystem N = P diag(w) P^(-1) and the cond of M - I, or
-    (None, cond) when M - I is singular to SINGULAR_TOL.
+    """(C, c) from the eigensystem N = P diag(w) P^(-1), and the cond of M - I.
 
     With y = beta w, M - I has eigenvalues expm1(-y), and C = J (M - I)^(-1),
     c = C sqrt(M) and C M are J P diag(f(y)) P^(-1) for f = 1/expm1(-y),
     -1/(2 sinh(y/2)) and -1/expm1(y): each finite at y -> +-inf and free of
     cancellation at y -> 0.  |Re y| is clipped at 700, where they sit at their limits.
+    SingularM when an f is not finite: y is 0 to double precision (M - I singular),
+    or 1/expm1(-y) overflows.
     """
     w, P = np.linalg.eig(N)
     condP = float(np.linalg.cond(P))
@@ -236,47 +237,32 @@ def _moments_from_drift(N: np.ndarray, beta: float, J: np.ndarray):
         )
     y = np.clip((beta * w).real, -700, 700) + 1j * (beta * w).imag
     gap = np.expm1(-y)                          # the eigenvalues of M - I
-    hi, lo = float(np.abs(gap).max()), float(np.abs(gap).min())
-    cond = hi / lo if lo else math.inf
-    if lo <= SINGULAR_TOL:
-        return None, cond
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fs = (1 / gap, -0.5 / np.sinh(y / 2), -1 / np.expm1(y))
+    if not all(np.isfinite(f).all() for f in fs):
+        raise SingularM(f"M - I singular to double precision: min |beta w| = {np.abs(y).min():.3e}")
     Pinv = np.linalg.inv(P)
-    C, c, CM = (J @ (P * f) @ Pinv for f in (1 / gap, -0.5 / np.sinh(y / 2), -1 / np.expm1(y)))
+    C, c, CM = (J @ (P * f) @ Pinv for f in fs)
     scale = mat_scale(C)
     for dev, identity in ((np.abs(C.T - C - J).max(), "C^T - C = J"), (np.abs(C.T - CM).max(), "C^T = C M")):
-        if dev > MOMENT_TOL * scale:
+        if not dev <= MOMENT_TOL * scale:    # a NaN deviation (overflowed C) fails too
             raise SkewsharpError(f"moment identity {identity} violated by {dev:.3e}")
-    return (C, c), cond
+    return (C, c), float(np.abs(gap).max()) / float(np.abs(gap).min())
 
 
 def exact_moments(H: QuadraticHamiltonian) -> GaussianMoments:
     """Closed-form ladder-basis moments of the thermal state of H.
 
     One route for every beta and spectral radius: scalar functions of the drift's
-    eigenvalues (``_moments_from_drift``); ``cond_M`` is the largest over the
-    smallest |eigenvalue of M - I|.  A nearly singular M - I is nudged by a 1e-8
-    admissible perturbation of S drawn from ``default_rng(0)`` (with a warning
-    and the ``perturbed`` flag) before giving up.
+    eigenvalues (``_moments_from_drift``), exact for every beta w that is not 0 to
+    double precision; ``cond_M`` is the largest over the smallest |eigenvalue of
+    M - I|.  A drift with beta w = 0 (a zero mode, which has no thermal state) is
+    a SingularM.
     """
-    n = H.n_modes
-    J = symplectic_form(n)
-    S = H.S
-    perturbed = False
-    for attempt in range(2):
-        result, cond = _moments_from_drift(-S @ J, H.beta, J)
-        if result is not None:
-            break
-        if attempt == 1:
-            raise SingularM(f"M - I singular (cond {cond:.3e}) even after perturbation")
-        warnings.warn("M - I nearly singular; perturbing the generator by 1e-8", stacklevel=2)
-        bump = random_admissible_generator(n, np.random.default_rng(0), spectral_radius=PERTURB_SIZE, beta=1.0)
-        S = S + bump.S
-        perturbed = True
-    C, c = result
-    sigma = (C.T + C) / 2
+    J = symplectic_form(H.n_modes)
+    (C, c), cond = _moments_from_drift(-H.S @ J, H.beta, J)
     return GaussianMoments(
-        n_modes=n, basis="ladder", C=C, sigma=sigma, c=c, delta=J / 2,
-        cond_M=cond, perturbed=perturbed,
+        n_modes=H.n_modes, basis="ladder", C=C, sigma=(C.T + C) / 2, c=c, delta=J / 2, cond_M=cond,
     )
 
 
@@ -295,7 +281,7 @@ def to_quadrature(m: GaussianMoments) -> GaussianMoments:
     return GaussianMoments(
         n_modes=m.n_modes, basis="quadrature", C=C,
         sigma=sigma.real, c=c.real, delta=delta,
-        cond_M=m.cond_M, perturbed=m.perturbed,
+        cond_M=m.cond_M,
     )
 
 
@@ -324,6 +310,9 @@ def bogoliubov_floor(H: QuadraticHamiltonian) -> float:
 def thermal_tail_mass(H: QuadraticHamiltonian, cutoff: int) -> float:
     """Per-normal-mode geometric tail sum_k q_k^cutoff / (1 - q_k), q_k = e^(-beta w_k).
 
+    Each term is the weight a mode's truncation drops, sum_{l >= cutoff} q^l,
+    relative to its ground weight 1, not to the weight kept, so the value can
+    exceed 1: from 1 upward the truncation may drop more than it keeps.
     1.0 for an H without a thermal state (``bogoliubov_floor`` at most 0), whose
     negative normal modes the positive eigenvalues of N do not tell apart.
     """

@@ -91,10 +91,10 @@ def _float_rows(node: list, inner: str, pad: str) -> str | None:
     return "[\n" + _json_floats(",\n".join([cell] * len(node)) % flat) + "\n" + pad + "]"
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text with fixed float formatting."""
+def dumps(obj) -> str:
+    """Deterministic JSON text with fixed float formatting, indented by 2 spaces per level."""
 
-    def render(node, depth):
+    def render(node, pad):
         if isinstance(node, (list, tuple)):
             if len(node) == 0:
                 return "[]"
@@ -103,21 +103,18 @@ def dumps(obj, indent: int = 2) -> str:
                 return _json_floats("[" + ", ".join(["%.17g"] * len(node)) % tuple(node) + "]")
             if all(map(_is_number_type, types)):
                 return "[" + ", ".join(map(_fmt_number, node)) + "]"
-            inner = " " * (indent * (depth + 1))
+            inner = pad + "  "
             if types == {list}:
-                rows = _float_rows(node, inner, " " * (indent * depth))
+                rows = _float_rows(node, inner, pad)
                 if rows is not None:
                     return rows
-            items = ",\n".join(inner + render(v, depth + 1) for v in node)
-            return "[\n" + items + "\n" + " " * (indent * depth) + "]"
+            return "[\n" + ",\n".join(inner + render(v, inner) for v in node) + "\n" + pad + "]"
         if isinstance(node, dict):
             if not node:
                 return "{}"
-            inner = " " * (indent * (depth + 1))
-            items = ",\n".join(
-                f"{inner}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in node.items()
-            )
-            return "{\n" + items + "\n" + " " * (indent * depth) + "}"
+            inner = pad + "  "
+            items = ",\n".join(f"{inner}{json.dumps(str(k))}: {render(v, inner)}" for k, v in node.items())
+            return "{\n" + items + "\n" + pad + "}"
         if node is None:
             return "null"
         if isinstance(node, (bool, int, float, np.integer, np.floating)):
@@ -126,7 +123,7 @@ def dumps(obj, indent: int = 2) -> str:
             return json.dumps(node)
         raise FormatError(f"cannot serialize {type(node).__name__}")
 
-    return render(obj, 0) + "\n"
+    return render(obj, "") + "\n"
 
 
 def matrix_to_pairs(A: np.ndarray) -> list:

@@ -203,16 +203,6 @@ def _require_classical_psd(lo, c: np.ndarray) -> None:
         f"classical matrix has eigenvalue {m:.3e}; upstream numerical failure"), lo)
 
 
-def classical_matrix(sigma: np.ndarray, skew: np.ndarray) -> np.ndarray:
-    """sigma - skew; raises NotPSD if the difference dips below -TOL_PSD (upstream failure)."""
-    if sigma.shape != skew.shape:
-        raise DimensionMismatch(f"shape mismatch {sigma.shape} vs {skew.shape}")
-    c = sigma - skew
-    if c.size:
-        _require_classical_psd(np.linalg.eigvalsh(_sym(c))[..., 0], c)
-    return c
-
-
 def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, entries=None) -> np.ndarray:
     """Gram matrices of the operators (s_a +/- s_b) A_k[a, b] / sqrt(2), s = sqrt(lam).
 
@@ -448,8 +438,9 @@ class SpectralContext:
     route (``entries`` set) its values A_k[a, b] (B, n, nnz) on the entries (a, b).
 
     Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  The
-    stack is built once; matrices, kernel weights and reports are cached, and ``memo``
-    holds further results keyed by their producer (e.g. one per monotone function).
+    stack is built once; matrices and reports are cached, and ``memo`` holds the
+    further results keyed by their producer (kernel weights, one per kernel; a
+    metric-adjusted report, one per monotone function).
     ``SpectralContext(rho, X)`` is one instance (B = 1); ``from_arrays`` takes a batch.
     """
 
@@ -479,7 +470,7 @@ class SpectralContext:
         # zero, A_k[b, a] being conj(A_k[a, b]), as the nonzeros link the state's parts
         parts = None if nonzeros is None else self.state.parts
         self.entries = None if parts is None else _entries(nonzeros, parts)
-        self.memo, self._weights = {}, {}
+        self.memo = {}
 
     # the states (B, d, d) and eigenvectors (B, d, d), read by every route but the entry route:
     # a state kept as its parts forms them on this first read
@@ -510,15 +501,16 @@ class SpectralContext:
 
         A kernel combined from others (``gcov.combined_kernel``) combines its bases' values.
         """
-        if g not in self._weights:
+        key = ("weights", g)
+        if key not in self.memo:
             if g.bases:
                 G = np.asarray(g.combine(*map(self.weights, g.bases)), dtype=complex)
             else:
                 G = g(self.lam[:, :, None], self.lam[:, None, :])
             raise_first(~np.isfinite(G).all(axis=(1, 2)), lambda: KernelDomainError(
                 f"kernel '{g.label}' non-finite on the state's spectrum"))
-            self._weights[g] = G
-        return self._weights[g]
+            self.memo[key] = G
+        return self.memo[key]
 
     def pair(self, W) -> np.ndarray:
         """M[z, k, j] = sum_ab W[z, a, b] A_k[a, b] A_j[b, a] for each instance z, complex (B, n, n).

@@ -35,7 +35,6 @@ from skewsharp.serialize import dumps
 from skewsharp.skew import (
     ObservableSet,
     check_refined_rs,
-    classical_matrix,
     commutator_matrix,
     covariance_matrix,
     det_symmetric_psd,
@@ -93,7 +92,7 @@ def test_criterion_2_thermal_mode():
     X = quadrature_observables(1, 60)
     sigma = covariance_matrix(trunc.rho, X)
     skew = wy_skew_matrix(trunc.rho, X)
-    c = classical_matrix(sigma, skew)
+    c = check_refined_rs(trunc.rho, X).classical
     dg_num = nongaussianity(trunc.rho, 1, 60)
     elapsed = time.perf_counter() - t0
     checks = [
@@ -190,7 +189,7 @@ def test_criterion_7_concavity():
         mix = DensityMatrix.from_matrix(t * r1.matrix + (1 - t) * r2.matrix)
 
         def croot(rho):
-            c = classical_matrix(covariance_matrix(rho, X), wy_skew_matrix(rho, X))
+            c = check_refined_rs(rho, X).classical
             return max(det_symmetric_psd(c), 0.0) ** (1 / n)
 
         slack = croot(mix) - t * croot(r1) - (1 - t) * croot(r2)

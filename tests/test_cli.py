@@ -282,6 +282,27 @@ def test_gaussian_without_a_thermal_state_exit2(argv, low, capsys):
     assert captured.err == f"error: no thermal state: S Pi (the Bogoliubov matrix) has min eigenvalue {low} <= 0\n"
 
 
+@pytest.mark.parametrize("argv, tail", [
+    (["--modes", "2", "--omega", "1", "--omega", "1", "--coupling", "0.9999", "--cutoff", "8"], "9992.5"),
+    (["--modes", "1", "--omega", "0.05", "--cutoff", "20"], "7.54306"),
+])
+def test_gaussian_tail_of_one_or_more_exit2(argv, tail, capsys, monkeypatch):
+    # the tail mass is relative to each mode's ground weight: from 1 upward the truncation may
+    # drop more than it keeps, so no verdict is made and no Fock work is done (the coupled run
+    # once read saturated=true with delta_G_numeric = 0.0825)
+    import skewsharp.cli
+
+    def no_fock_work(*args):
+        raise AssertionError("saturation_check ran")
+
+    monkeypatch.setattr(skewsharp.cli, "saturation_check", no_fock_work)
+    assert main(["gaussian", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: thermal tail mass {tail} at cutoff {argv[-1]} is not below 1: the truncation "
+                            "may drop more weight than it keeps; use a larger --cutoff\n")
+
+
 # ---------------------------------------------------------------- nongauss
 
 def test_nongauss_fock_one(tmp_path, capsys):

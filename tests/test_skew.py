@@ -22,7 +22,6 @@ from skewsharp.skew import (
     ObservableSet,
     SpectralContext,
     check_refined_rs,
-    classical_matrix,
     commutator_matrix,
     covariance_matrix,
     det_delta,
@@ -95,9 +94,7 @@ def test_q1_skew_closed_form(q1_state, q1_obs):
 
 
 def test_q1_classical(q1_state, q1_obs):
-    sigma = covariance_matrix(q1_state, q1_obs)
-    skew = wy_skew_matrix(q1_state, q1_obs)
-    c = classical_matrix(sigma, skew)
+    c = check_refined_rs(q1_state, q1_obs).classical
     assert np.abs(c - np.diag([np.sqrt(3) / 2, np.sqrt(3) / 2])).max() <= 1e-12
 
 
@@ -326,7 +323,7 @@ def test_classical_root_concavity(dim, n, seed, t):
     mix = DensityMatrix.from_matrix(t * r1.matrix + (1 - t) * r2.matrix)
 
     def croot(rho):
-        c = classical_matrix(covariance_matrix(rho, X), wy_skew_matrix(rho, X))
+        c = check_refined_rs(rho, X).classical
         return max(det_symmetric_psd(c), 0.0) ** (1 / n)
 
     assert croot(mix) >= t * croot(r1) + (1 - t) * croot(r2) - 1e-9
