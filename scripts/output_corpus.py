@@ -21,10 +21,15 @@ The runs:
 - ``gaussian --json-out`` on the 2-mode structures at --cutoff: uncoupled
   modes, photon-number shells (a beamsplitter coupling) and a coupled and
   squeezed generator; and the README's 1-mode example at cutoff 60;
-- ``nongauss`` on 2-mode Fock-diagonal states at cutoffs 12 and --cutoff, each
-  written by ``json.dumps`` (zeros as 0.0) and by ``serialize.dumps`` (zeros as
-  0), and on parity-breaking ones (the same weights and one |0,0>-|1,0>
-  coherence).
+- ``nongauss`` on 2-mode states at cutoffs 12 and --cutoff: Fock-diagonal states,
+  each written by ``json.dumps`` (zeros as 0.0) and by ``serialize.dumps`` (zeros
+  as 0); parity-breaking ones (the same weights and one |0,0>-|0,1> coherence);
+  and, written by ``json.dumps``, a parity-keeping state that is not diagonal (a
+  random state on the Fock states of fewer than 6 photons of each parity, so
+  its parts are larger than 1 x 1) and four inputs planted on it: one entry
+  off its Hermitian mirror by 3e-11, within TOL_HERM (exit 0), and three that
+  exit 2: a one-sided entry of 1e-9 between |0,0> and |0,1> (beyond TOL_HERM),
+  a trace off by 1e-6, and a state that is not positive semidefinite.
 
 Each run writes OUTDIR/<run>/ with ``stdout``, ``stderr``, ``exit`` (the exit
 code) and, for the runs that write one, ``report.json``; the input files go to
@@ -83,15 +88,28 @@ def check_instances() -> dict:
 
 
 def fock_states(cutoff: int) -> dict:
-    """Name: 2-mode state matrix at this cutoff, Fock-diagonal or with one cross-parity coherence."""
+    """Name: 2-mode state matrix at this cutoff (index n_1 cutoff + n_2 holds |n_1, n_2>)."""
     rng = np.random.default_rng(cutoff)
     weights = np.zeros(cutoff**2)
     weights[:16] = rng.uniform(0.2, 1.0, 16)
     diag = np.diag(weights / weights.sum()).astype(complex)
     breaking = diag.copy()
-    # |0,0> is index 0 and |1,0> index cutoff: a coherence between even and odd photon number
-    breaking[0, cutoff] = breaking[cutoff, 0] = 0.1 * min(diag[0, 0].real, diag[cutoff, cutoff].real)
-    return {"diagonal": diag, "breaking": breaking}
+    # |0,0> is index 0 and |0,1> index 1: a coherence between even and odd photon number
+    breaking[0, 1] = breaking[1, 0] = 0.1 * min(diag[0, 0].real, diag[1, 1].real)
+    photons = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel()
+    low = np.zeros_like(diag)
+    for parity in (0, 1):
+        r = np.flatnonzero((photons < 6) & (photons % 2 == parity))
+        G = rng.standard_normal((r.size, r.size)) + 1j * rng.standard_normal((r.size, r.size))
+        low[np.ix_(r, r)] = G @ G.conj().T
+    low /= np.trace(low).real
+    planted = {name: low.copy() for name in ("within-tol", "one-sided", "trace-off", "not-psd")}
+    planted["within-tol"][0, 2] += 3e-11        # |0,0> and |0,2>: both even
+    planted["one-sided"][0, 1] = 1e-9
+    planted["trace-off"][0, 0] += 1e-6
+    planted["not-psd"][0, 0] -= 0.5             # |0,6> lies outside the low state's support
+    planted["not-psd"][6, 6] += 0.5
+    return {"diagonal": diag, "breaking": breaking, "low-photon": low, **planted}
 
 
 def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:

@@ -1,4 +1,4 @@
-"""Per-phase timings and the tracemalloc peak of ``serialize.load_json`` on large state files.
+"""Per-phase timings and the tracemalloc peak of ``serialize.load_json`` on large state files, and the state step.
 
 Usage: PYTHONPATH=src python scripts/reader_phases.py [--fock-dim 900] [--dense-dim 300] [--repeat 7]
 
@@ -20,13 +20,20 @@ prints the best of --repeat runs in ms:
 - json of the rest: ``loads`` and ``_place``, json on the text without the matrices.
 
 ``total`` is a separate timing of ``load_json``, and ``peak`` the tracemalloc peak
-of one ``load_json`` call in MiB.
+of one ``load_json`` call in MiB.  ``state`` is the best of --repeat timings of
+``gaussian.fock_density`` on the parsed matrix of a Fock file, in ms: the finite,
+Hermitian, trace and PSD checks and the eigensystems, on 2 modes when the size is
+a square (cutoff 30 at d = 900, as in the benchmark's nongauss files) and else on
+1 mode; the dense file, which is no state, shows ``-``.  So the table splits a
+``nongauss`` op on a Fock file into read, parse (the other phases; with read,
+``total``) and state.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import tempfile
 import time
@@ -34,7 +41,7 @@ import tracemalloc
 
 import numpy as np
 
-from skewsharp import serialize
+from skewsharp import gaussian, serialize
 
 PHASES = {
     "read": ("load_json",),
@@ -47,15 +54,28 @@ PHASES = {
 
 
 def files(fock_dim: int, dense_dim: int) -> dict:
-    """Label: the text of each file."""
+    """Label: the text of each file, and whether it holds a Fock state."""
     rng = np.random.default_rng(900)
     weights = np.zeros(fock_dim)
     weights[:16] = rng.uniform(0.2, 1.0, min(16, fock_dim))
-    dense = rng.standard_normal((dense_dim, dense_dim)) + 1j * rng.standard_normal((dense_dim, dense_dim))
+    entries = rng.standard_normal((dense_dim, dense_dim)) + 1j * rng.standard_normal((dense_dim, dense_dim))
     fock = {"dim": fock_dim, "matrix": serialize.matrix_to_pairs(np.diag(weights / weights.sum()))}
-    return {f"fock d={fock_dim}": json.dumps(fock),
-            f"dense d={dense_dim}": json.dumps({"dim": dense_dim, "matrix": serialize.matrix_to_pairs(dense)}),
-            f"fock d={fock_dim}, serialize.dumps": serialize.dumps(fock)}
+    dense = {"dim": dense_dim, "matrix": serialize.matrix_to_pairs(entries)}
+    return {f"fock d={fock_dim}": (json.dumps(fock), True), f"dense d={dense_dim}": (json.dumps(dense), False),
+            f"fock d={fock_dim}, serialize.dumps": (serialize.dumps(fock), True)}
+
+
+def state_seconds(path: str, repeat: int) -> float:
+    """Best of ``repeat`` timings of ``gaussian.fock_density`` on the matrix of a Fock file."""
+    A = serialize.pairs_to_matrix(serialize.load_json(path)["matrix"])
+    root = math.isqrt(A.shape[0])
+    modes, cutoff = (2, root) if root * root == A.shape[0] else (1, A.shape[0])
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        gaussian.fock_density(A, modes, cutoff)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def one_run(path: str) -> dict:
@@ -95,10 +115,10 @@ def main(argv=None) -> None:
     parser.add_argument("--repeat", type=int, default=7, help="runs per file; each phase prints its best")
     args = parser.parse_args(argv)
     print(f"best of {args.repeat} runs, ms; peak in MiB")
-    print("| file | chars | " + " | ".join(PHASES) + " | total | peak |")
-    print("|---" * (len(PHASES) + 4) + "|")
+    print("| file | chars | " + " | ".join(PHASES) + " | total | peak | state |")
+    print("|---" * (len(PHASES) + 5) + "|")
     with tempfile.TemporaryDirectory() as tmp:
-        for label, text in files(args.fock_dim, args.dense_dim).items():
+        for label, (text, fock) in files(args.fock_dim, args.dense_dim).items():
             path = os.path.join(tmp, "state.json")
             serialize.write_text(path, text)
             runs = [one_run(path) for _ in range(args.repeat)]
@@ -115,7 +135,8 @@ def main(argv=None) -> None:
             finally:
                 tracemalloc.stop()
             cells = " | ".join(f"{1e3 * t:.1f}" for t in best + [min(total)])
-            print(f"| {label} | {os.path.getsize(path)} | {cells} | {peak / 2 ** 20:.1f} |")
+            state = f"{1e3 * state_seconds(path, args.repeat):.1f}" if fock else "-"
+            print(f"| {label} | {os.path.getsize(path)} | {cells} | {peak / 2 ** 20:.1f} | {state} |")
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ size: uncoupled modes give 1 x 1 parts (H is diagonal), a beamsplitter coupling
 the photon-number shells, squeezing the two parity classes themselves.  The
 state records the parts (``DensityMatrix.parts``, and their eigensystems in
 ``systems``).  A state read from a file gets the same structure through
-``fock_density`` when its matrix has exactly zero entries between the two
+``fock_density`` when its Hermitian part has exactly zero entries between the two
 parities (``DensityMatrix.from_matrix`` with the ``parity_rows`` partition); any
 other state gets the dense eigh and no record.  The quadratures are linear in
 the ladder operators, so ``quadrature_observables`` gives them by their nonzeros

@@ -12,6 +12,10 @@ check of a spectrum reads the state's matrix:
 
 Eigenvalues in [-TOL_PSD, 0) are clipped to 0 before sqrt/ratio use; more
 negative values are errors, never silently repaired.
+
+A state checked against a partition (``DensityMatrix.from_matrix``) takes the
+finite, Hermitian and trace checks on the nonzeros of A and A^T alone, with the
+same tolerances, values and messages and no complex d x d temporary.
 """
 
 from __future__ import annotations
@@ -152,19 +156,25 @@ class DensityMatrix:
         """State from its matrix: finite entries, Hermitian part, unit trace, PSD spectrum.
 
         ``partition``, if given, is a sequence of index arrays that partition the
-        basis.  When every entry of the Hermitian part between two parts is
-        exactly 0, the eigensystem is taken on the connected components of its
-        nonzero pattern (``part_eigensystems``), and ``parts`` records them;
+        basis.  Then the finite, Hermitian and trace checks run on the nonzeros of
+        A and A^T alone (``_hermitian_nonzeros``), with the tolerances, values and
+        messages of the dense checks, and the state's ``matrix`` is the Hermitian
+        part scattered into zeros.  When every entry of the Hermitian part between
+        two parts is exactly 0, the eigensystem is taken on the connected components
+        of its nonzero pattern (``part_eigensystems``), and ``parts`` records them;
         any other state gets the one dense eigh and no record.
         """
-        rho = _unit_trace_hermitian(_square(rho, "state")[None])
-        if partition is not None:
-            blocks = _partition(partition, rho.shape[-1])
-            # the Hermitian part is exactly Hermitian: the blocks above the diagonal suffice
-            if not any(np.count_nonzero(rho[0][np.ix_(r, s)]) for i, r in enumerate(blocks) for s in blocks[i + 1:]):
-                rows, cols = np.nonzero(rho[0])
-                return cls._from_parts(part_eigensystems(rows, cols, rho[0][rows, cols], rho.shape[-1]), rho[0])
-        w, V = _spectra(rho)
+        A = _square(rho, "state")[None]
+        if partition is None:
+            rho, w, V = validate_states(A)
+        else:
+            rows, cols, h = _hermitian_nonzeros(A[0])
+            rho = np.zeros(A.shape, dtype=complex)
+            rho[0, rows, cols] = h
+            # the parts cover the basis: an edge leaves a part iff exactly one of its ends lies in it
+            if not any(np.any(np.isin(rows, r) != np.isin(cols, r)) for r in _partition(partition, A.shape[-1])):
+                return cls._from_parts(part_eigensystems(rows, cols, h, A.shape[-1]), rho[0])
+            w, V = _spectra(rho)
         return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])
 
     @classmethod
@@ -267,14 +277,30 @@ def _partition(parts, d: int) -> list[np.ndarray]:
     return parts
 
 
-def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:
-    """Hermitian parts of a stack of states (B, d, d), each checked for finite entries,
-    Hermiticity and unit trace with its own scale."""
-    rho = hermitian_parts(M, what="state")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    raise_first(np.abs(tr - 1.0) > TOL_TRACE, lambda t: InvalidState(
-        f"state trace = {t:.12g}, expected 1 within {TOL_TRACE:.1e}"), tr)
-    return rho
+def _hermitian_nonzeros(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of the Hermitian part h = (A + A^dag)/2 of a state, as (rows, cols, h) in
+    row-major order, checked as ``validate_states`` checks the dense matrix, with its values and
+    messages: finite entries, max|A - A^dag| within TOL_HERM * ``mat_scale(A)``, and unit trace,
+    summed over the d diagonal entries of h as ``np.trace`` sums them.
+
+    The checks read A at the nonzero pattern of A and A^T, where a NaN or inf entry counts as
+    nonzero; outside it A - A^dag and h are 0.  Of size d x d only a boolean mask is formed.
+    """
+    # the nonzero flags of an entry's real and imaginary part, read as one uint16
+    nz = (np.ascontiguousarray(A).view(float) != 0).view(np.uint16) != 0
+    k = np.flatnonzero(nz | nz.T)
+    rows, cols = np.divmod(k, len(A))
+    a, b = np.take(A, k), np.conj(np.take(A, cols * len(A) + rows))
+    if not np.isfinite(a).all():
+        raise SkewsharpError("state has non-finite entries")
+    if (dev := np.abs(a - b).max(initial=0.0)) > TOL_HERM * mat_scale(a[None]):   # A's other entries are 0
+        raise NonHermitianInput(f"state is non-Hermitian: max|A - A^dag| = {dev:.3e} "
+                                f"exceeds tol {TOL_HERM:.1e} (relative)")
+    tr = ((np.diagonal(A) + np.conj(np.diagonal(A))) / 2).sum().real
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise InvalidState(f"state trace = {tr:.12g}, expected 1 within {TOL_TRACE:.1e}")
+    h = (a + b) / 2
+    return rows[h != 0], cols[h != 0], h[h != 0]
 
 
 def _spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +315,10 @@ def validate_states(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every check (finite entries, Hermiticity, unit trace, PSD) runs on every
     state with that state's own scale; an error reports the first failing one.
     """
-    rho = _unit_trace_hermitian(M)
+    rho = hermitian_parts(M, what="state")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    raise_first(np.abs(tr - 1.0) > TOL_TRACE, lambda t: InvalidState(
+        f"state trace = {t:.12g}, expected 1 within {TOL_TRACE:.1e}"), tr)
     return (rho, *_spectra(rho))
 
 

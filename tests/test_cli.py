@@ -339,7 +339,7 @@ def test_nongauss_size_checked_before_the_state_eigh(tmp_path, capsys, monkeypat
 
     path = fock_state_file(tmp_path, level=0, cutoff=16)
     monkeypatch.setattr(linalg, "validate_states", no_eigh)
-    monkeypatch.setattr(linalg, "_unit_trace_hermitian", no_eigh)     # the per-parity route
+    monkeypatch.setattr(linalg, "_hermitian_nonzeros", no_eigh)      # the per-parity route
     assert main(["nongauss", path, "--modes", "2", "--cutoff", "5"]) == 2
     assert "error: state dim 16 != cutoff^n_modes = 25" in capsys.readouterr().err
 

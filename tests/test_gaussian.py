@@ -35,7 +35,7 @@ from skewsharp.gaussian import (
     two_mode_generator,
     validate_quadratic,
 )
-from skewsharp import gaussian, gcov, skew
+from skewsharp import gaussian, gcov, linalg, skew
 from skewsharp.fuzz import random_density, random_observables as fuzz_observables
 from skewsharp.skew import ConstructionMismatch, ObservableSet, SpectralContext, check_refined_rs
 from skewsharp.linalg import DensityMatrix, InvalidState, NonHermitianInput
@@ -398,6 +398,112 @@ def test_per_parity_route_raises_the_dense_route_errors(n, cutoff):
         expected = _error(DensityMatrix.from_matrix, bad)
         assert expected[0] is kind and text in expected[1]
         assert _error(lambda m: gaussian.fock_density(m, n, cutoff), bad) == expected
+
+
+def _low_photon_state(n, cutoff, seed):
+    """A parity-keeping state that is not diagonal: a random state on the Fock states of fewer
+    than 6 photons of each parity, and 0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    photons = np.ravel(functools.reduce(np.add.outer, [np.arange(cutoff)] * n))
+    M = np.zeros((cutoff**n,) * 2, dtype=complex)
+    for p in (0, 1):
+        r = np.flatnonzero((photons < 6) & (photons % 2 == p))
+        G = rng.standard_normal((r.size, r.size)) + 1j * rng.standard_normal((r.size, r.size))
+        M[np.ix_(r, r)] = G @ G.conj().T
+    return M / np.trace(M).real
+
+
+def _reference_partition_route(A, parity):
+    """The partition route on the dense Hermitian part, as ``np.nonzero`` finds its nonzeros:
+    the parts of its pattern when it is exactly 0 across parities, else the dense state."""
+    dense = DensityMatrix.from_matrix(A)
+    rows, cols = np.nonzero(dense.matrix)
+    if np.any(parity[rows] != parity[cols]):
+        return dense
+    return DensityMatrix._from_parts(linalg.part_eigensystems(rows, cols, dense.matrix[rows, cols], len(A)),
+                                     dense.matrix)
+
+
+def _plant(case, A, j):
+    """Plant one input on a low-photon state A.  Indices 0 and 2 are even, 1 is odd, and j is an even
+    index outside the state's support; 0 and 2 are linked in A, 0 and 1 and 0 and j are not."""
+    A = A.copy()
+    if case == "nan-in-part":
+        A[0, 2] = np.nan
+    elif case == "inf-in-part":
+        A[2, 0] = complex(0.0, np.inf)
+    elif case == "nan-across":
+        A[1, 0] = complex(np.nan, 0.0)
+    elif case == "inf-across":
+        A[0, 1] = -np.inf
+    elif case == "one-sided-in-part-linked-above":
+        A[2, 0] = 0.0
+    elif case.startswith("one-sided"):       # A[r, c] != 0 and A[c, r] == 0
+        r, c = (0, 1) if "across" in case else (0, j)
+        A[r, c] = 5e-11 if case.endswith("below") else 5e-10
+    elif case == "anti-hermitian-across":    # the Hermitian part is exactly 0 there
+        A[0, 1] = 2e-11 + 1e-11j
+        A[1, 0] = -np.conj(A[0, 1])
+    elif case == "negative-zero":
+        A[0, 1] = A[1, 0] = A[j, 0] = complex(-0.0, -0.0)
+        A[j, j] = A[2, j] = -0.0
+    elif case == "trace-off-2e-9":
+        A[0, 0] += 2e-9
+    elif case == "not-psd":
+        A[0, 0] -= 0.5
+        A[j, j] += 0.5
+    return A
+
+
+# each plant and the outcome it is named for: the error class, or the route of the state
+PLANTED = {
+    "nan-in-part": "SkewsharpError", "inf-in-part": "SkewsharpError", "nan-across": "SkewsharpError",
+    "inf-across": "SkewsharpError", "one-sided-across-below": "dense",
+    "one-sided-across-above": "NonHermitianInput", "one-sided-in-part-below": "parts",
+    "one-sided-in-part-above": "NonHermitianInput",
+    "one-sided-in-part-linked-above": "NonHermitianInput", "anti-hermitian-across": "parts",
+    "negative-zero": "parts", "trace-off-2e-9": "InvalidState", "not-psd": "InvalidState"}
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 4), (2, 30)], ids=["d16", "d900"])
+def test_partition_route_checks_on_the_nonzeros_match_the_dense_checks(n, cutoff):
+    parity = gaussian.fock_parity(n, cutoff)
+    base = _low_photon_state(n, cutoff, 24)
+    j = int(np.flatnonzero(np.all(base == 0, axis=0) & (parity == 0))[0])
+    outcomes = {}
+    for case in PLANTED:
+        A = _plant(case, base, j)
+        try:
+            oracle = DensityMatrix.from_matrix(A)     # the dense checks, no partition
+        except Exception as exc:
+            outcomes[case] = type(exc).__name__
+            assert _error(lambda m: gaussian.fock_density(m, n, cutoff), A) == (type(exc), str(exc)), case
+            continue
+        rho, ref = gaussian.fock_density(A, n, cutoff), _reference_partition_route(A, parity)
+        outcomes[case] = "dense" if rho.parts is None else "parts"
+        hermitian = (A + A.conj().T) / 2
+        rows, cols = np.nonzero(hermitian)
+        assert np.array_equal(rho.matrix, hermitian), case
+        assert (rho.parts is None) == bool(np.any(parity[rows] != parity[cols])), case
+        assert np.array_equal(rho.eigenvalues, ref.eigenvalues), case
+        assert np.abs(rho.eigenvalues - oracle.eigenvalues).max() <= 1e-14, case
+    assert outcomes == PLANTED
+
+
+def test_fock_density_memory_at_d900():
+    # bound: the 12.4 MiB this call reads on the benchmark's Fock-diagonal state, almost all of it the
+    # state's d x d matrix (the checked Hermitian part), plus 1.6 MiB; the dense checks read 24.9 MiB
+    weights = np.zeros(900)
+    weights[:16] = np.random.default_rng(900).uniform(0.2, 1.0, 16)
+    M = np.diag(weights / weights.sum()).astype(complex)
+    tracemalloc.start()
+    try:
+        rho = gaussian.fock_density(M, 2, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert rho.parts is not None
 
 
 def test_nongaussianity_dim_guard():
