@@ -16,7 +16,9 @@ The runs:
   ``--two-obs --f sld``, ``--two-obs --f wyd:0.3 --tol 1e-6``), each with
   ``--json-out``.  The instances are q1 = diag(3/4, 1/4) and |+> with (sx, sy),
   and 10 seeded ones of dimension 2 to 6, pure and mixed, two of them with 3
-  observables;
+  observables; and ``check --two-obs --f wy --json-out`` on a seeded dense
+  instance of dimension 128 (a mixed state and two observables), the only
+  ``check`` whose stack check pairs matrices larger than 6 x 6;
 - ``fuzz --seed 20240501 --trials N --json-out``;
 - ``gaussian --json-out`` on the 2-mode structures at --cutoff: uncoupled
   modes, photon-number shells (a beamsplitter coupling) and a coupled and
@@ -73,17 +75,23 @@ def hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (B + B.conj().T) / 2
 
 
+def seeded_instance(k: int, d: int, pure: bool, n: int) -> tuple[np.ndarray, list]:
+    """A state of dimension d, pure or of full rank, and n observables, drawn from seed (20240501, k)."""
+    rng = np.random.default_rng([20240501, k])
+    A = rng.standard_normal((d, 1 if pure else d)) + 1j * rng.standard_normal((d, 1 if pure else d))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real, [hermitian(rng, d) for _ in range(n)]
+
+
 def check_instances() -> dict:
-    """Name: (state matrix, observable matrices)."""
+    """Name: (state matrix, observable matrices, flag sets)."""
     plus = np.full((2, 2), 0.5, dtype=complex)
-    out = {"q1": (np.diag([0.75, 0.25]).astype(complex), [SX, SY]), "plus": (plus, [SX, SY])}
+    out = {"q1": (np.diag([0.75, 0.25]).astype(complex), [SX, SY], FLAG_SETS), "plus": (plus, [SX, SY], FLAG_SETS)}
     for k in range(10):
-        rng = np.random.default_rng([20240501, k])
         d, pure, n = 2 + k % 5, k % 2 == 1, 3 if k in (3, 8) else 2
-        A = rng.standard_normal((d, 1 if pure else d)) + 1j * rng.standard_normal((d, 1 if pure else d))
-        rho = A @ A.conj().T
-        out[f"seed{k}-d{d}-{'pure' if pure else 'mixed'}"] = (rho / np.trace(rho).real,
-                                                             [hermitian(rng, d) for _ in range(n)])
+        out[f"seed{k}-d{d}-{'pure' if pure else 'mixed'}"] = (*seeded_instance(k, d, pure, n), FLAG_SETS)
+    # a dense instance whose stack check pairs three 128 x 128 matrices (49,152 entries) in one product
+    out["seed10-d128-mixed"] = (*seeded_instance(10, 128, False, 2), {"two-obs-f-wy": ["--two-obs", "--f", "wy"]})
     return out
 
 
@@ -117,11 +125,11 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
     inputs = outdir / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     checks, nongauss = [], []
-    for name, (rho, obs) in check_instances().items():
+    for name, (rho, obs, flag_sets) in check_instances().items():
         d = rho.shape[0]
         (inputs / f"{name}.state.json").write_text(json.dumps({"dim": d, "matrix": pairs(rho)}))
         (inputs / f"{name}.obs.json").write_text(json.dumps({"dim": d, "observables": [pairs(X) for X in obs]}))
-        for flags, extra in FLAG_SETS.items():
+        for flags, extra in flag_sets.items():
             checks.append((f"check-{name}-{flags}", ["check", f"inputs/{name}.state.json",
                                                      f"inputs/{name}.obs.json", *extra]))
     for K in sorted({12, cutoff}):

@@ -242,11 +242,6 @@ class TrialGroup:
     def describe(self, i: int) -> dict:
         return {"trial": int(self.trials[i]), "dim": self.dim, "n": self.n, "rank": self.ranks[i]}
 
-    def instance(self, i: int) -> tuple[DensityMatrix, ObservableSet]:
-        ctx = self.ctx
-        rho = DensityMatrix(matrix=ctx.matrix[i], eigenvalues=ctx.lam[i], eigenvectors=ctx.V[i])
-        return rho, ObservableSet(observables=tuple(X[i] for X in ctx.observables))
-
 
 def draw_groups(config: FuzzConfig, trials) -> list[TrialGroup]:
     """Draw the trials, group them by (dim, n), and validate each group as one stack."""
@@ -416,9 +411,9 @@ def _record_chunk(stats: FuzzStats, config: FuzzConfig, fs, groups, rows) -> Non
     stats.total_violations += len(violations)
     if config.reproducer_dir is not None:
         # by trial; a stable sort keeps table order, then f order, within a trial
-        for (trial, _, group, i, f_label), rid, margin, scale in sorted(violations, key=lambda v: v[0][0]):
+        for (trial, _, _, _, f_label), rid, margin, scale in sorted(violations, key=lambda v: v[0][0]):
             stats.reproducers.append(write_reproducer(config, rid, f_label, trial, float(margin), float(scale),
-                                                      *group.instance(i)))
+                                                      *replay_trial(config, trial)))
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzStats:

@@ -34,25 +34,26 @@ some nonzero of X_k links a row of P with a row of Q.
 
 The entry route.  When no nonzero lies inside one part, every A_k is zero but
 on the blocks [c_P, c_Q] of the part pairs that some nonzero links, and their
-mirrors [c_Q, c_P]; its diagonal, and so every mean, is 0.  ``_entries`` lists
-each such pair once, grouped by block shape, as index arrays ``a`` and ``b`` of
-eigenvector columns, no entry on the diagonal or twice, and each block is one
-batched product per shape.  That route reads the state as its parts alone
-(``DensityMatrix.systems``: each part's eigenvectors V_P), so it forms neither
-the state's dense matrix nor its eigenvectors: V[r_P, c_P] is V_P itself, and
-V[i, c_Q] is the row of V_Q at i's place when i lies in Q, else 0.  The
-truncated quadratures flip photon-number parity, so on a state whose parts each
-have one parity the list holds 1740 entries at the CLI default (2 modes, cutoff
-30, 1 x 1 parts) and all d^2/4 even-to-odd entries when the parts are the two
-parity classes.  The context then stores only the values X_k = A_k[a, b]
-(``ctx.stack``, (B, n, nnz));
+mirrors [c_Q, c_P]; its diagonal, and so every mean, is 0.  ``_nonzeros_stack``
+finds the route and builds the stack in one pass over the parts: it lists each
+linked pair once, grouped by block shape, as index arrays ``a`` and ``b`` of
+eigenvector columns (``ctx.entries``), no entry on the diagonal or twice, and
+builds each block shape's blocks in one batched product.  That route reads the
+state as its parts alone (``DensityMatrix.systems``: each part's eigenvectors
+V_P), so it forms neither the state's dense matrix nor its eigenvectors:
+V[r_P, c_P] is V_P itself, and V[i, c_Q] is the row of V_Q at i's place when i
+lies in Q, else 0.  The truncated quadratures flip photon-number parity, so on
+a state whose parts each have one parity the list holds 1740 entries at the CLI
+default (2 modes, cutoff 30, 1 x 1 parts) and all d^2/4 even-to-odd entries
+when the parts are the two parity classes.  The context then stores only the
+values X_k = A_k[a, b] (``ctx.stack``, (B, n, nnz));
 A_k[b, a] = conj(X_k).  The pairing, the Gram check and the stack check each
 take a form of matrix products on the values, e.g.
 sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum over the entries of (W[a, b] X_k conj(X_j)
 + W[b, a] conj(X_k) X_j) for any complex W.  A state without parts, or a
 nonzero inside a part, gives the full route: the whole stack, two observables
 per product, B = V^dag (X_j + i X_{j+1}) V split into the Hermitian
-(B + B^dag)/2 and (B - B^dag)/2i, part by part, from the state's dense
+(B + B^dag)/2 and (B - B^dag)/2i, in one product from the state's dense
 eigenvectors (formed on that first read for a state kept as its parts).  Every
 dense set, among them every batch of the fuzz harness and every ``check``, keeps
 the dense einsum bit for bit.
@@ -70,10 +71,9 @@ plain definition of the observables: on a set given by its nonzeros the check
 reads them in O(nnz), as Tr(X_k X_j) and Tr X_k from the values and
 Tr(rho X_k) as the sum of v rho[c, r] over the triples (r, c, v), rho[c, r]
 being 0 on the entry route, where every nonzero links two parts.  The input
-pairings are dot products of float views: on the nonzeros, of the values beside
-rho at their positions; for a dense set one product on a stacked copy while
-that copy is small (every fuzz batch, every ``check``), pair by pair above
-STACK_CHECK_ENTRIES, so a large check copies no d x d matrix.  Neither check
+pairings are dot products of float views, one product on the stacked inputs:
+on the nonzeros, of the values beside rho at their positions; for a dense set,
+of the matrices with rho, a copy of n + 1 d x d matrices.  Neither check
 sees a unitary relabeling U X_k U^dag of every observable, which keeps all
 Hilbert-Schmidt pairings; so a stack built from the nonzeros also passes a
 random probe (``_probe_stack``), which compares it with the input X_k along
@@ -107,7 +107,6 @@ from .linalg import (
 TOL_INEQ = 1e-8
 CONSTRUCTION_TOL = 1e-8
 SCHUR_PIVOT_CUT = 1e-6  # eq8: pivots of sigma - c at most this fraction of its scale are not eliminated
-STACK_CHECK_ENTRIES = 1 << 15  # the stack check's Gram matrix: one product on a copy up to this many entries
 
 VACUOUS = math.inf  # sentinel margin for relations whose denominator vanishes
 
@@ -232,31 +231,21 @@ def _eigenbasis_gram(S: np.ndarray, lam: np.ndarray, entries=None) -> np.ndarray
 
 def _input_pairings(ctx: "SpectralContext") -> tuple[np.ndarray, np.ndarray]:
     """Re Tr(Y_k Y_j) over (X_1..X_n, rho) as G (B, n + 1, n + 1), and the traces Tr X_k (B, n)."""
-    B, n, d = ctx.size, ctx.n, ctx.dim
-    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views: on a
-    # set's nonzeros, the values at its positions (r, c) beside rho[r, c]; else one product on a
-    # stacked copy while that copy is small, else pair by pair (at d = 900 the copy of the n + 1
-    # matrices would take 65 MB and most of the check's time)
+    n = ctx.n
+    # Re Tr(Y^dag Z) = Tr(Y Z) for Hermitian Y, Z is the dot product of their float views, one
+    # product on the stacked inputs: on a set's nonzeros, the values at its positions (r, c) beside
+    # rho[r, c]; for a dense set, the matrices with rho (at d = 900 and n = 4 a 65 MB copy, below
+    # the memory peak the products of the dense stack reach)
     if ctx.nonzeros is not None:
         _, r, c, values = ctx.nonzeros
         # rho at the nonzeros: on the entry route each links two parts, where the state is 0
         rho_rc = np.zeros((1, r.size), dtype=complex) if ctx.entries is not None else ctx.matrix[:, r, c]
-        flat = np.concatenate([values, rho_rc]).view(float)[None]
-        G, traces = flat @ flat.swapaxes(1, 2), values[:, r == c].real.sum(axis=-1)[None]
-    elif B * (n + 1) * d * d <= STACK_CHECK_ENTRIES:
-        rows = np.empty((B, n + 1, d, d), dtype=complex)
-        for k, Y in enumerate((*ctx.observables, ctx.matrix)):
-            rows[:, k] = Y
-        flat = rows.reshape(B, n + 1, -1).view(float)
-        G, traces = flat @ flat.swapaxes(1, 2), np.einsum("zkaa->zk", rows[:, :n]).real
+        Y, traces = np.concatenate([values, rho_rc])[None], values[:, r == c].real.sum(axis=-1)[None]
     else:
-        flat = [np.reshape(Y, (B, -1)).view(float) for Y in (*ctx.observables, ctx.matrix)]
-        G = np.empty((B, n + 1, n + 1))
-        for k in range(n + 1):
-            for j in range(k, n + 1):
-                G[:, k, j] = G[:, j, k] = np.vecdot(flat[k], flat[j])
-        traces = np.stack([f[:, ::2 * d + 2].sum(axis=-1) for f in flat[:n]], axis=1)   # real diagonals
-    return G, traces
+        Y = np.stack([*ctx.observables, ctx.matrix], axis=1)
+        traces = np.einsum("zkaa->zk", Y[:, :n]).real
+    flat = Y.reshape(ctx.size, n + 1, -1).view(float)
+    return flat @ flat.swapaxes(1, 2), traces
 
 
 def _check_stack(ctx: "SpectralContext") -> None:
@@ -281,14 +270,10 @@ def _check_stack(ctx: "SpectralContext") -> None:
 
 
 class Entries(NamedTuple):
-    """The entry list of a stack: the eigenvector columns ``a`` and ``b`` of every entry,
-    and per block shape the linked part pairs (P, Q) as (size group of P, places of P in
-    it, size group of Q, places of Q), indices into ``DensityMatrix.parts``, the entries
-    of their blocks [cols_P, cols_Q] listed group by group, pair by pair, row-major."""
+    """The entry list of a stack: the eigenvector columns ``a`` and ``b`` of every entry."""
 
     a: np.ndarray
     b: np.ndarray
-    groups: list
 
 
 def _part_index(parts: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,34 +285,6 @@ def _part_index(parts: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         part[rows] = start + np.arange(rows.shape[0])[:, None]
         place[rows] = np.arange(rows.shape[1])
     return first, part, place
-
-
-def _entries(nonzeros: tuple, parts: tuple) -> Entries | None:
-    """The entries on which the stack of a set given by its ``nonzeros`` can be nonzero, on a
-    state with ``parts`` (``DensityMatrix.parts``), or None when a nonzero lies inside one part.
-
-    A_k[c_P, c_Q] is zero unless a nonzero of X_k links a row of P with a row of Q, so the list
-    holds each linked pair {P, Q} once, P before Q in the order of ``parts``.
-    """
-    d, r, c, _ = nonzeros
-    first, part, _ = _part_index(parts, d)
-    group = np.repeat(np.arange(len(parts)), np.diff(first))
-    P, Q = np.minimum(part[r], part[c]), np.maximum(part[r], part[c])
-    if not P.size or (P == Q).any():
-        return None
-    # one sort by (size group of Q, P, Q): P's size group rises with P, so each block shape is one run
-    N = first[-1]
-    key = np.sort((group[Q] * N + P) * N + Q)
-    P, Q = np.divmod(key[np.diff(key, prepend=-1) != 0] % (N * N), N)     # each pair once
-    cuts = [0, *(np.flatnonzero(np.diff(group[P]) | np.diff(group[Q])) + 1).tolist(), P.size]
-    groups = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        g_P, g_Q = group[P[lo]], group[Q[lo]]
-        groups.append((g_P, P[lo:hi] - first[g_P], g_Q, Q[lo:hi] - first[g_Q]))
-    cols = [(parts[g_P][1][P_g], parts[g_Q][1][Q_g]) for g_P, P_g, g_Q, Q_g in groups]
-    a = [np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel() for c_P, c_Q in cols]
-    b = [np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel() for c_P, c_Q in cols]
-    return Entries(np.concatenate(a), np.concatenate(b), groups)
 
 
 def _row_table(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,38 +314,56 @@ def _block_products(vals: np.ndarray, rows: np.ndarray, V_P: np.ndarray, V_at: n
     return (np.conj(V_P).swapaxes(1, 2) @ MV.reshape(G, m, h * q)).reshape(MV.shape)
 
 
-def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple, entries: Entries | None) -> np.ndarray:
-    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros`` on a ``state``: its
-    values (n, nnz) on the ``entries``, from the eigensystems of the state's parts alone, or
-    without them the full stack (n, d, d) from its eigenvectors, two observables per product."""
+def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple) -> tuple[np.ndarray, Entries | None]:
+    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros`` on a ``state``, and its
+    entry list.
+
+    On a state with ``parts`` (``DensityMatrix.parts``) A_k[c_P, c_Q] is zero unless a nonzero of
+    X_k links a row of P with a row of Q.  When every nonzero links two parts, the stack is its
+    values (n, nnz) on the blocks of each linked pair {P, Q}, listed once, P before Q in the order
+    of ``parts``, row-major, from the eigensystems of the parts alone, with their ``Entries``.
+    Else it is the full stack (n, d, d) from the state's eigenvectors, two observables per
+    product, with None.
+    """
     d, r, c, values = nonzeros
-    if entries is not None:
-        (at, vals), A = _row_table(d, r, c, values), np.empty((values.shape[0], entries.a.size), dtype=complex)
-        (first, part, place), parts, systems = _part_index(state.parts, d), state.parts, state.systems
-        sizes = np.cumsum([P.size * parts[g_P][0].shape[1] * parts[g_Q][0].shape[1]
-                           for g_P, P, g_Q, _ in entries.groups])
-        for out, (g_P, P, g_Q, Q) in zip(np.split(A, sizes[:-1], axis=1), entries.groups):
-            rows = parts[g_P][0][P]
-            i, V_Q = at[rows], systems[g_Q][0][Q]       # the columns of each row's nonzeros; Q's V
-            # V[i, c_Q] is row place(i) of Q's V where i lies in Q, else 0
-            in_Q = part[i] == (first[g_Q] + Q)[:, None, None]
-            V_at = np.where(in_Q[..., None], V_Q[np.arange(Q.size)[:, None, None], place[i] * in_Q], 0)
-            out[:] = _block_products(vals, rows, systems[g_P][0][P], V_at).transpose(2, 0, 1, 3).reshape(out.shape)
-        return A
-    # B = V^dag (X_j + i X_{j+1}) V / 2 per pair: X_j = B + B^dag and X_{j+1} = -i (B - B^dag) in the eigenbasis
-    n = values.shape[0]
-    Y = values[0::2] / 2
-    Y[:n // 2] += 0.5j * values[1::2]
-    (at, vals), B, V = _row_table(d, r, c, Y), np.empty((d, Y.shape[0], d), dtype=complex), state.eigenvectors
-    for rows, cols in state.parts or ((np.arange(d)[None],) * 2,):
-        B[cols] = _block_products(vals, rows, V[rows[..., None], cols[:, None, :]], V[at[rows]])
-    A = np.empty((n, d, d), dtype=complex)
-    for h in range(Y.shape[0]):
-        B_dag = np.conj(B[:, h].T)
-        np.add(B[:, h], B_dag, out=A[2 * h])
-        if 2 * h + 1 < n:
-            np.multiply(B[:, h] - B_dag, -1j, out=A[2 * h + 1])
-    return A
+    parts, n = state.parts, values.shape[0]
+    if parts is not None:
+        first, part, place = _part_index(parts, d)
+        P, Q = np.minimum(part[r], part[c]), np.maximum(part[r], part[c])
+    if parts is None or not P.size or (P == Q).any():
+        # B = V^dag (X_j + i X_{j+1}) V / 2 per pair: X_j = B + B^dag and X_{j+1} = -i (B - B^dag) in the eigenbasis
+        Y = values[0::2] / 2
+        Y[:n // 2] += 0.5j * values[1::2]
+        (at, vals), V = _row_table(d, r, c, Y), state.eigenvectors
+        B = _block_products(vals, np.arange(d)[None], V[None], V[at][None])[0]
+        A = np.empty((n, d, d), dtype=complex)
+        for h in range(Y.shape[0]):
+            B_dag = np.conj(B[:, h].T)
+            np.add(B[:, h], B_dag, out=A[2 * h])
+            if 2 * h + 1 < n:
+                np.multiply(B[:, h] - B_dag, -1j, out=A[2 * h + 1])
+        return A, None
+    # one sort by (size group of Q, P, Q): P's size group rises with P, so each block shape is one run
+    group, N = np.repeat(np.arange(len(parts)), np.diff(first)), first[-1]
+    key = np.sort((group[Q] * N + P) * N + Q)
+    P, Q = np.divmod(key[np.diff(key, prepend=-1) != 0] % (N * N), N)     # each pair once
+    cuts = [0, *(np.flatnonzero(np.diff(group[P]) | np.diff(group[Q])) + 1).tolist(), P.size]
+    (at, vals), systems = _row_table(d, r, c, values), state.systems
+    blocks, a, b = [], [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        g_P, g_Q = group[P[lo]], group[Q[lo]]
+        p, q = P[lo:hi] - first[g_P], Q[lo:hi] - first[g_Q]      # places in their size groups
+        rows, c_P, c_Q = parts[g_P][0][p], parts[g_P][1][p], parts[g_Q][1][q]
+        a.append(np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel())
+        b.append(np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel())
+        i, V_Q = at[rows], systems[g_Q][0][q]        # the columns of each row's nonzeros; Q's V
+        # V[i, c_Q] is row place(i) of Q's V where i lies in Q, else 0
+        in_Q = part[i] == Q[lo:hi, None, None]
+        V_at = np.where(in_Q[..., None], V_Q[np.arange(q.size)[:, None, None], place[i] * in_Q], 0)
+        blocks.append(_block_products(vals, rows, systems[g_P][0][p], V_at).transpose(2, 0, 1, 3).reshape(n, -1))
+    entries = Entries(np.concatenate(a), np.concatenate(b))
+    # into a C-ordered array: a block of 1 x 1 parts transposes to a strided view
+    return np.concatenate(blocks, axis=1, out=np.empty((n, entries.a.size), dtype=complex)), entries
 
 
 @lru_cache(maxsize=16)
@@ -466,10 +441,6 @@ class SpectralContext:
         self.state, self.lam, self.observables, self.nonzeros = state, lam, observables, nonzeros
         self.size, self.dim = lam.shape
         self.n = len(observables) if nonzeros is None else nonzeros[3].shape[0]
-        # the entry route: the eigenvector-column pairs (a, b) off which every A_k is exactly
-        # zero, A_k[b, a] being conj(A_k[a, b]), as the nonzeros link the state's parts
-        parts = None if nonzeros is None else self.state.parts
-        self.entries = None if parts is None else _entries(nonzeros, parts)
         self.memo = {}
 
     # the states (B, d, d) and eigenvectors (B, d, d), read by every route but the entry route:
@@ -481,10 +452,11 @@ class SpectralContext:
     def _stack(self) -> tuple[np.ndarray, np.ndarray]:
         if self.nonzeros is None:
             V = self.V[:, None]
-            A = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V
+            A, self._entries = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V, None
         else:
-            A = _nonzeros_stack(self.state, self.nonzeros, self.entries)[None]
-        if self.entries is not None:
+            A, self._entries = _nonzeros_stack(self.state, self.nonzeros)
+            A = A[None]
+        if self._entries is not None:
             return A, np.zeros((self.size, self.n))     # no diagonal entry: every mean is 0
         diag = np.einsum("zkaa->zka", A)           # a view: centering writes into A
         means = np.einsum("zka,za->zk", diag, self.lam).real
@@ -495,6 +467,9 @@ class SpectralContext:
     # values X_k = A_k[a, b] (B, n, nnz); and the means <X_k> A was centered with
     stack = property(lambda self: self._stack[0])
     means = property(lambda self: self._stack[1])
+    # the entry route's eigenvector-column pairs (a, b) off which every A_k is exactly zero,
+    # A_k[b, a] being conj(A_k[a, b]), or None: set when the stack is built
+    entries = property(lambda self: self._stack and self._entries)
 
     def weights(self, g) -> np.ndarray:
         """Kernel g(l_a, l_b) on each spectrum, once per kernel; non-finite values are a KernelDomainError.
@@ -523,7 +498,7 @@ class SpectralContext:
         if self.entries is None:
             W = W(self.lam[:, :, None], self.lam[:, None, :]) if callable(W) else W
             return np.einsum("zkab,zab,zjba->zkj", self.stack, W, self.stack)
-        (a, b), lam = self.entries[:2], self.lam
+        (a, b), lam = self.entries, self.lam
         W_ab, W_ba = (W(lam[:, a], lam[:, b]), W(lam[:, b], lam[:, a])) if callable(W) else (W[:, a, b], W[:, b, a])
         X, Xc = self.stack, np.conj(self.stack)
         return (X * W_ab[:, None]) @ Xc.swapaxes(1, 2) + (Xc * W_ba[:, None]) @ X.swapaxes(1, 2)

@@ -903,14 +903,25 @@ def test_uncoupled_entry_list_size():
     assert ctx.stack.shape == (1, 4, 1740)
 
 
+def test_entry_route_is_found_when_the_stack_is_built(monkeypatch):
+    # constructing the context does no stack work; one pass then finds the route, its entries
+    # and the stack from one index of the parts
+    rho = fock_truncate_thermal(two_mode_generator(1.0, 1.0), 30).rho
+    calls, index = [], skew._part_index
+    monkeypatch.setattr(skew, "_part_index", lambda *args: calls.append(args) or index(*args))
+    ctx = SpectralContext(rho, quadrature_observables(2, 30))
+    assert not calls and "_stack" not in vars(ctx)
+    ctx.refined
+    assert len(calls) == 1 and ctx.entries is not None
+
+
 @pytest.mark.parametrize("kind", ["uncoupled", "coupled-squeezed"])
 def test_stack_check_inputs_from_the_nonzeros_match_the_dense_pairings(kind):
-    # d = 900: the dense twin takes the pair-by-pair branch, the ladder set its nonzeros
+    # d = 900: the dense twin pairs its stacked matrices, the ladder set its nonzeros
     H = two_mode_generator(1.0, 1.0) if kind == "uncoupled" else two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1)
     rho, X = fock_truncate_thermal(H, 30).rho, quadrature_observables(2, 30)
     fast, dense = SpectralContext(rho, X), SpectralContext(rho, _dense_twin(quadrature_observables(2, 30)))
     assert fast.nonzeros is not None and fast.observables is None and dense.nonzeros is None
-    assert (X.n + 1) * X.dim**2 > skew.STACK_CHECK_ENTRIES
     (G, traces), (G_dense, traces_dense) = skew._input_pairings(fast), skew._input_pairings(dense)
     n = X.n
     _assert_close(G[:, :n, :n], G_dense[:, :n, :n], 1e-15)      # the Hilbert-Schmidt pairing
@@ -922,13 +933,11 @@ def test_stack_check_inputs_from_the_nonzeros_match_the_dense_pairings(kind):
     assert "observables" not in vars(X)                         # no dense matrix of the set was formed
 
 
-def test_pair_by_pair_stack_check_matches_the_stacked_product():
-    # a dense set above STACK_CHECK_ENTRIES takes the pair-by-pair branch; it reads what the
-    # one stacked product reads below it
+def test_dense_stack_check_inputs_match_the_einsum_pairings():
+    # a dense set at d = 96: the one product on the stacked inputs against Tr(Y_k Y_j) by einsum
     rng = np.random.default_rng(3)
     rho, X = random_density(96, "full", rng), fuzz_observables(96, 4, rng)
     ctx = SpectralContext(rho, X)
-    assert (X.n + 1) * X.dim**2 > skew.STACK_CHECK_ENTRIES
     G, traces = skew._input_pairings(ctx)
     Y = np.stack([*X.observables, rho.matrix])
     ref = np.einsum("kab,jba->kj", Y, Y).real
@@ -1065,11 +1074,11 @@ def test_corrupted_ladder_coefficient_fails_stack_check(kind, factor, monkeypatc
 
 
 def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
-    # the full route builds B = V^dag (x + i p) V / 2 part by part and takes x = B + B^dag: a
-    # phase flipped on the left side of one eigenvector of a part with more than one row leaves
-    # the quadratures Hermitian but changes their Hilbert-Schmidt pairing.  (The entry route
-    # builds each block once and implies its mirror, so there a phase is a relabeling: the
-    # probe's case, ``test_probe_flags_stack_mutations``.)
+    # the full route builds B = V^dag (x + i p) V / 2 in one product from the state's dense
+    # eigenvectors and takes x = B + B^dag: a phase flipped on the left side of one eigenvector
+    # of a state with parts leaves the quadratures Hermitian but changes their Hilbert-Schmidt
+    # pairing.  (The entry route builds each block once and implies its mirror, so there a
+    # phase is a relabeling: the probe's case, ``test_probe_flags_stack_mutations``.)
     parity = PART_KINDS["parity-classes"]()
     rho = DensityMatrix.from_blocks([(np.arange(parity.dim), parity.eigenvectors, parity.eigenvalues)])
     X = quadrature_observables(2, 8)
@@ -1078,7 +1087,7 @@ def test_flipped_eigenvector_phase_in_a_part_fails_stack_check(monkeypatch):
 
     def flipped(*args):
         out = build(*args)
-        out[0, 0] *= -1         # the first eigenvector of the one part
+        out[0, 0] *= -1         # the first eigenvector
         return out
 
     monkeypatch.setattr(skew, "_block_products", flipped)
