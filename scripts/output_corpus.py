@@ -22,7 +22,8 @@ The runs:
 - ``fuzz --seed 20240501 --trials N --json-out``;
 - ``gaussian --json-out`` on the 2-mode structures at --cutoff: uncoupled
   modes, photon-number shells (a beamsplitter coupling) and a coupled and
-  squeezed generator; and the README's 1-mode example at cutoff 60;
+  squeezed generator; the README's 1-mode example at cutoff 60; and a squeezed
+  mode (``--modes 1 --xi 0.3``) at cutoff 40;
 - ``nongauss`` on 2-mode states at cutoffs 12 and --cutoff: Fock-diagonal states,
   each written by ``json.dumps`` (zeros as 0.0) and by ``serialize.dumps`` (zeros
   as 0); parity-breaking ones (the same weights and one |0,0>-|0,1> coherence);
@@ -31,7 +32,11 @@ The runs:
   its parts are larger than 1 x 1) and four inputs planted on it: one entry
   off its Hermitian mirror by 3e-11, within TOL_HERM (exit 0), and three that
   exit 2: a one-sided entry of 1e-9 between |0,0> and |0,1> (beyond TOL_HERM),
-  a trace off by 1e-6, and a state that is not positive semidefinite.
+  a trace off by 1e-6, and a state that is not positive semidefinite;
+- ``nongauss --modes 1 --cutoff 12`` on a Fock-diagonal state and on one that
+  breaks parity (a |0>-|1> coherence);
+- ``nongauss --modes 2 --cutoff -2`` on a 4 x 4 state, an input error (exit 2):
+  (-2)^2 = 4 matches its size, so the cutoff itself must be refused.
 
 Each run writes OUTDIR/<run>/ with ``stdout``, ``stderr``, ``exit`` (the exit
 code) and, for the runs that write one, ``report.json``; the input files go to
@@ -120,6 +125,15 @@ def fock_states(cutoff: int) -> dict:
     return {"diagonal": diag, "breaking": breaking, "low-photon": low, **planted}
 
 
+def one_mode_states(cutoff: int) -> dict:
+    """Name: 1-mode state matrix at this cutoff: a Fock-diagonal mixture and the same with a |0>-|1> coherence."""
+    weights = np.random.default_rng([cutoff, 1]).uniform(0.2, 1.0, cutoff) * (np.arange(cutoff) < 6)
+    diag = np.diag(weights / weights.sum()).astype(complex)
+    breaking = diag.copy()
+    breaking[0, 1] = breaking[1, 0] = 0.1 * min(diag[0, 0].real, diag[1, 1].real)
+    return {"diagonal": diag, "breaking": breaking}
+
+
 def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
     """Write every input file to OUTDIR/inputs; the names and arguments of the check and nongauss runs."""
     inputs = outdir / "inputs"
@@ -141,6 +155,13 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
                 (inputs / f"{name}.json").write_text(dump(doc))
                 nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "2",
                                                       "--cutoff", str(K)]))
+    for kind, M in one_mode_states(12).items():
+        name = f"fock1-{kind}-c12"
+        (inputs / f"{name}.json").write_text(json.dumps({"dim": 12, "matrix": pairs(M)}))
+        nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "1", "--cutoff", "12"]))
+    (inputs / "vacuum-d4.json").write_text(json.dumps({"dim": 4, "matrix": pairs(np.diag([1.0, 0, 0, 0]))}))
+    nongauss.append(("nongauss-vacuum-d4-cutoff-minus-2", ["nongauss", "inputs/vacuum-d4.json", "--modes", "2",
+                                                          "--cutoff", "-2"]))
     return checks, nongauss
 
 
@@ -170,6 +191,7 @@ def main() -> None:
              for name, argv in GAUSSIAN.items()]
     runs.append(("gaussian-readme", ["gaussian", "--modes", "1", "--omega", "1", "--beta", "1.3863",
                                      "--cutoff", "60"], True))
+    runs.append(("gaussian-squeezed-1m", ["gaussian", "--modes", "1", "--xi", "0.3", "--cutoff", "40"], True))
     runs += [(name, argv, False) for name, argv in nongauss]
     for name, argv, report in runs:
         run(outdir, name, argv, report, env)

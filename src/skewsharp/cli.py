@@ -21,6 +21,7 @@ from .fuzz import RELATIONS, FuzzConfig, context_margins, require_violation_tol,
 from .gaussian import (
     CutoffTooSmall,
     bogoliubov_floor,
+    check_thermal_cutoff,
     fock_density,
     nongaussianity,
     saturation_check,
@@ -155,6 +156,7 @@ def _build_generator(args):
 
 
 def cmd_gaussian(args) -> int:
+    check_thermal_cutoff(args.cutoff)
     H = _build_generator(args)
     if (tail := thermal_tail_mass(H, args.cutoff)) >= 1:
         raise CutoffTooSmall(f"thermal tail mass {tail:.6g} at cutoff {args.cutoff} is not below 1: "

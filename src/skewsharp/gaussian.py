@@ -31,13 +31,17 @@ commutator convention of :mod:`skewsharp.skew` gives the constant real
 antisymmetric matrix [[0, -I/2], [I/2, 0]].
 
 The truncated Fock space (cutoff levels per mode, Kronecker order) carries exact
-structure that the d = cutoff^n numerics use.  Its operators are built from
-ladder index arithmetic and kept as the (row, column, value) triples of their
-nonzeros: a ladder operator moves one mode's digit of the Kronecker index by +-1
-with coefficient sqrt(n), so the truncated H (``_fock_hamiltonian``) has a few
-nonzeros per row.  The thermal state is kept as the eigensystems of its parts,
-so the thermal path forms no d x d matrix: the state's dense matrix and
-eigenvectors are formed only if a caller reads them.  A quadratic generator
+structure that the d = cutoff^n numerics use.  It is stated once, in the basis
+record ``FockBasis`` (built once per size by ``fock_basis``, which checks the
+size): the dimension, the stride and the photon number of each mode at each
+index, the parity of each index and the link table of every ladder operator.
+Its operators are read from that record and kept as the (row, column, value)
+triples of their nonzeros: a ladder operator moves one mode's digit of the
+Kronecker index by +-1 with coefficient sqrt(n), so the truncated H
+(``_fock_hamiltonian``, two link steps per term) has a few nonzeros per row.
+The thermal state is kept as the eigensystems of its parts, so the thermal path
+forms no d x d matrix: the state's dense matrix and eigenvectors are formed only
+if a caller reads them.  A quadratic generator
 changes the total photon number by 0 or +-2, so the truncated H has exactly zero
 entries between even and odd n_1 + ... + n_n: ``fock_truncate_thermal`` checks
 that triple by triple, and inside the two parity classes takes the connected
@@ -48,12 +52,12 @@ the photon-number shells, squeezing the two parity classes themselves.  The
 state records the parts (``DensityMatrix.parts``, and their eigensystems in
 ``systems``).  A state read from a file gets the same structure through
 ``fock_density`` when its Hermitian part has exactly zero entries between the two
-parities (``DensityMatrix.from_matrix`` with the ``parity_rows`` partition); any
+parities (``DensityMatrix.from_matrix`` partitioned by the record's parity); any
 other state gets the dense eigh and no record.  The quadratures are linear in
 the ladder operators, so ``quadrature_observables`` gives them by their nonzeros
-at the links i -> i + s_k of every a_k (s_k the stride of mode k) and their
-mirror images (``ObservableSet.nonzeros``); the dense matrices are formed only
-when a caller reads ``observables``.  :mod:`skewsharp.skew` builds their
+at the record's links i -> i + s_k of every a_k (s_k the stride of mode k) and
+their mirror images (``ObservableSet.nonzeros``); the dense matrices are formed
+only when a caller reads ``observables``.  :mod:`skewsharp.skew` builds their
 eigenbasis stack from those nonzeros and the state's parts alone, as it would
 for any set so given: every quadrature flips the photon-number parity, so on a
 state whose parts each have one parity the stack lives on the blocks of the part
@@ -334,52 +338,48 @@ class ThermalTruncation:
     tail_mass: float
 
 
-def destroy(cutoff: int) -> np.ndarray:
-    """Truncated annihilator a on one mode: <n-1|a|n> = sqrt(n) for n < cutoff."""
-    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+class FockBasis:
+    """The truncated Fock space of n modes with cutoff levels each (the box), in Kronecker order.
 
+    Index i holds |n_1, ..., n_n> with n_k = i // s_k % cutoff, s_k the stride of mode k (mode 1
+    the slowest), so the dimension ``dim`` is d = cutoff^n.  Built once per size by
+    ``fock_basis``; its arrays are read-only:
 
-def fock_parity(n_modes: int, cutoff: int) -> np.ndarray:
-    """Photon-number parity (n_1 + ... + n_n) mod 2 of each truncated Fock basis state, in Kronecker order."""
-    return np.ravel(functools.reduce(np.add.outer, [np.arange(cutoff)] * n_modes)) % 2
-
-
-def parity_rows(n_modes: int, cutoff: int) -> list[np.ndarray]:
-    """The basis indices of even and of odd total photon number: the partition that
-    a state keeping photon-number parity is block-diagonal on."""
-    parity = fock_parity(n_modes, cutoff)
-    return [np.flatnonzero(parity == p) for p in (0, 1)]
-
-
-@functools.lru_cache(maxsize=16)
-def _ladder_links(n_modes: int, cutoff: int) -> tuple[np.ndarray, ...]:
-    """Where the truncated annihilators a_k are nonzero, computed once per size (read-only arrays).
-
-    Per mode k (the rows of (n_modes, L) arrays): the basis rows i below the top level of
-    mode k, i + s_k (s_k the stride of mode k in the Kronecker order) and the photon number
-    l of mode k in row i, so that a_k[i, i + s_k] = sqrt(l + 1).
+    - ``strides`` (n,): s_k;
+    - ``levels`` (n, d): n_k at each index;
+    - ``parity`` (d,): (n_1 + ... + n_n) mod 2 at each index;
+    - ``links`` (3, 2n, L): the link table of the ladder operators Lambda_o, a_k^dag for
+      o = k and a_k for o = n + k.  Lambda_o maps |links[0, o]> to sqrt(l + 1) |links[1, o]>,
+      with l = links[2, o] the photon number of mode k at the lower end: a_k^dag steps from
+      each of the L = d (cutoff - 1) / cutoff indices i below the top level of mode k to
+      i + s_k, and a_k steps back, so a_k[i, i + s_k] = sqrt(l + 1).
     """
-    d = cutoff**n_modes
-    strides = (d // cutoff ** np.arange(1, n_modes + 1))[:, None]
-    i = np.nonzero(np.arange(d) // strides % cutoff < cutoff - 1)[1].reshape(n_modes, -1)
-    links = (i, i + strides, i // strides % cutoff)
-    for x in links:
-        x.setflags(write=False)
-    return links
+
+    def __init__(self, n_modes: int, cutoff: int):
+        self.dim = d = FockBasis.size(n_modes, cutoff)
+        self.strides = d // cutoff ** np.arange(1, n_modes + 1)
+        self.levels = np.arange(d) // self.strides[:, None] % cutoff
+        self.parity = self.levels.sum(axis=0) % 2
+        i = np.nonzero(self.levels < cutoff - 1)[1].reshape(n_modes, -1)
+        j, level = i + self.strides[:, None], np.take_along_axis(self.levels, i, 1)
+        self.links = np.stack([np.r_[i, j], np.r_[j, i], np.r_[level, level]])
+        for x in (self.strides, self.levels, self.parity, self.links):
+            x.setflags(write=False)
+
+    @staticmethod
+    def size(n_modes: int, cutoff: int, dim: int | None = None) -> int:
+        """d = cutoff^n_modes after the checks n_modes >= 1 and cutoff >= 2, and, given a dim, that
+        dim = d: the one place d is derived, and nothing of size d is built here."""
+        if n_modes < 1:
+            raise UnsupportedModeCount(f"need at least 1 mode, got {n_modes}")
+        if cutoff < 2:
+            raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
+        if dim is not None and dim != cutoff**n_modes:
+            raise DimensionMismatch(f"state dim {dim} != cutoff^n_modes = {cutoff**n_modes}")
+        return cutoff**n_modes
 
 
-def _ladder_step(idx: np.ndarray, mode: int, up: bool, d: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """a^dag (up) or a of one mode on the basis states idx of the d-dimensional truncated space:
-    the states it reaches and its coefficients.
-
-    It moves the mode's digit of the Kronecker index (stride s) by +-1 with coefficient
-    sqrt(n + 1) or sqrt(n), n the digit; the coefficient is 0 at the top level (a^dag) and
-    at 0 (a), where idx stays.
-    """
-    stride = d // cutoff ** (mode + 1)
-    level = idx // stride % cutoff
-    step = np.where(level < cutoff - 1, 1, 0) if up else np.where(level > 0, -1, 0)
-    return idx + stride * step, np.sqrt(level + up) * (step != 0)
+fock_basis = functools.lru_cache(maxsize=16)(FockBasis)     # the record of each size, built once
 
 
 def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
@@ -393,24 +393,37 @@ def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> tuple[np.ndarray,
     """(1/2) sum_ij S_ij Lambda_i Lambda_j on the truncated product space, in normal order, as
     the (rows, columns, values) of its nonzeros, row-major.
 
-    Each term Lambda_i Lambda_j (i <= j, so creators first) maps every basis state by two
-    ladder steps (``_ladder_step``); the terms are summed position by position in term order,
-    and the Hermitian part is taken on the triples.  Normal order matters: the truncated
-    a_k a_k^dag is 0 on the top Fock level, a_k^dag a_k is not; the dropped constant
-    [a_k, a_k^dag] = 1 leaves the state unchanged.
+    Each term Lambda_i Lambda_j (i <= j, so creators first) is two steps read from the basis
+    record (``fock_basis``): Lambda_j along its links, then Lambda_i from where it arrives, by
+    the photon number of Lambda_i's mode there; each step has the coefficient sqrt(l + 1) of the
+    link it takes, and a state that Lambda_i cannot move (a_k^dag at the top level, a_k at 0)
+    drops out of the term.  The terms are summed position by position in term order, and the
+    Hermitian part is taken on the triples.  Normal order matters: the truncated a_k a_k^dag
+    is 0 on the top Fock level, a_k^dag a_k is not; the dropped constant [a_k, a_k^dag] = 1
+    leaves the state unchanged.
     """
     # the empty first term keeps the sums defined when S = 0 gives no term
-    n, idx, terms = H.n_modes, np.arange(cutoff**H.n_modes), [(np.arange(0), np.arange(0), np.zeros(0, complex))]
+    b, n, terms = fock_basis(H.n_modes, cutoff), H.n_modes, [(np.arange(0), np.arange(0), np.zeros(0, complex))]
     for i in range(2 * n):
         for j in range(i, 2 * n):
             s = 0.5 * (H.S[i, j] + H.S[j, i]) if i < j else 0.5 * H.S[i, i]
             if s != 0:
-                mid, c_j = _ladder_step(idx, j % n, j < n, idx.size, cutoff)
-                row, c_i = _ladder_step(mid, i % n, i < n, idx.size, cutoff)
-                terms.append((row, idx, s * (c_i * c_j)))
-    r, c, v = _summed(*map(np.concatenate, zip(*terms)), idx.size)
-    r, c, v = _summed(np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, np.conj(v)]), idx.size)
+                col, mid, l_j = b.links[:, j]                # Lambda_j: col -> mid
+                # Lambda_i's link from mid has level n_k (a_k^dag) or n_k - 1 (a_k), n_k = the photon
+                # number of its mode at mid; outside 0..cutoff - 2 there is no such link
+                l_i = b.levels[i % n, mid] - (i >= n)
+                moved = (l_i >= 0) & (l_i < cutoff - 1)
+                row = mid[moved] + (1 if i < n else -1) * b.strides[i % n]
+                terms.append((row, col[moved], s * (np.sqrt(l_i[moved] + 1) * np.sqrt(l_j[moved] + 1))))
+    r, c, v = _summed(*map(np.concatenate, zip(*terms)), b.dim)
+    r, c, v = _summed(np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, np.conj(v)]), b.dim)
     return r, c, v / 2
+
+
+def check_thermal_cutoff(cutoff: int) -> None:
+    """The cutoff bound of ``fock_truncate_thermal``; the CLI checks it before any other step."""
+    if cutoff < 8:
+        raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
 
 
 def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTruncation:
@@ -418,16 +431,16 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
 
     A quadratic H changes the total photon number by 0 or +-2, so its truncation
     is block-diagonal by photon-number parity: that is checked on each of its
-    nonzero triples (ConstructionMismatch otherwise).  Inside the parities each
-    connected component of H's nonzero pattern gets its own eigensystem
-    (``part_eigensystems`` on the triples), and the state records those parts.
+    nonzero triples against the basis record's parity (ConstructionMismatch
+    otherwise).  Inside the parities each connected component of H's nonzero
+    pattern gets its own eigensystem (``part_eigensystems`` on the triples), and
+    the state records those parts.
     """
     if H.n_modes not in (1, 2):
         raise UnsupportedModeCount(f"Fock truncation supports 1 or 2 modes, got {H.n_modes}")
-    if cutoff < 8:
-        raise CutoffTooSmall(f"cutoff must be >= 8, got {cutoff}")
+    check_thermal_cutoff(cutoff)
     rows, cols, vals = _fock_hamiltonian(H, cutoff)
-    parity = fock_parity(H.n_modes, cutoff)
+    parity = fock_basis(H.n_modes, cutoff).parity
     if cross := np.count_nonzero(parity[rows] != parity[cols]):
         raise ConstructionMismatch(f"truncated H couples even and odd photon numbers at {cross} entries")
     parts = part_eigensystems(rows, cols, vals, parity.size)
@@ -444,18 +457,16 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
 
     x = (a^dag + a)/sqrt(2) and p = i(a^dag - a)/sqrt(2) of the real truncated a
     are exactly Hermitian, so the set is not re-validated.  It is given by their
-    nonzeros at the links i -> i + s_k of every a_k and their mirror images
-    (``_ladder_links``), from which ``SpectralContext`` builds its stack.
+    nonzeros at the links i -> i + s_k of every a_k and their mirror images (the
+    basis record's ``links``), from which ``SpectralContext`` builds its stack.
     """
-    if cutoff < 2:
-        raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
-    a, k = destroy(cutoff), np.arange(n_modes)
-    i, j, level = _ladder_links(n_modes, cutoff)
-    values = np.zeros((2, n_modes, 2, *i.shape), dtype=complex)     # (x or p, mode; link or mirror, mode, link)
-    for q, v in zip(((a.conj().T + a) / math.sqrt(2), 1j * (a.conj().T - a) / math.sqrt(2)), values):
-        v[k, 0, k], v[k, 1, k] = q[level, level + 1], q[level + 1, level]    # the single-mode q at mode k
-    return ObservableSet._from_nonzeros(cutoff**n_modes, np.concatenate([i, j]).ravel(),
-                                        np.concatenate([j, i]).ravel(), values.reshape(2 * n_modes, -1))
+    b, k = fock_basis(n_modes, cutoff), np.arange(n_modes)
+    a = np.sqrt(b.links[2, :n_modes] + 1).astype(complex)     # a_k at (i, i + s_k) and a_k^dag at the mirror
+    values = np.zeros((2, n_modes, 2, *a.shape), dtype=complex)     # (x or p, mode; link or mirror, mode, link)
+    # (a^dag + a) and i (a^dag - a) at the link (a^dag 0 there) and its mirror, each over sqrt(2) by complex division
+    for v, link, mirror in zip(values, (a, 1j * -a), (a, 1j * a.conj())):
+        v[k, 0, k], v[k, 1, k] = link / math.sqrt(2), mirror / math.sqrt(2)
+    return ObservableSet._from_nonzeros(b.dim, b.links[0].ravel(), b.links[1].ravel(), values.reshape(2 * n_modes, -1))
 
 
 @dataclass(eq=False)
@@ -485,29 +496,23 @@ def saturation_check(H: QuadraticHamiltonian, cutoff: int) -> SaturationReport:
     )
 
 
-def check_fock_dim(dim: int, n_modes: int, cutoff: int) -> None:
-    """Raise unless n_modes >= 1 and a dim x dim matrix lives on n_modes modes cut off at cutoff."""
-    if n_modes < 1:
-        raise UnsupportedModeCount(f"need at least 1 mode, got {n_modes}")
-    if dim != cutoff**n_modes:
-        raise DimensionMismatch(f"state dim {dim} != cutoff^n_modes = {cutoff**n_modes}")
-
-
 def fock_density(matrix: np.ndarray, n_modes: int, cutoff: int) -> DensityMatrix:
     """State on n_modes modes cut off at cutoff from its Fock-basis matrix.
 
-    The size is checked first (``check_fock_dim``), before any eigh.  A state
-    that keeps photon-number parity gets one eigensystem per part, a connected
-    component of its nonzero pattern, and records the parts (``DensityMatrix.from_matrix``
-    on ``parity_rows``); any other gets the dense eigh.
+    The size is checked first (``FockBasis.size``), before the basis record or
+    any eigh is built.  A state that keeps photon-number parity gets one
+    eigensystem per part, a connected component of its nonzero pattern, and
+    records the parts (``DensityMatrix.from_matrix`` on the record's even and
+    odd indices); any other gets the dense eigh.
     """
-    check_fock_dim(np.shape(matrix)[0], n_modes, cutoff)
-    return DensityMatrix.from_matrix(matrix, partition=parity_rows(n_modes, cutoff))
+    FockBasis.size(n_modes, cutoff, np.shape(matrix)[0])
+    parity = fock_basis(n_modes, cutoff).parity
+    return DensityMatrix.from_matrix(matrix, partition=[np.flatnonzero(parity == p) for p in (0, 1)])
 
 
 def nongaussianity(rho: DensityMatrix, n_modes: int, cutoff: int) -> float:
     """Saturation gap of an arbitrary truncated-Fock state: 0 exactly on Gaussian states."""
-    check_fock_dim(rho.dim, n_modes, cutoff)
+    FockBasis.size(n_modes, cutoff, rho.dim)
     return check_refined_rs(rho, quadrature_observables(n_modes, cutoff)).delta_G
 
 

@@ -331,6 +331,29 @@ def test_nongauss_modes_below_one_exit2(tmp_path, capsys, modes):
     assert f"need at least 1 mode, got {modes}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim, modes, cutoff", [(1, "2", "-1"), (4, "2", "-2"), (16, "2", "0"), (1, "2", "1")])
+def test_nongauss_cutoff_below_two_exit2(tmp_path, capsys, dim, modes, cutoff):
+    # (-1)^2 = 1 and (-2)^2 = 4 once passed the size check, and cutoff 0 read "cutoff^n_modes = 0"
+    path = fock_state_file(tmp_path, level=0, cutoff=dim)
+    assert main(["nongauss", path, "--modes", modes, "--cutoff", cutoff]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: cutoff must be >= 2, got {cutoff}\n"
+
+
+def test_gaussian_negative_cutoff_reports_the_bound(capsys, monkeypatch):
+    # the bound, not a tail mass "at cutoff -3", and before the generator or the tail is formed
+    import skewsharp.cli
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the cutoff check")
+
+    monkeypatch.setattr(skewsharp.cli, "thermal_tail_mass", no_step)
+    monkeypatch.setattr(skewsharp.cli, "_build_generator", no_step)
+    assert main(["gaussian", "--cutoff", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: cutoff must be >= 8, got -3\n"
+
+
 def test_nongauss_size_checked_before_the_state_eigh(tmp_path, capsys, monkeypatch):
     from skewsharp import linalg
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -19,7 +20,6 @@ from skewsharp.gaussian import (
     SingularM,
     UnsupportedModeCount,
     block_swap,
-    destroy,
     exact_moments,
     fock_truncate_thermal,
     generator_from_covariance,
@@ -48,6 +48,18 @@ BETA = math.log(1 / Q)        # omega = 1
 
 def thermal_fixture():
     return single_mode_generator(omega=1.0, beta=BETA)
+
+
+def destroy(cutoff):
+    """The dense truncated annihilator a on one mode, <n-1|a|n> = sqrt(n) for n < cutoff: the
+    tests' own reference for the index-built Fock operators."""
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+
+
+def _parity_rows(n_modes, cutoff):
+    """The indices of even and of odd total photon number, from the basis record's parity."""
+    parity = gaussian.fock_basis(n_modes, cutoff).parity
+    return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
 # -------------------------------------------------------------- generators
@@ -213,6 +225,10 @@ def test_zero_beta_omega_raises_singular_m_without_a_warning(omega):
 def test_destroy_matrix_elements():
     a = destroy(4)
     assert np.abs(a - np.diag([1.0, math.sqrt(2), math.sqrt(3)], 1)).max() <= 1e-15
+    # the basis record's link table of a^dag (o = 0) and a (o = 1) holds the same nonzeros
+    rows, cols, level = gaussian.fock_basis(1, 4).links
+    assert np.array_equal(np.flatnonzero(a), rows[0] * 4 + cols[0])
+    assert np.array_equal(a[rows[0], cols[0]], np.sqrt(level[0] + 1)) and np.array_equal(rows[1], cols[0])
 
 
 def test_thermal_truncation_is_geometric():
@@ -467,7 +483,7 @@ PLANTED = {
 
 @pytest.mark.parametrize("n, cutoff", [(2, 4), (2, 30)], ids=["d16", "d900"])
 def test_partition_route_checks_on_the_nonzeros_match_the_dense_checks(n, cutoff):
-    parity = gaussian.fock_parity(n, cutoff)
+    parity = gaussian.fock_basis(n, cutoff).parity
     base = _low_photon_state(n, cutoff, 24)
     j = int(np.flatnonzero(np.all(base == 0, axis=0) & (parity == 0))[0])
     outcomes = {}
@@ -716,6 +732,62 @@ def test_index_built_hamiltonian_matches_the_kronecker_sum(n_modes, cutoff, seed
     assert np.abs(_densify((rows, cols, vals), ref.shape[0]) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+# sha256 of the bytes of (rows, cols, values) of the truncated H of the output corpus's 2-mode
+# generators at cutoff 30 and of a squeezed mode at cutoff 60, as the Kronecker-order index build
+# of earlier releases wrote them
+PINNED_TRIPLES = {
+    "uncoupled": (two_mode_generator(1.0, 1.3), 30,
+                  "8f200ee40f48f507654337f6799b15f6285d72b959de0a3a113a2319f98117a5"),
+    "shells": (two_mode_generator(1.0, 1.3, coupling=0.2), 30,
+               "20abd4f1d3c3d1385778adebada007c1f5dcee9e80e3a58f1fd2f29a73f460a7"),
+    "coupled-squeezed": (two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1), 30,
+                         "901e77a45a53504998039edc0351ddb1a8ec3d69e4efd24218277fa5107fe3a5"),
+    "single-mode-squeezed": (single_mode_generator(0.9, xi=0.3), 60,
+                             "ad5b1e318965f097024726561bdd3a440789398c87e067471e8670df90604f0b"),
+}
+
+
+def test_hamiltonian_triples_are_pinned_and_the_basis_is_built_once(monkeypatch):
+    built, init = [], gaussian.FockBasis.__init__
+    monkeypatch.setattr(gaussian.FockBasis, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    gaussian.fock_basis.cache_clear()
+    for name, (H, cutoff, digest) in PINNED_TRIPLES.items():
+        for _ in range(2):
+            triples = gaussian._fock_hamiltonian(H, cutoff)
+            assert hashlib.sha256(b"".join(x.tobytes() for x in triples)).hexdigest() == digest, name
+    assert built == [(2, 30), (1, 60)]
+    b = gaussian.fock_basis(2, 30)
+    assert b is gaussian.fock_basis(2, 30) and b.dim == 900 and len(built) == 2
+    for x in (b.strides, b.levels, b.parity, b.links, *b.links, quadrature_observables(2, 30).nonzeros[1]):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+
+@pytest.mark.parametrize("call", [lambda: gaussian.fock_density(np.eye(4) / 4, 2, 10**6),
+                                  lambda: nongaussianity(DensityMatrix.from_matrix(np.eye(4) / 4), 2, 10**6)],
+                         ids=["fock_density", "nongaussianity"])
+def test_size_is_checked_before_the_basis_is_built(monkeypatch, call):
+    # d = 10^12: a mistyped cutoff must build nothing of size d
+    built = []
+    monkeypatch.setattr(gaussian.FockBasis, "__init__", lambda self, *args: built.append(args))
+    with pytest.raises(linalg.DimensionMismatch, match=r"state dim 4 != cutoff\^n_modes = 1000000000000$"):
+        call()
+    assert built == []
+
+
+@pytest.mark.parametrize("n_modes, cutoff, dim, error", [
+    (2, -1, 1, "cutoff must be >= 2, got -1"), (2, -2, 4, "cutoff must be >= 2, got -2"),
+    (2, 0, 16, "cutoff must be >= 2, got 0"), (2, 1, 1, "cutoff must be >= 2, got 1"),
+    (0, 5, 1, "need at least 1 mode, got 0")], ids=["cutoff-1", "cutoff-2", "cutoff0", "cutoff1", "modes0"])
+def test_mode_count_and_cutoff_are_checked_before_the_size(n_modes, cutoff, dim, error):
+    # (-1)^2 = 1 and 1^2 = 1 matched a 1 x 1 state, and (-2)^2 = 4 a 4 x 4 one
+    for call in (lambda: gaussian.fock_density(np.eye(dim) / dim, n_modes, cutoff),
+                 lambda: quadrature_observables(n_modes, cutoff)):
+        with pytest.raises((CutoffTooSmall, UnsupportedModeCount), match=f"^{error}$"):
+            call()
+
+
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 9)])
 def test_zero_generator_has_no_triples_and_one_by_one_parts(n_modes, cutoff):
     H = validate_quadratic(np.zeros((2 * n_modes, 2 * n_modes)), n_modes)
@@ -737,8 +809,7 @@ def test_quadratures_exactly_hermitian_with_ladder_origin(n_modes, cutoff):
     assert all(np.array_equal(a, b) for a, b in zip(X.observables, checked.observables))
 
 
-@pytest.mark.parametrize("n_modes", [1, 2])
-@pytest.mark.parametrize("cutoff", [2, 8, 30])
+@pytest.mark.parametrize("cutoff, n_modes", [(c, n) for c in (2, 8, 30) for n in (1, 2)] + [(60, 1)])
 def test_index_filled_quadratures_equal_the_kronecker_build(n_modes, cutoff):
     a, eye = destroy(cutoff), np.eye(cutoff, dtype=complex)
     kron = []
@@ -750,6 +821,9 @@ def test_index_filled_quadratures_equal_the_kronecker_build(n_modes, cutoff):
     X = quadrature_observables(n_modes, cutoff)
     assert len(X.observables) == len(kron)
     assert all(np.array_equal(M, K) for M, K in zip(X.observables, kron))
+    # array_equal takes -0.0 for 0.0: the sign bits of both parts must match too
+    for part in (np.real, np.imag):
+        assert all(np.array_equal(np.signbit(part(M)), np.signbit(part(K))) for M, K in zip(X.observables, kron))
 
 
 def test_nonzeros_are_not_user_settable():
@@ -782,7 +856,7 @@ def _parity_state_matrix(n, cutoff, rng, diagonal):
         p[0] += 0.1
         return np.diag(p / p.sum()).astype(complex)
     M = np.zeros((d, d), dtype=complex)
-    for rows in gaussian.parity_rows(n, cutoff):
+    for rows in _parity_rows(n, cutoff):
         G = rng.standard_normal((rows.size, rows.size)) + 1j * rng.standard_normal((rows.size, rows.size))
         M[np.ix_(rows, rows)] = G @ G.conj().T
     return M / np.trace(M).real
@@ -1027,7 +1101,7 @@ def test_one_coherence_takes_the_dense_eigh():
 def test_coupled_squeezed_parts_are_the_parity_classes():
     H, cutoff = two_mode_generator(1.0, 1.3, coupling=0.2, xi=0.1), 30
     rho = fock_truncate_thermal(H, cutoff).rho
-    rows = gaussian.parity_rows(2, cutoff)
+    rows = _parity_rows(2, cutoff)
     assert len(rho.parts) == 1 and np.array_equal(rho.parts[0][0], np.stack(rows))
     # the same state, bit for bit, as one eigh per parity class
     Hmat = _dense_hamiltonian(H, cutoff)
