@@ -36,7 +36,13 @@ The runs:
 - ``nongauss --modes 1 --cutoff 12`` on a Fock-diagonal state and on one that
   breaks parity (a |0>-|1> coherence);
 - ``nongauss --modes 2 --cutoff -2`` on a 4 x 4 state, an input error (exit 2):
-  (-2)^2 = 4 matches its size, so the cutoff itself must be refused.
+  (-2)^2 = 4 matches its size, so the cutoff itself must be refused;
+- ``nongauss --modes 2 --cutoff 12`` on the files the reader decodes instead of
+  reading their bytes: the Fock-diagonal and parity-breaking states written by
+  ``serialize.dumps`` with CRLF line endings, and the same states with a
+  non-ASCII ``label`` (written by ``json.dumps`` without ASCII escapes); and on
+  the Fock-diagonal ``json.dumps`` file cut three quarters of the way through its
+  matrix, a JSON error (exit 2).
 
 Each run writes OUTDIR/<run>/ with ``stdout``, ``stderr``, ``exit`` (the exit
 code) and, for the runs that write one, ``report.json``; the input files go to
@@ -159,6 +165,17 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
         name = f"fock1-{kind}-c12"
         (inputs / f"{name}.json").write_text(json.dumps({"dim": 12, "matrix": pairs(M)}))
         nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "1", "--cutoff", "12"]))
+    states = fock_states(12)
+    for kind in ("diagonal", "breaking"):
+        doc = {"dim": 144, "matrix": pairs(states[kind])}
+        files = {f"fock-{kind}-c12-crlf": serialize.dumps(doc).replace("\n", "\r\n"),
+                 f"fock-{kind}-c12-label": json.dumps({**doc, "label": "\u03c8"}, ensure_ascii=False)}
+        if kind == "diagonal":
+            text = json.dumps(doc)
+            files["fock-diagonal-c12-truncated"] = text[:3 * len(text) // 4]
+        for name, text in files.items():
+            (inputs / f"{name}.json").write_bytes(text.encode("utf-8"))
+            nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "2", "--cutoff", "12"]))
     (inputs / "vacuum-d4.json").write_text(json.dumps({"dim": 4, "matrix": pairs(np.diag([1.0, 0, 0, 0]))}))
     nongauss.append(("nongauss-vacuum-d4-cutoff-minus-2", ["nongauss", "inputs/vacuum-d4.json", "--modes", "2",
                                                           "--cutoff", "-2"]))

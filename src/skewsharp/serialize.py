@@ -9,15 +9,19 @@ Reading: ``loads`` returns what ``json.loads`` returns, except that on a text
 longer than MATRIX_ROUTE_MIN_CHARS every array that is exactly a d x d matrix of
 [re, im] number cells comes back as one float64 array of shape (d, d, 2), read
 from the text's bytes instead of through about 3 d^2 Python objects
-(``pairs_to_matrix`` takes either form).  One pass over the text, chunk by chunk,
-classifies every byte with a ``bytes.translate`` table and builds a skeleton: no
-whitespace, and each number token (a run of 0-9 . e E + -) as one "n".  A matrix
-is accepted only where the skeleton is exactly [[[n,n],...],...] for the d of its
-first row, which proves that it is square with one token per slot.  A token that
-is exactly 0.0 or 0 (``dumps`` writes a zero as 0) becomes +0.0 without
-conversion.  Every other token must be a JSON number, and not an integer -0
-(json reads it as +0.0, strtod as -0.0), with a finite value; ``np.fromstring``
-converts them.  Each accepted matrix is replaced by a marker string and json
+(``pairs_to_matrix`` takes either form).  ``load_json`` reads a file above that
+size once, into an anonymous buffer whose pages the kernel fills in one call; a
+file of ASCII bytes with no CR goes to ``loads`` as that buffer, with no decoded
+copy, and any other file as the str a text-mode read gives (CRLF and lone CR as
+LF).  One pass over the text's bytes, chunk by chunk, marks the number bytes
+(0-9 . e E + -) by byte ranges and builds a skeleton with one ``bytes.translate``
+per chunk: no whitespace, and each number token (a run of number bytes) as one
+"n".  A matrix is accepted only where the skeleton is exactly [[[n,n],...],...]
+for the d of its first row, which proves that it is square with one token per
+slot.  A token that is exactly 0.0 or 0 (``dumps`` writes a zero as 0) becomes
++0.0 without conversion.  Every other token must be a JSON number, and not an
+integer -0 (json reads it as +0.0, strtod as -0.0), with a finite value;
+``np.fromstring`` converts them.  Each accepted matrix is replaced by a marker string and json
 parses what is left, so keys, strings, ``dim``, ``label`` and every other array
 take the json path.  If that parse fails, or a marker is not a value exactly once
 (a matrix-like text inside a string, or in a key), the whole text goes to
@@ -31,7 +35,9 @@ import bisect
 import hashlib
 import itertools
 import json
+import mmap
 import numbers
+import os
 
 import numpy as np
 
@@ -214,8 +220,9 @@ def parse_observables(data: dict, what: str = "observables") -> ObservableSet:
 # most about 10^4 characters.
 MATRIX_ROUTE_MIN_CHARS = 1 << 17
 
-# Byte classes, a translate table: "n" for a number byte (0-9 . e E + -), " " for
-# JSON whitespace, "[", "]" and "," as themselves, "?" for every other byte.
+# Byte classes, a translate table: "n" for a number byte (0-9 . e E + -), "[", "]"
+# and "," as themselves, "?" for every other byte; the skeleton's translate deletes
+# JSON whitespace instead.
 _CLASS = (b"?" * 9 + b"  ?? " + b"?" * 18 + b" " + b"?" * 10 + b"n,nn?" + b"n" * 10
           + b"?" * 11 + b"n" + b"?" * 21 + b"[?]" + b"?" * 7 + b"n" + b"?" * 154)
 # The route reads a text in chunks of about this many characters, so that its
@@ -226,56 +233,53 @@ _CHUNK_CHARS = 1 << 16
 _MARK = "\0"
 
 
-def _chunks(text: str, start: int, stop: int):
-    """(offset, piece) of text[start:stop] in pieces of about _CHUNK_CHARS, each but
+def _chunks(text, start: int, stop: int):
+    """(offset, bytes) of text[start:stop] in pieces of about _CHUNK_CHARS, each but
     the last ending in a byte that is not a number byte, so that no token
     straddles two (a token longer than a chunk is cut, and its pieces make no
-    matrix)."""
+    matrix).  A str piece is encoded with "?" for each character beyond ASCII."""
     while start < stop:
         piece = text[start:min(start + _CHUNK_CHARS, stop)]
+        if isinstance(piece, str):
+            piece = piece.encode("ascii", "replace")
         if start + len(piece) < stop:
-            piece = piece.rstrip("0123456789.eE+-") or piece
+            piece = piece.rstrip(b"0123456789.eE+-") or piece
         yield start, piece
         start += len(piece)
 
 
-def _token_starts(num: np.ndarray) -> np.ndarray:
-    """The first byte of each run of number bytes."""
-    first = num.copy()
-    first[1:] &= ~num[:-1]
-    return first
+def _classify(piece: bytes) -> tuple:
+    """The bytes of a piece as an array, with its number-byte mask and token starts,
+    and its skeleton: its _CLASS bytes without whitespace, each number token as one
+    "n"."""
+    chars = np.frombuffer(piece, np.uint8)
+    low = chars - np.uint8(ord("+"))   # + , - . / 0-9 are 43-57
+    num = (low < 15) & (low != 1) & (low != 4) | ((chars | 0x20) == ord("e"))
+    tail = np.zeros_like(num)          # every byte of a token after its first
+    np.logical_and(num[1:], num[:-1], out=tail[1:])
+    # a token's tail as a space, which the translate deletes; number bytes are above 32
+    skeleton = (chars - (chars - np.uint8(ord(" "))) * tail).tobytes().translate(_CLASS, b" \t\n\r")
+    return chars, num, num ^ tail, skeleton
 
 
-def _classify(piece: str) -> tuple:
-    """The bytes of a piece and its _CLASS bytes, as arrays, with its number-byte mask
-    and token starts."""
-    raw = piece.encode("ascii", "replace")
-    cls = np.frombuffer(raw.translate(_CLASS), np.uint8)
-    num = cls == ord("n")
-    return np.frombuffer(raw, np.uint8), cls, num, _token_starts(num)
-
-
-def _skeleton_piece(cls: np.ndarray, num: np.ndarray, first: np.ndarray) -> bytes:
-    """The skeleton of a piece: its _CLASS bytes without whitespace, each number
-    token as one "n"."""
-    tail = num & ~first
-    return (cls - tail * np.uint8(ord("n") - ord(" "))).tobytes().translate(None, b" ")
-
-
-def _other_tokens(chars: np.ndarray, num: np.ndarray, first: np.ndarray) -> tuple | None:
-    """None if every token of a piece is exactly 0.0 or 0 ("0.0" or "0" then a byte
-    that is not a number byte); else the piece with its number bytes kept and every
-    other byte, and every 0.0 and 0 token, as a space, and which of its tokens that
-    keeps (None for all)."""
-    lead, end = first & (chars == ord("0")), ~num
-    dotted = np.zeros_like(first)       # the starts of the 0.0 tokens
-    dotted[:-3] = lead[:-3] & (chars[1:-2] == ord(".")) & (chars[2:-1] == ord("0")) & end[3:]
-    if np.array_equal(dotted, first):   # json.dumps writes a zero as 0.0, ``dumps`` as 0
+def _other_tokens(chars: np.ndarray, num: np.ndarray, first: np.ndarray, count: int) -> tuple | None:
+    """None if every one of the count tokens of a piece is exactly 0.0 or 0 ("0.0" or
+    "0" then a byte that is not a number byte); else the piece with its number bytes
+    kept and every other byte, and every 0.0 and 0 token, as a space, and which of
+    its tokens that keeps (None for all)."""
+    digit0 = chars == ord("0")
+    lead, end = first & digit0, ~num
+    # the starts of the 0.0 tokens, none in the last three bytes; these and the 0
+    # tokens are token starts, so all of them when as many
+    dotted = lead[:-3] & (chars[1:-2] == ord(".")) & digit0[2:-1] & end[3:]
+    if (dots := np.count_nonzero(dotted)) == count:   # json.dumps writes a zero as 0.0
         return None
+    bare = lead[:-1] & end[1:]                         # the starts of the 0 tokens
+    if dots + np.count_nonzero(bare) == count:         # ``dumps`` writes a zero as 0
+        return None
+    dotted = np.concatenate([dotted, np.zeros(min(3, len(first)), bool)])
     zero = dotted.copy()
-    zero[:-1] |= lead[:-1] & end[1:]
-    if np.array_equal(zero, first):
-        return None
+    zero[:-1] |= bare
     keep, kept = num, None
     if zero.any():
         # the bytes of the zero tokens: each start, and the two after a 0.0 start (none
@@ -342,18 +346,18 @@ def _matrix_size(skeleton: bytearray, i: int, e: int) -> int:
     return d
 
 
-def _matrix_spans(text: str) -> tuple[list, list]:
+def _matrix_spans(text) -> tuple[list, list]:
     """One pass over the text, chunk by chunk: the (start, stop, d, first token,
     first chunk) of each text[start:stop] whose skeleton is exactly that of a d x d
     matrix of [re, im] cells, in text order; and per chunk its offset, the tokens
     before it and in it, and its _other_tokens."""
     skeleton, offsets, chunks, tokens = bytearray(), [], [], 0
     for start, piece in _chunks(text, 0, len(text)):
-        chars, cls, num, first = _classify(piece)
+        chars, num, first, piece_skeleton = _classify(piece)
         offsets.append(len(skeleton))
-        skeleton += _skeleton_piece(cls, num, first)
+        skeleton += piece_skeleton
         count = np.count_nonzero(first)
-        chunks.append((start, tokens, count, _other_tokens(chars, num, first)))
+        chunks.append((start, tokens, count, _other_tokens(chars, num, first, count)))
         tokens += count
 
     def char_index(k):
@@ -361,7 +365,7 @@ def _matrix_spans(text: str) -> tuple[list, list]:
         c = bisect.bisect_right(offsets, k) - 1
         bracket = skeleton[k:k + 1]
         start, piece = next(_chunks(text, chunks[c][0], len(text)))
-        at = np.flatnonzero(np.frombuffer(piece.encode("ascii", "replace"), np.uint8) == bracket[0])
+        at = np.flatnonzero(np.frombuffer(piece, np.uint8) == bracket[0])
         return start + int(at[skeleton.count(bracket, offsets[c], k)])
 
     spans, at = [], 0
@@ -385,7 +389,7 @@ def _matrix_values(chunks: list, span: tuple) -> np.ndarray | None:
     """(d, d, 2) values of a matrix span, or None unless _converted takes each of its
     tokens.  A token that is exactly 0.0 or 0 is +0.0 without conversion."""
     start, stop, d, first_token, first_chunk = span
-    values = np.zeros(2 * d * d)
+    values = np.zeros((d, d, 2))
     for lo, tokens_before, count, others in chunks[first_chunk:]:
         if lo >= stop:
             break
@@ -403,12 +407,12 @@ def _matrix_values(chunks: list, span: tuple) -> np.ndarray | None:
         converted = _converted(spaced, n)
         if converted is None:
             return None
-        at = values[tokens_before + k0 - first_token:tokens_before + k1 - first_token]
+        at = values.reshape(-1)[tokens_before + k0 - first_token:tokens_before + k1 - first_token]
         if kept is None:
             at[:] = converted
         else:
             at[kept] = converted
-    return values.reshape(d, d, 2)
+    return values
 
 
 def _place(doc, arrays: dict):
@@ -429,32 +433,55 @@ def _place(doc, arrays: dict):
     return root[0]
 
 
-def loads(text: str):
+def _str(text) -> str:
+    return text if isinstance(text, str) else str(text, "ascii")
+
+
+def loads(text):
     """``json.loads(text)``, with each d x d matrix of [re, im] number cells as one
-    (d, d, 2) float64 array on a text longer than MATRIX_ROUTE_MIN_CHARS."""
-    if len(text) <= MATRIX_ROUTE_MIN_CHARS:
-        return json.loads(text)
-    spans, chunks = _matrix_spans(text)
+    (d, d, 2) float64 array on a text longer than MATRIX_ROUTE_MIN_CHARS.  The text
+    is a str, or a buffer of ASCII bytes without CR (``load_json``); json parses
+    only str, decoded from the buffer's pieces outside the matrices."""
+    spans, chunks = _matrix_spans(text) if len(text) > MATRIX_ROUTE_MIN_CHARS else ([], [])
     pieces, arrays, end = [], {}, 0
     for span in spans:
         values = _matrix_values(chunks, span)
         if values is not None:
             mark = f"{_MARK}{len(arrays)}"
             arrays[mark] = values
-            pieces += (text[end:span[0]], json.dumps(mark))
+            pieces += (_str(text[end:span[0]]), json.dumps(mark))
             end = span[1]
-    if not arrays:
-        return json.loads(text)
-    pieces.append(text[end:])
-    try:
-        return _place(json.loads("".join(pieces)), arrays)
-    except (ValueError, KeyError):
-        return json.loads(text)
+    if arrays:
+        pieces.append(_str(text[end:]))
+        try:
+            return _place(json.loads("".join(pieces)), arrays)
+        except (ValueError, KeyError):
+            pass
+    return json.loads(_str(text))
+
+
+def _decoded(data) -> str:
+    """data as a text-mode read decodes it: strict UTF-8, CRLF and lone CR as LF."""
+    text = str(data, "utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """``loads`` of a UTF-8 file's text as a text-mode read gives it.  A file above
+    MATRIX_ROUTE_MIN_CHARS is read into an anonymous buffer whose pages the kernel
+    fills in one call; if it is ASCII without CR, loads reads that buffer, and else
+    its decoded text.  The buffer is closed before this returns, and nothing
+    returned is a view of it."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > MATRIX_ROUTE_MIN_CHARS:
+            with mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)) as buf:
+                # a file that changed size since the fstat takes the text read below
+                if fh.readinto(buf) == size and not fh.read(1):
+                    ascii_lf = buf.find(b"\r") < 0 and np.frombuffer(buf, np.uint8).max() < 0x80
+                    return loads(buf if ascii_lf else _decoded(buf))
+            fh.seek(0)
+        return loads(_decoded(fh.read()))
 
 
 def write_text(path: str, text: str) -> None:

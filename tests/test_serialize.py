@@ -1,8 +1,10 @@
 import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -414,6 +416,43 @@ def test_loads_route_rejects_zero_lookalikes_as_before(route):
                 assert isinstance(route(text)["matrix"], list), (tok, at)
 
 
+class TestRouteThroughLoadJson:
+    """Every test above that takes ``route``, with load_json of the text written to a
+    file as the reader: the buffer route, or the str route of a text with non-ASCII
+    bytes or a CR."""
+
+    @pytest.fixture
+    def route(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(serialize, "MATRIX_ROUTE_MIN_CHARS", 0)
+        path = tmp_path / "text.json"
+
+        def read(text):
+            path.write_bytes(text.encode("utf-8"))
+            return serialize.load_json(str(path))
+        return read
+
+    test_loads_route_matches_json_bit_for_bit = staticmethod(test_loads_route_matches_json_bit_for_bit)
+    test_loads_route_matches_json_on_mutated_input = staticmethod(test_loads_route_matches_json_on_mutated_input)
+    test_loads_route_matches_json_on_slots_and_zero_lookalikes = staticmethod(
+        test_loads_route_matches_json_on_slots_and_zero_lookalikes)
+    test_loads_route_across_chunk_boundaries = staticmethod(test_loads_route_across_chunk_boundaries)
+    test_loads_route_rejects_zero_lookalikes_as_before = staticmethod(test_loads_route_rejects_zero_lookalikes_as_before)
+
+
+def test_classify_marks_number_bytes_and_token_starts_and_builds_the_skeleton():
+    # reference: the _CLASS byte of every byte, each run of "n" as one, whitespace deleted
+    rng = np.random.default_rng(11)
+    pieces = [bytes(range(256))] + [bytes(rng.choice(list(b'0123456789.eE+-[],"/ \t\n\r\f?x\x00\xff'), n))
+                                    for n in rng.integers(1, 400, 200)]
+    for piece in pieces:
+        chars, num, first, skeleton = serialize._classify(piece)
+        assert np.array_equal(chars, np.frombuffer(piece, np.uint8))
+        assert np.array_equal(num, [c in b"0123456789.eE+-" for c in piece])
+        starts = [m.start() for m in re.finditer(rb"[0-9.eE+-]+", piece)]
+        assert np.array_equal(np.flatnonzero(first), starts)
+        assert skeleton == re.sub(rb"n+", b"n", piece.translate(serialize._CLASS)).translate(None, b" ")
+
+
 # the tracemalloc peak of the regex-scan reader that the byte-class route replaced,
 # on the text below: the route keeps its masks for one chunk at a time
 REGEX_READER_PEAK_D300 = 3_967_823   # bytes, 3.78 MiB
@@ -440,6 +479,68 @@ def test_loads_peak_memory_on_a_d300_fock_state():
             tracemalloc.stop()
     assert isinstance(doc["matrix"], np.ndarray)
     assert peak <= REGEX_READER_PEAK_D300
+
+
+def _text_mode_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read())
+
+
+def _large_state_text(label="s"):
+    rng = np.random.default_rng(17)
+    return _state_text(_tokens(rng, 2 * 100 * 100), 100).replace('"s"', json.dumps(label, ensure_ascii=False))
+
+
+def _bytes_text_cases():
+    text = _large_state_text()
+    late_error = text.replace('"label": "s"', '"label": s')
+    return {
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "crlf with a late error": late_error.replace("\n", "\r\n").encode(),
+        "lone cr": text.replace("\n", "\r").encode(),
+        "lone cr with a late error": late_error.replace("\n", "\r").encode(),
+        "non-ascii label": _large_state_text("\u03c8").encode(),
+        "one leading nul": b"\0" + text.encode(),
+        "two leading nuls": b"\0\0" + text.encode(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bytes_text_cases()))
+def test_load_json_matches_a_text_mode_read_where_bytes_and_text_differ(name, tmp_path):
+    data = _bytes_text_cases()[name]
+    assert len(data) > serialize.MATRIX_ROUTE_MIN_CHARS
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    want = _outcome(path, _text_mode_json)
+    assert _outcome(path, serialize.load_json) == want
+    if want[0] == "ok":
+        assert isinstance(serialize.load_json(path)["matrix"], np.ndarray)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_load_json_reads_the_text_when_the_size_is_wrong(off, tmp_path, monkeypatch):
+    # a file whose size is not the one fstat gave (it changed in between) takes the text read
+    path = tmp_path / "state.json"
+    path.write_text(_large_state_text())
+    want = _outcome(path, _text_mode_json)
+    assert want[0] == "ok"
+    fstat = os.fstat
+    monkeypatch.setattr(serialize.os, "fstat", lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + off))
+    assert _outcome(path, serialize.load_json) == want
+    assert isinstance(serialize.load_json(path)["matrix"], np.ndarray)
+
+
+def test_load_json_closes_its_buffer(tmp_path, monkeypatch):
+    rng = np.random.default_rng(300)
+    weights = np.zeros(300)
+    weights[:16] = rng.uniform(0.2, 1.0, 16)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 300, "matrix": matrix_to_pairs(np.diag(weights / weights.sum()))}))
+    buffers, make = [], serialize.mmap.mmap
+    monkeypatch.setattr(serialize.mmap, "mmap", lambda *args, **kw: buffers.append(make(*args, **kw)) or buffers[-1])
+    m = serialize.load_json(path)["matrix"]
+    assert buffers and all(buf.closed for buf in buffers)
+    assert isinstance(m, np.ndarray) and m.flags.writeable and m.flags.owndata
 
 
 # ----------------------------------------- the route's JSON number grammar
