@@ -40,10 +40,10 @@ import numpy as np
 
 from . import __version__
 from .gcov import (
-    build_Lg,
     check_g_triple,
     check_metric_adjusted,
     eps_kernel,
+    f_skew_pairing,
     mean_kernel,
     resolve_monotone,
     wy_strongest_check,
@@ -73,7 +73,13 @@ def _two_obs(*keys):
 
 
 def _eq16(ctx, f):
-    L = build_Lg.ctx(ctx, *f.gram_kernels)
+    """L^g of ``f.gram_kernels`` from the pairings eq17 and eq18 make:
+    [[cov(m_f), cov(eps)], [cov(eps)^H, P_If / (2 f(0))]], P_If the f-skew pairing."""
+    n, c = ctx.n, ctx.cov(eps_kernel())
+    L = np.empty((ctx.size, 2 * n, 2 * n), dtype=complex)
+    L[:, :n, :n], L[:, :n, n:] = ctx.cov(f.mean_kernel), c
+    L[:, n:, :n], L[:, n:, n:] = np.conj(c).swapaxes(1, 2), f_skew_pairing(ctx, f) / (2 * f.f0)
+    L = hermitian_parts(L, tol=1e-8, what="L^g")
     return np.linalg.eigvalsh(L)[:, 0], mat_scale(L)
 
 

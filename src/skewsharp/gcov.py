@@ -14,9 +14,10 @@ given state; 0/0 points of quotient kernels are defined as 0.
 Observables are centered before the trace pairing so the canonical reductions
 hold exactly (the uncentered variant differs by mean terms).  Every matrix here
 is a pairing of one :class:`~skewsharp.skew.SpectralContext` with its own
-weight matrix; the public (rho, X, ...) functions build a fresh one-instance
-context, and their ``.ctx`` forms take a shared, possibly batched one and
-return one result per instance.
+weight matrix, made once per context: a kernel's pairing by ``ctx.cov``, the
+f-skew pairing by ``f_skew_pairing``.  The public (rho, X, ...) functions build
+a fresh one-instance context, and their ``.ctx`` forms take a shared, possibly
+batched one and return one result per instance.
 
 Monotone-function catalog labels: "wy" (= "wyd:0.5"), "wyd:<alpha>" with
 alpha in (0, 1/2], "sld".
@@ -40,6 +41,7 @@ from .linalg import (
 from .skew import (
     KernelDomainError,
     SpectralContext,
+    _sym,
     det_symmetric_psd,
     on_context,
     relation_scale,
@@ -137,6 +139,21 @@ def product_kernels(a: Callable[[np.ndarray], np.ndarray],
 # ------------------------------------------------- monotone function family
 
 MONOTONE_GRID = np.logspace(-6, 6, 121)
+LOWNER_POINTS = np.logspace(-3, 3, 25)
+LOWNER_STEP = 1e-5   # relative step of the central difference f'(x) on the Löwner diagonal
+# lowest Löwner eigenvalue allowed, relative to the largest: the catalog reads at most
+# 4e-11 (rounding); an f that is monotone but not operator monotone can read -2e-2
+LOWNER_TOL = 1e-6
+
+
+def lowner_matrix(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray = LOWNER_POINTS) -> np.ndarray:
+    """Löwner matrix of f on the points x: divided differences (f(x_i) - f(x_j)) / (x_i - x_j),
+    with f'(x_i) (a central difference of relative step ``LOWNER_STEP``) on the diagonal."""
+    fx = f(x)
+    diag = np.eye(x.size, dtype=bool)
+    D = (fx[:, None] - fx[None, :]) / np.where(diag, 1.0, x[:, None] - x[None, :])
+    D[diag] = (f(x * (1 + LOWNER_STEP)) - f(x * (1 - LOWNER_STEP))) / (2 * LOWNER_STEP * x)
+    return D
 
 
 @dataclass(eq=False)
@@ -144,8 +161,11 @@ class MonotoneFunction:
     """Normalized symmetric operator-monotone function with f(0) > 0.
 
     Validated on a grid: f(1) = 1, x f(1/x) = f(x), midpoint concavity and the
-    two-sided bound f(0)(1+x) <= f(x) <= (1+x)/2.  Operator monotonicity itself
-    is not checkable from samples and is trusted for catalog members.
+    two-sided bound f(0)(1+x) <= f(x) <= (1+x)/2.  Operator monotonicity is
+    checked through Löwner's theorem (Math. Z. 38, 1934) on one point set: the
+    Löwner matrix on ``LOWNER_POINTS`` must be PSD, its lowest eigenvalue at least
+    -``LOWNER_TOL`` times its largest.  That is a necessary condition only; a
+    finite sample cannot prove operator monotonicity.
 
     ``lam`` and the derived kernels are computed once per instance.  A
     concurrent first use recomputes identical values, so sharing instances
@@ -178,6 +198,11 @@ class MonotoneFunction:
         fz = float(self(np.array([0.0]))[0])
         if abs(fz - self.f0) > 1e-12:
             raise PreconditionViolation(f"f '{self.label}': f(0) evaluates to {fz}, declared {self.f0}")
+        w = np.linalg.eigvalsh(lowner_matrix(self))
+        if w[0] < -LOWNER_TOL * w[-1]:
+            raise PreconditionViolation(
+                f"f '{self.label}': not operator monotone, its Löwner matrix has eigenvalue "
+                f"{w[0] / w[-1]:.2e} of its largest (tol {LOWNER_TOL:.0e})")
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -201,7 +226,12 @@ class MonotoneFunction:
 
     @cached_property
     def gram_kernels(self) -> tuple[BivariateKernel, BivariateKernel]:
-        """The pair (sqrt(m_f), eps/sqrt(m_f)) whose Gram matrix hosts the f-relations."""
+        """The pair (g1, g2) = (sqrt(m_f), eps/sqrt(m_f)) whose Gram matrix L^g hosts the f-relations.
+
+        Its blocks are pairings a context already makes: |g1|^2 = m_f, conj(g1) g2 = eps and
+        |g2|^2 = the f-skew coefficient / (2 f(0)), so eq16 assembles L^g from ``ctx.cov`` and
+        ``f_skew_pairing``; ``build_Lg`` on these kernels is the generic route to the same matrix.
+        """
         g1 = combined_kernel(f"sqrt_m[{self.label}]", lambda m: np.sqrt(np.maximum(m.real, 0.0)),
                              self.mean_kernel, nonnegative=True, symmetric=True)
         return g1, quotient_kernel(eps_kernel(), g1)
@@ -286,22 +316,27 @@ def _mean_like(scalar: Callable[[np.ndarray], np.ndarray]) -> Callable:
 @on_context
 def g_covariance(ctx: SpectralContext, g: BivariateKernel) -> np.ndarray:
     """cov_g[k, j] = Tr X'_k J_g(X'_j) over the centered observables; complex n x n."""
-    return ctx.pair(ctx.weights(g).swapaxes(1, 2))
+    return ctx.cov(g)
+
+
+def f_skew_pairing(ctx: SpectralContext, f: MonotoneFunction) -> np.ndarray:
+    """The complex pairing of the f-skew coefficients f(0)(l_a - l_b)^2 / (2 m_f(l_a, l_b)),
+    coincident (and doubly-zero) eigenvalue pairs contributing 0; once per (context, f)."""
+    key = ("f-skew", f)
+    if key not in ctx.memo:
+        lam = ctx.lam
+        mf = ctx.weights(f.mean_kernel).real
+        diff2 = (lam[:, :, None] - lam[:, None, :]) ** 2
+        safe = np.where(mf == 0, 1.0, mf)
+        ctx.memo[key] = ctx.pair(np.where(mf == 0, 0.0, f.f0 * diff2 / (2 * safe)))
+    return ctx.memo[key]
 
 
 @on_context
 def f_skew_matrix(ctx: SpectralContext, f: MonotoneFunction) -> np.ndarray:
-    """Metric-adjusted skew-information matrix via its spectral coefficients.
-
-    Coefficient f(0)(l_a - l_b)^2 / (2 m_f(l_a, l_b)) with coincident (and
-    doubly-zero) eigenvalue pairs contributing 0; agrees with the g-covariance
-    of the m_{f*} kernel.
-    """
-    lam = ctx.lam
-    mf = ctx.weights(f.mean_kernel).real
-    diff2 = (lam[:, :, None] - lam[:, None, :]) ** 2
-    safe = np.where(mf == 0, 1.0, mf)
-    return ctx.symmetric_pair(np.where(mf == 0, 0.0, f.f0 * diff2 / (2 * safe)))
+    """Metric-adjusted skew-information matrix I^f: the symmetrized real part of
+    ``f_skew_pairing``; agrees with the g-covariance of the m_{f*} kernel."""
+    return np.real(_sym(f_skew_pairing(ctx, f)))
 
 
 # --------------------------------------------------------------- lambda_f
@@ -392,9 +427,9 @@ def check_g_triple(ctx: SpectralContext, g_plus: BivariateKernel, g_minus: Bivar
     slack = (gpm - np.abs(G0) ** 2).min(axis=(1, 2))
     raise_first(slack < -1e-10 * mat_scale(gpm), lambda m: KernelContractViolation(
         f"g+ g- >= |g0|^2 fails on the state's spectrum (min slack {m:.3e})"), slack)
-    dp = det_symmetric_psd(ctx.pair(Gp.swapaxes(1, 2)).real)
-    dm = dp if g_minus is g_plus else det_symmetric_psd(ctx.pair(Gm.swapaxes(1, 2)).real)
-    d0 = np.linalg.det(ctx.pair(G0.swapaxes(1, 2)))
+    dp = det_symmetric_psd(ctx.cov(g_plus).real)
+    dm = dp if g_minus is g_plus else det_symmetric_psd(ctx.cov(g_minus).real)
+    d0 = np.linalg.det(ctx.cov(g0))
     return dp * dm - np.abs(d0) ** 2
 
 

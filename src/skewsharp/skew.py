@@ -414,8 +414,9 @@ class SpectralContext:
 
     Every matrix is ``pair(W)`` for its own weight W (B, d, d) on the spectra.  The
     stack is built once; matrices and reports are cached, and ``memo`` holds the
-    further results keyed by their producer (kernel weights, one per kernel; a
-    metric-adjusted report, one per monotone function).
+    further results keyed by their producer: per kernel its weights (``weights``)
+    and its pairing (``cov``); per monotone function f the pairing of the f-skew
+    coefficients and the metric-adjusted report (``gcov``).
     ``SpectralContext(rho, X)`` is one instance (B = 1); ``from_arrays`` takes a batch.
     """
 
@@ -485,6 +486,14 @@ class SpectralContext:
             raise_first(~np.isfinite(G).all(axis=(1, 2)), lambda: KernelDomainError(
                 f"kernel '{g.label}' non-finite on the state's spectrum"))
             self.memo[key] = G
+        return self.memo[key]
+
+    def cov(self, g) -> np.ndarray:
+        """cov_g[z, k, j] = Tr X'_k J_g(X'_j): the pairing of g's transposed weights, complex
+        (B, n, n), once per kernel.  Every relation that reads a kernel's pairing reads this one."""
+        key = ("cov", g)
+        if key not in self.memo:
+            self.memo[key] = self.pair(self.weights(g).swapaxes(1, 2))
         return self.memo[key]
 
     def pair(self, W) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from skewsharp.fuzz import (
     RELATIONS,
     ConfigError,
     FuzzConfig,
+    draw_groups,
+    group_margins,
     random_density,
     random_observables,
     replay_trial,
@@ -19,9 +22,10 @@ from skewsharp.fuzz import (
     strength_study,
     trial_margins,
 )
-from skewsharp.gcov import resolve_monotone
-from skewsharp.serialize import dumps
-from skewsharp.skew import ObservableSet, check_refined_rs
+from skewsharp.cli import main
+from skewsharp.gcov import build_Lg, eps_kernel, mean_kernel, resolve_monotone
+from skewsharp.serialize import dumps, matrix_to_pairs
+from skewsharp.skew import ObservableSet, SpectralContext, check_refined_rs
 
 from conftest import SX
 
@@ -200,6 +204,70 @@ def test_small_fuzz_no_violations(tmp_path):
     assert stats.per_relation["eq9a"].trials > 0
     assert stats.per_relation["eq16"].trials > 0
     assert stats.per_relation["wy-strongest"].trials > 0
+
+
+# sha256 of every margin and scale but eq16's (float64 bits, in table and group order) on
+# FuzzConfig(trials=200, seed=1729); a BLAS or LAPACK build that rounds differently changes it
+PINNED_DIGEST = "350a4399b89feae3930d941e1261d6936805b1539a916c77b5e7a1c2c4b73da6"
+
+
+def test_pinned_margins_and_eq16_against_the_generic_gram():
+    config = FuzzConfig(trials=200, seed=1729)
+    fs = [resolve_monotone(label) for label in config.f_labels]
+    digest, drawn = hashlib.sha256(), set()
+    for group in draw_groups(config, range(config.trials)):
+        drawn.update((group.dim, rank) for rank in group.ranks)
+        for rid, f_label, margins, scales in group_margins(group.ctx, config.relations, fs):
+            if rid == "eq16":
+                # eq16 reads L^g from the shared pairings; build_Lg pairs the Gram kernels anew
+                L = build_Lg.ctx(group.ctx, *resolve_monotone(f_label).gram_kernels)
+                assert np.all(np.abs(margins - np.linalg.eigvalsh(L)[:, 0]) <= 1e-13 * scales), f_label
+                continue
+            digest.update(f"{rid}|{f_label}|".encode())
+            digest.update(np.asarray(margins, dtype=float).tobytes())
+            digest.update(np.asarray(scales, dtype=float).tobytes())
+    assert drawn == {(d, rank) for d in range(2, 7) for rank in ("full", 1)}
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Per context: [pairings, first-time kernel evaluations]."""
+    counts = {}
+    pair, weights = SpectralContext.pair, SpectralContext.weights
+
+    def counted_pair(ctx, W):
+        counts.setdefault(ctx, [0, 0])[0] += 1
+        return pair(ctx, W)
+
+    def counted_weights(ctx, g):
+        if ("weights", g) not in ctx.memo:
+            counts.setdefault(ctx, [0, 0])[1] += 1
+        return weights(ctx, g)
+
+    monkeypatch.setattr(SpectralContext, "pair", counted_pair)
+    monkeypatch.setattr(SpectralContext, "weights", counted_weights)
+    return counts
+
+
+def test_each_kernel_is_paired_once_per_context(spied, tmp_path):
+    # P, skew, cov(mean), cov(eps), and per f cov(m_f) and the f-skew pairing; kernels mean, eps, m_f
+    fs = [resolve_monotone(label) for label in ("wy", "sld", "wyd:0.3")]
+    group = draw_groups(FuzzConfig(trials=20, seed=5), range(20))[0]
+    group_margins(group.ctx, DEFAULT_GROUPS, fs)
+    assert spied.pop(group.ctx) == [10, 5] and not spied
+
+    rng = np.random.default_rng(3)
+    rho, X = random_density(4, "full", rng), random_observables(4, 3, rng)
+    (tmp_path / "state.json").write_text(dumps({"dim": 4, "matrix": matrix_to_pairs(rho.matrix)}))
+    (tmp_path / "obs.json").write_text(dumps({"dim": 4, "observables": [matrix_to_pairs(M)
+                                                                        for M in X.observables]}))
+    assert main(["check", str(tmp_path / "state.json"), str(tmp_path / "obs.json"), "--f", "wyd:0.3"]) == 0
+    [(ctx, counts)] = spied.items()
+    f = resolve_monotone("wyd:0.3")
+    paired = {key for key in ctx.memo if key[0] in ("cov", "f-skew")}
+    assert paired == {("cov", mean_kernel()), ("cov", eps_kernel()), ("cov", f.mean_kernel), ("f-skew", f)}
+    assert counts == [6, 3]   # the four above, P and skew; kernels mean, eps and m_f
 
 
 def test_fuzz_deterministic():

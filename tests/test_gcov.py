@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewsharp.fuzz import random_density
+import skewsharp.gcov as gcov
 from skewsharp.gcov import (
     BivariateKernel,
     KernelContractViolation,
@@ -21,6 +22,7 @@ from skewsharp.gcov import (
     f_star,
     g_covariance,
     lambda_f,
+    lowner_matrix,
     mean_kernel,
     product_kernels,
     quotient_kernel,
@@ -123,6 +125,37 @@ def test_resolve_labels():
     assert resolve_monotone("sld").f0 == 0.5
     with pytest.raises(UnknownLabel):
         resolve_monotone("qfi")
+
+
+# f proportional to 0.05(1 + x) + (1 - e^-x) + x(1 - e^(-1/x)): normalized, symmetric, concave
+# and within the bounds, but not operator monotone
+PLANTED_NORM = 0.1 + 2 * (1 - math.exp(-1))
+
+
+def planted(x):
+    x = np.asarray(x, dtype=float)
+    tail = np.where(x == 0, 0.0, -x * np.expm1(-1 / np.where(x == 0, 1.0, x)))
+    return (0.05 * (1 + x) - np.expm1(-x) + tail) / PLANTED_NORM
+
+
+def lowner_reading(f):
+    w = np.linalg.eigvalsh(lowner_matrix(f))
+    return w[0] / w[-1]
+
+
+def test_lowner_check_refuses_the_planted_function(monkeypatch):
+    f0 = 0.05 / PLANTED_NORM
+    assert lowner_reading(planted) == pytest.approx(-2.0e-2, abs=1e-3)
+    with pytest.raises(PreconditionViolation, match="not operator monotone, its Löwner matrix"):
+        gcov.MonotoneFunction("planted", f0, planted)
+    monkeypatch.setattr(gcov, "LOWNER_TOL", math.inf)   # every other check passes it
+    gcov.MonotoneFunction("planted", f0, planted)
+
+
+@pytest.mark.parametrize("label", ["wy", "sld", "wyd:0.3", "wyd:0.1", "wyd:0.01"])
+def test_lowner_check_passes_the_catalog(label):
+    # operator monotone: a PSD Löwner matrix, read to rounding and the central difference on its diagonal
+    assert lowner_reading(resolve_monotone(label)) >= -1.1e-9
 
 
 def test_f_star_closed_forms():

@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [["lambda_table.py"], ["strength_compare.py", "--trials", "20"],
                                   ["fock_phases.py", "--cutoff", "8", "--repeat", "2"], ["code_lines.py"],
                                   ["reader_phases.py", "--fock-dim", "120", "--dense-dim", "80", "--repeat", "1"],
-                                  ["output_corpus.py", "{tmp}", "--cutoff", "10", "--trials", "50"]])
+                                  ["output_corpus.py", "{tmp}", "--cutoff", "10", "--trials", "50"],
+                                  ["relation_costs.py", "--chunks", "2", "--trials", "20"]])
 def test_helper_script_runs(argv, tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     args = [a.format(tmp=tmp_path) for a in argv[1:]]
