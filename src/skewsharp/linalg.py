@@ -171,8 +171,11 @@ class DensityMatrix:
             rows, cols, h = _hermitian_nonzeros(A[0])
             rho = np.zeros(A.shape, dtype=complex)
             rho[0, rows, cols] = h
-            # the parts cover the basis: an edge leaves a part iff exactly one of its ends lies in it
-            if not any(np.any(np.isin(rows, r) != np.isin(cols, r)) for r in _partition(partition, A.shape[-1])):
+            # the parts cover the basis: an edge leaves its part iff its ends carry different part labels
+            label = np.empty(A.shape[-1], dtype=np.intp)
+            for k, r in enumerate(_partition(partition, A.shape[-1])):
+                label[r] = k
+            if not np.any(label[rows] != label[cols]):
                 return cls._from_parts(part_eigensystems(rows, cols, h, A.shape[-1]), rho[0])
             w, V = _spectra(rho)
         return cls(matrix=rho[0], eigenvalues=w[0], eigenvectors=V[0])

@@ -26,7 +26,9 @@ the stacked X_k and V.  A set given by its nonzeros (``ObservableSet.nonzeros``:
 the (row, column, value) triples of every X_k, as
 ``gaussian.quadrature_observables`` builds the truncated quadratures) takes
 products that read the nonzeros row by row (``_nonzeros_stack``), from a table
-of each row's nonzeros: row i of X_k V is the sum of a few rows of V.  On a
+of each row's nonzeros: row i of X_k V is the sum of a few rows of V.  The set
+carries that table (``ObservableSet.row_table``): the quadratures' is built
+once per size beside their nonzeros, any other set's on its first use.  On a
 state whose eigensystem was taken part by part (``DensityMatrix.parts``: the
 eigenvectors of a part live on its rows r_P alone, in its columns c_P) the
 block A_k[c_P, c_Q] is V[r_P, c_P]^dag (X_k V)[r_P, c_Q], and it is zero unless
@@ -38,11 +40,14 @@ mirrors [c_Q, c_P]; its diagonal, and so every mean, is 0.  ``_nonzeros_stack``
 finds the route and builds the stack in one pass over the parts: it lists each
 linked pair once, grouped by block shape, as index arrays ``a`` and ``b`` of
 eigenvector columns (``ctx.entries``), no entry on the diagonal or twice, and
-builds each block shape's blocks in one batched product.  That route reads the
-state as its parts alone (``DensityMatrix.systems``: each part's eigenvectors
-V_P), so it forms neither the state's dense matrix nor its eigenvectors:
-V[r_P, c_P] is V_P itself, and V[i, c_Q] is the row of V_Q at i's place when i
-lies in Q, else 0.  The truncated quadratures flip photon-number parity, so on
+builds each block shape's blocks from the set's table in one batched product
+(``_gathered_products``).  A run of pairs whose parts are both 1 x 1 takes no
+batched product (``_unit_products``): each block is conj(V_P) (x V_Q) for the
+pair's nonzero x in the table, in the batched product's association order.
+That route reads the state as its parts alone (``DensityMatrix.systems``: each
+part's eigenvectors V_P), so it forms neither the state's dense matrix nor its
+eigenvectors: V[r_P, c_P] is V_P itself, and V[i, c_Q] is the row of V_Q at i's
+place when i lies in Q, else 0.  The truncated quadratures flip photon-number parity, so on
 a state whose parts each have one parity the list holds 1740 entries at the CLI
 default (2 modes, cutoff 30, 1 x 1 parts) and all d^2/4 even-to-odd entries
 when the parts are the two parity classes.  The context then stores only the
@@ -52,7 +57,8 @@ take a form of matrix products on the values, e.g.
 sum_ab W[a, b] A_k[a, b] A_j[b, a] = sum over the entries of (W[a, b] X_k conj(X_j)
 + W[b, a] conj(X_k) X_j) for any complex W.  A state without parts, or a
 nonzero inside a part, gives the full route: the whole stack, two observables
-per product, B = V^dag (X_j + i X_{j+1}) V split into the Hermitian
+per product, B = V^dag (X_j + i X_{j+1}) V (from a table of those combined
+values, built on each call) split into the Hermitian
 (B + B^dag)/2 and (B - B^dag)/2i, in one product from the state's dense
 eigenvectors (formed on that first read for a state kept as its parts).  Every
 dense set, among them every batch of the fuzz harness and every ``check``, keeps
@@ -124,8 +130,10 @@ class ObservableSet:
     zero off them.  Only a module's own constructor gives them
     (``gaussian.quadrature_observables``), through ``_from_nonzeros``, for
     observables it builds exactly Hermitian.  ``SpectralContext`` builds the
-    eigenbasis stack of such a set from its nonzeros, and the set forms its dense
-    matrices only on the first read of ``observables``.
+    eigenbasis stack of such a set from its nonzeros, on the entry route from the
+    table of each row's nonzeros (``row_table``: given with the set, or built on its
+    first read), and the set forms its dense matrices only on the first read of
+    ``observables``.
     """
 
     observables: tuple[np.ndarray, ...]
@@ -145,16 +153,22 @@ class ObservableSet:
         return cls(observables=tuple(hermitian_parts(np.stack(mats), what="observable")))
 
     @classmethod
-    def _from_nonzeros(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> "ObservableSet":
+    def _from_nonzeros(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                       row_table: tuple | None = None) -> "ObservableSet":
         """Observables built exactly Hermitian by their constructor, given by their
-        nonzeros X_k[rows, cols] = values[k] and not re-validated."""
+        nonzeros X_k[rows, cols] = values[k] and not re-validated; ``row_table``, if
+        given, is their ``_row_table``, which the set otherwise builds on its first read."""
         X = cls.__new__(cls)
         vars(X)["nonzeros"] = (d, rows, cols, values)     # frozen: set in the instance dict, as ``cached`` sets
+        if row_table is not None:
+            vars(X)["row_table"] = row_table
         return X
 
     def __getattr__(self, name):
-        if name != "observables" or self.nonzeros is None:
+        if name not in ("observables", "row_table") or self.nonzeros is None:
             raise AttributeError(name)
+        if name == "row_table":     # each row's nonzeros, the entry route's input (``_nonzeros_stack``)
+            return vars(self).setdefault(name, _row_table(*self.nonzeros))
         mats = np.zeros((self.n, self.dim, self.dim), dtype=complex)
         mats[:, self.nonzeros[1], self.nonzeros[2]] = self.nonzeros[3]
         return vars(self).setdefault("observables", tuple(mats))    # stored as ``cached`` stores
@@ -314,18 +328,49 @@ def _block_products(vals: np.ndarray, rows: np.ndarray, V_P: np.ndarray, V_at: n
     return (np.conj(V_P).swapaxes(1, 2) @ MV.reshape(G, m, h * q)).reshape(MV.shape)
 
 
-def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple) -> tuple[np.ndarray, Entries | None]:
-    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros`` on a ``state``, and its
+def _gathered_products(table: tuple, rows: np.ndarray, V_P: np.ndarray, rows_Q: np.ndarray, V_Q: np.ndarray,
+                       part: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """The blocks V_P^dag (M_k V)[r_P, c_Q] (G, m, h, q) of G linked part pairs (P, Q), for every M_k
+    of a ``_row_table``: P's rows (G, m) and eigenvectors V_P (G, m, m), Q's rows (G, q) and V_Q
+    (G, q, q), and the part and place of every basis row (``_part_index``).
+
+    V[i, c_Q] is row place(i) of Q's V where i lies in Q, else 0; ``_block_products`` takes it at
+    the columns of each row's nonzeros.
+    """
+    at, vals = table
+    i = at[rows]        # the columns of each row's nonzeros
+    in_Q = part[i] == part[rows_Q[:, :1, None]]
+    V_at = np.where(in_Q[..., None], V_Q[np.arange(V_Q.shape[0])[:, None, None], place[i] * in_Q], 0)
+    return _block_products(vals, rows, V_P, V_at)
+
+
+def _unit_products(table: tuple, rows: np.ndarray, V_P: np.ndarray, rows_Q: np.ndarray, V_Q: np.ndarray,
+                   part: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """``_gathered_products`` of 1 x 1 parts P = {i} and Q = {j}, from the same arguments: conj(V_P)
+    (x V_Q) for the nonzero x = M_k[i, j] of each pair (0 where row i holds none at j), in the
+    association order of the batched product, with no gather of V and no batched product."""
+    at, vals = table
+    i, j = rows[:, 0], rows_Q[:, 0]
+    # the first slot of row i that holds column j (a padding slot holds column 0 and value 0)
+    slot = i * at.shape[1] + (at[i] == rows_Q).argmax(axis=1)
+    x = vals.reshape(-1, vals.shape[2])[slot]
+    x[at.ravel()[slot] != j] = 0
+    return (np.conj(V_P[:, 0]) * (x * V_Q[:, 0]))[:, None, :, None]
+
+
+def _nonzeros_stack(state: DensityMatrix, X: ObservableSet) -> tuple[np.ndarray, Entries | None]:
+    """The uncentered stack V^dag X_k V of a set ``X`` given by its nonzeros on a ``state``, and its
     entry list.
 
     On a state with ``parts`` (``DensityMatrix.parts``) A_k[c_P, c_Q] is zero unless a nonzero of
     X_k links a row of P with a row of Q.  When every nonzero links two parts, the stack is its
     values (n, nnz) on the blocks of each linked pair {P, Q}, listed once, P before Q in the order
-    of ``parts``, row-major, from the eigensystems of the parts alone, with their ``Entries``.
-    Else it is the full stack (n, d, d) from the state's eigenvectors, two observables per
-    product, with None.
+    of ``parts``, row-major, from the eigensystems of the parts and the set's ``row_table`` alone,
+    with their ``Entries``: one ``_gathered_products`` per block shape, or ``_unit_products`` when
+    both parts are 1 x 1.  Else it is the full stack (n, d, d) from the state's eigenvectors, two
+    observables per product, with None.
     """
-    d, r, c, values = nonzeros
+    d, r, c, values = X.nonzeros
     parts, n = state.parts, values.shape[0]
     if parts is not None:
         first, part, place = _part_index(parts, d)
@@ -348,7 +393,7 @@ def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple) -> tuple[np.ndarray, 
     key = np.sort((group[Q] * N + P) * N + Q)
     P, Q = np.divmod(key[np.diff(key, prepend=-1) != 0] % (N * N), N)     # each pair once
     cuts = [0, *(np.flatnonzero(np.diff(group[P]) | np.diff(group[Q])) + 1).tolist(), P.size]
-    (at, vals), systems = _row_table(d, r, c, values), state.systems
+    table, systems = X.row_table, state.systems
     blocks, a, b = [], [], []
     for lo, hi in zip(cuts, cuts[1:]):
         g_P, g_Q = group[P[lo]], group[Q[lo]]
@@ -356,11 +401,9 @@ def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple) -> tuple[np.ndarray, 
         rows, c_P, c_Q = parts[g_P][0][p], parts[g_P][1][p], parts[g_Q][1][q]
         a.append(np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel())
         b.append(np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel())
-        i, V_Q = at[rows], systems[g_Q][0][q]        # the columns of each row's nonzeros; Q's V
-        # V[i, c_Q] is row place(i) of Q's V where i lies in Q, else 0
-        in_Q = part[i] == Q[lo:hi, None, None]
-        V_at = np.where(in_Q[..., None], V_Q[np.arange(q.size)[:, None, None], place[i] * in_Q], 0)
-        blocks.append(_block_products(vals, rows, systems[g_P][0][p], V_at).transpose(2, 0, 1, 3).reshape(n, -1))
+        products = _unit_products if c_P.shape[1] == c_Q.shape[1] == 1 else _gathered_products
+        block = products(table, rows, systems[g_P][0][p], parts[g_Q][0][q], systems[g_Q][0][q], part, place)
+        blocks.append(block.transpose(2, 0, 1, 3).reshape(n, -1))
     entries = Entries(np.concatenate(a), np.concatenate(b))
     # into a C-ordered array: a block of 1 x 1 parts transposes to a strided view
     return np.concatenate(blocks, axis=1, out=np.empty((n, entries.a.size), dtype=complex)), entries
@@ -423,9 +466,9 @@ class SpectralContext:
     def __init__(self, rho: DensityMatrix, X: ObservableSet):
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
-        # a set given by its nonzeros is read through them alone: its dense matrices stay unformed
+        # a set given by its nonzeros is read through them and its row table alone: its dense matrices stay unformed
         dense = None if X.nonzeros is not None else [M[None] for M in X.observables]
-        self._setup(rho, rho.eigenvalues[None], dense, X.nonzeros)
+        self._setup(rho, rho.eigenvalues[None], dense, None if dense else X)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -437,11 +480,12 @@ class SpectralContext:
         ctx._setup(None, lam, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, state, lam, observables, nonzeros=None) -> None:
+    def _setup(self, state, lam, observables, nonzero_set=None) -> None:
         # n arrays (B, d, d), or B = 1 and a set given by its nonzeros, on a state with or without parts
-        self.state, self.lam, self.observables, self.nonzeros = state, lam, observables, nonzeros
+        self.state, self.lam, self.observables, self.nonzero_set = state, lam, observables, nonzero_set
+        self.nonzeros = None if nonzero_set is None else nonzero_set.nonzeros
         self.size, self.dim = lam.shape
-        self.n = len(observables) if nonzeros is None else nonzeros[3].shape[0]
+        self.n = len(observables) if nonzero_set is None else nonzero_set.n
         self.memo = {}
 
     # the states (B, d, d) and eigenvectors (B, d, d), read by every route but the entry route:
@@ -455,7 +499,7 @@ class SpectralContext:
             V = self.V[:, None]
             A, self._entries = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V, None
         else:
-            A, self._entries = _nonzeros_stack(self.state, self.nonzeros)
+            A, self._entries = _nonzeros_stack(self.state, self.nonzero_set)
             A = A[None]
         if self._entries is not None:
             return A, np.zeros((self.size, self.n))     # no diagonal entry: every mean is 0

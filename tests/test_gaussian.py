@@ -989,6 +989,28 @@ def test_entry_route_is_found_when_the_stack_is_built(monkeypatch):
     assert len(calls) == 1 and ctx.entries is not None
 
 
+def test_quadrature_row_table_is_built_once_per_size(monkeypatch):
+    calls, build = [], skew._row_table
+    monkeypatch.setattr(skew, "_row_table", lambda *args: calls.append(args[0]) or build(*args))
+    gaussian._quadrature_nonzeros.cache_clear()
+    H = two_mode_generator(1.0, 1.0)
+    reports = [gaussian.saturation_check(H, 30) for _ in range(2)]
+    assert calls == [900] and reports[0].delta_G_numeric == reports[1].delta_G_numeric
+    # each call a fresh set around the same read-only arrays
+    X, Y = quadrature_observables(2, 30), quadrature_observables(2, 30)
+    assert X is not Y
+    for x, y in zip((*X.nonzeros[1:], *X.row_table), (*Y.nonzeros[1:], *Y.row_table)):
+        assert x is y and not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+    # the dense matrices read on one set stay with it: the next call's set and the cache hold none
+    assert len(X.observables) == 4
+    Z = quadrature_observables(2, 30)
+    assert "observables" not in vars(Z) and "observables" not in vars(Y)
+    nonzeros, table = gaussian._quadrature_nonzeros(2, 30)
+    assert all(x.size < 900**2 for x in (*nonzeros[1:], *table)) and calls == [900]
+
+
 @pytest.mark.parametrize("kind", ["uncoupled", "coupled-squeezed"])
 def test_stack_check_inputs_from_the_nonzeros_match_the_dense_pairings(kind):
     # d = 900: the dense twin pairs its stacked matrices, the ladder set its nonzeros
@@ -1120,14 +1142,19 @@ def test_coupled_squeezed_parts_are_the_parity_classes():
 
 
 def _corrupt_level(level, factor, cutoff):
-    """``skew._row_table`` with the quadratures' ladder coefficients between photon numbers level
-    and level + 1 of every mode scaled by factor, at both mirror positions."""
-    build = skew._row_table
+    """``skew._nonzeros_stack`` on a copy of the set whose row table has the quadratures' ladder
+    coefficients between photon numbers level and level + 1 of every mode scaled by factor, at
+    both mirror positions.  The copy keeps the set's nonzeros, which the checks read."""
+    build = skew._nonzeros_stack
 
-    def corrupted(d, rows, cols, values):
-        stride = np.abs(rows - cols)        # a nonzero links i and i + s_k, s_k the stride of its mode
-        at = np.minimum(rows, cols) // stride % cutoff == level
-        return build(d, rows, cols, np.where(at, factor * values, values))
+    def corrupted(state, X):
+        at, vals = X.row_table
+        rows = np.arange(at.shape[0])[:, None]
+        # a nonzero links i and i + s_k, s_k the stride of its mode; a padding slot (column 0, value 0) is never hit
+        stride = np.maximum(np.abs(rows - at), 1)
+        hit = np.minimum(rows, at) // stride % cutoff == level
+        table = (at, np.where(hit[..., None], factor * vals, vals))
+        return build(state, ObservableSet._from_nonzeros(*X.nonzeros, row_table=table))
     return corrupted
 
 
@@ -1142,7 +1169,7 @@ PART_KINDS = {
 @pytest.mark.parametrize("factor", [0.0, 1 + 1e-6])
 def test_corrupted_ladder_coefficient_fails_stack_check(kind, factor, monkeypatch):
     rho = PART_KINDS[kind]()
-    monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, factor, 8))
+    monkeypatch.setattr(skew, "_nonzeros_stack", _corrupt_level(2, factor, 8))
     with pytest.raises(ConstructionMismatch, match="eigenbasis stack changes"):
         check_refined_rs(rho, quadrature_observables(2, 8))
 
@@ -1180,6 +1207,39 @@ def test_kernel_weights_pair_bit_for_bit_like_the_dense_weights(kind):
         assert np.array_equal(ctx.skew, ctx.symmetric_pair((s[:, :, None] - s[:, None, :]) ** 2 / 2))
 
 
+UNIT_RUN_STATES = {      # (n_modes, cutoff, state)
+    **{kind: (2, 8, state) for kind, state in PART_KINDS.items()},
+    "thermal-1m60": (1, 60, lambda: fock_truncate_thermal(single_mode_generator(1.0), 60).rho),
+    "thermal-2m30": (2, 30, lambda: fock_truncate_thermal(two_mode_generator(1.0, 1.0), 30).rho),
+    "nongauss-fock10": (2, 30, lambda: gaussian.fock_density(np.diag(np.eye(1, 900, 30)[0]).astype(complex), 2, 30)),
+    "nongauss-mixed": (2, 30, lambda: gaussian.fock_density(_fock_mixture(2, 30, 8001), 2, 30)),
+}
+
+
+@pytest.mark.parametrize("kind", UNIT_RUN_STATES)
+def test_one_by_one_runs_match_the_batched_product(kind, monkeypatch):
+    # each run of 1 x 1 part pairs against the batched product on the same arguments, then the
+    # whole stack and entry list against the stack with every run batched
+    n, cutoff, state = UNIT_RUN_STATES[kind]
+    rho, X = state(), quadrature_observables(n, cutoff)
+    runs, unit = [], skew._unit_products
+
+    def checked(*args):
+        out = unit(*args)
+        assert np.array_equal(out, skew._gathered_products(*args))
+        runs.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(skew, "_unit_products", checked)
+    stack, entries = skew._nonzeros_stack(rho, X)
+    monkeypatch.setattr(skew, "_unit_products", skew._gathered_products)
+    batched, batched_entries = skew._nonzeros_stack(rho, X)
+    assert np.array_equal(stack, batched)
+    assert all(np.array_equal(u, v) for u, v in zip(entries, batched_entries))
+    # every part is 1 x 1 but for the shells (sizes 1..8, no two 1 x 1 shells linked) and the parity classes
+    assert sum(runs) == (0 if kind in ("shells", "parity-classes") else entries.a.size)
+
+
 # ------------------------------------------- the random probe against the input basis
 
 def _swap_two_columns(rho):
@@ -1205,21 +1265,25 @@ def _swap_two_columns(rho):
 def _probe_mutation(kind, rho, monkeypatch):
     """Plant one fault in the quadrature stack built for rho."""
     if kind == "level-2-sign":
-        monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, -1.0, 8))
+        monkeypatch.setattr(skew, "_nonzeros_stack", _corrupt_level(2, -1.0, 8))
         return
     if kind == "swapped-columns":
         build, swapped = skew._nonzeros_stack, _swap_two_columns(rho)
         monkeypatch.setattr(skew, "_nonzeros_stack", lambda state, *args: build(swapped, *args))
         return
-    (part, _), *_ = rho.parts                   # one whole part, on the left side of its blocks only
-    build = skew._block_products
+    # one whole part, on the left side of its blocks only: in the batched product of a block shape,
+    # or of 1 x 1 parts in their scalar products
+    (part, _), *_ = rho.parts
 
-    def flipped(vals, rows, V_P, V_at):
-        out = build(vals, rows, V_P, V_at)
-        out[np.isin(rows, part[0])] *= -1
-        return out
+    def flipping(build):
+        def flipped(data, rows, *args):
+            out = build(data, rows, *args)
+            out[np.isin(rows, part[0])] *= -1
+            return out
+        return flipped
 
-    monkeypatch.setattr(skew, "_block_products", flipped)
+    for name in ("_block_products", "_unit_products"):
+        monkeypatch.setattr(skew, name, flipping(getattr(skew, name)))
 
 
 @pytest.mark.parametrize("mutation", ["level-2-sign", "swapped-columns", "part-phase-one-side"])
@@ -1238,7 +1302,7 @@ def test_probe_flags_stack_mutations(kind, mutation, monkeypatch):
 def test_level_2_sign_flip_passes_the_pairing_checks(monkeypatch):
     # the blind spot the probe closes: a relabeling of the stack that keeps every pairing
     rho, X = PART_KINDS["parity-classes"](), quadrature_observables(2, 8)
-    monkeypatch.setattr(skew, "_row_table", _corrupt_level(2, -1.0, 8))
+    monkeypatch.setattr(skew, "_nonzeros_stack", _corrupt_level(2, -1.0, 8))
     ctx = SpectralContext(rho, X)
     skew._check_stack(ctx)
     L = np.block([[ctx.blocks[0][0], ctx.i_delta[0]], [ctx.i_delta[0], ctx.blocks[1][0]]])

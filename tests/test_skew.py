@@ -470,6 +470,22 @@ def test_stack_from_nonzeros_matches_the_dense_stack(case, n, seed):
         assert abs(rep.margins[key] - margin) <= 1e-12 * max(1.0, abs(margin)), key
 
 
+def test_one_by_one_pair_without_a_nonzero_in_its_first_row():
+    # the 1 x 1 parts {2} and {3} are linked by a zero-valued position (3, 2) listed without its
+    # mirror; row 2 holds a nonzero at column 0 but none at column 3, so their block is 0
+    rng = np.random.default_rng(7)
+    rho = DensityMatrix.from_blocks([([r], random_unitary(rng, 1), [w]) for r, w in enumerate([0.4, 0.3, 0.2, 0.1])])
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    values = np.array([[v[0], np.conj(v[0]), v[1], np.conj(v[1]), 0]])
+    X = ObservableSet._from_nonzeros(4, np.array([0, 1, 0, 2, 3]), np.array([1, 0, 2, 0, 2]), values)
+    fast, dense = SpectralContext(rho, X), SpectralContext(rho, ObservableSet.from_matrices(X.observables))
+    (a, b), A = fast.entries, np.zeros_like(dense.stack)
+    A[:, :, a, b], A[:, :, b, a] = fast.stack, np.conj(fast.stack)
+    assert np.abs(A - dense.stack).max() <= 1e-15
+    (c_2,), (c_3,) = rho.parts[2][1][0], rho.parts[3][1][0]      # one part per block, in order
+    assert fast.stack[0, 0, np.flatnonzero((a == c_2) & (b == c_3))] == 0
+
+
 # ------------------------------------------------- eq8 and eq4 routes
 
 def _eq7_eq8_flags(Lp, Lm, delta):
