@@ -12,10 +12,10 @@ parts, so that its stack is built whole (the full route of ``skew``); its
 eigh.  Each run rebuilds the state, the quadratures
 and the spectral context and times the steps of ``saturation_check`` one after
 another with ``time.perf_counter``; a phase prints the best of --repeat runs in ms.
-The quadratures' nonzeros and row table are built once per size and kept
+The quadratures' nonzeros are built once per size and kept
 (``gaussian._quadrature_nonzeros``); that cache is emptied before each structure,
-so its first run is cold, and ``quadratures`` and ``stack`` also print that
-first run's time (``cold``) beside their best, so the one-time build stays visible.
+so its first run is cold, and ``quadratures`` also prints that first run's time
+(``cold``) beside its best, so the one-time build stays visible.
 ``fock_truncate_thermal`` is cut at the returns of its two steps: ``H triples``
 (``_fock_hamiltonian``, the nonzeros of the truncated H), ``guard+parts`` (the
 cross-parity check on the triples and ``part_eigensystems``) and ``state`` (the
@@ -42,7 +42,7 @@ STRUCTURES = {     # (omega1, omega2, coupling, xi, rebuilt without parts)
 PHASES = ("H triples", "guard+parts", "state", "quadratures", "stack", "P+skew", "stack check", "probe", "Gram",
           "total")
 STEPS = ("_fock_hamiltonian", "part_eigensystems")     # the steps of fock_truncate_thermal cut at their returns
-COLD = ("quadratures", "stack")     # the phases that also print their first run's time
+COLD = ("quadratures",)     # the phases that also print their first run's time
 
 
 def whole(H: gaussian.QuadraticHamiltonian, cutoff: int, no_parts: bool) -> None:

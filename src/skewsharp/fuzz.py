@@ -484,10 +484,10 @@ def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
             mar = instance(check_metric_adjusted.ctx(ctx, f))
             row[f"eq19_lhs[{f.label}]"] = mar.margin19 + (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
             row[f"eq19_rhs[{f.label}]"] = (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
-            if f.label == "sld":
-                wm = instance(wy_strongest_check.ctx(ctx, f))
+            if f.label == "sld":     # judged as the harness judges it, on its own scale |sigma+c||sigma-c|
+                wm, scale = map(instance, _wy_strongest(ctx, f))
                 row["wy_strongest_margin"] = wm
-                if wm < -tol:
+                if violated(wm, scale, config.tol):
                     ordering_violations["wy_strongest"] += 1
         rows.append(row)
 

@@ -56,9 +56,9 @@ parities (``DensityMatrix.from_matrix`` partitioned by the record's parity); any
 other state gets the dense eigh and no record.  The quadratures are linear in
 the ladder operators, so ``quadrature_observables`` gives them by their nonzeros
 at the record's links i -> i + s_k of every a_k (s_k the stride of mode k) and
-their mirror images (``ObservableSet.nonzeros``), which with their row table are
-built once per size (``_quadrature_nonzeros``) and wrapped in a fresh set on each
-call; the dense matrices are formed only when a caller reads ``observables``.
+their mirror images (``ObservableSet.nonzeros``), which are built once per size
+(``_quadrature_nonzeros``) and wrapped in a fresh set on each call; the dense
+matrices are formed only when a caller reads ``observables``.
 :mod:`skewsharp.skew` builds their eigenbasis stack from those nonzeros and the
 state's parts alone, as it would for any set so given: every quadrature flips
 the photon-number parity, so on a state whose parts each have one parity the
@@ -454,20 +454,19 @@ def fock_truncate_thermal(H: QuadraticHamiltonian, cutoff: int) -> ThermalTrunca
 
 
 @functools.lru_cache(maxsize=16)
-def _quadrature_nonzeros(n_modes: int, cutoff: int) -> tuple[tuple, tuple]:
-    """The nonzeros (d, rows, cols, values) of the truncated (x_1..x_n, p_1..p_n) and their row
-    table, read-only and built once per size beside the basis record; arrays only, so that no
-    set's dense matrices outlive the call that formed them."""
+def _quadrature_nonzeros(n_modes: int, cutoff: int) -> tuple:
+    """The nonzeros (d, rows, cols, values) of the truncated (x_1..x_n, p_1..p_n), read-only and
+    built once per size beside the basis record; arrays only, so that no set's dense matrices
+    outlive the call that formed them."""
     b, k = fock_basis(n_modes, cutoff), np.arange(n_modes)
     a = np.sqrt(b.links[2, :n_modes] + 1).astype(complex)     # a_k at (i, i + s_k) and a_k^dag at the mirror
     values = np.zeros((2, n_modes, 2, *a.shape), dtype=complex)     # (x or p, mode; link or mirror, mode, link)
     # (a^dag + a) and i (a^dag - a) at the link (a^dag 0 there) and its mirror, each over sqrt(2) by complex division
     for v, link, mirror in zip(values, (a, 1j * -a), (a, 1j * a.conj())):
         v[k, 0, k], v[k, 1, k] = link / math.sqrt(2), mirror / math.sqrt(2)
-    X = ObservableSet._from_nonzeros(b.dim, b.links[0].ravel(), b.links[1].ravel(), values.reshape(2 * n_modes, -1))
-    for x in (X.nonzeros[3], *X.row_table):
-        x.setflags(write=False)
-    return X.nonzeros, X.row_table
+    values = values.reshape(2 * n_modes, -1)
+    values.setflags(write=False)
+    return b.dim, b.links[0].ravel(), b.links[1].ravel(), values
 
 
 def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
@@ -476,12 +475,11 @@ def quadrature_observables(n_modes: int, cutoff: int) -> ObservableSet:
     x = (a^dag + a)/sqrt(2) and p = i(a^dag - a)/sqrt(2) of the real truncated a
     are exactly Hermitian, so the set is not re-validated.  It is given by their
     nonzeros at the links i -> i + s_k of every a_k and their mirror images (the
-    basis record's ``links``), from which ``SpectralContext`` builds its stack,
-    and carries their row table: both are built once per size
-    (``_quadrature_nonzeros``), and each call wraps them in a fresh set.
+    basis record's ``links``), from which ``SpectralContext`` builds its stack:
+    they are built once per size (``_quadrature_nonzeros``), and each call wraps
+    them in a fresh set.
     """
-    nonzeros, row_table = _quadrature_nonzeros(n_modes, cutoff)
-    return ObservableSet._from_nonzeros(*nonzeros, row_table=row_table)
+    return ObservableSet._from_nonzeros(*_quadrature_nonzeros(n_modes, cutoff))
 
 
 @dataclass(eq=False)

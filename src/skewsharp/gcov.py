@@ -72,8 +72,6 @@ class BivariateKernel:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     nonnegative: bool = False
     symmetric: bool = False
-    bases: tuple = ()                  # a combination of other kernels (see combined_kernel)
-    combine: Callable | None = None
 
     def __post_init__(self):
         xs, ys = np.meshgrid(VALIDATION_GRID, VALIDATION_GRID)
@@ -90,17 +88,10 @@ class BivariateKernel:
         return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=complex)
 
 
-def combined_kernel(label: str, combine: Callable, *bases: BivariateKernel, **flags) -> BivariateKernel:
-    """The kernel combine(b_1(x, y), b_2(x, y), ...).  A context combines the values
-    of the bases it has already evaluated (``SpectralContext.weights``) instead of
-    evaluating each base again inside ``fn``."""
-    return BivariateKernel(label, lambda x, y: combine(*(b(x, y) for b in bases)),
-                           bases=bases, combine=combine, **flags)
-
-
-@cache
 def mean_kernel() -> BivariateKernel:
-    return BivariateKernel("mean", lambda x, y: (x + y) / 2, nonnegative=True, symmetric=True)
+    """The arithmetic mean (x + y)/2, as the sld function's matrix-mean kernel: one kernel object,
+    so a context evaluates and pairs it once for eq17 and for sld."""
+    return resolve_monotone("sld").mean_kernel
 
 
 @cache
@@ -112,7 +103,8 @@ def quotient_kernel(num: BivariateKernel, den: BivariateKernel) -> BivariateKern
     """num/den with the 0/0 := 0 convention; other zero denominators are domain errors."""
     label = f"{num.label}/{den.label}"
 
-    def combine(n, d):
+    def fn(x, y):
+        n, d = num(x, y), den(x, y)
         zero = np.abs(d) == 0
         if np.any(zero & (np.abs(n) != 0)):
             raise KernelDomainError(
@@ -120,7 +112,7 @@ def quotient_kernel(num: BivariateKernel, den: BivariateKernel) -> BivariateKern
             )
         return np.where(zero, 0.0, n / np.where(zero, 1.0, d))
 
-    return combined_kernel(label, combine, num, den)
+    return BivariateKernel(label, fn)
 
 
 def product_kernels(a: Callable[[np.ndarray], np.ndarray],
@@ -232,8 +224,9 @@ class MonotoneFunction:
         |g2|^2 = the f-skew coefficient / (2 f(0)), so eq16 assembles L^g from ``ctx.cov`` and
         ``f_skew_pairing``; ``build_Lg`` on these kernels is the generic route to the same matrix.
         """
-        g1 = combined_kernel(f"sqrt_m[{self.label}]", lambda m: np.sqrt(np.maximum(m.real, 0.0)),
-                             self.mean_kernel, nonnegative=True, symmetric=True)
+        m = self.mean_kernel
+        g1 = BivariateKernel(f"sqrt_m[{self.label}]", lambda x, y: np.sqrt(np.maximum(m(x, y).real, 0.0)),
+                             nonnegative=True, symmetric=True)
         return g1, quotient_kernel(eps_kernel(), g1)
 
     @cached_property

@@ -26,28 +26,30 @@ the stacked X_k and V.  A set given by its nonzeros (``ObservableSet.nonzeros``:
 the (row, column, value) triples of every X_k, as
 ``gaussian.quadrature_observables`` builds the truncated quadratures) takes
 products that read the nonzeros row by row (``_nonzeros_stack``), from a table
-of each row's nonzeros: row i of X_k V is the sum of a few rows of V.  The set
-carries that table (``ObservableSet.row_table``): the quadratures' is built
-once per size beside their nonzeros, any other set's on its first use.  On a
-state whose eigensystem was taken part by part (``DensityMatrix.parts``: the
-eigenvectors of a part live on its rows r_P alone, in its columns c_P) the
-block A_k[c_P, c_Q] is V[r_P, c_P]^dag (X_k V)[r_P, c_Q], and it is zero unless
-some nonzero of X_k links a row of P with a row of Q.
+of each row's nonzeros built on each call (``_row_table``): row i of X_k V is
+the sum of a few rows of V.  On a state whose eigensystem was taken part by
+part (``DensityMatrix.parts``: the eigenvectors of a part live on its rows r_P
+alone, in its columns c_P) the block A_k[c_P, c_Q] is V[r_P, c_P]^dag
+(X_k V)[r_P, c_Q], and it is zero unless some nonzero of X_k links a row of P
+with a row of Q.
 
 The entry route.  When no nonzero lies inside one part, every A_k is zero but
 on the blocks [c_P, c_Q] of the part pairs that some nonzero links, and their
 mirrors [c_Q, c_P]; its diagonal, and so every mean, is 0.  ``_nonzeros_stack``
-finds the route and builds the stack in one pass over the parts: it lists each
-linked pair once, grouped by block shape, as index arrays ``a`` and ``b`` of
-eigenvector columns (``ctx.entries``), no entry on the diagonal or twice, and
-builds each block shape's blocks from the set's table in one batched product
-(``_gathered_products``).  A run of pairs whose parts are both 1 x 1 takes no
-batched product (``_unit_products``): each block is conj(V_P) (x V_Q) for the
-pair's nonzero x in the table, in the batched product's association order.
-That route reads the state as its parts alone (``DensityMatrix.systems``: each
-part's eigenvectors V_P), so it forms neither the state's dense matrix nor its
-eigenvectors: V[r_P, c_P] is V_P itself, and V[i, c_Q] is the row of V_Q at i's
-place when i lies in Q, else 0.  The truncated quadratures flip photon-number parity, so on
+finds the route and builds the stack in one pass over the parts: one sort of
+the nonzeros by part pair lists each linked pair once, grouped by block shape,
+as index arrays ``a`` and ``b`` of eigenvector columns (``ctx.entries``), no
+entry on the diagonal or twice, and each block shape's blocks are built from
+the table in one batched product (``_gathered_products``).  A run of pairs
+whose parts are both 1 x 1 takes neither the table nor a batched product
+(``_unit_products``): the block of P = {i} and Q = {j} is conj(V_P) (x V_Q)
+for x = X_k[i, j], read at the pair's first nonzero in that sort, which puts a
+nonzero whose row lies in P first (x = 0 when only the mirror X_k[j, i] is
+listed), in the batched product's association order.  That route reads the
+state as its parts alone (``DensityMatrix.systems``: each part's eigenvectors
+V_P), so it forms neither the state's dense matrix nor its eigenvectors:
+V[r_P, c_P] is V_P itself, and V[i, c_Q] is the row of V_Q at i's place when i
+lies in Q, else 0.  The truncated quadratures flip photon-number parity, so on
 a state whose parts each have one parity the list holds 1740 entries at the CLI
 default (2 modes, cutoff 30, 1 x 1 parts) and all d^2/4 even-to-odd entries
 when the parts are the two parity classes.  The context then stores only the
@@ -84,7 +86,7 @@ sees a unitary relabeling U X_k U^dag of every observable, which keeps all
 Hilbert-Schmidt pairings; so a stack built from the nonzeros also passes a
 random probe (``_probe_stack``), which compares it with the input X_k along
 random vectors, X_k (V t) a scatter-add of the nonzeros over their rows, apart
-from the table the stack was built from, and V t formed part by part
+from the products the stack was built from, and V t formed part by part
 (``DensityMatrix.eigenvectors_times``).
 """
 
@@ -130,10 +132,8 @@ class ObservableSet:
     zero off them.  Only a module's own constructor gives them
     (``gaussian.quadrature_observables``), through ``_from_nonzeros``, for
     observables it builds exactly Hermitian.  ``SpectralContext`` builds the
-    eigenbasis stack of such a set from its nonzeros, on the entry route from the
-    table of each row's nonzeros (``row_table``: given with the set, or built on its
-    first read), and the set forms its dense matrices only on the first read of
-    ``observables``.
+    eigenbasis stack of such a set from its nonzeros, and the set forms its dense
+    matrices only on the first read of ``observables``.
     """
 
     observables: tuple[np.ndarray, ...]
@@ -153,22 +153,16 @@ class ObservableSet:
         return cls(observables=tuple(hermitian_parts(np.stack(mats), what="observable")))
 
     @classmethod
-    def _from_nonzeros(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                       row_table: tuple | None = None) -> "ObservableSet":
+    def _from_nonzeros(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> "ObservableSet":
         """Observables built exactly Hermitian by their constructor, given by their
-        nonzeros X_k[rows, cols] = values[k] and not re-validated; ``row_table``, if
-        given, is their ``_row_table``, which the set otherwise builds on its first read."""
+        nonzeros X_k[rows, cols] = values[k] and not re-validated."""
         X = cls.__new__(cls)
         vars(X)["nonzeros"] = (d, rows, cols, values)     # frozen: set in the instance dict, as ``cached`` sets
-        if row_table is not None:
-            vars(X)["row_table"] = row_table
         return X
 
     def __getattr__(self, name):
-        if name not in ("observables", "row_table") or self.nonzeros is None:
+        if name != "observables" or self.nonzeros is None:
             raise AttributeError(name)
-        if name == "row_table":     # each row's nonzeros, the entry route's input (``_nonzeros_stack``)
-            return vars(self).setdefault(name, _row_table(*self.nonzeros))
         mats = np.zeros((self.n, self.dim, self.dim), dtype=complex)
         mats[:, self.nonzeros[1], self.nonzeros[2]] = self.nonzeros[3]
         return vars(self).setdefault("observables", tuple(mats))    # stored as ``cached`` stores
@@ -344,33 +338,30 @@ def _gathered_products(table: tuple, rows: np.ndarray, V_P: np.ndarray, rows_Q: 
     return _block_products(vals, rows, V_P, V_at)
 
 
-def _unit_products(table: tuple, rows: np.ndarray, V_P: np.ndarray, rows_Q: np.ndarray, V_Q: np.ndarray,
-                   part: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """``_gathered_products`` of 1 x 1 parts P = {i} and Q = {j}, from the same arguments: conj(V_P)
-    (x V_Q) for the nonzero x = M_k[i, j] of each pair (0 where row i holds none at j), in the
-    association order of the batched product, with no gather of V and no batched product."""
-    at, vals = table
-    i, j = rows[:, 0], rows_Q[:, 0]
-    # the first slot of row i that holds column j (a padding slot holds column 0 and value 0)
-    slot = i * at.shape[1] + (at[i] == rows_Q).argmax(axis=1)
-    x = vals.reshape(-1, vals.shape[2])[slot]
-    x[at.ravel()[slot] != j] = 0
+def _unit_products(lead: tuple, rows: np.ndarray, V_P: np.ndarray, V_Q: np.ndarray) -> np.ndarray:
+    """The blocks (G, 1, h, 1) of G linked pairs of 1 x 1 parts P = {i} (``rows`` (G, 1)) and Q = {j}
+    with eigenvectors V_P and V_Q (G, 1, 1): conj(V_P) (x V_Q) for x = M_k[i, j], the values of the
+    pair's ``lead`` nonzero (d, rows (G,), cols (G,), values (h, G)) where its row is i, else 0 (only
+    the mirror M_k[j, i] is listed), in the association order of the batched product
+    (``_gathered_products``)."""
+    _, r, _, values = lead
+    x = np.where((r == rows[:, 0])[:, None], values.T, 0)
     return (np.conj(V_P[:, 0]) * (x * V_Q[:, 0]))[:, None, :, None]
 
 
-def _nonzeros_stack(state: DensityMatrix, X: ObservableSet) -> tuple[np.ndarray, Entries | None]:
-    """The uncentered stack V^dag X_k V of a set ``X`` given by its nonzeros on a ``state``, and its
+def _nonzeros_stack(state: DensityMatrix, nonzeros: tuple) -> tuple[np.ndarray, Entries | None]:
+    """The uncentered stack V^dag X_k V of a set given by its ``nonzeros`` on a ``state``, and its
     entry list.
 
     On a state with ``parts`` (``DensityMatrix.parts``) A_k[c_P, c_Q] is zero unless a nonzero of
     X_k links a row of P with a row of Q.  When every nonzero links two parts, the stack is its
     values (n, nnz) on the blocks of each linked pair {P, Q}, listed once, P before Q in the order
-    of ``parts``, row-major, from the eigensystems of the parts and the set's ``row_table`` alone,
-    with their ``Entries``: one ``_gathered_products`` per block shape, or ``_unit_products`` when
-    both parts are 1 x 1.  Else it is the full stack (n, d, d) from the state's eigenvectors, two
-    observables per product, with None.
+    of ``parts``, row-major, from the eigensystems of the parts and the nonzeros alone, with their
+    ``Entries``: ``_unit_products`` when both parts are 1 x 1, else one ``_gathered_products`` per
+    block shape on a ``_row_table`` built on the first such run.  Else it is the full stack
+    (n, d, d) from the state's eigenvectors, two observables per product, with None.
     """
-    d, r, c, values = X.nonzeros
+    d, r, c, values = nonzeros
     parts, n = state.parts, values.shape[0]
     if parts is not None:
         first, part, place = _part_index(parts, d)
@@ -388,21 +379,29 @@ def _nonzeros_stack(state: DensityMatrix, X: ObservableSet) -> tuple[np.ndarray,
             if 2 * h + 1 < n:
                 np.multiply(B[:, h] - B_dag, -1j, out=A[2 * h + 1])
         return A, None
-    # one sort by (size group of Q, P, Q): P's size group rises with P, so each block shape is one run
+    # one sort by (size group of Q, P, Q), then by side, a nonzero whose row lies in P first: P's size
+    # group rises with P, so each block shape is one run
     group, N = np.repeat(np.arange(len(parts)), np.diff(first)), first[-1]
-    key = np.sort((group[Q] * N + P) * N + Q)
-    P, Q = np.divmod(key[np.diff(key, prepend=-1) != 0] % (N * N), N)     # each pair once
+    key = (group[Q] * N + P) * N + Q
+    order = np.argsort(key * 2 + (part[r] != P), kind="stable")
+    lead = order[np.diff(key[order], prepend=-1) != 0]      # each pair's first nonzero
+    P, Q = np.divmod(key[lead] % (N * N), N)     # each pair once
     cuts = [0, *(np.flatnonzero(np.diff(group[P]) | np.diff(group[Q])) + 1).tolist(), P.size]
-    table, systems = X.row_table, state.systems
+    systems, table = state.systems, None
     blocks, a, b = [], [], []
     for lo, hi in zip(cuts, cuts[1:]):
         g_P, g_Q = group[P[lo]], group[Q[lo]]
         p, q = P[lo:hi] - first[g_P], Q[lo:hi] - first[g_Q]      # places in their size groups
         rows, c_P, c_Q = parts[g_P][0][p], parts[g_P][1][p], parts[g_Q][1][q]
+        V_P, V_Q = systems[g_P][0][p], systems[g_Q][0][q]
         a.append(np.broadcast_to(c_P[:, :, None], c_P.shape + c_Q.shape[1:]).ravel())
         b.append(np.broadcast_to(c_Q[:, None, :], c_P.shape + c_Q.shape[1:]).ravel())
-        products = _unit_products if c_P.shape[1] == c_Q.shape[1] == 1 else _gathered_products
-        block = products(table, rows, systems[g_P][0][p], parts[g_Q][0][q], systems[g_Q][0][q], part, place)
+        if c_P.shape[1] == c_Q.shape[1] == 1:
+            at = lead[lo:hi]
+            block = _unit_products((d, r[at], c[at], values[:, at]), rows, V_P, V_Q)
+        else:
+            table = table or _row_table(*nonzeros)
+            block = _gathered_products(table, rows, V_P, parts[g_Q][0][q], V_Q, part, place)
         blocks.append(block.transpose(2, 0, 1, 3).reshape(n, -1))
     entries = Entries(np.concatenate(a), np.concatenate(b))
     # into a C-ordered array: a block of 1 x 1 parts transposes to a strided view
@@ -425,7 +424,7 @@ def _probe_stack(ctx: "SpectralContext") -> None:
     drawn from a generator seeded by the instance's size (``_probe_vectors``).
 
     In O(n d^2) (V t and V s; X_k (V t) a scatter-add of the nonzeros over their rows in
-    O(nnz), apart from the row table the stack was built from) it ties each A_k to the input
+    O(nnz), apart from the products the stack was built from) it ties each A_k to the input
     matrix X_k itself, where the stack check and the Gram check see only pairings and so miss
     a relabeling U X_k U^dag.  On the entry route s^dag A_k t is two dot products on the
     values, over the same entries (a, b) the pairing reads.  It fails (ConstructionMismatch)
@@ -434,9 +433,11 @@ def _probe_stack(ctx: "SpectralContext") -> None:
     """
     s, t = _probe_vectors(ctx.dim, ctx.n)
     Vt, Vs = (ctx.state.eigenvectors_times(v) for v in (t, s))
-    # X_k (V t) from the set's nonzeros: each value times (V t) at its column, summed into its row
+    # X_k (V t) from the set's nonzeros: each value times (V t) at its column, summed into its row, all
+    # observables at once over the flattened (observable, row) index
     d, r, c, values = ctx.nonzeros
-    XVt = np.stack([np.bincount(r, w.real, d) + 1j * np.bincount(r, w.imag, d) for w in values * Vt[c]])
+    at, w = (np.arange(ctx.n)[:, None] * d + r).ravel(), (values * Vt[c]).ravel()
+    XVt = (np.bincount(at, w.real, ctx.n * d) + 1j * np.bincount(at, w.imag, ctx.n * d)).reshape(-1, d)
     lhs = XVt @ np.conj(Vs)
     X = ctx.stack[0]
     if ctx.entries is None:
@@ -466,9 +467,9 @@ class SpectralContext:
     def __init__(self, rho: DensityMatrix, X: ObservableSet):
         if rho.dim != X.dim:
             raise DimensionMismatch(f"state dim {rho.dim} != observable dim {X.dim}")
-        # a set given by its nonzeros is read through them and its row table alone: its dense matrices stay unformed
+        # a set given by its nonzeros is read through them alone: its dense matrices stay unformed
         dense = None if X.nonzeros is not None else [M[None] for M in X.observables]
-        self._setup(rho, rho.eigenvalues[None], dense, None if dense else X)
+        self._setup(rho, rho.eigenvalues[None], dense, X.nonzeros)
 
     @classmethod
     def from_arrays(cls, matrix: np.ndarray, lam: np.ndarray, V: np.ndarray,
@@ -480,12 +481,11 @@ class SpectralContext:
         ctx._setup(None, lam, [obs[:, k] for k in range(obs.shape[1])])
         return ctx
 
-    def _setup(self, state, lam, observables, nonzero_set=None) -> None:
+    def _setup(self, state, lam, observables, nonzeros=None) -> None:
         # n arrays (B, d, d), or B = 1 and a set given by its nonzeros, on a state with or without parts
-        self.state, self.lam, self.observables, self.nonzero_set = state, lam, observables, nonzero_set
-        self.nonzeros = None if nonzero_set is None else nonzero_set.nonzeros
+        self.state, self.lam, self.observables, self.nonzeros = state, lam, observables, nonzeros
         self.size, self.dim = lam.shape
-        self.n = len(observables) if nonzero_set is None else nonzero_set.n
+        self.n = len(observables) if nonzeros is None else nonzeros[3].shape[0]
         self.memo = {}
 
     # the states (B, d, d) and eigenvectors (B, d, d), read by every route but the entry route:
@@ -499,7 +499,7 @@ class SpectralContext:
             V = self.V[:, None]
             A, self._entries = np.conj(V).swapaxes(2, 3) @ np.stack(self.observables, axis=1) @ V, None
         else:
-            A, self._entries = _nonzeros_stack(self.state, self.nonzero_set)
+            A, self._entries = _nonzeros_stack(self.state, self.nonzeros)
             A = A[None]
         if self._entries is not None:
             return A, np.zeros((self.size, self.n))     # no diagonal entry: every mean is 0
@@ -517,16 +517,10 @@ class SpectralContext:
     entries = property(lambda self: self._stack and self._entries)
 
     def weights(self, g) -> np.ndarray:
-        """Kernel g(l_a, l_b) on each spectrum, once per kernel; non-finite values are a KernelDomainError.
-
-        A kernel combined from others (``gcov.combined_kernel``) combines its bases' values.
-        """
+        """Kernel g(l_a, l_b) on each spectrum, once per kernel; non-finite values are a KernelDomainError."""
         key = ("weights", g)
         if key not in self.memo:
-            if g.bases:
-                G = np.asarray(g.combine(*map(self.weights, g.bases)), dtype=complex)
-            else:
-                G = g(self.lam[:, :, None], self.lam[:, None, :])
+            G = g(self.lam[:, :, None], self.lam[:, None, :])
             raise_first(~np.isfinite(G).all(axis=(1, 2)), lambda: KernelDomainError(
                 f"kernel '{g.label}' non-finite on the state's spectrum"))
             self.memo[key] = G

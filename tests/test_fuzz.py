@@ -208,7 +208,7 @@ def test_small_fuzz_no_violations(tmp_path):
 
 # sha256 of every margin and scale but eq16's (float64 bits, in table and group order) on
 # FuzzConfig(trials=200, seed=1729); a BLAS or LAPACK build that rounds differently changes it
-PINNED_DIGEST = "350a4399b89feae3930d941e1261d6936805b1539a916c77b5e7a1c2c4b73da6"
+PINNED_DIGEST = "50f7ff48866c0a23bc4a43785dbb2af13667573ac4d45555fdabade4e36fdfce"
 
 
 def test_pinned_margins_and_eq16_against_the_generic_gram():
@@ -251,11 +251,13 @@ def spied(monkeypatch):
 
 
 def test_each_kernel_is_paired_once_per_context(spied, tmp_path):
-    # P, skew, cov(mean), cov(eps), and per f cov(m_f) and the f-skew pairing; kernels mean, eps, m_f
+    # P, skew, cov(eps), and per f cov(m_f) and the f-skew pairing; kernels eps and m_f. The mean
+    # kernel is sld's m_f, so eq17 and sld share its evaluation and its pairing
     fs = [resolve_monotone(label) for label in ("wy", "sld", "wyd:0.3")]
+    assert mean_kernel() is resolve_monotone("sld").mean_kernel
     group = draw_groups(FuzzConfig(trials=20, seed=5), range(20))[0]
     group_margins(group.ctx, DEFAULT_GROUPS, fs)
-    assert spied.pop(group.ctx) == [10, 5] and not spied
+    assert spied.pop(group.ctx) == [9, 4] and not spied
 
     rng = np.random.default_rng(3)
     rho, X = random_density(4, "full", rng), random_observables(4, 3, rng)
@@ -340,6 +342,17 @@ def test_strength_study_orderings(q1_state, q1_obs):
     # saturating fixture: every bound coincides with B
     assert abs(q1_row["bound_eq9a"] - q1_row["B"]) <= 1e-10
     assert abs(q1_row["bound_eq3"] - q1_row["B"]) <= 1e-10
+
+
+def test_strength_study_counts_a_nan_wy_strongest_margin(q1_state, q1_obs, monkeypatch):
+    # a NaN margin fails the ordering, as ``violated`` fails it in the harness
+    import skewsharp.fuzz as fz
+
+    monkeypatch.setattr(fz.wy_strongest_check, "ctx", lambda ctx, f: np.full(ctx.size, math.nan))
+    cfg = FuzzConfig(dims=(2, 3), n_obs=(2,), trials=5, seed=17, f_labels=("wy", "sld"))
+    study = strength_study(cfg, fixed_instances=[(q1_state, q1_obs)])
+    assert study.summary["ordering_violations"] == {"eq9a_vs_eq3": 0, "wy_strongest": 6}
+    assert all(math.isnan(row["wy_strongest_margin"]) for row in study.rows)
 
 
 def test_strength_study_requires_two_observables():

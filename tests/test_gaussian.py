@@ -989,17 +989,25 @@ def test_entry_route_is_found_when_the_stack_is_built(monkeypatch):
     assert len(calls) == 1 and ctx.entries is not None
 
 
-def test_quadrature_row_table_is_built_once_per_size(monkeypatch):
+def test_quadrature_nonzeros_are_cached_and_one_by_one_parts_build_no_row_table(monkeypatch):
     calls, build = [], skew._row_table
     monkeypatch.setattr(skew, "_row_table", lambda *args: calls.append(args[0]) or build(*args))
     gaussian._quadrature_nonzeros.cache_clear()
     H = two_mode_generator(1.0, 1.0)
     reports = [gaussian.saturation_check(H, 30) for _ in range(2)]
-    assert calls == [900] and reports[0].delta_G_numeric == reports[1].delta_G_numeric
+    assert reports[0].delta_G_numeric == reports[1].delta_G_numeric
+    # 1 x 1 parts read each pair's value at its nonzero: the thermal and the nongauss states build no table
+    for M in (_fock_mixture(2, 30, 8001), np.diag(np.eye(1, 900, 30)[0]).astype(complex)):
+        gaussian.nongaussianity(gaussian.fock_density(M, 2, 30), 2, 30)
+    assert calls == [] and gaussian._quadrature_nonzeros.cache_info().misses == 1
+    # the shells' runs of larger parts build theirs once per call
+    for k in (1, 2):
+        gaussian.saturation_check(two_mode_generator(1.0, 1.3, coupling=0.2), 12)
+        assert calls == [144] * k
     # each call a fresh set around the same read-only arrays
     X, Y = quadrature_observables(2, 30), quadrature_observables(2, 30)
     assert X is not Y
-    for x, y in zip((*X.nonzeros[1:], *X.row_table), (*Y.nonzeros[1:], *Y.row_table)):
+    for x, y in zip(X.nonzeros[1:], Y.nonzeros[1:]):
         assert x is y and not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0
@@ -1007,8 +1015,8 @@ def test_quadrature_row_table_is_built_once_per_size(monkeypatch):
     assert len(X.observables) == 4
     Z = quadrature_observables(2, 30)
     assert "observables" not in vars(Z) and "observables" not in vars(Y)
-    nonzeros, table = gaussian._quadrature_nonzeros(2, 30)
-    assert all(x.size < 900**2 for x in (*nonzeros[1:], *table)) and calls == [900]
+    nonzeros = gaussian._quadrature_nonzeros(2, 30)
+    assert all(x.size < 900**2 for x in nonzeros[1:]) and gaussian._quadrature_nonzeros.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("kind", ["uncoupled", "coupled-squeezed"])
@@ -1142,19 +1150,16 @@ def test_coupled_squeezed_parts_are_the_parity_classes():
 
 
 def _corrupt_level(level, factor, cutoff):
-    """``skew._nonzeros_stack`` on a copy of the set whose row table has the quadratures' ladder
-    coefficients between photon numbers level and level + 1 of every mode scaled by factor, at
-    both mirror positions.  The copy keeps the set's nonzeros, which the checks read."""
+    """``skew._nonzeros_stack`` on the set's nonzeros with the quadratures' ladder coefficients
+    between photon numbers level and level + 1 of every mode scaled by factor, at both mirror
+    positions.  The checks keep reading the set's own nonzeros."""
     build = skew._nonzeros_stack
 
-    def corrupted(state, X):
-        at, vals = X.row_table
-        rows = np.arange(at.shape[0])[:, None]
-        # a nonzero links i and i + s_k, s_k the stride of its mode; a padding slot (column 0, value 0) is never hit
-        stride = np.maximum(np.abs(rows - at), 1)
-        hit = np.minimum(rows, at) // stride % cutoff == level
-        table = (at, np.where(hit[..., None], factor * vals, vals))
-        return build(state, ObservableSet._from_nonzeros(*X.nonzeros, row_table=table))
+    def corrupted(state, nonzeros):
+        d, r, c, values = nonzeros
+        # a nonzero links i and i + s_k, s_k the stride of its mode
+        hit = np.minimum(r, c) // np.abs(r - c) % cutoff == level
+        return build(state, (d, r, c, np.where(hit, factor * values, values)))
     return corrupted
 
 
@@ -1218,23 +1223,29 @@ UNIT_RUN_STATES = {      # (n_modes, cutoff, state)
 
 @pytest.mark.parametrize("kind", UNIT_RUN_STATES)
 def test_one_by_one_runs_match_the_batched_product(kind, monkeypatch):
-    # each run of 1 x 1 part pairs against the batched product on the same arguments, then the
+    # each run of 1 x 1 part pairs against the batched product on a row table built here, then the
     # whole stack and entry list against the stack with every run batched
     n, cutoff, state = UNIT_RUN_STATES[kind]
     rho, X = state(), quadrature_observables(n, cutoff)
+    table, (_, part, place) = skew._row_table(*X.nonzeros), skew._part_index(rho.parts, rho.dim)
     runs, unit = [], skew._unit_products
+
+    def batched(lead, rows, V_P, V_Q):
+        _, r, c, _ = lead
+        rows_Q = np.where(r == rows[:, 0], c, r)[:, None]      # j: the lead nonzero is at (i, j) or its mirror
+        return skew._gathered_products(table, rows, V_P, rows_Q, V_Q, part, place)
 
     def checked(*args):
         out = unit(*args)
-        assert np.array_equal(out, skew._gathered_products(*args))
+        assert np.array_equal(out, batched(*args))
         runs.append(out.shape[0])
         return out
 
     monkeypatch.setattr(skew, "_unit_products", checked)
-    stack, entries = skew._nonzeros_stack(rho, X)
-    monkeypatch.setattr(skew, "_unit_products", skew._gathered_products)
-    batched, batched_entries = skew._nonzeros_stack(rho, X)
-    assert np.array_equal(stack, batched)
+    stack, entries = skew._nonzeros_stack(rho, X.nonzeros)
+    monkeypatch.setattr(skew, "_unit_products", batched)
+    batched_stack, batched_entries = skew._nonzeros_stack(rho, X.nonzeros)
+    assert np.array_equal(stack, batched_stack)
     assert all(np.array_equal(u, v) for u, v in zip(entries, batched_entries))
     # every part is 1 x 1 but for the shells (sizes 1..8, no two 1 x 1 shells linked) and the parity classes
     assert sum(runs) == (0 if kind in ("shells", "parity-classes") else entries.a.size)
@@ -1272,7 +1283,7 @@ def _probe_mutation(kind, rho, monkeypatch):
         monkeypatch.setattr(skew, "_nonzeros_stack", lambda state, *args: build(swapped, *args))
         return
     # one whole part, on the left side of its blocks only: in the batched product of a block shape,
-    # or of 1 x 1 parts in their scalar products
+    # or of 1 x 1 parts in their scalar products (``_unit_products``)
     (part, _), *_ = rho.parts
 
     def flipping(build):
