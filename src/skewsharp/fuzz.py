@@ -3,10 +3,14 @@
 Each trial derives its own generator from (master seed, trial index), so runs
 are deterministic at any parallelism and any subset of trials can be replayed
 (``replay_trial``).  ``RELATIONS`` is the one table of relations, for this
-harness and ``skewsharp check`` alike: one record per relation id, in the
+harness, ``skewsharp check`` and the bound-strength study
+(``scripts/strength_compare.py``) alike: one record per relation id, in the
 order of the ``check`` report and of the reproducers, naming its group (what
 ``FuzzConfig.relations`` and ``check`` select), its evaluator, whether it is
-sampled once per f label, and the ``check`` option that selects it.
+sampled once per f label, and the ``check`` option that selects it.  The study
+judges its instances through ``run_fuzz`` and ``context_margins`` and reads its
+bounds from the groups' batched two-observable reports (``draw_groups``); this
+module computes no bound of its own.
 
 Evaluation is grouped.  ``run_fuzz`` draws a chunk of trials, each from its own
 generator exactly as a lone trial would, and groups them by (dim, n); the rank
@@ -31,6 +35,7 @@ fractional-power margins carry no information.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -150,6 +155,11 @@ def require_violation_tol(tol: float) -> float:
     return tol
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (True would pass for 1)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(eq=False)
 class FuzzConfig:
     dims: tuple[int, ...] = (2, 3, 4, 5, 6)
@@ -170,8 +180,10 @@ class FuzzConfig:
             raise ConfigError(f"dims must lie in 2..8, got {self.dims}")
         if not all(1 <= n <= 5 for n in self.n_obs):
             raise ConfigError(f"n_obs must lie in 1..5, got {self.n_obs}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for r in self.ranks:
-            if r != "full" and (not isinstance(r, int) or r < 1):
+            if r != "full" and (not _is_int(r) or r < 1):
                 raise ConfigError(f"ranks entries must be 'full' or positive ints, got {r!r}")
         unknown = [g for g in self.relations if g not in DEFAULT_GROUPS]
         if unknown:
@@ -436,73 +448,3 @@ def run_fuzz(config: FuzzConfig) -> FuzzStats:
         _record_chunk(stats, config, fs, groups, rows)
     return stats
 
-
-# ------------------------------------------------------------ strength study
-
-@dataclass(eq=False)
-class StrengthStudy:
-    rows: list[dict]
-    summary: dict
-
-
-def strength_study(config: FuzzConfig, fixed_instances=None) -> StrengthStudy:
-    """Per-trial lower bounds on |L+||L-| for two observables, plus eq19 across f.
-
-    Asserted orderings are counted, never silently dropped: the eq9a-derived
-    bound dominates the squared-commutator bound, and within the admissible
-    class the plain skew-information relation has the smallest left side.
-    Everything else is reported as empirical frequencies only.
-    """
-    if any(n != 2 for n in config.n_obs):
-        raise ConfigError("strength_study requires n_obs = (2,)")
-    fs = [resolve_monotone(lbl) for lbl in config.f_labels]
-    rows = []
-    ordering_violations = {"eq9a_vs_eq3": 0, "wy_strongest": 0}
-    instances = list(fixed_instances or [])
-
-    instances += [replay_trial(config, t) for t in range(config.trials)]
-    for idx, (rho, X) in enumerate(instances):
-        ctx = SpectralContext(rho, X)
-        two = instance(ctx.two_obs)
-        d2 = two.delta_scalar**2
-        bound_eq3 = d2**2
-        bound_eq9a = d2 * (2 * two.A - d2)
-        tol = config.tol * two.scales["eq9a"]
-        dominates = bound_eq9a >= bound_eq3 - tol
-        if not dominates:
-            ordering_violations["eq9a_vs_eq3"] += 1
-        row = {
-            "instance": idx,
-            "B": two.B,
-            "bound_eq3": bound_eq3,
-            "bound_eq9a": bound_eq9a,
-            "eq9a_dominates": dominates,
-            "margin_eq9a": two.margins["eq9a"],
-            "margin_furuichi": two.margins["furuichi"],
-        }
-        for f in fs:
-            mar = instance(check_metric_adjusted.ctx(ctx, f))
-            row[f"eq19_lhs[{f.label}]"] = mar.margin19 + (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
-            row[f"eq19_rhs[{f.label}]"] = (4 * mar.lam * f.f0) ** 2 * mar.dets["delta"] ** 2
-            if f.label == "sld":     # judged as the harness judges it, on its own scale |sigma+c||sigma-c|
-                wm, scale = map(instance, _wy_strongest(ctx, f))
-                row["wy_strongest_margin"] = wm
-                if violated(wm, scale, config.tol):
-                    ordering_violations["wy_strongest"] += 1
-        rows.append(row)
-
-    bounds = ["bound_eq3", "bound_eq9a"]
-    summary = {
-        "instances": len(rows),
-        "ordering_violations": ordering_violations,
-        "bounds": {
-            b: {
-                "mean": float(np.mean([r[b] for r in rows])),
-                "min": float(np.min([r[b] for r in rows])),
-                "max": float(np.max([r[b] for r in rows])),
-            }
-            for b in bounds
-        },
-        "eq9a_dominates_fraction": float(np.mean([r["eq9a_dominates"] for r in rows])),
-    }
-    return StrengthStudy(rows=rows, summary=summary)

@@ -154,6 +154,10 @@ class QuadraticHamiltonian:
 
 
 def validate_quadratic(S: np.ndarray, n_modes: int, beta: float = 1.0) -> QuadraticHamiltonian:
+    """The generator of S, after checks that S is symmetric and meets Pi conj(S) Pi = S to 1e-10
+    relative.  The stored S is (S + S^T)/2 projected by (S + Pi conj(S) Pi)/2, so it meets both
+    exactly, and every consumer (the truncated H of ``_fock_hamiltonian`` above all) inherits
+    exact Hermiticity; an S that meets them exactly is stored unchanged."""
     S = np.asarray(S, dtype=complex)
     d = 2 * n_modes
     if S.shape != (d, d):
@@ -166,13 +170,14 @@ def validate_quadratic(S: np.ndarray, n_modes: int, beta: float = 1.0) -> Quadra
     sym_dev = float(np.abs(S - S.T).max())
     if sym_dev > 1e-10 * scale:
         raise InvalidGenerator(f"S not symmetric: max|S - S^T| = {sym_dev:.3e}")
-    Pi = block_swap(n_modes)
-    real_dev = float(np.abs(Pi @ S.conj() @ Pi - S).max())
+    swap = np.ix_(*[np.roll(np.arange(d), n_modes)] * 2)     # M[swap] = Pi M Pi, signed zeros kept
+    real_dev = float(np.abs(S.conj()[swap] - S).max())
     if real_dev > 1e-10 * scale:
         raise InvalidGenerator(
             f"S violates the Hermiticity constraint Pi conj(S) Pi = S by {real_dev:.3e}"
         )
-    return QuadraticHamiltonian(n_modes=n_modes, S=S, beta=beta)
+    S = (S + S.T) / 2
+    return QuadraticHamiltonian(n_modes=n_modes, S=(S + S.conj()[swap]) / 2, beta=beta)
 
 
 def single_mode_generator(omega: float, xi: complex = 0.0, beta: float = 1.0) -> QuadraticHamiltonian:
@@ -398,8 +403,11 @@ def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> tuple[np.ndarray,
     record (``fock_basis``): Lambda_j along its links, then Lambda_i from where it arrives, by
     the photon number of Lambda_i's mode there; each step has the coefficient sqrt(l + 1) of the
     link it takes, and a state that Lambda_i cannot move (a_k^dag at the top level, a_k at 0)
-    drops out of the term.  The terms are summed position by position in term order, and the
-    Hermitian part is taken on the triples.  Normal order matters: the truncated a_k a_k^dag
+    drops out of the term.  The terms are summed position by position in term order.  Off the
+    diagonal each position gets exactly one term, and its mirror the term of the conjugate
+    coefficient (S is stored exactly symmetric and constrained, ``validate_quadratic``) with the
+    same product of square roots, so the triples are exactly Hermitian as built; the diagonal
+    sums the real a_k^dag a_k terms.  Normal order matters: the truncated a_k a_k^dag
     is 0 on the top Fock level, a_k^dag a_k is not; the dropped constant [a_k, a_k^dag] = 1
     leaves the state unchanged.
     """
@@ -407,7 +415,7 @@ def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> tuple[np.ndarray,
     b, n, terms = fock_basis(H.n_modes, cutoff), H.n_modes, [(np.arange(0), np.arange(0), np.zeros(0, complex))]
     for i in range(2 * n):
         for j in range(i, 2 * n):
-            s = 0.5 * (H.S[i, j] + H.S[j, i]) if i < j else 0.5 * H.S[i, i]
+            s = H.S[i, j] if i < j else 0.5 * H.S[i, i]
             if s != 0:
                 col, mid, l_j = b.links[:, j]                # Lambda_j: col -> mid
                 # Lambda_i's link from mid has level n_k (a_k^dag) or n_k - 1 (a_k), n_k = the photon
@@ -416,9 +424,7 @@ def _fock_hamiltonian(H: QuadraticHamiltonian, cutoff: int) -> tuple[np.ndarray,
                 moved = (l_i >= 0) & (l_i < cutoff - 1)
                 row = mid[moved] + (1 if i < n else -1) * b.strides[i % n]
                 terms.append((row, col[moved], s * (np.sqrt(l_i[moved] + 1) * np.sqrt(l_j[moved] + 1))))
-    r, c, v = _summed(*map(np.concatenate, zip(*terms)), b.dim)
-    r, c, v = _summed(np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, np.conj(v)]), b.dim)
-    return r, c, v / 2
+    return _summed(*map(np.concatenate, zip(*terms)), b.dim)
 
 
 def check_thermal_cutoff(cutoff: int) -> None:

@@ -467,6 +467,13 @@ def test_fuzz_zero_trials_exit2(capsys):
     assert main(["fuzz", "--trials", "0"]) == 2
 
 
+def test_fuzz_negative_seed_is_a_config_error(capsys):
+    assert main(["fuzz", "--trials", "5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["fuzz", "--not-a-flag"])

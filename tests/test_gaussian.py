@@ -86,6 +86,25 @@ def test_validate_rejects_bad_reality():
         validate_quadratic(np.array([[0, 1j], [1j, 0]]), 1)
 
 
+def test_near_admissible_generator_gives_exactly_hermitian_triples():
+    # an S 1e-11 off both constraints is accepted and stored projected onto them, so the
+    # truncated H, which takes no Hermitian part of its own, is exactly Hermitian
+    rng = np.random.default_rng(11)
+    S = random_admissible_generator(2, rng).S
+    noisy = S + 1e-11 * (rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape))
+    assert np.abs(noisy - noisy.T).max() > 1e-12
+    H = validate_quadratic(noisy, 2)
+    Pi = block_swap(2)
+    assert np.array_equal(H.S, H.S.T) and np.array_equal(Pi @ H.S.conj() @ Pi, H.S)
+    assert np.abs(H.S - S).max() <= 2e-11
+    rows, cols, vals = gaussian._fock_hamiltonian(H, 10)
+    M = _densify((rows, cols, vals), 100)
+    assert np.array_equal(M, M.conj().T)
+    assert np.array_equal(np.flatnonzero(M), np.flatnonzero(M.T))     # every entry has its mirror
+    assert rows.size > 100 and np.all(vals[rows == cols].imag == 0)
+    assert np.array_equal(validate_quadratic(S, 2).S, S)     # an exactly admissible S is kept as it is
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: single_mode_generator(float("nan")), "S has non-finite entries"),
     (lambda: single_mode_generator(1.0, xi=complex("inf")), "S has non-finite entries"),

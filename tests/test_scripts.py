@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,11 +26,55 @@ def test_helper_script_runs(argv, tmp_path):
     assert proc.stdout.strip()
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("skewbench_spans", ROOT / "skewbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("skewbench_spans", ROOT / "skewbench" / "spans.py")
+
+
+def _load_strength():
+    return _load("strength_compare", ROOT / "scripts" / "strength_compare.py")
+
+
+def test_strength_fixture_saturates_every_two_obs_bound():
+    from skewsharp.fuzz import FuzzConfig, context_margins
+
+    sc = _load_strength()
+    fixture = sc.qubit_fixture()
+    margins = context_margins(fixture, ("two-obs",), [])
+    assert [rid for rid, *_ in margins] == ["eq9a", "eq9b", "eq10", "furuichi"]
+    assert all(abs(m) <= 1e-10 for _, _, m, _ in margins)
+    table = sc.bound_table(FuzzConfig(dims=(2,), n_obs=(2,), trials=1), fixture)
+    assert table["trial"][0] == -1
+    for key in ("B", "bound_eq3", "bound_eq9a"):
+        assert abs(table[key][0] - 1 / 16) <= 1e-10, key
+
+
+def test_strength_eq9a_bound_dominates_eq3():
+    from skewsharp.fuzz import FuzzConfig
+
+    sc = _load_strength()
+    cfg = FuzzConfig(dims=(2, 3, 4), n_obs=(2,), trials=40, seed=17)
+    table = sc.bound_table(cfg, sc.qubit_fixture())
+    assert list(table["trial"]) == list(range(-1, 40))
+    assert not table["eq9a_below_eq3"].any()
+
+
+def test_strength_main_fails_on_a_planted_violation(monkeypatch, capsys):
+    import skewsharp.fuzz as fz
+
+    sc = _load_strength()
+    assert sc.main(["--trials", "5"]) == 0
+    monkeypatch.setattr(fz.wy_strongest_check, "ctx", lambda ctx, f: np.full(ctx.size, np.nan))
+    assert sc.main(["--trials", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "wy-strongest  samples=5 violations=5" in out
+    assert "eq9a bound below eq3 bound: 0 of 6" in out
 
 
 def _traced(spans):
