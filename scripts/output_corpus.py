@@ -154,11 +154,12 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
                                                      f"inputs/{name}.obs.json", *extra]))
     for K in sorted({12, cutoff}):
         for kind, M in fock_states(K).items():
-            doc = {"dim": K * K, "matrix": pairs(M)}
-            writers = {"json": json.dumps, "serialize": serialize.dumps} if kind == "diagonal" else {"json": json.dumps}
-            for writer, dump in writers.items():
+            texts = {"json": json.dumps({"dim": K * K, "matrix": pairs(M)})}
+            if kind == "diagonal":
+                texts["serialize"] = serialize.dumps({"dim": K * K, "matrix": M})
+            for writer, text in texts.items():
                 name = f"fock-{kind}-c{K}-{writer}"
-                (inputs / f"{name}.json").write_text(dump(doc))
+                (inputs / f"{name}.json").write_text(text)
                 nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "2",
                                                       "--cutoff", str(K)]))
     for kind, M in one_mode_states(12).items():
@@ -168,7 +169,7 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
     states = fock_states(12)
     for kind in ("diagonal", "breaking"):
         doc = {"dim": 144, "matrix": pairs(states[kind])}
-        files = {f"fock-{kind}-c12-crlf": serialize.dumps(doc).replace("\n", "\r\n"),
+        files = {f"fock-{kind}-c12-crlf": serialize.dumps({**doc, "matrix": states[kind]}).replace("\n", "\r\n"),
                  f"fock-{kind}-c12-label": json.dumps({**doc, "label": "\u03c8"}, ensure_ascii=False)}
         if kind == "diagonal":
             text = json.dumps(doc)

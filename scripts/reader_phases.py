@@ -62,10 +62,11 @@ def files(fock_dim: int, dense_dim: int) -> dict:
     weights = np.zeros(fock_dim)
     weights[:16] = rng.uniform(0.2, 1.0, min(16, fock_dim))
     entries = rng.standard_normal((dense_dim, dense_dim)) + 1j * rng.standard_normal((dense_dim, dense_dim))
-    fock = {"dim": fock_dim, "matrix": serialize.matrix_to_pairs(np.diag(weights / weights.sum()))}
+    diag = np.diag(weights / weights.sum()).astype(complex)
+    fock = {"dim": fock_dim, "matrix": serialize.matrix_to_pairs(diag)}
     dense = {"dim": dense_dim, "matrix": serialize.matrix_to_pairs(entries)}
     return {f"fock d={fock_dim}": (json.dumps(fock), True), f"dense d={dense_dim}": (json.dumps(dense), False),
-            f"fock d={fock_dim}, serialize.dumps": (serialize.dumps(fock), True)}
+            f"fock d={fock_dim}, serialize.dumps": (serialize.dumps({**fock, "matrix": diag}), True)}
 
 
 def best_seconds(fn, repeat: int) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -38,8 +39,6 @@ from .serialize import (
     observables_to_dict,
     parse_observables,
     parse_state,
-    real_matrix_to_lists,
-    sha256_of_file,
     state_to_dict,
     write_text,
 )
@@ -65,8 +64,9 @@ def _verdict(margin: float, scale: float, tol: float) -> str:
 
 def cmd_check(args) -> int:
     tol = _violation_tol(args.tol)
-    rho = parse_state(load_json(args.state))
-    X = parse_observables(load_json(args.observables))
+    digests = {"state_sha256": hashlib.sha256(), "observables_sha256": hashlib.sha256()}
+    rho = parse_state(load_json(args.state, digests["state_sha256"]))
+    X = parse_observables(load_json(args.observables, digests["observables_sha256"]))
     if rho.dim != X.dim:
         raise FormatError(f"dim mismatch: state dim {rho.dim} != observables dim {X.dim}")
 
@@ -87,19 +87,12 @@ def cmd_check(args) -> int:
     verdicts = {k: _verdict(margins[k], scales[k], tol) for k in margins}
     report = {
         "version": __version__,
-        "inputs": {
-            "state_sha256": sha256_of_file(args.state),
-            "observables_sha256": sha256_of_file(args.observables),
-        },
+        "inputs": {key: h.hexdigest() for key, h in digests.items()},
         "state": state_to_dict(rho),
         "observables": observables_to_dict(X),
         "matrices": {
-            "sigma": real_matrix_to_lists(rep.sigma),
-            "delta": real_matrix_to_lists(rep.delta),
-            "skew": real_matrix_to_lists(rep.skew),
-            "classical": real_matrix_to_lists(rep.classical),
-            "L_re": real_matrix_to_lists(rep.L.real),
-            "L_im": real_matrix_to_lists(rep.L.imag),
+            "sigma": rep.sigma, "delta": rep.delta, "skew": rep.skew, "classical": rep.classical,
+            "L_re": rep.L.real, "L_im": rep.L.imag,
         },
         "dets": rep.dets,
         "delta_G": rep.delta_G,
@@ -171,19 +164,16 @@ def cmd_gaussian(args) -> int:
         "version": __version__,
         "generator": {
             "modes": H.n_modes, "beta": H.beta,
-            "S_re": real_matrix_to_lists(H.S.real),
-            "S_im": real_matrix_to_lists(H.S.imag),
+            "S_re": H.S.real, "S_im": H.S.imag,
         },
         "exact": {
-            "sigma": real_matrix_to_lists(sat.moments.sigma),
-            "classical": real_matrix_to_lists(sat.moments.c),
+            "sigma": sat.moments.sigma, "classical": sat.moments.c,
             "delta_G": dg_exact,
         },
         "numeric": {
             "cutoff": args.cutoff,
             "tail_mass": sat.tail_mass,
-            "sigma": real_matrix_to_lists(sat.refined.sigma),
-            "classical": real_matrix_to_lists(sat.refined.classical),
+            "sigma": sat.refined.sigma, "classical": sat.refined.classical,
             "delta_G": dg_numeric,
         },
         "tolerances": {"exact": tol_exact, "numeric": tol_numeric},

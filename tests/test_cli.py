@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skewsharp import cli, serialize
 from skewsharp.cli import build_parser, main
 from skewsharp.serialize import dumps, matrix_to_pairs
 
@@ -178,6 +181,76 @@ def test_check_report_matches_trial_margins(tmp_path):
             assert report["margins"] == {rid: m for rid, _, m, _ in rows}
             assert report["scales"] == {rid: s for rid, _, _, s in rows}
             assert ("wy-strongest" in report["margins"]) == (label != "wyd:0.3")
+
+
+def _random_instance(tmp_path, dim, crlf=False):
+    rng = np.random.default_rng(dim)
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    M = G @ G.conj().T
+    mats = [(H + H.conj().T) / 2 for H in
+            (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2))]
+    paths = tmp_path / "state.json", tmp_path / "obs.json"
+    for path, doc in zip(paths, ({"dim": dim, "matrix": M / np.trace(M).real},
+                                 {"dim": dim, "observables": mats})):
+        text = dumps(doc)
+        path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    return paths
+
+
+@pytest.mark.parametrize("dim, crlf", [(3, False), (3, True), (100, False), (100, True)])
+def test_check_digests_are_of_the_input_bytes(tmp_path, dim, crlf):
+    # small files (one read) and files above MATRIX_ROUTE_MIN_CHARS (one buffer), LF and
+    # CRLF: the digest is of the raw bytes, not of the decoded text
+    paths = _random_instance(tmp_path, dim, crlf)
+    big = [len(p.read_bytes()) > serialize.MATRIX_ROUTE_MIN_CHARS for p in paths]
+    assert big == [dim == 100] * 2
+    out = tmp_path / "report.json"
+    assert main(["check", *map(str, paths), "--json-out", str(out)]) == 0
+    inputs = json.loads(out.read_text())["inputs"]
+    assert inputs == {"state_sha256": hashlib.sha256(paths[0].read_bytes()).hexdigest(),
+                      "observables_sha256": hashlib.sha256(paths[1].read_bytes()).hexdigest()}
+
+
+def test_check_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
+    # a state file rewritten after it was parsed: the report's digest still describes
+    # the bytes behind the echoed state, not the file as it is when the report is written
+    sp, op = write_q1(tmp_path)
+    original = Path(sp).read_bytes()
+    parse = cli.parse_state
+
+    def parse_then_rewrite(*args, **kwargs):
+        state = parse(*args, **kwargs)
+        with open(sp, "ab") as fh:
+            fh.write(b"\n")
+        return state
+
+    monkeypatch.setattr(cli, "parse_state", parse_then_rewrite)
+    out = tmp_path / "report.json"
+    assert main(["check", sp, op, "--json-out", str(out)]) == 0
+    assert Path(sp).read_bytes() == original + b"\n"
+    report = json.loads(out.read_text())
+    assert report["inputs"]["state_sha256"] == hashlib.sha256(original).hexdigest()
+    assert report["inputs"]["observables_sha256"] == hashlib.sha256(Path(op).read_bytes()).hexdigest()
+
+
+def test_check_report_over_a_longer_file(tmp_path):
+    sp, op = write_q1(tmp_path)
+    fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
+    over.write_text("x" * 100_000)
+    assert main(["check", sp, op, "--json-out", str(fresh)]) == 0
+    assert main(["check", sp, op, "--json-out", str(over)]) == 0
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_check_json_out_to_devnull(tmp_path):
+    sp, op = write_q1(tmp_path)
+    assert main(["check", sp, op, "--two-obs", "--json-out", os.devnull]) == 0
+
+
+def test_check_json_out_to_a_directory_exit2(tmp_path, capsys):
+    sp, op = write_q1(tmp_path)
+    assert main(["check", sp, op, "--json-out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 # ------------------------------------------------------------------ lambda

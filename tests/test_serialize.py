@@ -1,14 +1,17 @@
+import hashlib
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skewsharp import serialize
 from skewsharp.serialize import FormatError, dumps, matrix_to_pairs, pairs_to_matrix
@@ -81,8 +84,8 @@ def _payload():
 
 
 def test_dumps_float_rows_match_recursive_rendering():
-    # rows of equal-length float lists take the one-format-per-row path; anything
-    # else (ints, numpy floats, ragged or empty rows, deeper nesting) must not
+    # nested float lists (the list form of a matrix) and their near misses (ints,
+    # numpy floats, ragged or empty rows, deeper nesting) render as the reference does
     rows = {
         "pairs": [[x, y] for x, y in zip(SPECIAL, SPECIAL[3:] + SPECIAL[:3])],
         "width1": [[x] for x in SPECIAL],
@@ -99,6 +102,50 @@ def test_dumps_float_rows_match_recursive_rendering():
         assert dumps(node) == recursive_dumps(node)
 
 
+def _list_form(A):
+    """The nested list an array renders as: rows of numbers, or rows of [re, im] cells."""
+    return matrix_to_pairs(A) if A.dtype == complex else A.tolist()
+
+
+def _assert_renders_as_list(A):
+    # alone, and nested under a dict and under a list: the same bytes as the list form
+    for wrap in (lambda m: m, lambda m: {"m": m}, lambda m: [m, [m]], lambda m: {"k": [1.5, {"m": m}]}):
+        want = recursive_dumps(wrap(_list_form(A)))
+        assert dumps(wrap(_list_form(A))) == want
+        assert dumps(wrap(A)) == want
+
+
+def test_dumps_arrays_match_their_list_rendering():
+    rng = np.random.default_rng(5)
+    special = np.array(SPECIAL)
+    for shape in [(1, 1), (3, 3), (2, 5), (5, 2), (1, 4), (4, 1)]:
+        size = shape[0] * shape[1]
+        real = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+        real.ravel()[:min(size, len(special))] = rng.permutation(special)[:size]
+        imag = rng.standard_normal(shape)
+        imag.ravel()[-min(size, len(special)):] = rng.permutation(special)[:size]
+        C = real.astype(complex)
+        C.imag = imag               # not real + 1j * imag, where inf * 0 would be nan
+        for A in (real, C, C.conj().T, real.T, C.imag):   # C.imag is a strided view
+            _assert_renders_as_list(A)
+    for shape in [(0, 0), (2, 0), (0, 3)]:
+        _assert_renders_as_list(np.zeros(shape))
+        _assert_renders_as_list(np.zeros(shape, dtype=complex))
+
+
+_matrix_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.one_of(
+    hnp.arrays(np.float64, _matrix_shapes, elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), st.sampled_from(SPECIAL))),
+    hnp.arrays(np.complex128, _matrix_shapes, elements=st.complex_numbers(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True))))
+def test_dumps_drawn_arrays_match_their_list_rendering(A):
+    _assert_renders_as_list(A)
+
+
 def test_dumps_matches_recursive_rendering():
     obj = _payload()
     assert dumps(obj) == recursive_dumps(obj)
@@ -107,7 +154,8 @@ def test_dumps_matches_recursive_rendering():
 
 
 def test_dumps_rejects_what_the_recursive_rendering_rejects():
-    for bad in (np.bool_(True), [np.bool_(True), 1.0], {"a": object()}, np.zeros(2)):
+    for bad in (np.bool_(True), [np.bool_(True), 1.0], {"a": object()}, np.zeros(2), np.zeros((2, 2, 2)),
+                np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=np.float32), {"m": np.zeros((2, 2), np.complex64)}):
         with pytest.raises(FormatError):
             recursive_dumps(bad)
         with pytest.raises(FormatError):
@@ -527,7 +575,47 @@ def test_load_json_reads_the_text_when_the_size_is_wrong(off, tmp_path, monkeypa
     fstat = os.fstat
     monkeypatch.setattr(serialize.os, "fstat", lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + off))
     assert _outcome(path, serialize.load_json) == want
-    assert isinstance(serialize.load_json(path)["matrix"], np.ndarray)
+    digest = hashlib.sha256()
+    assert isinstance(serialize.load_json(path, digest)["matrix"], np.ndarray)
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()   # of the text read alone
+
+
+@pytest.mark.parametrize("name", ["small", "small crlf", "large", "large crlf", "non-ascii label"])
+def test_load_json_hashes_the_bytes_it_parses(name, tmp_path):
+    if name.startswith("small"):
+        text = _state_text(["0.5", "0", "0", "0", "0", "0", "0.5", "0"], 2)
+    else:
+        text = _large_state_text("\u03c8" if name == "non-ascii label" else "s")
+    data = (text.replace("\n", "\r\n") if name.endswith("crlf") else text).encode("utf-8")
+    assert (len(data) > serialize.MATRIX_ROUTE_MIN_CHARS) == (not name.startswith("small"))
+    assert (b"\r" in data) == name.endswith("crlf")
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    assert _outcome(path, lambda p: serialize.load_json(p, digest)) == _outcome(path, _text_mode_json)
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_write_text_writes_over_a_longer_file_and_cuts_it(tmp_path):
+    path = tmp_path / "report.json"
+    serialize.write_text(str(path), "x" * 70_000 + "\u03c8")
+    serialize.write_text(str(path), "short \u03c8\n")
+    assert path.read_bytes() == "short \u03c8\n".encode("utf-8")
+    serialize.write_text(str(path), "a longer text\n")
+    assert path.read_text() == "a longer text\n"
+    serialize.write_text(os.devnull, "ignored")   # a character device: written, not cut
+
+
+def test_write_text_creates_a_file_as_open_does(tmp_path):
+    old = os.umask(0o027)
+    try:
+        serialize.write_text(str(tmp_path / "new.json"), "{}\n")
+        with open(tmp_path / "by_open.json", "w") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("new.json", "by_open.json")}
+    assert modes == {0o640}
 
 
 def test_load_json_closes_its_buffer(tmp_path, monkeypatch):
