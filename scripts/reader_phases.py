@@ -20,7 +20,11 @@ prints the best of --repeat runs in ms:
 - json of the rest: ``loads`` and ``_place``, json on the text without the matrices.
 
 ``total`` is a separate timing of ``load_json``, and ``peak`` the tracemalloc peak
-of one ``load_json`` call in MiB.  ``state`` is the best of --repeat timings of
+of one ``load_json`` call in MiB.  ``chunks`` is the number of chunks that one
+``_matrix_spans`` pass reads from the file's bytes, and ``classified`` how many of
+them go through ``_classify``: the reader cuts its chunks at whole rows of the
+matrix, so each chunk that equals the one before it (a stretch of zero rows)
+takes that chunk's classification.  ``state`` is the best of --repeat timings of
 ``gaussian.fock_density`` on the parsed matrix of a Fock file, in ms: the finite,
 Hermitian, trace and PSD checks and the eigensystems, on 2 modes when the size is
 a square (cutoff 30 at d = 900, as in the benchmark's nongauss files) and else on
@@ -92,6 +96,18 @@ def fock_cells(path: str, repeat: int) -> str:
     return f"{1e3 * state:.1f} | {1e3 * op:.1f}"
 
 
+def chunk_counts(path: str) -> tuple[int, int]:
+    """Chunks read and chunks classified by one ``_matrix_spans`` pass over the file's bytes."""
+    classified, classify = [], serialize._classify
+    serialize._classify = lambda piece: classified.append(len(piece)) or classify(piece)
+    try:
+        with open(path, "rb") as fh:
+            chunks = serialize._matrix_spans(fh.read())[1]
+    finally:
+        serialize._classify = classify
+    return len(chunks), len(classified)
+
+
 def one_run(path: str) -> dict:
     """Self seconds per step name of one ``load_json`` call."""
     names = {name for steps in PHASES.values() for name in steps}
@@ -129,8 +145,8 @@ def main(argv=None) -> None:
     parser.add_argument("--repeat", type=int, default=7, help="runs per file; each phase prints its best")
     args = parser.parse_args(argv)
     print(f"best of {args.repeat} runs, ms; peak in MiB")
-    print("| file | chars | " + " | ".join(PHASES) + " | total | peak | state | op |")
-    print("|---" * (len(PHASES) + 6) + "|")
+    print("| file | chars | " + " | ".join(PHASES) + " | total | peak | chunks | classified | state | op |")
+    print("|---" * (len(PHASES) + 8) + "|")
     with tempfile.TemporaryDirectory() as tmp:
         for label, (text, fock) in files(args.fock_dim, args.dense_dim).items():
             path = os.path.join(tmp, "state.json")
@@ -145,8 +161,10 @@ def main(argv=None) -> None:
             finally:
                 tracemalloc.stop()
             cells = " | ".join(f"{1e3 * t:.1f}" for t in best + [total])
+            read, classified = chunk_counts(path)
             fock_part = fock_cells(path, args.repeat) if fock else "- | -"
-            print(f"| {label} | {os.path.getsize(path)} | {cells} | {peak / 2 ** 20:.1f} | {fock_part} |")
+            print(f"| {label} | {os.path.getsize(path)} | {cells} | {peak / 2 ** 20:.1f} | {read} | {classified} "
+                  f"| {fock_part} |")
 
 
 if __name__ == "__main__":

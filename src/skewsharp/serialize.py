@@ -15,22 +15,24 @@ every array that is exactly a d x d matrix of [re, im] number cells comes back a
 one float64 array of shape (d, d, 2), read from the text's bytes instead of
 through about 3 d^2 Python objects
 (``pairs_to_matrix`` takes either form).  ``load_json`` reads a file above that
-size once, into an anonymous buffer whose pages the kernel fills in one call; a
-file of ASCII bytes with no CR goes to ``loads`` as that buffer, with no decoded
-copy, and any other file as the str a text-mode read gives (CRLF and lone CR as
-LF).  One pass over the text's bytes, chunk by chunk, marks the number bytes
-(0-9 . e E + -) by byte ranges and builds a skeleton with one ``bytes.translate``
-per chunk: no whitespace, and each number token (a run of number bytes) as one
-"n".  A matrix is accepted only where the skeleton is exactly [[[n,n],...],...]
-for the d of its first row, which proves that it is square with one token per
-slot.  A token that is exactly 0.0 or 0 (``dumps`` writes a zero as 0) becomes
-+0.0 without conversion.  Every other token must be a JSON number, and not an
-integer -0 (json reads it as +0.0, strtod as -0.0), with a finite value;
-``np.fromstring`` converts them.  Each accepted matrix is replaced by a marker string and json
-parses what is left, so keys, strings, ``dim``, ``label`` and every other array
-take the json path.  If that parse fails, or a marker is not a value exactly once
-(a matrix-like text inside a string, or in a key), the whole text goes to
-``json.loads``.  Both conversions round correctly, so an accepted text gives
+size once, into an anonymous buffer advised to take huge pages; a file of ASCII
+bytes with no CR goes to ``loads`` as that buffer, with no decoded copy, and any
+other file as the str a text-mode read gives (CRLF and lone CR as LF).  One pass
+over the text's bytes, chunk by chunk, marks the number bytes (0-9 . e E + -) by
+byte ranges and builds a skeleton with one ``bytes.translate`` per chunk: no
+whitespace, and each number token (a run of number bytes) as one "n".  Chunks
+hold whole rows of the last matrix where a row is short enough, so in a stretch
+of zero rows each chunk equals the one before it and takes that chunk's skeleton
+and tokens without a second pass.  A matrix is accepted only where the skeleton
+is exactly [[[n,n],...],...] for the d of its first row, which proves that it is
+square with one token per slot.  A token that is exactly 0.0 or 0 (``dumps``
+writes a zero as 0) becomes +0.0 without conversion.  Every other token must be
+a JSON number, and not an integer -0 (json reads it as +0.0, strtod as -0.0),
+with a finite value; ``np.fromstring`` converts them.  Each accepted matrix is
+replaced by a marker string and json parses what is left, so keys, strings,
+``dim``, ``label`` and every other array take the json path.  If that parse
+fails, or a marker is not a value exactly once (a matrix-like text inside a
+string, or in a key), the whole text goes to ``json.loads``.  Both conversions round correctly, so an accepted text gives
 bit-identical numbers, and a rejected one raises json's own exception.
 """
 
@@ -43,6 +45,7 @@ import json
 import mmap
 import numbers
 import os
+import re
 import stat
 from json.encoder import encode_basestring_ascii
 
@@ -232,23 +235,45 @@ MATRIX_ROUTE_MIN_CHARS = 1 << 17
 # JSON whitespace instead.
 _CLASS = (b"?" * 9 + b"  ?? " + b"?" * 18 + b" " + b"?" * 10 + b"n,nn?" + b"n" * 10
           + b"?" * 11 + b"n" + b"?" * 21 + b"[?]" + b"?" * 7 + b"n" + b"?" * 154)
-# The route reads a text in chunks of about this many characters, so that its
+# The route reads a text in chunks of at most this many characters, so that its
 # per-byte masks exist for one chunk at a time and stay in cache.  With 2^20 the
 # tracemalloc peak on a d = 300 Fock-diagonal file was 8.4 MiB (2.6 MiB at 2^16),
-# and the d = 900 files read about 1.5 times slower.
+# and the d = 900 files read about 1.5 times slower.  A chunk holds whole rows of
+# the text's last matrix where a row is shorter (_chunk_chars), so that a stretch
+# of zero rows gives chunks equal byte for byte, classified once.
 _CHUNK_CHARS = 1 << 16
 _MARK = "\0"
+# A row separator of a matrix, "]" ws "]" ws "," ws "[" ws "[" (json.dumps and dumps
+# lay rows out so), reversed: a search from the end of a text stops after two rows
+_ROW_SEPARATOR_REVERSED = re.compile(rb"\[[ \t\n\r]*\[[ \t\n\r]*,[ \t\n\r]*\][ \t\n\r]*\]")
 
 
-def _chunks(text, start: int, stop: int):
-    """(offset, bytes) of text[start:stop] in pieces of about _CHUNK_CHARS, each but
-    the last ending in a byte that is not a number byte, so that no token
-    straddles two (a token longer than a chunk is cut, and its pieces make no
-    matrix).  A str piece is encoded with "?" for each character beyond ASCII."""
+def _piece(text, start: int, stop: int) -> bytes:
+    """text[start:stop] as bytes, a str piece with "?" for each character beyond ASCII."""
+    piece = text[start:stop]
+    return piece.encode("ascii", "replace") if isinstance(piece, str) else piece
+
+
+def _chunk_chars(text) -> int:
+    """The largest whole multiple of the text's row length that is at most
+    _CHUNK_CHARS, the row length being the distance between the last two row
+    separators in its last 2 _CHUNK_CHARS characters; _CHUNK_CHARS if there are
+    fewer than two, or the row is longer."""
+    size = _CHUNK_CHARS
+    tail = _piece(text, max(len(text) - 2 * size, 0), len(text))[::-1]
+    ends = [m.end() for m in itertools.islice(_ROW_SEPARATOR_REVERSED.finditer(tail), 2)]
+    if len(ends) < 2 or ends[1] - ends[0] > size:
+        return size
+    return size - size % (ends[1] - ends[0])
+
+
+def _chunks(text, size: int):
+    """(offset, bytes) of the text in pieces of about size characters, each but the
+    last ending in a byte that is not a number byte, so that no token straddles two
+    (a token longer than a chunk is cut, and its pieces make no matrix)."""
+    start, stop = 0, len(text)
     while start < stop:
-        piece = text[start:min(start + _CHUNK_CHARS, stop)]
-        if isinstance(piece, str):
-            piece = piece.encode("ascii", "replace")
+        piece = _piece(text, start, min(start + size, stop))
         if start + len(piece) < stop:
             piece = piece.rstrip(b"0123456789.eE+-") or piece
         yield start, piece
@@ -336,7 +361,7 @@ def _converted(spaced: bytes, count: int) -> np.ndarray | None:
     return values if values.size == count and np.isfinite(values).all() else None
 
 
-def _matrix_size(skeleton: bytearray, i: int, e: int) -> int:
+def _matrix_size(skeleton: bytes, i: int, e: int) -> int:
     """d when skeleton[i:] starts with the skeleton of a d x d matrix of [n,n] cells
     whose first row ends at e, the first "]]" after i; else 0."""
     d, rest = divmod(e - i, 6)   # "[" then the first row "[[n,n],...,[n,n]]": "]]" at 6 d
@@ -357,21 +382,29 @@ def _matrix_spans(text) -> tuple[list, list]:
     """One pass over the text, chunk by chunk: the (start, stop, d, first token,
     first chunk) of each text[start:stop] whose skeleton is exactly that of a d x d
     matrix of [re, im] cells, in text order; and per chunk its offset, the tokens
-    before it and in it, and its _other_tokens."""
-    skeleton, offsets, chunks, tokens = bytearray(), [], [], 0
-    for start, piece in _chunks(text, 0, len(text)):
-        chars, num, first, piece_skeleton = _classify(piece)
-        offsets.append(len(skeleton))
-        skeleton += piece_skeleton
-        count = np.count_nonzero(first)
-        chunks.append((start, tokens, count, _other_tokens(chars, num, first, count)))
+    before it and in it, and its _other_tokens.  A chunk equal to the one before
+    it takes that chunk's skeleton, token count and _other_tokens, which depend on
+    its bytes alone."""
+    pieces, offsets, chunks, tokens, length, previous = [], [], [], 0, 0, None
+    for start, piece in _chunks(text, _chunk_chars(text)):
+        if piece != previous:
+            chars, num, first, piece_skeleton = _classify(piece)
+            count = np.count_nonzero(first)
+            others = _other_tokens(chars, num, first, count)
+            previous = piece
+        pieces.append(piece_skeleton)
+        offsets.append(length)
+        length += len(piece_skeleton)
+        chunks.append((start, tokens, count, others))
         tokens += count
+    skeleton = b"".join(pieces)
 
     def char_index(k):
         # of a bracket: the skeleton keeps every bracket of the text, in order
         c = bisect.bisect_right(offsets, k) - 1
         bracket = skeleton[k:k + 1]
-        start, piece = next(_chunks(text, chunks[c][0], len(text)))
+        start = chunks[c][0]
+        piece = _piece(text, start, chunks[c + 1][0] if c + 1 < len(chunks) else len(text))
         at = np.flatnonzero(np.frombuffer(piece, np.uint8) == bracket[0])
         return start + int(at[skeleton.count(bracket, offsets[c], k)])
 
@@ -476,15 +509,19 @@ def _decoded(data) -> str:
 def load_json(path: str, sha256=None):
     """``loads`` of a UTF-8 file's text as a text-mode read gives it, from one read
     of the file.  A file above MATRIX_ROUTE_MIN_CHARS is read into an anonymous
-    buffer whose pages the kernel fills in one call; if it is ASCII without CR,
-    loads reads that buffer, and else its decoded text.  The buffer is closed
+    buffer advised to take huge pages; if it is ASCII without CR, loads reads that
+    buffer, and else its decoded text.  The buffer is closed
     before this returns, and nothing returned is a view of it.  ``sha256``, a
     hashlib object, is updated with the very bytes parsed (the buffer before it
     closes, or the bytes of the read); without it nothing is hashed."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size > MATRIX_ROUTE_MIN_CHARS:
-            with mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)) as buf:
+            with mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) as buf:
+                try:   # huge pages, where the kernel gives them, take the fill in fewer faults
+                    buf.madvise(mmap.MADV_HUGEPAGE)
+                except (AttributeError, OSError):
+                    pass
                 # a file that changed size since the fstat takes the text read below
                 if fh.readinto(buf) == size and not fh.read(1):
                     if sha256 is not None:

@@ -447,6 +447,66 @@ def test_loads_route_fills_the_zeros_dumps_writes(monkeypatch):
     assert sum(counts) == 16            # the weights alone are converted
 
 
+def _fock_diagonal(d, levels, rng):
+    weights = np.zeros(d)
+    weights[:levels] = rng.uniform(0.2, 1.0, levels)
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+@pytest.mark.parametrize("writer", ["json.dumps", "dumps"])
+def test_loads_route_classifies_a_stretch_of_zero_rows_once(monkeypatch, writer):
+    # chunks of whole rows: past the weights every chunk equals the one before it
+    diag = _fock_diagonal(900, 16, np.random.default_rng(900))
+    doc = {"dim": 900, "matrix": matrix_to_pairs(diag) if writer == "json.dumps" else diag}
+    text = (json.dumps if writer == "json.dumps" else dumps)(doc)
+    classified, classify = [], serialize._classify
+    monkeypatch.setattr(serialize, "_classify", lambda piece: classified.append(len(piece)) or classify(piece))
+    chunks = serialize._matrix_spans(text)[1]
+    assert len(chunks) > 100 and len(classified) <= 8
+    assert _bits(pairs_to_matrix(serialize.loads(text)["matrix"])).tobytes() == _bits(diag).tobytes()
+
+
+def _repeating_texts():
+    """name: (text, whether a chunk repeats the one before it), at d = 24 under
+    1024-character chunks: three rows of json.dumps cells or two of dumps per chunk."""
+    rng = np.random.default_rng(24)
+    d = 24
+    fock = _fock_diagonal(d, 3, rng)
+    last = fock.copy()
+    last[-1, 5], last[-2, 7] = 0.1 + 1e-9j, complex(-0.0, -1 / 3)   # the measured row is not a zero row
+    fock_text = json.dumps({"dim": d, "matrix": matrix_to_pairs(fock)})
+    real = np.zeros((d, d))
+    real[:3, :3] = rng.standard_normal((3, 3))
+    real[5, 1], real[9, 0] = -0.0, 2.5
+    obs = [fock, np.zeros((d, d), complex), fock.T * 1j]
+    obs[1][0, 1], obs[1][1, 0] = complex(0.5, -0.0), 0.5
+    labelled = dumps({"dim": d, "matrix": fock, "label": "ψ"})
+    return {
+        "nonzero in the last rows": (dumps({"dim": d, "matrix": last}), False),
+        "01 in every row": (fock_text.replace(", 0.0]]", ", 01]]"), True),
+        "-0 in every row": (fock_text.replace(", 0.0]]", ", -0]]"), True),
+        "real matrix": (dumps({"dim": d, "matrix": real}), False),
+        "observables": (dumps({"dim": d, "observables": obs}), True),
+        "crlf": (labelled.replace("\n", "\r\n").replace("ψ", "s"), True),
+        "non-ascii label": (labelled, True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_repeating_texts()))
+def test_loads_route_matches_json_where_chunks_repeat(name, monkeypatch, route):
+    text, repeats = _repeating_texts()[name]
+    monkeypatch.setattr(serialize, "_CHUNK_CHARS", 1024)
+    if name == "real matrix":   # rows of numbers: a list, as json gives it, -0.0 included
+        got, want = route(text)["matrix"], json.loads(text)["matrix"]
+        assert got == want and np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        assert _outcome(text, route) == _outcome(text, json.loads)
+    classified, classify = [], serialize._classify
+    monkeypatch.setattr(serialize, "_classify", lambda piece: classified.append(len(piece)) or classify(piece))
+    chunks = serialize._matrix_spans(text)[1]
+    assert (len(classified) < len(chunks)) == repeats
+
+
 def test_loads_route_rejects_zero_lookalikes_as_before(route):
     # a bare 0 is filled; -0, 01, -01 and 00 still fail the grammar and go to json, which reads
     # -0 as +0.0 and raises on the others
@@ -485,6 +545,7 @@ class TestRouteThroughLoadJson:
         test_loads_route_matches_json_on_slots_and_zero_lookalikes)
     test_loads_route_across_chunk_boundaries = staticmethod(test_loads_route_across_chunk_boundaries)
     test_loads_route_rejects_zero_lookalikes_as_before = staticmethod(test_loads_route_rejects_zero_lookalikes_as_before)
+    test_loads_route_matches_json_where_chunks_repeat = staticmethod(test_loads_route_matches_json_where_chunks_repeat)
 
 
 def test_classify_marks_number_bytes_and_token_starts_and_builds_the_skeleton():
