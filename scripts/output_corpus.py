@@ -16,9 +16,12 @@ The runs:
   ``--two-obs --f sld``, ``--two-obs --f wyd:0.3 --tol 1e-6``), each with
   ``--json-out``.  The instances are q1 = diag(3/4, 1/4) and |+> with (sx, sy),
   and 10 seeded ones of dimension 2 to 6, pure and mixed, two of them with 3
-  observables; and ``check --two-obs --f wy --json-out`` on a seeded dense
+  observables; ``check --two-obs --f wy --json-out`` on a seeded dense
   instance of dimension 128 (a mixed state and two observables), the only
-  ``check`` whose stack check pairs matrices larger than 6 x 6;
+  ``check`` whose stack check pairs matrices larger than 6 x 6; and
+  ``check --two-obs --json-out`` with the q1 observables on q1's state written
+  by ``serialize.dumps`` with CRLF line endings, and on an empty state file (a
+  JSON error, exit 2);
 - ``fuzz --seed 20240501 --trials N --json-out``;
 - ``gaussian --json-out`` on the 2-mode structures at --cutoff: uncoupled
   modes, photon-number shells (a beamsplitter coupling) and a coupled and
@@ -41,8 +44,9 @@ The runs:
   reading their bytes: the Fock-diagonal and parity-breaking states written by
   ``serialize.dumps`` with CRLF line endings, and the same states with a
   non-ASCII ``label`` (written by ``json.dumps`` without ASCII escapes); and on
-  the Fock-diagonal ``json.dumps`` file cut three quarters of the way through its
-  matrix, a JSON error (exit 2).
+  three variants of the Fock-diagonal ``json.dumps`` file that exit 2: the file
+  cut three quarters of the way through its matrix, the file after one NUL byte,
+  and the file with the byte 0xff as its ``label`` (not UTF-8).
 
 Each run writes OUTDIR/<run>/ with ``stdout``, ``stderr``, ``exit`` (the exit
 code) and, for the runs that write one, ``report.json``; the input files go to
@@ -152,6 +156,12 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
         for flags, extra in flag_sets.items():
             checks.append((f"check-{name}-{flags}", ["check", f"inputs/{name}.state.json",
                                                      f"inputs/{name}.obs.json", *extra]))
+    q1_crlf = serialize.dumps({"dim": 2, "matrix": check_instances()["q1"][0]}).replace("\n", "\r\n")
+    (inputs / "q1-crlf.state.json").write_bytes(q1_crlf.encode())
+    (inputs / "empty.state.json").write_bytes(b"")
+    for name in ("q1-crlf", "empty"):
+        checks.append((f"check-{name}-two-obs", ["check", f"inputs/{name}.state.json", "inputs/q1.obs.json",
+                                                 "--two-obs"]))
     for K in sorted({12, cutoff}):
         for kind, M in fock_states(K).items():
             texts = {"json": json.dumps({"dim": K * K, "matrix": pairs(M)})}
@@ -171,11 +181,14 @@ def write_inputs(outdir: Path, cutoff: int) -> tuple[list, list]:
         doc = {"dim": 144, "matrix": pairs(states[kind])}
         files = {f"fock-{kind}-c12-crlf": serialize.dumps({**doc, "matrix": states[kind]}).replace("\n", "\r\n"),
                  f"fock-{kind}-c12-label": json.dumps({**doc, "label": "\u03c8"}, ensure_ascii=False)}
+        files = {name: text.encode("utf-8") for name, text in files.items()}
         if kind == "diagonal":
-            text = json.dumps(doc)
-            files["fock-diagonal-c12-truncated"] = text[:3 * len(text) // 4]
-        for name, text in files.items():
-            (inputs / f"{name}.json").write_bytes(text.encode("utf-8"))
+            data = json.dumps(doc).encode()
+            files["fock-diagonal-c12-truncated"] = data[:3 * len(data) // 4]
+            files["fock-diagonal-c12-leading-nul"] = b"\0" + data
+            files["fock-diagonal-c12-invalid-utf8"] = json.dumps({**doc, "label": "?"}).encode().replace(b'"?"', b'"\xff"')
+        for name, data in files.items():
+            (inputs / f"{name}.json").write_bytes(data)
             nongauss.append((f"nongauss-{name}", ["nongauss", f"inputs/{name}.json", "--modes", "2", "--cutoff", "12"]))
     (inputs / "vacuum-d4.json").write_text(json.dumps({"dim": 4, "matrix": pairs(np.diag([1.0, 0, 0, 0]))}))
     nongauss.append(("nongauss-vacuum-d4-cutoff-minus-2", ["nongauss", "inputs/vacuum-d4.json", "--modes", "2",

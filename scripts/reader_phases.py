@@ -12,7 +12,7 @@ with ``load_json`` while the reader's steps are timed with ``time.perf_counter``
 a phase is the self time of its steps (time in nested steps excluded), and
 prints the best of --repeat runs in ms:
 
-- read: ``load_json`` itself, the buffer fill (and the ASCII and CR test);
+- read: ``load_json`` itself, the one ``read`` of the file (and the ASCII and CR test);
 - classify+skeleton: ``_classify`` and ``_matrix_spans``, the number-byte mask,
   token starts and skeleton of each chunk, and the matrix search;
 - zero fill: ``_other_tokens`` and ``_matrix_values``, the tokens other than 0.0 and 0 and the value array;
@@ -20,7 +20,8 @@ prints the best of --repeat runs in ms:
 - json of the rest: ``loads`` and ``_place``, json on the text without the matrices.
 
 ``total`` is a separate timing of ``load_json``, and ``peak`` the tracemalloc peak
-of one ``load_json`` call in MiB.  ``chunks`` is the number of chunks that one
+of one ``load_json`` call in MiB, the file's bytes included (the read returns them
+as one bytes object).  ``chunks`` is the number of chunks that one
 ``_matrix_spans`` pass reads from the file's bytes, and ``classified`` how many of
 them go through ``_classify``: the reader cuts its chunks at whole rows of the
 matrix, so each chunk that equals the one before it (a stretch of zero rows)

@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (SkewsharpError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (SkewsharpError, json.JSONDecodeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -174,12 +174,12 @@ class FuzzConfig:
 
     def __post_init__(self):
         require_violation_tol(self.tol)
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not all(2 <= d <= 8 for d in self.dims):
-            raise ConfigError(f"dims must lie in 2..8, got {self.dims}")
-        if not all(1 <= n <= 5 for n in self.n_obs):
-            raise ConfigError(f"n_obs must lie in 1..5, got {self.n_obs}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not all(_is_int(d) and 2 <= d <= 8 for d in self.dims):
+            raise ConfigError(f"dims must be integers in 2..8, got {self.dims}")
+        if not all(_is_int(n) and 1 <= n <= 5 for n in self.n_obs):
+            raise ConfigError(f"n_obs must be integers in 1..5, got {self.n_obs}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for r in self.ranks:

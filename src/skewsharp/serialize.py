@@ -8,19 +8,19 @@ format call on its values, to the bytes of its nested list (a complex entry as a
 [re, im] cell), so reports hand over their matrices as arrays.  ``write_text``
 writes a report over the old file in place, then cuts it at the new length.
 
-Reading: ``load_json`` reads each file once and, when asked, hashes the very bytes
-it parses (``check`` takes its input digests from there).  ``loads`` returns what
-``json.loads`` returns, except that on a text longer than MATRIX_ROUTE_MIN_CHARS
-every array that is exactly a d x d matrix of [re, im] number cells comes back as
-one float64 array of shape (d, d, 2), read from the text's bytes instead of
-through about 3 d^2 Python objects
-(``pairs_to_matrix`` takes either form).  ``load_json`` reads a file above that
-size once, into an anonymous buffer advised to take huge pages; a file of ASCII
-bytes with no CR goes to ``loads`` as that buffer, with no decoded copy, and any
-other file as the str a text-mode read gives (CRLF and lone CR as LF).  One pass
-over the text's bytes, chunk by chunk, marks the number bytes (0-9 . e E + -) by
-byte ranges and builds a skeleton with one ``bytes.translate`` per chunk: no
-whitespace, and each number token (a run of number bytes) as one "n".  Chunks
+Reading: ``load_json`` reads each file with one ``read`` and, when asked, hashes
+the very bytes it parses (``check`` takes its input digests from there).  ``loads``
+returns what ``json.loads`` returns, except that on a text longer than
+MATRIX_ROUTE_MIN_CHARS every array that is exactly a d x d matrix of [re, im]
+number cells comes back as one float64 array of shape (d, d, 2), read from the
+text's UTF-8 bytes instead of through about 3 d^2 Python objects
+(``pairs_to_matrix`` takes either form).  ``load_json`` hands a file above that
+size to ``loads`` as its bytes when they are ASCII with no CR, and any other file
+as the str a text-mode read gives (CRLF and lone CR as LF); ``loads`` encodes a
+long str once.  One pass over the bytes, chunk by chunk, marks the number bytes
+(0-9 . e E + -) by byte ranges and builds a skeleton with one ``bytes.translate``
+per chunk: no whitespace, each number token (a run of number bytes) as one "n",
+and each byte of a character beyond ASCII as "?".  Chunks
 hold whole rows of the last matrix where a row is short enough, so in a stretch
 of zero rows each chunk equals the one before it and takes that chunk's skeleton
 and tokens without a second pass.  A matrix is accepted only where the skeleton
@@ -29,11 +29,12 @@ square with one token per slot.  A token that is exactly 0.0 or 0 (``dumps``
 writes a zero as 0) becomes +0.0 without conversion.  Every other token must be
 a JSON number, and not an integer -0 (json reads it as +0.0, strtod as -0.0),
 with a finite value; ``np.fromstring`` converts them.  Each accepted matrix is
-replaced by a marker string and json parses what is left, so keys, strings,
-``dim``, ``label`` and every other array take the json path.  If that parse
-fails, or a marker is not a value exactly once (a matrix-like text inside a
-string, or in a key), the whole text goes to ``json.loads``.  Both conversions round correctly, so an accepted text gives
-bit-identical numbers, and a rejected one raises json's own exception.
+replaced by a marker string and json parses what is left, decoded as UTF-8, so
+keys, strings, ``dim``, ``label`` and every other array take the json path.  If
+that parse fails, or a marker is not a value exactly once (a matrix-like text
+inside a string, or in a key), the whole text goes to ``json.loads`` as a str.
+Both conversions round correctly, so an accepted text gives bit-identical
+numbers, and a rejected one raises json's own exception.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import bisect
 import hashlib
 import itertools
 import json
-import mmap
 import numbers
 import os
 import re
@@ -235,7 +235,7 @@ MATRIX_ROUTE_MIN_CHARS = 1 << 17
 # JSON whitespace instead.
 _CLASS = (b"?" * 9 + b"  ?? " + b"?" * 18 + b" " + b"?" * 10 + b"n,nn?" + b"n" * 10
           + b"?" * 11 + b"n" + b"?" * 21 + b"[?]" + b"?" * 7 + b"n" + b"?" * 154)
-# The route reads a text in chunks of at most this many characters, so that its
+# The route reads a text in chunks of at most this many bytes, so that its
 # per-byte masks exist for one chunk at a time and stay in cache.  With 2^20 the
 # tracemalloc peak on a d = 300 Fock-diagonal file was 8.4 MiB (2.6 MiB at 2^16),
 # and the d = 900 files read about 1.5 times slower.  A chunk holds whole rows of
@@ -248,32 +248,26 @@ _MARK = "\0"
 _ROW_SEPARATOR_REVERSED = re.compile(rb"\[[ \t\n\r]*\[[ \t\n\r]*,[ \t\n\r]*\][ \t\n\r]*\]")
 
 
-def _piece(text, start: int, stop: int) -> bytes:
-    """text[start:stop] as bytes, a str piece with "?" for each character beyond ASCII."""
-    piece = text[start:stop]
-    return piece.encode("ascii", "replace") if isinstance(piece, str) else piece
-
-
-def _chunk_chars(text) -> int:
-    """The largest whole multiple of the text's row length that is at most
-    _CHUNK_CHARS, the row length being the distance between the last two row
-    separators in its last 2 _CHUNK_CHARS characters; _CHUNK_CHARS if there are
-    fewer than two, or the row is longer."""
+def _chunk_chars(data: bytes) -> int:
+    """The largest whole multiple of the row length of the data's text that is at
+    most _CHUNK_CHARS, the row length being the distance between the last two row
+    separators in its last 2 _CHUNK_CHARS bytes; _CHUNK_CHARS if there are fewer
+    than two, or the row is longer."""
     size = _CHUNK_CHARS
-    tail = _piece(text, max(len(text) - 2 * size, 0), len(text))[::-1]
+    tail = data[-2 * size:][::-1]
     ends = [m.end() for m in itertools.islice(_ROW_SEPARATOR_REVERSED.finditer(tail), 2)]
     if len(ends) < 2 or ends[1] - ends[0] > size:
         return size
     return size - size % (ends[1] - ends[0])
 
 
-def _chunks(text, size: int):
-    """(offset, bytes) of the text in pieces of about size characters, each but the
-    last ending in a byte that is not a number byte, so that no token straddles two
-    (a token longer than a chunk is cut, and its pieces make no matrix)."""
-    start, stop = 0, len(text)
+def _chunks(data: bytes, size: int):
+    """(offset, bytes) of the data in pieces of about size bytes, each but the last
+    ending in a byte that is not a number byte, so that no token straddles two (a
+    token longer than a chunk is cut, and its pieces make no matrix)."""
+    start, stop = 0, len(data)
     while start < stop:
-        piece = _piece(text, start, min(start + size, stop))
+        piece = data[start:start + size]
         if start + len(piece) < stop:
             piece = piece.rstrip(b"0123456789.eE+-") or piece
         yield start, piece
@@ -378,15 +372,15 @@ def _matrix_size(skeleton: bytes, i: int, e: int) -> int:
     return d
 
 
-def _matrix_spans(text) -> tuple[list, list]:
-    """One pass over the text, chunk by chunk: the (start, stop, d, first token,
-    first chunk) of each text[start:stop] whose skeleton is exactly that of a d x d
+def _matrix_spans(data: bytes) -> tuple[list, list]:
+    """One pass over the bytes, chunk by chunk: the (start, stop, d, first token,
+    first chunk) of each data[start:stop] whose skeleton is exactly that of a d x d
     matrix of [re, im] cells, in text order; and per chunk its offset, the tokens
     before it and in it, and its _other_tokens.  A chunk equal to the one before
     it takes that chunk's skeleton, token count and _other_tokens, which depend on
     its bytes alone."""
     pieces, offsets, chunks, tokens, length, previous = [], [], [], 0, 0, None
-    for start, piece in _chunks(text, _chunk_chars(text)):
+    for start, piece in _chunks(data, _chunk_chars(data)):
         if piece != previous:
             chars, num, first, piece_skeleton = _classify(piece)
             count = np.count_nonzero(first)
@@ -400,11 +394,11 @@ def _matrix_spans(text) -> tuple[list, list]:
     skeleton = b"".join(pieces)
 
     def char_index(k):
-        # of a bracket: the skeleton keeps every bracket of the text, in order
+        # of a bracket: the skeleton keeps every bracket of the data, in order
         c = bisect.bisect_right(offsets, k) - 1
         bracket = skeleton[k:k + 1]
         start = chunks[c][0]
-        piece = _piece(text, start, chunks[c + 1][0] if c + 1 < len(chunks) else len(text))
+        piece = data[start:chunks[c + 1][0]] if c + 1 < len(chunks) else data[start:]
         at = np.flatnonzero(np.frombuffer(piece, np.uint8) == bracket[0])
         return start + int(at[skeleton.count(bracket, offsets[c], k)])
 
@@ -473,31 +467,31 @@ def _place(doc, arrays: dict):
     return root[0]
 
 
-def _str(text) -> str:
-    return text if isinstance(text, str) else str(text, "ascii")
-
-
 def loads(text):
     """``json.loads(text)``, with each d x d matrix of [re, im] number cells as one
     (d, d, 2) float64 array on a text longer than MATRIX_ROUTE_MIN_CHARS.  The text
-    is a str, or a buffer of ASCII bytes without CR (``load_json``); json parses
-    only str, decoded from the buffer's pieces outside the matrices."""
-    spans, chunks = _matrix_spans(text) if len(text) > MATRIX_ROUTE_MIN_CHARS else ([], [])
-    pieces, arrays, end = [], {}, 0
-    for span in spans:
-        values = _matrix_values(chunks, span)
-        if values is not None:
-            mark = f"{_MARK}{len(arrays)}"
-            arrays[mark] = values
-            pieces += (_str(text[end:span[0]]), json.dumps(mark))
-            end = span[1]
-    if arrays:
-        pieces.append(_str(text[end:]))
-        try:
-            return _place(json.loads("".join(pieces)), arrays)
-        except (ValueError, KeyError):
-            pass
-    return json.loads(_str(text))
+    is a str, or its UTF-8 bytes (``load_json`` passes ASCII bytes without CR).  The
+    route reads bytes, encoding a long str once; json parses only str, the bytes
+    outside the matrices decoded, or else the whole text."""
+    arrays = {}
+    if len(text) > MATRIX_ROUTE_MIN_CHARS:
+        data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+        spans, chunks = _matrix_spans(data)
+        pieces, end = [], 0
+        for span in spans:
+            values = _matrix_values(chunks, span)
+            if values is not None:
+                mark = f"{_MARK}{len(arrays)}"
+                arrays[mark] = values
+                pieces += (data[end:span[0]], json.dumps(mark).encode())
+                end = span[1]
+        if arrays:
+            pieces.append(data[end:])
+            try:
+                return _place(json.loads(b"".join(pieces).decode("utf-8", "surrogatepass")), arrays)
+            except (ValueError, KeyError):
+                pass
+    return json.loads(text if isinstance(text, str) else text.decode("utf-8", "surrogatepass"))
 
 
 def _decoded(data) -> str:
@@ -507,32 +501,18 @@ def _decoded(data) -> str:
 
 
 def load_json(path: str, sha256=None):
-    """``loads`` of a UTF-8 file's text as a text-mode read gives it, from one read
-    of the file.  A file above MATRIX_ROUTE_MIN_CHARS is read into an anonymous
-    buffer advised to take huge pages; if it is ASCII without CR, loads reads that
-    buffer, and else its decoded text.  The buffer is closed
-    before this returns, and nothing returned is a view of it.  ``sha256``, a
-    hashlib object, is updated with the very bytes parsed (the buffer before it
-    closes, or the bytes of the read); without it nothing is hashed."""
+    """``loads`` of a UTF-8 file's text as a text-mode read gives it, from one
+    ``read`` of the file.  A file above MATRIX_ROUTE_MIN_CHARS whose bytes are ASCII
+    with no CR goes to loads as those bytes, and every other file as its decoded
+    text.  ``sha256``, a hashlib object, is updated with the very bytes read;
+    without it nothing is hashed."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > MATRIX_ROUTE_MIN_CHARS:
-            with mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) as buf:
-                try:   # huge pages, where the kernel gives them, take the fill in fewer faults
-                    buf.madvise(mmap.MADV_HUGEPAGE)
-                except (AttributeError, OSError):
-                    pass
-                # a file that changed size since the fstat takes the text read below
-                if fh.readinto(buf) == size and not fh.read(1):
-                    if sha256 is not None:
-                        sha256.update(buf)
-                    ascii_lf = buf.find(b"\r") < 0 and np.frombuffer(buf, np.uint8).max() < 0x80
-                    return loads(buf if ascii_lf else _decoded(buf))
-            fh.seek(0)
         data = fh.read()
-        if sha256 is not None:
-            sha256.update(data)
-        return loads(_decoded(data))
+    if sha256 is not None:
+        sha256.update(data)
+    if len(data) > MATRIX_ROUTE_MIN_CHARS and data.isascii() and b"\r" not in data:
+        return loads(data)
+    return loads(_decoded(data))
 
 
 def write_text(path: str, text: str) -> None:

@@ -574,6 +574,19 @@ def test_command_rebound_after_parser_is_built(monkeypatch, tmp_path):
     assert main(["check", sp, op]) == 7
 
 
+def test_memory_error_exits_2(monkeypatch, capsys):
+    # exit 1 means a relation is violated; a run that cannot get its memory is an error
+    message = "Unable to allocate 2.98 TiB for an array with shape (400000000, 1024) and data type float64"
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_gaussian", out_of_memory)
+    assert main(["gaussian", "--modes", "2", "--cutoff", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_env_var_overrides_tolerance(monkeypatch, tmp_path):
     from skewsharp.cli import _violation_tol
 

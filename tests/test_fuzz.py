@@ -71,6 +71,15 @@ def test_config_refuses_bad_seed_and_bool_ranks(field, value):
         FuzzConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("dims", (2.5,)), ("dims", (2, 3.0)), ("n_obs", (1.0,)),
+                                          ("n_obs", (True,)), ("trials", 2.5), ("trials", True)])
+def test_config_refuses_non_integer_sizes(field, value):
+    # run_fuzz would fail a float size with a bare TypeError from NumPy, and run True as 1 trial
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        FuzzConfig(**{field: value})
+    config = FuzzConfig(dims=(np.int64(3),), n_obs=(np.int64(2),), trials=np.int64(5))
+    assert config.combos == [(3, 2)]
+
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
 def test_config_rejects_out_of_range_tolerance(tol):

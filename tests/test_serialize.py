@@ -461,7 +461,7 @@ def test_loads_route_classifies_a_stretch_of_zero_rows_once(monkeypatch, writer)
     text = (json.dumps if writer == "json.dumps" else dumps)(doc)
     classified, classify = [], serialize._classify
     monkeypatch.setattr(serialize, "_classify", lambda piece: classified.append(len(piece)) or classify(piece))
-    chunks = serialize._matrix_spans(text)[1]
+    chunks = serialize._matrix_spans(text.encode())[1]
     assert len(chunks) > 100 and len(classified) <= 8
     assert _bits(pairs_to_matrix(serialize.loads(text)["matrix"])).tobytes() == _bits(diag).tobytes()
 
@@ -503,7 +503,7 @@ def test_loads_route_matches_json_where_chunks_repeat(name, monkeypatch, route):
         assert _outcome(text, route) == _outcome(text, json.loads)
     classified, classify = [], serialize._classify
     monkeypatch.setattr(serialize, "_classify", lambda piece: classified.append(len(piece)) or classify(piece))
-    chunks = serialize._matrix_spans(text)[1]
+    chunks = serialize._matrix_spans(text.encode())[1]
     assert (len(classified) < len(chunks)) == repeats
 
 
@@ -526,8 +526,8 @@ def test_loads_route_rejects_zero_lookalikes_as_before(route):
 
 class TestRouteThroughLoadJson:
     """Every test above that takes ``route``, with load_json of the text written to a
-    file as the reader: the buffer route, or the str route of a text with non-ASCII
-    bytes or a CR."""
+    file as the reader: the file's bytes, or the decoded str of a text with
+    non-ASCII bytes or a CR."""
 
     @pytest.fixture
     def route(self, monkeypatch, tmp_path):
@@ -628,7 +628,7 @@ def test_load_json_matches_a_text_mode_read_where_bytes_and_text_differ(name, tm
 
 @pytest.mark.parametrize("off", [-1, 1])
 def test_load_json_reads_the_text_when_the_size_is_wrong(off, tmp_path, monkeypatch):
-    # a file whose size is not the one fstat gave (it changed in between) takes the text read
+    # the reader takes the file's size from its one read, never from fstat
     path = tmp_path / "state.json"
     path.write_text(_large_state_text())
     want = _outcome(path, _text_mode_json)
@@ -657,6 +657,62 @@ def test_load_json_hashes_the_bytes_it_parses(name, tmp_path):
     assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("name", ["small", "large", "large crlf", "non-ascii label"])
+def test_load_json_opens_the_file_once_and_reads_it_once(name, tmp_path, monkeypatch):
+    text = _state_text(["0.5", "0", "0", "0", "0", "0", "0.5", "0"], 2) if name == "small" else \
+        _large_state_text("\u03c8" if name == "non-ascii label" else "s")
+    data = (text.replace("\n", "\r\n") if name.endswith("crlf") else text).encode("utf-8")
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    want = _outcome(path, _text_mode_json)
+    calls = []
+
+    class OneRead:   # a file with read alone: any other call on it fails the outcome
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, *args):
+            calls.append(("read", args))
+            return self.fh.read(*args)
+
+    def spy_open(*args, **kwargs):
+        calls.append(("open", args))
+        return OneRead(open(*args, **kwargs))
+
+    monkeypatch.setattr(serialize, "open", spy_open, raising=False)
+    digest = hashlib.sha256()
+    assert _outcome(path, lambda p: serialize.load_json(p, digest)) == want
+    assert calls == [("open", (path, "rb")), ("read", ())]
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("route_min", [None, 0])
+@pytest.mark.parametrize("data", [b"", b" \n\t  "], ids=["empty", "whitespace"])
+def test_load_json_raises_jsons_error_on_an_empty_or_blank_file(data, route_min, tmp_path, monkeypatch, capsys):
+    # route_min 0 sends the blank file down the route as bytes; json's error either way
+    from skewsharp.cli import main
+
+    if route_min is not None:
+        monkeypatch.setattr(serialize, "MATRIX_ROUTE_MIN_CHARS", route_min)
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(data.decode())
+    with pytest.raises(json.JSONDecodeError) as got:
+        serialize.load_json(path)
+    assert str(got.value) == str(want.value)
+    obs = tmp_path / "obs.json"
+    obs.write_text(dumps({"dim": 2, "observables": [np.diag([1.0, -1.0]).astype(complex)]}))
+    assert main(["check", str(path), str(obs)]) == 2
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
 def test_write_text_writes_over_a_longer_file_and_cuts_it(tmp_path):
     path = tmp_path / "report.json"
     serialize.write_text(str(path), "x" * 70_000 + "\u03c8")
@@ -679,16 +735,13 @@ def test_write_text_creates_a_file_as_open_does(tmp_path):
     assert modes == {0o640}
 
 
-def test_load_json_closes_its_buffer(tmp_path, monkeypatch):
+def test_load_json_closes_its_buffer(tmp_path):
     rng = np.random.default_rng(300)
     weights = np.zeros(300)
     weights[:16] = rng.uniform(0.2, 1.0, 16)
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dim": 300, "matrix": matrix_to_pairs(np.diag(weights / weights.sum()))}))
-    buffers, make = [], serialize.mmap.mmap
-    monkeypatch.setattr(serialize.mmap, "mmap", lambda *args, **kw: buffers.append(make(*args, **kw)) or buffers[-1])
     m = serialize.load_json(path)["matrix"]
-    assert buffers and all(buf.closed for buf in buffers)
     assert isinstance(m, np.ndarray) and m.flags.writeable and m.flags.owndata
 
 
